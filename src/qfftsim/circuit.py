@@ -21,12 +21,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .fourier import qft_matrix
 
 #: Largest supported layer count for synthesis (m = 2^cap modes).
 SYNTH_CAP = 10
 
 TWO_PI = 2.0 * math.pi
+
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -109,8 +110,8 @@ def validate_circuit(circuit: QfftCircuit) -> None:
     m = circuit.m
     if m != 1 << circuit.p:
         raise ValidationError(f"mode count {m} is not 2^p for p={circuit.p}")
-    if len(circuit.layers) != circuit.p:
-        raise ValidationError(f"expected {circuit.p} layers, got {len(circuit.layers)}")
+    if [layer.step for layer in circuit.layers] != list(range(1, circuit.p + 1)):
+        raise ValidationError(f"expected layers with steps 1..{circuit.p} in order")
     if sorted(circuit.output_relabeling) != list(range(m)):
         raise ValidationError("output relabeling is not a permutation of the modes")
     for layer in circuit.layers:
@@ -128,24 +129,96 @@ def validate_circuit(circuit: QfftCircuit) -> None:
                 raise ValidationError(f"layer {layer.step}: phase on unknown mode {t}")
 
 
+@dataclass(frozen=True)
+class CompiledCircuit:
+    """A validated circuit reduced to arrays, for repeated evaluation.
+
+    ``couplers[j]`` holds the (upper, lower) mode index arrays of layer j,
+    ``phases[j]`` its phase vector over all m modes, row k of ``slots`` the
+    (layer index, mode) of free phase k, ``nominal`` the circuit's own values
+    there, and ``inverse_relabeling`` the physical port feeding each logical
+    output. Build it with :func:`compile_circuit`.
+    """
+
+    m: int
+    couplers: tuple[tuple[np.ndarray, np.ndarray], ...]
+    phases: np.ndarray
+    slots: np.ndarray
+    nominal: np.ndarray
+    inverse_relabeling: np.ndarray
+
+    def unitary(self, values=None, derivatives: bool = False):
+        """U with the free phases set to ``values`` (default: the nominal ones).
+
+        With ``derivatives`` also returns dU of shape (k, m, m), where
+        dU[k] = dU/d(phi_k) = i * L[:, t] (x) (D R)[t, :] for the free phase
+        at mode t of layer j, L being the product of everything after layer
+        j's phases and D R the product up to and including them.
+        """
+        phases = self.phases.copy()
+        phases[self.slots[:, 0], self.slots[:, 1]] = self.nominal if values is None else values
+        diagonals = np.exp(1j * phases)
+        u = np.eye(self.m, dtype=complex)
+        prefixes = []
+        for diagonal, pairs in zip(diagonals, self.couplers):
+            u = diagonal[:, None] * u
+            prefixes.append(u)
+            u = _couple_rows(u, pairs)
+        u = u[self.inverse_relabeling]
+        if not derivatives:
+            return u
+        suffix = np.eye(self.m, dtype=complex)[self.inverse_relabeling]
+        suffixes = [None] * len(self.couplers)
+        for layer in range(len(self.couplers) - 1, -1, -1):
+            # X C = (C X^T)^T: every coupler block is symmetric
+            suffix = _couple_rows(suffix.T, self.couplers[layer]).T
+            suffixes[layer] = suffix
+            suffix = suffix * diagonals[layer][None, :]
+        layers, modes = self.slots[:, 0], self.slots[:, 1]
+        left = np.stack(suffixes)[layers, :, modes]
+        right = np.stack(prefixes)[layers, modes, :]
+        return u, 1j * left[:, :, None] * right[:, None, :]
+
+
+def _couple_rows(u: np.ndarray, pairs) -> np.ndarray:
+    """Balanced couplers [[1, 1], [1, -1]]/sqrt(2) on the (upper, lower) row pairs."""
+    upper, lower = pairs
+    ra = u[upper]
+    rb = u[lower]
+    out = np.empty_like(u)
+    out[upper] = (ra + rb) * _INV_SQRT2
+    out[lower] = (ra - rb) * _INV_SQRT2
+    return out
+
+
+def compile_circuit(circuit: QfftCircuit, free_phases=()) -> CompiledCircuit:
+    """Validate ``circuit`` once and reduce it to arrays; see :class:`CompiledCircuit`.
+
+    ``free_phases`` lists the (step, mode) positions whose values are passed
+    to :meth:`CompiledCircuit.unitary`, in that order.
+    """
+    validate_circuit(circuit)
+    free_phases = tuple(free_phases)
+    _check_positions(circuit, free_phases)
+    m = circuit.m
+    couplers = tuple(
+        (np.array([a for a, _ in layer.couplers]), np.array([b for _, b in layer.couplers]))
+        for layer in circuit.layers
+    )
+    phases = np.zeros((circuit.p, m))
+    for j, layer in enumerate(circuit.layers):
+        for t, angle in layer.phases.items():
+            phases[j, t] = angle
+    slots = np.array([(step - 1, mode) for step, mode in free_phases], dtype=int).reshape(-1, 2)
+    nominal = phases[slots[:, 0], slots[:, 1]]
+    inverse = np.empty(m, dtype=int)
+    inverse[list(circuit.output_relabeling)] = np.arange(m)
+    return CompiledCircuit(m, couplers, phases, slots, nominal, inverse)
+
+
 def circuit_to_unitary(circuit: QfftCircuit) -> np.ndarray:
     """Compose phase layers, coupler layers and the output relabeling."""
-    validate_circuit(circuit)
-    m = circuit.m
-    u = np.eye(m, dtype=complex)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for layer in circuit.layers:
-        for t, angle in layer.phases.items():
-            u[t, :] = u[t, :] * np.exp(1j * angle)
-        upper = np.array([a for a, _ in layer.couplers])
-        lower = np.array([b for _, b in layer.couplers])
-        ra = u[upper, :].copy()
-        rb = u[lower, :]
-        u[upper, :] = (ra + rb) * inv_sqrt2
-        u[lower, :] = (ra - rb) * inv_sqrt2
-    out = np.empty_like(u)
-    out[list(circuit.output_relabeling), :] = u
-    return out
+    return compile_circuit(circuit).unitary()
 
 
 def _with_phase_map(circuit: QfftCircuit, update) -> QfftCircuit:
@@ -158,6 +231,9 @@ def _with_phase_map(circuit: QfftCircuit, update) -> QfftCircuit:
 
 
 def _check_positions(circuit: QfftCircuit, positions) -> None:
+    positions = [tuple(pos) for pos in positions]
+    if len(set(positions)) != len(positions):
+        raise DomainError(f"duplicate phase positions in {positions}")
     steps = {layer.step for layer in circuit.layers}
     for step, mode in positions:
         if step not in steps:
@@ -206,13 +282,6 @@ def nontrivial_phase_positions(circuit: QfftCircuit) -> list[tuple[int, int]]:
             if layer.phases[mode] % TWO_PI != 0.0:
                 positions.append((layer.step, mode))
     return positions
-
-
-def circuit_fidelity_to_qft(circuit: QfftCircuit) -> float:
-    """Fidelity of the composed circuit against the exact Fourier matrix."""
-    from .linalg import fidelity
-
-    return fidelity(circuit_to_unitary(circuit), qft_matrix(circuit.m))
 
 
 def relabeling_swaps(circuit: QfftCircuit) -> list[tuple[int, int]]:

@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import math
 import os
 import sys
 import tempfile
@@ -65,6 +64,9 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 DEFAULT_SEED = 12345
+
+#: Largest expected count per delay point; numpy's Poisson sampler refuses means near 2^63.
+MAX_EXPECTED_COUNTS = 1e18
 
 _SEED_STREAMS = {"simulate": 0, "monte_carlo": 1, "reconstruct": 2, "mean_field": 3}
 
@@ -116,8 +118,10 @@ def simulate_experiment(
     ``expected_counts * Q_ij(dx)``; each is drawn once from the given
     generator, in deterministic (delay, pair) order.
     """
-    if expected_counts <= 0:
-        raise DomainError(f"expected counts must be positive, got {expected_counts}")
+    if not 0 < expected_counts <= MAX_EXPECTED_COUNTS:
+        raise DomainError(
+            f"expected counts must be in (0, {MAX_EXPECTED_COUNTS:g}], got {expected_counts}"
+        )
     curves = two_photon_coincidences(u, input_pair, delay_model, delta_x, tol=tol)
     a, b = sorted(curves.input)
     records = []
@@ -180,10 +184,9 @@ def _load_unitary(config: RunConfig) -> tuple[np.ndarray, str]:
 
 
 def _power_of_two(m: int) -> int:
-    p = int(math.log2(m))
-    if 2**p != m:
+    if m < 1 or m & (m - 1):
         raise DomainError(f"--modes must be a power of two, got {m}")
-    return p
+    return m.bit_length() - 1
 
 
 def _input_pair(config: RunConfig, m: int) -> tuple[int, int]:
@@ -208,8 +211,8 @@ def _forbidden_pairs(m: int) -> list[tuple[int, int]]:
 def _delay_grid(config: RunConfig) -> np.ndarray:
     if config.points < 2:
         raise DomainError(f"--points must be >= 2, got {config.points}")
-    if config.span <= 0:
-        raise DomainError(f"--span must be positive, got {config.span}")
+    if not 0 < config.span < float("inf"):
+        raise DomainError(f"--span must be positive and finite, got {config.span}")
     return np.linspace(-config.span, config.span, config.points)
 
 

@@ -26,7 +26,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .circuit import QfftCircuit, _check_positions, circuit_from_json, circuit_to_json, circuit_to_unitary, set_phases
+from .circuit import (
+    CompiledCircuit,
+    QfftCircuit,
+    _check_positions,
+    circuit_from_json,
+    circuit_to_json,
+    circuit_to_unitary,
+    compile_circuit,
+)
 from .errors import ConvergenceError, DomainError, ValidationError
 from .linalg import as_complex_matrix, fidelity
 from .models import two_photon_probabilities
@@ -63,59 +71,121 @@ class ReconstructionProblem:
         for i, total in col_sums.items():
             if total > 1.0 + 1e-6:
                 raise DomainError(f"singles for input {i} sum to {total} > 1")
-        for (inp, out), (_, sigma) in self.visibilities.items():
+        for (inp, out), (value, sigma) in self.visibilities.items():
             a, b = inp
             i, j = out
             if not (0 <= a < b < m and 0 <= i <= j < m):
                 raise DomainError(f"visibility key ({inp},{out}) out of range or unordered")
-            if sigma <= 0:
-                raise DomainError(f"visibility for ({inp},{out}) needs sigma > 0, got {sigma}")
+            if not math.isfinite(value):
+                raise DomainError(f"visibility for ({inp},{out}) is not finite: {value}")
+            if not 0 < sigma < math.inf:
+                raise DomainError(f"visibility for ({inp},{out}) needs finite sigma > 0, got {sigma}")
+
+
+@dataclass(frozen=True)
+class RestartRecord:
+    """Outcome of one local minimisation: final chi-squared, objective evaluations, success flag."""
+
+    chi2: float
+    nfev: int
+    success: bool
 
 
 @dataclass(frozen=True)
 class ReconstructionResult:
+    """Best fit plus diagnostics.
+
+    ``restarts`` holds one record per restart in restart order;
+    ``restarts_in_best_basin`` counts those whose chi-squared lies within
+    ``BASIN_RTOL * max(best, 1)`` of the best (relative for any real data,
+    absolute near a noiseless zero); ``jacobian_condition`` is the condition
+    number of the residual Jacobian at the fitted phases (None without free
+    phases). All of it is deterministic for a fixed seed.
+    """
+
     fitted_phases: dict[tuple[int, int], float]
     reconstructed_unitary: np.ndarray
     chi2: float
     fidelity_vs_target: float | None
+    restarts: tuple[RestartRecord, ...] = ()
+    restarts_in_best_basin: int = 0
+    jacobian_condition: float | None = None
 
 
-def _compile(problem: ReconstructionProblem):
-    """Flatten the measured visibilities into gather arrays for fast residuals."""
+#: Chi-squared window, relative to max(best, 1), within which a restart reaches the best basin.
+BASIN_RTOL = 1e-6
+
+
+@dataclass(frozen=True)
+class _Visibilities:
+    """The template compiled once, and the measured visibilities as gather arrays.
+
+    Row n of ``modes`` is visibility n's (a, b, i, j); ``flat`` holds the
+    row-major positions of U_ia, U_jb, U_ib and U_ja in that order.
+    """
+
+    circuit: CompiledCircuit
+    modes: np.ndarray
+    flat: np.ndarray
+    v_meas: np.ndarray
+    sigmas: np.ndarray
+
+
+def _compile(problem: ReconstructionProblem) -> _Visibilities:
     entries = sorted(problem.visibilities.items())
-    a_idx = np.array([inp[0] for (inp, _), _ in entries], dtype=int)
-    b_idx = np.array([inp[1] for (inp, _), _ in entries], dtype=int)
-    i_idx = np.array([out[0] for (_, out), _ in entries], dtype=int)
-    j_idx = np.array([out[1] for (_, out), _ in entries], dtype=int)
-    norm = np.where(i_idx == j_idx, 2.0, 1.0)
-    v_meas = np.array([v for _, (v, _) in entries])
-    sigmas = np.array([s for _, (_, s) in entries])
-    return a_idx, b_idx, i_idx, j_idx, norm, v_meas, sigmas
+    modes = np.array([(a, b, i, j) for ((a, b), (i, j)), _ in entries], dtype=int).reshape(-1, 4)
+    values = np.array([vs for _, vs in entries], dtype=float).reshape(-1, 2)
+    a, b, i, j = modes.T
+    m = problem.template.m
+    flat = np.stack([i * m + a, j * m + b, i * m + b, j * m + a])
+    circuit = compile_circuit(problem.template, problem.free_phases)
+    return _Visibilities(circuit, modes, flat, *values.T)
 
 
-def _model_chi2(unitary: np.ndarray, compiled) -> float:
-    a_idx, b_idx, i_idx, j_idx, norm, v_meas, sigmas = compiled
-    if a_idx.size == 0:
-        return 0.0
-    ia = unitary[i_idx, a_idx]
-    jb = unitary[j_idx, b_idx]
-    ib = unitary[i_idx, b_idx]
-    ja = unitary[j_idx, a_idx]
-    pq = np.abs(ia * jb + ib * ja) ** 2 / norm
-    pc = (np.abs(ia) ** 2 * np.abs(jb) ** 2 + np.abs(ib) ** 2 * np.abs(ja) ** 2) / norm
+def _residuals(data: _Visibilities, phases, jacobian: bool = False):
+    """Residuals (v_model - v_meas)/sigma and, on request, their Jacobian (N, k).
+
+    With A = U_ia U_jb + U_ib U_ja and C = |U_ia|^2 |U_jb|^2 + |U_ib|^2 |U_ja|^2
+    the model visibility is 1 - |A|^2/C (the bunched-output factor 1/2
+    cancels in the ratio). Each of the four amplitudes X enters A and C
+    only through its partner P (U_ia with U_jb, U_ib with U_ja), so
+    dv = 2 Re sum_X dX (|A|^2 conj(X) |P|^2 - C conj(A) P) / C^2.
+    """
+    if jacobian:
+        u, du = data.circuit.unitary(phases, derivatives=True)
+    else:
+        u = data.circuit.unitary(phases)
+    z = u.ravel()[data.flat]
+    amp = z[0] * z[1] + z[2] * z[3]
+    pq = np.abs(amp) ** 2
+    weights = np.abs(z) ** 2
+    pc = weights[0] * weights[1] + weights[2] * weights[3]
     if np.any(pc <= 0.0):
-        bad = int(np.argmax(pc <= 0.0))
+        a, b, i, j = data.modes[int(np.argmax(pc <= 0.0))]
         raise DomainError(
-            "model visibility undefined: zero classical rate for input "
-            f"({a_idx[bad]},{b_idx[bad]}) output ({i_idx[bad]},{j_idx[bad]})"
+            f"model visibility undefined: zero classical rate for input ({a},{b}) output ({i},{j})"
         )
-    v_model = 1.0 - pq / pc
-    return float(np.sum(((v_model - v_meas) / sigmas) ** 2))
+    r = (1.0 - pq / pc - data.v_meas) / data.sigmas
+    if not jacobian:
+        return r
+    partner = z[[1, 0, 3, 2]]
+    coeff = (pq * np.conj(z) * weights[[1, 0, 3, 2]] - pc * np.conj(amp) * partner) / pc**2
+    d_v = 2.0 * np.real(np.sum(du.reshape(len(du), -1)[:, data.flat] * coeff, axis=1))
+    return r, (d_v / data.sigmas).T
 
 
-def _unitary_at(problem: ReconstructionProblem, phases) -> np.ndarray:
-    assignment = dict(zip(problem.free_phases, (float(x) for x in phases)))
-    return circuit_to_unitary(set_phases(problem.template, assignment))
+def _singular_values(jac: np.ndarray) -> tuple[np.ndarray, float]:
+    """Singular values and condition number; singular values at rounding level count as zero.
+
+    The floor is absolute: visibilities and phases are both of order one, so
+    a Jacobian that is zero up to rounding (every visibility stationary, as
+    for cyclic inputs on the nominal template) has an infinite condition
+    number rather than the ratio of two rounding errors.
+    """
+    svals = np.linalg.svd(jac, compute_uv=False)
+    floor = max(jac.shape) * np.finfo(float).eps
+    cond = float(svals[0] / svals[-1]) if svals[-1] > floor else float("inf")
+    return svals, cond
 
 
 def chi2_objective(problem: ReconstructionProblem, phases) -> float:
@@ -125,7 +195,8 @@ def chi2_objective(problem: ReconstructionProblem, phases) -> float:
         raise DomainError(
             f"expected {len(problem.free_phases)} phase parameters, got shape {phases.shape}"
         )
-    return _model_chi2(_unitary_at(problem, phases), _compile(problem))
+    r = _residuals(_compile(problem), phases)
+    return float(r @ r)
 
 
 def fit_phases(
@@ -136,38 +207,42 @@ def fit_phases(
 ) -> ReconstructionResult:
     """Multi-start minimisation of the visibility chi-squared over the phases.
 
-    Starts are drawn uniformly on [0, 2*pi)^k from ``seed``; each runs a
-    derivative-free (Powell) local minimisation and the lowest chi-squared
-    wins, ties broken by restart index, so the result is deterministic for a
-    fixed seed and restart count. When ``target`` is given the fidelity of
-    the reconstruction against it is computed in the canonical gauge.
+    Starts are drawn uniformly on [0, 2*pi)^k from ``seed``; each runs an
+    L-BFGS-B local minimisation of chi2 = r.r with the analytic gradient
+    2 J^T r, r being the sigma-scaled visibility residuals and J their
+    Jacobian from the compiled template. The lowest chi-squared wins, ties
+    broken by restart index, so the result is deterministic for a fixed seed
+    and restart count. When ``target`` is given the fidelity of the
+    reconstruction against it is computed in the canonical gauge.
     """
     k = len(problem.free_phases)
-    compiled = _compile(problem)
+    data = _compile(problem)
     if len(problem.visibilities) < k:
         raise DomainError(
             f"underdetermined fit: {len(problem.visibilities)} visibilities for {k} phases"
         )
 
     if k == 0:
-        unitary = circuit_to_unitary(problem.template)
-        chi2 = _model_chi2(unitary, compiled)
+        unitary = data.circuit.unitary()
+        r = _residuals(data, ())
         fid = gauge_fixed_fidelity(unitary, target) if target is not None else None
-        return ReconstructionResult({}, unitary, chi2, fid)
+        return ReconstructionResult({}, unitary, float(r @ r), fid)
 
     if restarts < 1:
         raise DomainError(f"need at least one restart, got {restarts}")
 
     def objective(x):
-        return _model_chi2(_unitary_at(problem, x), compiled)
+        r, jac = _residuals(data, x, jacobian=True)
+        return float(r @ r), 2.0 * (jac.T @ r)
 
     rng = np.random.default_rng(seed)
     starts = rng.uniform(0.0, TWO_PI, size=(restarts, k))
     best = None
+    records = []
     failures = []
-    options = {"xtol": 1e-11, "ftol": 1e-13, "maxiter": 5000}
     for idx in range(restarts):
-        res = minimize(objective, starts[idx], method="Powell", options=options)
+        res = minimize(objective, starts[idx], jac=True, method="L-BFGS-B")
+        records.append(RestartRecord(float(res.fun), int(res.nfev), bool(res.success)))
         if not res.success:
             failures.append(f"restart {idx}: {res.message}")
         if best is None or res.fun < best[0]:
@@ -176,14 +251,21 @@ def fit_phases(
         raise ConvergenceError(
             "no restart converged: " + "; ".join(failures[:3]) + ("..." if len(failures) > 3 else "")
         )
-    polished = minimize(objective, best[2], method="Powell", options=options)
-    x_best = polished.x if polished.fun <= best[0] else best[2]
-    phases = np.mod(np.asarray(x_best, dtype=float), TWO_PI)
-    unitary = _unitary_at(problem, phases)
-    chi2 = _model_chi2(unitary, compiled)
+    phases = np.mod(best[2], TWO_PI)
+    unitary = data.circuit.unitary(phases)
+    r, jac = _residuals(data, phases, jacobian=True)
     fid = gauge_fixed_fidelity(unitary, target) if target is not None else None
     fitted = dict(zip(problem.free_phases, (float(x) for x in phases)))
-    return ReconstructionResult(fitted, unitary, chi2, fid)
+    window = BASIN_RTOL * max(best[0], 1.0)
+    return ReconstructionResult(
+        fitted,
+        unitary,
+        float(r @ r),
+        fid,
+        restarts=tuple(records),
+        restarts_in_best_basin=sum(1 for rec in records if rec.chi2 - best[0] <= window),
+        jacobian_condition=_singular_values(jac)[1],
+    )
 
 
 def moduli_from_singles(singles) -> np.ndarray:
@@ -265,47 +347,20 @@ def phase_sensitivity(
     template: QfftCircuit,
     free_phases,
     input_pairs,
-    eps: float = 1e-6,
 ) -> tuple[np.ndarray, float]:
     """Conditioning of the visibility data with respect to the free phases.
 
-    Builds the Jacobian of all collision-free visibilities for the given
-    input pairs with respect to the free phases (central differences at the
-    template's nominal values) and returns its singular values and condition
-    number. An effectively infinite condition number means the input set
-    cannot determine the phases.
+    Builds the analytic Jacobian of all collision-free visibilities (with a
+    nonzero classical rate) for the given input pairs with respect to the
+    free phases, at the template's nominal values, and returns its singular
+    values and condition number. An effectively infinite condition number
+    means the input set cannot determine the phases.
     """
-    free_phases = list(free_phases)
-    _check_positions(template, free_phases)
-    m = template.m
-
-    def stacked(phases):
-        assignment = dict(zip(free_phases, phases))
-        u = circuit_to_unitary(set_phases(template, assignment))
-        out = []
-        for inp in input_pairs:
-            pq, pc = two_photon_probabilities(u, tuple(inp))
-            iu = np.triu_indices(m, k=1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                v = 1.0 - pq[iu] / pc[iu]
-            out.append(np.where(pc[iu] > 0, v, 0.0))
-        return np.concatenate(out)
-
-    base = np.array(
-        [
-            next(l.phases.get(mode, 0.0) for l in template.layers if l.step == step)
-            for step, mode in free_phases
-        ]
-    )
-    cols = []
-    for idx in range(len(free_phases)):
-        shift = np.zeros(len(free_phases))
-        shift[idx] = eps
-        cols.append((stacked(base + shift) - stacked(base - shift)) / (2 * eps))
-    jac = np.column_stack(cols)
-    svals = np.linalg.svd(jac, compute_uv=False)
-    cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else float("inf")
-    return svals, cond
+    pairs = [tuple(sorted(pair)) for pair in input_pairs]
+    table = visibilities_from_unitary(circuit_to_unitary(template), pairs, 1.0)
+    data = _compile(ReconstructionProblem(template, tuple(free_phases), {}, table))
+    _, jac = _residuals(data, data.circuit.nominal, jacobian=True)
+    return _singular_values(jac)
 
 
 def problem_to_json(problem: ReconstructionProblem) -> dict:
@@ -354,4 +409,13 @@ def result_to_json(result: ReconstructionResult) -> dict:
         "reconstructed_unitary": matrix_to_json(result.reconstructed_unitary),
         "chi2": result.chi2,
         "fidelity_vs_target": result.fidelity_vs_target,
+        "restarts": [
+            {"chi2": rec.chi2, "nfev": rec.nfev, "success": rec.success} for rec in result.restarts
+        ],
+        "restarts_in_best_basin": result.restarts_in_best_basin,
+        "jacobian_condition": (
+            result.jacobian_condition
+            if result.jacobian_condition is not None and math.isfinite(result.jacobian_condition)
+            else None
+        ),
     }

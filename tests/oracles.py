@@ -1,10 +1,11 @@
 """Independent reference implementations used only to cross-check the library.
 
 These deliberately avoid the library's algorithms: the permanent is the
-literal permutation sum, matrix products are triple loops, the mean-field
-average is a dense two-dimensional phase grid without any symmetry
-reduction, and the visibility uncertainty uses first-order error
-propagation.
+literal permutation sum, matrix products are triple loops, a circuit is a
+dense product of one full matrix per phase layer, coupler layer and the
+output permutation, the mean-field average is a dense two-dimensional phase
+grid without any symmetry reduction, and the visibility uncertainty uses
+first-order error propagation.
 """
 
 import math
@@ -35,6 +36,25 @@ def triple_loop_product(a, b) -> np.ndarray:
             for k in range(a.shape[1]):
                 out[i, j] += a[i, k] * b[k, j]
     return out
+
+
+def layer_product_unitary(circuit) -> np.ndarray:
+    """Circuit unitary as the dense product P C_p D_p ... C_1 D_1 of full m x m matrices."""
+    m = circuit.m
+    u = np.eye(m, dtype=complex)
+    for layer in circuit.layers:
+        phase = np.eye(m, dtype=complex)
+        for t, angle in layer.phases.items():
+            phase[t, t] = np.exp(1j * angle)
+        coupler = np.zeros((m, m), dtype=complex)
+        for a, b in layer.couplers:
+            coupler[a, a] = coupler[a, b] = coupler[b, a] = 1.0 / math.sqrt(2.0)
+            coupler[b, b] = -1.0 / math.sqrt(2.0)
+        u = coupler @ phase @ u
+    permutation = np.zeros((m, m))
+    for port, label in enumerate(circuit.output_relabeling):
+        permutation[label, port] = 1.0
+    return permutation @ u
 
 
 def fock_pair_probability(u, input_pair, output_pair) -> float:

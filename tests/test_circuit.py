@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import layer_product_unitary
 from qfftsim.circuit import (
     Layer,
     QfftCircuit,
@@ -8,6 +11,7 @@ from qfftsim.circuit import (
     circuit_from_json,
     circuit_to_json,
     circuit_to_unitary,
+    compile_circuit,
     nontrivial_phase_positions,
     perturb_circuit,
     relabeling_swaps,
@@ -105,6 +109,64 @@ class TestComposition:
         positions = nontrivial_phase_positions(c)
         c = perturb_circuit(c, {pos: rng.uniform(0, 2 * np.pi) for pos in positions})
         assert is_unitary(circuit_to_unitary(c))
+
+
+    def test_layer_steps_must_run_in_order(self):
+        c = synthesize_qfft(2)
+        swapped = QfftCircuit(p=2, m=4, layers=c.layers[::-1], output_relabeling=c.output_relabeling)
+        with pytest.raises(ValidationError):
+            circuit_to_unitary(swapped)
+
+
+def random_positions(circuit, rng):
+    """A random nonempty subset of all (step, mode) phase positions."""
+    positions = [(layer.step, t) for layer in circuit.layers for t in range(circuit.m)]
+    keep = [pos for pos in positions if rng.random() < 0.4]
+    return keep or positions[:1]
+
+
+class TestCompiledCircuit:
+    @pytest.mark.parametrize("p", range(1, 7))
+    def test_nominal_matches_dense_oracle(self, p):
+        c = synthesize_qfft(p)
+        assert np.max(np.abs(circuit_to_unitary(c) - layer_product_unitary(c))) < 1e-12
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(p=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_free_phases_match_dense_oracle(self, p, seed):
+        rng = np.random.default_rng(seed)
+        c = synthesize_qfft(p)
+        free = random_positions(c, rng)
+        values = rng.uniform(-10.0, 10.0, len(free))
+        expected = layer_product_unitary(set_phases(c, dict(zip(free, values))))
+        assert np.max(np.abs(compile_circuit(c, free).unitary(values) - expected)) < 1e-12
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(p=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_derivatives_match_central_differences_of_oracle(self, p, seed):
+        rng = np.random.default_rng(seed)
+        c = synthesize_qfft(p)
+        free = random_positions(c, rng)
+        values = rng.uniform(0.0, 2 * np.pi, len(free))
+        u, du = compile_circuit(c, free).unitary(values, derivatives=True)
+        assert du.shape == (len(free), c.m, c.m)
+        h = 1e-6
+        for k in range(len(free)):
+            step = h * np.eye(len(free))[k]
+            plus = layer_product_unitary(set_phases(c, dict(zip(free, values + step))))
+            minus = layer_product_unitary(set_phases(c, dict(zip(free, values - step))))
+            assert np.max(np.abs(du[k] - (plus - minus) / (2 * h))) < 1e-8
+
+    def test_nominal_values_are_the_default(self):
+        c = synthesize_qfft(3)
+        free = nontrivial_phase_positions(c)
+        compiled = compile_circuit(c, free)
+        assert compiled.nominal == pytest.approx([c.layers[s - 1].phases[t] for s, t in free])
+        assert np.array_equal(compiled.unitary(), circuit_to_unitary(c))
+
+    def test_duplicate_positions_rejected(self):
+        with pytest.raises(DomainError):
+            compile_circuit(synthesize_qfft(3), [(2, 5), (2, 5)])
 
 
 class TestPerturbation:

@@ -230,6 +230,21 @@ class TestReconstructCommand:
         two_pi = 2 * np.pi
         dist = min(abs(value - 2.2), abs(two_pi - value - 2.2) % two_pi)
         assert dist < 1e-6
+        assert len(obj["restarts"]) == 4
+        assert obj["restarts_in_best_basin"] >= 1
+
+    def test_duplicate_free_phases_rejected(self, tmp_path, capsys):
+        from qfftsim.circuit import circuit_to_json, synthesize_qfft
+
+        prob_path = tmp_path / "problem.json"
+        prob_path.write_text(json.dumps({
+            "template": circuit_to_json(synthesize_qfft(3)),
+            "free_phases": [[2, 6], [2, 6]],
+            "visibilities": [],
+        }))
+        code = run_cli("reconstruct", "--problem", str(prob_path), "--out", str(tmp_path / "r.json"))
+        assert code == EXIT_VALIDATION
+        assert "duplicate" in capsys.readouterr().err
 
 
 class TestErrorPaths:
@@ -258,6 +273,25 @@ class TestErrorPaths:
         code = run_cli("simulate", "--modes", "4", "--input", "2,2",
                        "--out", str(tmp_path / "x.csv"))
         assert code == EXIT_VALIDATION
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("synth", "--modes", "0"),
+            ("synth", "--modes", "-4"),
+            ("layout", "--modes", "0"),
+            ("layout", "--modes", "-4"),
+            ("simulate", "--modes", "8", "--input", "1,5", "--counts", "nan"),
+            ("simulate", "--modes", "8", "--input", "1,5", "--counts", "inf"),
+            ("simulate", "--modes", "8", "--input", "1,5", "--span", "inf"),
+        ],
+    )
+    def test_bad_numbers_exit_2_without_traceback(self, argv, tmp_path, capsys):
+        code = run_cli(*argv, "--out", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert err.startswith("qfft: invalid input:")
+        assert "Traceback" not in err
 
 
 class TestSimulateExperimentFunction:

@@ -1,13 +1,19 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import distinguishable_pair_probability, fock_pair_probability, layer_product_unitary
+from qfftsim import reconstruct
 from qfftsim.circuit import (
     circuit_to_unitary,
     nontrivial_phase_positions,
     set_phases,
     synthesize_qfft,
 )
-from qfftsim.errors import DomainError
+from qfftsim.errors import ConvergenceError, DomainError
 from qfftsim.fourier import qft_matrix
 from qfftsim.linalg import fidelity, haar_random_unitary
 from qfftsim.models import distinguishable_distribution, fock_distribution
@@ -116,6 +122,41 @@ class TestChi2Objective:
             chi2_objective(problem, [0.0, 0.0])
 
 
+def oracle_residuals(problem, phases):
+    """Sigma-scaled visibility residuals from the dense oracle circuit and pair formulas."""
+    u = layer_product_unitary(set_phases(problem.template, dict(zip(problem.free_phases, phases))))
+    return np.array([
+        (1.0 - fock_pair_probability(u, inp, out) / distinguishable_pair_probability(u, inp, out) - v) / s
+        for (inp, out), (v, s) in sorted(problem.visibilities.items())
+    ])
+
+
+class TestResidualJacobian:
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(p=st.integers(2, 3), seed=st.integers(0, 2**32 - 1))
+    def test_matches_central_differences_of_oracle(self, p, seed):
+        rng = np.random.default_rng(seed)
+        template = synthesize_qfft(p)
+        positions = [(layer.step, t) for layer in template.layers for t in range(template.m)]
+        free = tuple(positions[i] for i in sorted(rng.choice(len(positions), size=3, replace=False)))
+        pairs = [(a, b) for a in range(template.m) for b in range(a + 1, template.m)]
+        pairs = [pairs[i] for i in rng.choice(len(pairs), size=3, replace=False)]
+        truth = rng.uniform(0, TWO_PI, len(free))
+        u_true = circuit_to_unitary(set_phases(template, dict(zip(free, truth))))
+        problem = ReconstructionProblem(template, free, {}, visibilities_from_unitary(u_true, pairs, 0.02))
+        probe = rng.uniform(0, TWO_PI, len(free))
+        r, jac = reconstruct._residuals(reconstruct._compile(problem), probe, jacobian=True)
+        assert r == pytest.approx(oracle_residuals(problem, probe), rel=1e-9, abs=1e-9)
+        h = 1e-6
+        fd = np.column_stack([
+            (oracle_residuals(problem, probe + h * e) - oracle_residuals(problem, probe - h * e)) / (2 * h)
+            for e in np.eye(len(free))
+        ])
+        # first-layer phases are input-mode phases, which no visibility sees: J
+        # is then zero, and differences are compared at the scale of one
+        assert np.max(np.abs(jac - fd)) <= 1e-6 * max(np.max(np.abs(jac)), 1.0)
+
+
 class TestFitPhases:
     def test_noiseless_round_trip_eight_modes(self):
         rng = np.random.default_rng(4)
@@ -172,6 +213,31 @@ class TestFitPhases:
         b = fit_phases(problem, restarts=4, seed=11)
         assert a.fitted_phases == b.fitted_phases
         assert a.chi2 == b.chi2
+        assert json.dumps(result_to_json(a)) == json.dumps(result_to_json(b))
+
+    def test_restart_diagnostics(self):
+        rng = np.random.default_rng(16)
+        problem, u_true, _ = make_problem(3, rng.uniform(0, TWO_PI, 5), noise_rng=rng)
+        result = fit_phases(problem, restarts=8, seed=2, target=u_true)
+        assert len(result.restarts) == 8
+        assert all(rec.success and rec.nfev > 0 for rec in result.restarts)
+        best = min(rec.chi2 for rec in result.restarts)
+        assert result.chi2 == pytest.approx(best, rel=1e-9)
+        in_basin = sum(1 for rec in result.restarts if rec.chi2 - best <= 1e-6 * best)
+        assert result.restarts_in_best_basin == in_basin >= 1
+        assert 1.0 <= result.jacobian_condition < 100.0
+
+    def test_every_restart_failing_raises(self, monkeypatch):
+        from scipy.optimize import OptimizeResult
+
+        problem, _, _ = make_problem(2, [1.0])
+
+        def failing(fun, x0, **kwargs):
+            return OptimizeResult(x=x0, fun=fun(x0)[0], nfev=1, success=False, message="stub")
+
+        monkeypatch.setattr(reconstruct, "minimize", failing)
+        with pytest.raises(ConvergenceError):
+            fit_phases(problem, restarts=3, seed=0)
 
 
 class TestModuliFromSingles:
@@ -262,6 +328,17 @@ class TestProblemValidation:
         with pytest.raises(DomainError):
             ReconstructionProblem(template, (), {}, {((0, 1), (0, 1)): (0.5, 0.0)})
 
+    @pytest.mark.parametrize("entry", [(0.5, float("nan")), (0.5, float("inf")), (float("nan"), 0.02)])
+    def test_non_finite_visibility_rejected(self, entry):
+        template = synthesize_qfft(2)
+        with pytest.raises(DomainError):
+            ReconstructionProblem(template, (), {}, {((0, 1), (0, 1)): entry})
+
+    def test_duplicate_free_phases_rejected(self):
+        template = synthesize_qfft(3)
+        with pytest.raises(DomainError):
+            ReconstructionProblem(template, ((2, 4), (2, 4)), {}, {})
+
     def test_row_sum_checked(self):
         template = synthesize_qfft(2)
         singles = {(0, o): 0.5 for o in range(4)}
@@ -283,8 +360,13 @@ class TestSerialisation:
         problem, u_true, _ = make_problem(2, [1.0])
         result = fit_phases(problem, restarts=4, seed=0, target=u_true)
         obj = result_to_json(result)
-        assert {"fitted_phases", "reconstructed_unitary", "chi2", "fidelity_vs_target"} <= set(obj)
+        assert {
+            "fitted_phases", "reconstructed_unitary", "chi2", "fidelity_vs_target",
+            "restarts", "restarts_in_best_basin", "jacobian_condition",
+        } <= set(obj)
         assert obj["fitted_phases"][0]["mode"] == 4  # 1-based in files
+        assert [set(rec) for rec in obj["restarts"]] == [{"chi2", "nfev", "success"}] * 4
+        assert 1 <= obj["restarts_in_best_basin"] <= 4
 
 
 def test_nominal_template_fidelity_to_qft():
