@@ -3,7 +3,7 @@ photonic interferometers.
 
 Subsystems
 ----------
-linalg       complex matrix products, multiset submatrices, permanents, fidelity
+linalg       permanents, fidelity, unitarity checks, Haar sampling, matrix JSON
 fourier      Fourier matrices, cyclic inputs, the suppression predicate/partition
 circuit      butterfly synthesis of the Fourier transform and circuit composition
 layout       planar hypercube waveguide placement for the butterfly circuit
@@ -62,9 +62,7 @@ from .linalg import (
     fidelity,
     haar_random_unitary,
     is_unitary,
-    multiply,
     permanent,
-    submatrix,
 )
 from .models import (
     CoincidenceCurves,

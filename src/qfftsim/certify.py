@@ -38,7 +38,6 @@ class CoincidenceRecord:
     output: tuple[int, int]
     delta_x: float
     counts: int
-    integration_tag: str | None = None
 
     def __post_init__(self):
         if self.counts < 0:

@@ -79,6 +79,15 @@ def derived_seed(master: int, stream: str) -> int:
     return (int(words[0]) << 32) | int(words[1])
 
 
+def _env_threads() -> int | None:
+    """The ``QFFT_THREADS`` worker count, or None when the variable is unset."""
+    text = os.environ.get("QFFT_THREADS")
+    try:
+        return None if text is None else int(text)
+    except ValueError:
+        raise DomainError(f"QFFT_THREADS must be an integer, got {text!r}") from None
+
+
 @dataclass
 class RunConfig:
     """Validated run parameters for one command invocation."""
@@ -104,9 +113,7 @@ class RunConfig:
     threshold: float = 3.0
     restarts: int = 32
     tol: float = 1e-10
-    threads: int | None = field(
-        default_factory=lambda: int(os.environ["QFFT_THREADS"]) if "QFFT_THREADS" in os.environ else None
-    )
+    threads: int | None = field(default_factory=_env_threads)
 
 
 def simulate_experiment(
@@ -343,7 +350,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=sorted(_MODEL_FLAGS), default="fock")
     p.add_argument("--method", choices=["quadrature", "monte_carlo"], default="quadrature",
                    help="mean-field averaging method")
-    p.add_argument("--samples", type=int, default=64, help="mean-field samples per phase")
+    p.add_argument("--samples", type=int, default=64,
+                   help="Monte Carlo draws for --method monte_carlo (default %(default)s)")
     add_common(p)
 
     p = sub.add_parser("simulate", help="synthetic coincidence-counting experiment CSV")

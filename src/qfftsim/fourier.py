@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, compress
 from typing import Iterator
 
 import numpy as np
@@ -129,7 +129,8 @@ def partition_outputs(
     collision_free_only: bool = False,
     cap: int = ENUMERATION_CAP,
 ) -> OutputPartition:
-    """Enumerate the n-photon, m-mode outputs and split them by :func:`is_suppressed`."""
+    """Enumerate the n-photon, m-mode outputs and split them by the rule of
+    :func:`is_suppressed`, applied to all outputs at once."""
     if n < 1:
         raise DomainError(f"photon number must be >= 1, got {n}")
     if m < 1:
@@ -137,16 +138,15 @@ def partition_outputs(
     count = output_count(n, m, collision_free_only)
     if count > cap:
         raise CapacityError(f"{count} output states exceed enumeration cap {cap}")
-    allowed = set()
-    forbidden = set()
-    for state in enumerate_outputs(n, m, collision_free_only):
-        (forbidden if is_suppressed(state, n) else allowed).add(state)
+    states = list(enumerate_outputs(n, m, collision_free_only))
+    occ = np.array(states, dtype=np.intp).reshape(len(states), m)
+    forbidden = frozenset(compress(states, (occ @ np.arange(1, m + 1)) % n != 0))
     return OutputPartition(
         n=n,
         m=m,
         collision_free_only=collision_free_only,
-        allowed=frozenset(allowed),
-        forbidden=frozenset(forbidden),
+        allowed=frozenset(states) - forbidden,
+        forbidden=forbidden,
     )
 
 

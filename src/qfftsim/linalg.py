@@ -1,5 +1,5 @@
-"""Dense complex matrix helpers: products, multiset submatrices, permanents,
-unitarity and fidelity checks.
+"""Dense complex matrix helpers: permanents, unitarity and fidelity checks,
+Haar sampling and the matrix JSON format.
 
 Matrices are plain ``numpy.ndarray`` objects with ``dtype=complex``; the
 functions here add the domain-specific contracts (shape checks, the permanent
@@ -8,15 +8,22 @@ size cap, the unitarity tolerance) on top of numpy.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from .errors import BoundsError, CapacityError, ShapeError, ValidationError
+from .errors import CapacityError, ShapeError, ValidationError
 
 #: Absolute tolerance used by default for unitarity and matrix equality checks.
 DEFAULT_TOL = 1e-10
 
-#: Largest permanent computed by default; Ryser's formula is O(2^n * n).
+#: Largest permanent computed by default; Glynn's formula is O(2^n * n).
 PERMANENT_CAP = 20
+
+#: Rows whose 2^k sign patterns one matrix product covers in a permanent. At
+#: 12 the column sums of a 20 x 20 matrix take ~1.3 MB; each further row
+#: would halve the Python loop over the remaining rows and double that.
+GLYNN_BLOCK = 12
 
 
 def as_complex_matrix(entries) -> np.ndarray:
@@ -27,44 +34,31 @@ def as_complex_matrix(entries) -> np.ndarray:
     return a
 
 
-def multiply(a, b) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
+@functools.lru_cache(maxsize=None)
+def _glynn_signs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """All 2^k sign rows over k matrix rows, as a (2^k, k) table, and each row's product.
 
-
-def submatrix(u, rows, cols) -> np.ndarray:
-    """Square submatrix ``u[rows[i], cols[j]]`` with multiset (repeatable) indices.
-
-    Repeated indices are allowed so that bunched Fock outcomes, which reuse a
-    mode several times, map onto the same permanent machinery.
+    Row ``j`` carries -1 in column ``i`` when bit ``i`` of ``j`` is set. The
+    arrays are read-only because every caller shares them.
     """
-    u = as_complex_matrix(u)
-    rows = list(rows)
-    cols = list(cols)
-    if len(rows) != len(cols):
-        raise ShapeError(f"need equally many rows and cols, got {len(rows)} and {len(cols)}")
-    nr, nc = u.shape
-    for i in rows:
-        if not 0 <= i < nr:
-            raise BoundsError(f"row index {i} out of range for {nr}x{nc} matrix")
-    for j in cols:
-        if not 0 <= j < nc:
-            raise BoundsError(f"column index {j} out of range for {nr}x{nc} matrix")
-    if not rows:
-        return np.zeros((0, 0), dtype=complex)
-    return u[np.ix_(rows, cols)]
+    bits = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+    table = (1 - 2 * bits).astype(complex)
+    parity = (1 - 2 * (bits.sum(axis=1) & 1)).astype(float)
+    table.flags.writeable = False
+    parity.flags.writeable = False
+    return table, parity
 
 
 def permanent(a, cap: int = PERMANENT_CAP) -> complex:
-    """Permanent of a square complex matrix via Ryser's formula.
+    """Permanent of a square complex matrix via Glynn's formula.
 
-    Subsets are visited in Gray-code order so each step updates the running
-    row sums with a single column, giving O(2^n * n) work. Matrices larger
-    than ``cap`` are refused rather than silently taking hours.
+    perm(A) = 2^(1-n) * sum_d (prod_i d_i) * prod_j (sum_i d_i a_ij) over the
+    sign vectors d in {+1, -1}^n with d_0 = +1. One matrix product gives the
+    column sums for every sign pattern of rows 1..k, k = min(n - 1,
+    GLYNN_BLOCK); a Python loop runs only over the 2^(n-1-k) patterns of the
+    rows above them, so not at all when n <= GLYNN_BLOCK + 1. The work is
+    O(2^n * n). Matrices larger than ``cap`` are refused rather than silently
+    taking hours.
     """
     a = as_complex_matrix(a)
     n, n2 = a.shape
@@ -75,22 +69,16 @@ def permanent(a, cap: int = PERMANENT_CAP) -> complex:
     if n == 0:
         return complex(1.0)
 
-    row_sums = np.zeros(n, dtype=complex)
+    k = min(n - 1, GLYNN_BLOCK)
+    table, parity = _glynn_signs(k)
+    low_sums = a[0] + table @ a[1 : k + 1]
+    if k == n - 1:
+        return complex(parity @ low_sums.prod(axis=1)) / (1 << k)
+    high_table, high_parity = _glynn_signs(n - 1 - k)
     total = 0.0 + 0.0j
-    gray = 0
-    sign = 1.0  # tracks (-1)^|S|; Gray steps change |S| by exactly one
-    for k in range(1, 1 << n):
-        g = k ^ (k >> 1)
-        bit = g ^ gray
-        j = bit.bit_length() - 1
-        if g & bit:
-            row_sums += a[:, j]
-        else:
-            row_sums -= a[:, j]
-        gray = g
-        sign = -sign
-        total += sign * np.prod(row_sums)
-    return complex(((-1) ** n) * total)
+    for offset, sign in zip(high_table @ a[k + 1 :], high_parity):
+        total += sign * (parity @ (low_sums + offset).prod(axis=1))
+    return complex(total) / (1 << (n - 1))
 
 
 def fidelity(u, v) -> float:

@@ -14,16 +14,19 @@ distinguishable and Fock limits as a function of the relative path delay.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, ShapeError
+from .errors import CapacityError, DomainError, NumericalError, ShapeError
 from .fourier import (
+    ENUMERATION_CAP,
     FockState,
     enumerate_outputs,
     occupied_modes,
+    output_count,
     photon_number,
 )
 from .linalg import PERMANENT_CAP, assert_unitary, permanent
@@ -35,14 +38,17 @@ MEAN_FIELD = "mean_field"
 #: Probabilities more negative than this raise instead of being clamped.
 CLAMP_FLOOR = -1e-12
 
-#: Default number of quadrature nodes per integrated phase dimension.
-QUADRATURE_POINTS = 64
+#: Most array entries an outcome kernel holds at once: outcomes x n x n
+#: submatrix entries for the permanents, draws x outcomes x n for the
+#: mean-field average. Keeps memory flat up to the enumeration cap.
+BLOCK_ENTRIES = 1 << 20
 
 
-def _clamp(p: float) -> float:
-    if p < CLAMP_FLOOR:
-        raise NumericalError(f"probability {p} below clamping floor {CLAMP_FLOOR}")
-    return max(p, 0.0)
+def _clamp(p: np.ndarray) -> np.ndarray:
+    low = float(p.min())
+    if low < CLAMP_FLOOR:
+        raise NumericalError(f"probability {low} below clamping floor {CLAMP_FLOOR}")
+    return np.maximum(p, 0.0)
 
 
 @dataclass(frozen=True)
@@ -121,6 +127,35 @@ def _check_input(u: np.ndarray, input_state) -> tuple[FockState, int]:
     return state, n
 
 
+def _outcomes(n: int, m: int) -> tuple[list[FockState], np.ndarray, np.ndarray]:
+    """The n-photon outputs on m modes (after checking the enumeration cap), each
+    output's occupied modes with multiplicity as an (N, n) array, and its prod_k t_k!."""
+    count = output_count(n, m)
+    if count > ENUMERATION_CAP:
+        raise CapacityError(
+            f"{count} outputs of {n} photons on {m} modes exceed enumeration cap {ENUMERATION_CAP}"
+        )
+    outs = list(enumerate_outputs(n, m))
+    occ = np.array(outs, dtype=np.intp).reshape(len(outs), m)
+    rows = np.repeat(np.tile(np.arange(m), len(outs)), occ.ravel()).reshape(len(outs), n)
+    factorials = np.array([math.factorial(k) for k in range(n + 1)], dtype=float)
+    return outs, rows, factorials[occ].prod(axis=1)
+
+
+def _permanent_table(mat: np.ndarray, state: FockState, n: int, cap: int):
+    """Outputs, prod_k t_k! and perm(mat[T, S]), one :func:`permanent` call per output T."""
+    if n > cap:
+        raise DomainError(f"{n} photons exceed the permanent cap {cap}")
+    outs, rows, t_fact = _outcomes(n, mat.shape[0])
+    cols = np.array(occupied_modes(state))
+    perms = np.empty(len(outs), dtype=complex)
+    step = max(1, BLOCK_ENTRIES // (n * n))
+    for start in range(0, len(outs), step):
+        stack = mat[rows[start : start + step, :, None], cols]
+        perms[start : start + step] = [permanent(block, cap=cap) for block in stack]
+    return outs, t_fact, perms
+
+
 def fock_distribution(u, input_state, *, unitary_id=None, tol=1e-10, cap=PERMANENT_CAP) -> OutcomeDistribution:
     """Outcome distribution for indistinguishable photons.
 
@@ -130,18 +165,10 @@ def fock_distribution(u, input_state, *, unitary_id=None, tol=1e-10, cap=PERMANE
     """
     u = assert_unitary(u, tol=tol, what="evolution matrix")
     state, n = _check_input(u, input_state)
-    if n > cap:
-        raise DomainError(f"{n} photons exceed the permanent cap {cap}")
-    cols = occupied_modes(state)
+    outs, t_fact, perms = _permanent_table(u, state, n, cap)
     s_fact = math.prod(math.factorial(k) for k in state)
-    m = u.shape[0]
-    probs: dict[FockState, float] = {}
-    for out in enumerate_outputs(n, m):
-        rows = occupied_modes(out)
-        t_fact = math.prod(math.factorial(k) for k in out)
-        amp = permanent(u[np.ix_(rows, cols)], cap=cap)
-        probs[out] = _clamp(abs(amp) ** 2 / (s_fact * t_fact))
-    return OutcomeDistribution(FOCK, state, probs, unitary_id=unitary_id)
+    probs = _clamp(np.abs(perms) ** 2 / (s_fact * t_fact))
+    return OutcomeDistribution(FOCK, state, dict(zip(outs, probs.tolist())), unitary_id=unitary_id)
 
 
 def distinguishable_distribution(u, input_state, *, unitary_id=None, tol=1e-10, cap=PERMANENT_CAP) -> OutcomeDistribution:
@@ -152,18 +179,9 @@ def distinguishable_distribution(u, input_state, *, unitary_id=None, tol=1e-10, 
     """
     u = assert_unitary(u, tol=tol, what="evolution matrix")
     state, n = _check_input(u, input_state)
-    if n > cap:
-        raise DomainError(f"{n} photons exceed the permanent cap {cap}")
-    w = np.abs(u) ** 2
-    cols = occupied_modes(state)
-    m = u.shape[0]
-    probs: dict[FockState, float] = {}
-    for out in enumerate_outputs(n, m):
-        rows = occupied_modes(out)
-        t_fact = math.prod(math.factorial(k) for k in out)
-        val = permanent(w[np.ix_(rows, cols)], cap=cap)
-        probs[out] = _clamp(val.real / t_fact)
-    return OutcomeDistribution(DISTINGUISHABLE, state, probs, unitary_id=unitary_id)
+    outs, t_fact, perms = _permanent_table(np.abs(u) ** 2, state, n, cap)
+    probs = _clamp(perms.real / t_fact)
+    return OutcomeDistribution(DISTINGUISHABLE, state, dict(zip(outs, probs.tolist())), unitary_id=unitary_id)
 
 
 def is_cyclic_state(state) -> bool:
@@ -187,6 +205,13 @@ def _require_cyclic(state) -> list[int]:
     return occupied_modes(state)
 
 
+def _mean_field_shots(u, modes, thetas, rows, coeff) -> np.ndarray:
+    """(draws, N) multinomial probabilities, coeff * prod_k pi_k^t_k, for (draws, n) phases."""
+    amp = np.exp(1j * thetas) @ (u[:, modes].T / math.sqrt(len(modes)))
+    pi = np.abs(amp) ** 2
+    return pi[:, rows].prod(axis=2) * coeff
+
+
 def single_shot_mean_field(u, input_state, thetas) -> dict[FockState, float]:
     """Multinomial outcome distribution for one definite phase draw.
 
@@ -201,26 +226,16 @@ def single_shot_mean_field(u, input_state, thetas) -> dict[FockState, float]:
     thetas = np.asarray(thetas, dtype=float)
     if thetas.shape != (n,):
         raise DomainError(f"need {n} phases, got shape {thetas.shape}")
-    amp = u[:, modes] @ (np.exp(1j * thetas) / math.sqrt(n))
-    pi_k = np.abs(amp) ** 2
-    m = u.shape[0]
-    n_fact = math.factorial(n)
-    probs: dict[FockState, float] = {}
-    for out in enumerate_outputs(n, m):
-        coeff = n_fact / math.prod(math.factorial(t) for t in out)
-        val = coeff
-        for k, t in enumerate(out):
-            if t:
-                val *= pi_k[k] ** t
-        probs[out] = float(val)
-    return probs
+    outs, rows, t_fact = _outcomes(n, u.shape[0])
+    shot = _mean_field_shots(u, modes, thetas[None, :], rows, math.factorial(n) / t_fact)
+    return dict(zip(outs, shot[0].tolist()))
 
 
 def mean_field_distribution(
     u,
     input_state,
     method: str = "quadrature",
-    samples: int = QUADRATURE_POINTS,
+    samples: int = 64,
     seed=None,
     *,
     unitary_id=None,
@@ -231,44 +246,47 @@ def mean_field_distribution(
     Parameters
     ----------
     method:
-        ``"quadrature"`` averages over a uniform tensor grid of ``samples``
-        nodes per phase (one phase is fixed to zero; only relative phases
-        matter). ``"monte_carlo"`` draws ``samples`` uniform phase vectors
-        with the given ``seed`` and also fills ``stderr`` with per-outcome
-        standard errors.
+        ``"quadrature"`` averages exactly over a uniform tensor grid of n + 1
+        nodes per relative phase (the first phase is fixed to zero; only
+        relative phases matter), (n + 1)^(n - 1) draws in all. Each outcome's
+        probability is a trigonometric polynomial of degree <= n in each
+        phase, which that grid integrates without error. ``"monte_carlo"``
+        draws ``samples`` uniform phase vectors with the given ``seed`` and
+        also fills ``stderr`` with per-outcome standard errors.
+    samples:
+        Monte Carlo draws; the quadrature ignores it.
     """
     u = assert_unitary(u, tol=tol, what="evolution matrix")
     state, n = _check_input(u, input_state)
-    _require_cyclic(state)
-    if samples < 1:
+    modes = _require_cyclic(state)
+    if method not in ("quadrature", "monte_carlo"):
+        raise DomainError(f"unknown averaging method {method!r}")
+    if method == "monte_carlo" and samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
+    outs, rows, t_fact = _outcomes(n, u.shape[0])
+    coeff = math.factorial(n) / t_fact
 
     if method == "quadrature":
-        grids = np.meshgrid(*([np.arange(samples) * 2.0 * np.pi / samples] * (n - 1)), indexing="ij")
-        draws = [np.concatenate(([0.0], [g[idx] for g in grids]))
-                 for idx in np.ndindex(*([samples] * (n - 1)))]
-    elif method == "monte_carlo":
-        rng = np.random.default_rng(seed)
-        draws = list(rng.uniform(0.0, 2.0 * np.pi, size=(samples, n)))
+        nodes = np.arange(n + 1) * (2.0 * np.pi / (n + 1))
+        draws = np.array([(0.0, *phases) for phases in itertools.product(nodes, repeat=n - 1)])
     else:
-        raise DomainError(f"unknown averaging method {method!r}")
-
-    acc: dict[FockState, float] = {}
-    acc_sq: dict[FockState, float] = {}
-    for thetas in draws:
-        shot = single_shot_mean_field(u, state, thetas)
-        for out, val in shot.items():
-            acc[out] = acc.get(out, 0.0) + val
-            acc_sq[out] = acc_sq.get(out, 0.0) + val * val
+        draws = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size=(samples, n))
+    acc = np.zeros(len(outs))
+    acc_sq = np.zeros(len(outs))
+    step = max(1, BLOCK_ENTRIES // (len(outs) * n))
+    for start in range(0, len(draws), step):
+        shots = _mean_field_shots(u, modes, draws[start : start + step], rows, coeff)
+        acc += shots.sum(axis=0)
+        acc_sq += (shots**2).sum(axis=0)
     count = len(draws)
-    probs = {out: _clamp(total / count) for out, total in acc.items()}
+    probs = _clamp(acc / count)
     stderr = None
     if method == "monte_carlo" and count > 1:
-        stderr = {}
-        for out, total in acc.items():
-            var = max(acc_sq[out] / count - (total / count) ** 2, 0.0)
-            stderr[out] = math.sqrt(var / (count - 1))
-    return OutcomeDistribution(MEAN_FIELD, state, probs, unitary_id=unitary_id, stderr=stderr)
+        var = np.maximum(acc_sq / count - (acc / count) ** 2, 0.0)
+        stderr = dict(zip(outs, np.sqrt(var / (count - 1)).tolist()))
+    return OutcomeDistribution(
+        MEAN_FIELD, state, dict(zip(outs, probs.tolist())), unitary_id=unitary_id, stderr=stderr
+    )
 
 
 def _check_pair(u: np.ndarray, input_pair) -> tuple[int, int]:

@@ -1,15 +1,15 @@
 """Independent reference implementations used only to cross-check the library.
 
 These deliberately avoid the library's algorithms: the permanent is the
-literal permutation sum, matrix products are triple loops, a circuit is a
-dense product of one full matrix per phase layer, coupler layer and the
-output permutation, the mean-field average is a dense two-dimensional phase
-grid without any symmetry reduction, and the visibility uncertainty uses
-first-order error propagation.
+literal permutation sum, a circuit is a dense product of one full matrix per
+phase layer, coupler layer and the output permutation, outcome probabilities
+are evaluated one outcome at a time, the mean-field average is a dense phase
+grid, or a sum of permanents over the ways to hand the photons to the input
+modes, and the visibility uncertainty uses first-order error propagation.
 """
 
 import math
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 
@@ -25,17 +25,6 @@ def permanent_definition(a) -> complex:
             prod *= a[i, perm[i]]
         total += prod
     return total
-
-
-def triple_loop_product(a, b) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=complex)
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            for k in range(a.shape[1]):
-                out[i, j] += a[i, k] * b[k, j]
-    return out
 
 
 def layer_product_unitary(circuit) -> np.ndarray:
@@ -90,6 +79,71 @@ def mean_field_pair_grid(u, modes, output_pair, grid: int = 256) -> float:
             else:
                 total += 2.0 * pi_k[i] * pi_k[j]
     return total / grid**2
+
+
+def _modes(occupation) -> list[int]:
+    return [k for k, t in enumerate(occupation) for _ in range(t)]
+
+
+def fock_probability(u, input_state, output_state) -> float:
+    """|perm(U[T, S])|^2 / (prod s! prod t!) with the permutation-sum permanent."""
+    u = np.asarray(u, dtype=complex)
+    block = u[np.ix_(_modes(output_state), _modes(input_state))]
+    norm = math.prod(math.factorial(k) for k in (*input_state, *output_state))
+    return abs(permanent_definition(block)) ** 2 / norm
+
+
+def distinguishable_probability(u, input_state, output_state) -> float:
+    """perm(|U|^2[T, S]) / prod t! with the permutation-sum permanent."""
+    w = np.abs(np.asarray(u, dtype=complex)) ** 2
+    block = w[np.ix_(_modes(output_state), _modes(input_state))]
+    return permanent_definition(block).real / math.prod(math.factorial(t) for t in output_state)
+
+
+def mean_field_probability(u, input_state, output_state) -> float:
+    """Phase-averaged mean-field probability as a sum of permanents.
+
+    Expanding prod_l |sum_r U[k_l, j_r] e^(i theta_r)|^2 and averaging over the
+    phases keeps the terms whose two factors hand the n photons to the input
+    modes with the same counts c. Summing the products of one such hand-out
+    gives perm(U[T, S_c]) / prod c!, with input mode j_r repeated c_r times:
+
+        P(T) = n! / (n^n prod t!) * sum_c |perm(U[T, S_c])|^2 / (prod c!)^2.
+    """
+    u = np.asarray(u, dtype=complex)
+    inputs = _modes(input_state)
+    n = len(inputs)
+    rows = _modes(output_state)
+    total = 0.0
+    for counts in product(range(n + 1), repeat=n):
+        if sum(counts) != n:
+            continue
+        cols = [j for j, c in zip(inputs, counts) for _ in range(c)]
+        perm = permanent_definition(u[np.ix_(rows, cols)])
+        total += abs(perm) ** 2 / math.prod(math.factorial(c) for c in counts) ** 2
+    norm = n**n * math.prod(math.factorial(t) for t in output_state)
+    return math.factorial(n) * total / norm
+
+
+def mean_field_grid(u, modes, outputs, grid: int = 64) -> list[float]:
+    """Mean-field probabilities of ``outputs`` by brute-force phase averaging.
+
+    The first phase stays at zero, since a global phase changes nothing; each
+    of the others runs over ``grid`` uniform nodes.
+    """
+    u = np.asarray(u, dtype=complex)
+    n = len(modes)
+    thetas = 2.0 * np.pi * np.arange(grid) / grid
+    totals = [0.0] * len(outputs)
+    for rest in product(thetas, repeat=n - 1):
+        amp = sum(u[:, j] * np.exp(1j * t) for j, t in zip(modes, (0.0, *rest))) / math.sqrt(n)
+        pi_k = np.abs(amp) ** 2
+        for idx, out in enumerate(outputs):
+            val = float(math.factorial(n))
+            for k, t in enumerate(out):
+                val *= pi_k[k] ** t / math.factorial(t)
+            totals[idx] += val
+    return [total / grid ** (n - 1) for total in totals]
 
 
 def visibility_sigma_delta(c: float, q: float) -> float:

@@ -294,6 +294,24 @@ class TestErrorPaths:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("model", ["fock", "dist", "mf"])
+    def test_enumeration_cap_exits_2_at_once(self, model, capsys):
+        code = run_cli("evolve", "--modes", "256", "--input", "1,65,129,193", "--model", model)
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert err.startswith("qfft: invalid input:") and "enumeration cap" in err
+        assert "Traceback" not in err
+
+    def test_non_integer_thread_count(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("QFFT_THREADS", "abc")
+        code = run_cli("synth", "--modes", "8", "--out", str(tmp_path / "x.json"))
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert err.startswith("qfft: invalid input:") and "QFFT_THREADS" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x.json").exists()
+
+
 class TestSimulateExperimentFunction:
     def test_rejects_nonpositive_counts(self):
         with pytest.raises(DomainError):

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qfftsim.errors import BoundsError, CapacityError, ShapeError, ValidationError
+from qfftsim.errors import CapacityError, ShapeError, ValidationError
 from qfftsim.fourier import qft_matrix
 from qfftsim.linalg import (
     assert_unitary,
@@ -10,57 +14,11 @@ from qfftsim.linalg import (
     is_unitary,
     matrix_from_json,
     matrix_to_json,
-    multiply,
     permanent,
-    submatrix,
     unitarity_defect,
 )
 
-from oracles import permanent_definition, triple_loop_product
-
-HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-
-
-class TestMultiply:
-    def test_identity(self):
-        assert np.array_equal(multiply(np.eye(2), np.eye(2)), np.eye(2))
-
-    def test_hadamard_involution(self):
-        assert np.allclose(multiply(HADAMARD, HADAMARD), np.eye(2))
-
-    def test_against_triple_loop(self):
-        rng = np.random.default_rng(11)
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        assert np.max(np.abs(multiply(a, b) - triple_loop_product(a, b))) < 1e-13
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            multiply(np.eye(2), np.eye(3))
-
-
-class TestSubmatrix:
-    def test_identity_block(self):
-        assert np.array_equal(submatrix(np.eye(4), [0, 1], [0, 1]), np.eye(2))
-
-    def test_repeated_row_permanent(self):
-        rng = np.random.default_rng(3)
-        u = haar_random_unitary(4, rng)
-        block = submatrix(u, [2, 2], [0, 3])
-        assert np.allclose(block[0], block[1])
-        assert abs(permanent(block) - 2 * u[2, 0] * u[2, 3]) < 1e-13
-
-    def test_qft4_even_block(self):
-        block = submatrix(qft_matrix(4), [0, 2], [0, 2])
-        assert np.allclose(block, 0.5 * np.ones((2, 2)))
-
-    def test_out_of_range(self):
-        with pytest.raises(BoundsError):
-            submatrix(np.eye(3), [0, 3], [0, 1])
-
-    def test_unequal_index_counts(self):
-        with pytest.raises(ShapeError):
-            submatrix(np.eye(3), [0], [0, 1])
+from oracles import permanent_definition
 
 
 class TestPermanent:
@@ -70,8 +28,6 @@ class TestPermanent:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
     def test_all_ones_is_factorial(self, n):
-        import math
-
         assert permanent(np.ones((n, n))) == pytest.approx(math.factorial(n), rel=1e-12)
 
     def test_random_5x5_vs_definition(self):
@@ -88,6 +44,34 @@ class TestPermanent:
         p = np.eye(n)[rng.permutation(n)]
         q = np.eye(n)[rng.permutation(n)]
         assert permanent(p @ a @ q) == pytest.approx(permanent(a), rel=1e-10)
+
+    @pytest.mark.parametrize("n", range(9))
+    @settings(max_examples=5, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_definition(self, n, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        ref = permanent_definition(a)
+        assert abs(permanent(a) - ref) <= 1e-12 * abs(ref)
+
+    # n = 13 fills one sign block; 14, 16 and 20 loop over 2, 8 and 128 patterns of the rows above it
+    @pytest.mark.parametrize("n", [13, 14, 16, 20])
+    def test_large_sizes(self, n):
+        rng = np.random.default_rng(n)
+        assert permanent(np.ones((n, n))) == pytest.approx(math.factorial(n), rel=1e-12)
+        d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        p = np.eye(n)[rng.permutation(n)]
+        assert abs(permanent(np.diag(d) @ p) - np.prod(d)) <= 1e-12 * abs(np.prod(d))
+
+    def test_row_expansion_across_the_block_edge(self):
+        rng = np.random.default_rng(14)
+        a = rng.standard_normal((14, 14)) + 1j * rng.standard_normal((14, 14))
+        expansion = sum(a[0, j] * permanent(np.delete(a[1:], j, axis=1)) for j in range(14))
+        assert abs(permanent(a) - expansion) <= 1e-12 * abs(expansion)
+
+    def test_repeated_row(self):
+        u = haar_random_unitary(4, np.random.default_rng(3))
+        assert abs(permanent(u[np.ix_([2, 2], [0, 3])]) - 2 * u[2, 0] * u[2, 3]) < 1e-13
 
     def test_zero_row_gives_zero(self):
         rng = np.random.default_rng(8)
@@ -137,7 +121,7 @@ class TestUnitarity:
         rng = np.random.default_rng(9)
         u = assert_unitary(haar_random_unitary(5, rng))
         v = assert_unitary(haar_random_unitary(5, rng))
-        assert is_unitary(multiply(u, v))
+        assert is_unitary(u @ v)
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValidationError):

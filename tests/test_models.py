@@ -1,10 +1,12 @@
 import io
+import math
 
 import numpy as np
 import pytest
 
-from qfftsim.errors import DomainError, ValidationError
-from qfftsim.fourier import occupied_modes, partition_outputs, qft_matrix
+from qfftsim import models
+from qfftsim.errors import CapacityError, DomainError, ValidationError
+from qfftsim.fourier import occupation_from_modes, occupied_modes, partition_outputs, qft_matrix
 from qfftsim.linalg import haar_random_unitary
 from qfftsim.models import (
     DelayModel,
@@ -22,9 +24,17 @@ from qfftsim.models import (
 
 from oracles import (
     distinguishable_pair_probability,
+    distinguishable_probability,
     fock_pair_probability,
+    fock_probability,
+    mean_field_grid,
     mean_field_pair_grid,
+    mean_field_probability,
 )
+
+
+def cyclic_state(n, m):
+    return tuple(int(k % (m // n) == 0) for k in range(m))
 
 
 def forbidden_pairs(m):
@@ -175,7 +185,7 @@ class TestMeanField:
 
     def test_three_photon_quadrature(self):
         # p = 1 cyclic state on three modes exercises the 2-D quadrature grid
-        dist = mean_field_distribution(qft_matrix(3), (1, 1, 1), samples=32)
+        dist = mean_field_distribution(qft_matrix(3), (1, 1, 1))
         assert dist.total() == pytest.approx(1.0, abs=1e-10)
         assert all(p >= 0 for p in dist.probabilities.values())
 
@@ -189,6 +199,79 @@ class TestMeanField:
         assert not is_cyclic_state((1, 1, 0, 0))
         assert not is_cyclic_state((2, 0, 0, 0))
         assert not is_cyclic_state((1, 0, 0, 0))
+
+
+class TestPerOutcomeOracles:
+    @pytest.mark.parametrize("n,m", [(2, 8), (3, 9), (4, 8)])
+    def test_every_model_and_outcome(self, n, m):
+        u = haar_random_unitary(m, np.random.default_rng(100 + m))
+        state = cyclic_state(n, m)
+        for make, oracle in (
+            (fock_distribution, fock_probability),
+            (distinguishable_distribution, distinguishable_probability),
+            (mean_field_distribution, mean_field_probability),
+        ):
+            probs = make(u, state).probabilities
+            assert len(probs) == math.comb(m + n - 1, n)
+            for out, p in probs.items():
+                assert abs(p - oracle(u, state, out)) <= 1e-14, (make.__name__, out)
+
+    def test_blocks_of_outcomes(self, monkeypatch):
+        u = haar_random_unitary(8, np.random.default_rng(8))
+        state = cyclic_state(4, 8)
+        whole = fock_distribution(u, state).probabilities
+        monkeypatch.setattr(models, "BLOCK_ENTRIES", 100)  # 6 of the 330 outcomes per block
+        assert fock_distribution(u, state).probabilities == whole
+
+
+class TestQuadratureExactness:
+    """n + 1 nodes per relative phase give the 64-node grid's average."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_two_photons(self, seed):
+        u = haar_random_unitary(4, np.random.default_rng(seed))
+        dist = mean_field_distribution(u, (1, 0, 1, 0))
+        for out, p in dist.probabilities.items():
+            modes = occupied_modes(out)
+            ref = mean_field_pair_grid(u, [0, 2], (modes[0], modes[-1]), grid=64)
+            assert abs(p - ref) <= 1e-12, out
+
+    @pytest.mark.parametrize("m", [3, 9])
+    def test_three_photons(self, m):
+        u = haar_random_unitary(m, np.random.default_rng(m))
+        state = cyclic_state(3, m)
+        dist = mean_field_distribution(u, state)
+        outs = sorted(dist.probabilities)[::10]
+        ref = mean_field_grid(u, occupied_modes(state), outs, grid=64)
+        for out, p in zip(outs, ref):
+            assert abs(dist.probabilities[out] - p) <= 1e-12, out
+
+    def test_blocks_of_draws_add_up(self, monkeypatch):
+        u = haar_random_unitary(8, np.random.default_rng(12))
+        state = cyclic_state(2, 8)
+        whole = mean_field_distribution(u, state, method="monte_carlo", samples=300, seed=5)
+        monkeypatch.setattr(models, "BLOCK_ENTRIES", 500)  # 6 of the 300 draws per block
+        blocks = mean_field_distribution(u, state, method="monte_carlo", samples=300, seed=5)
+        for out, p in whole.probabilities.items():
+            assert abs(blocks.probabilities[out] - p) <= 1e-15
+            assert abs(blocks.stderr[out] - whole.stderr[out]) <= 1e-15
+
+
+class TestEnumerationCap:
+    @pytest.mark.parametrize(
+        "make", [fock_distribution, distinguishable_distribution, mean_field_distribution]
+    )
+    def test_refused_before_enumerating(self, make):
+        # C(259, 4) = 183,181,376 outputs
+        with pytest.raises(CapacityError):
+            make(qft_matrix(256), occupation_from_modes([0, 64, 128, 192], 256))
+
+    def test_boundary(self, monkeypatch):
+        monkeypatch.setattr(models, "ENUMERATION_CAP", 9)
+        with pytest.raises(CapacityError):
+            fock_distribution(qft_matrix(4), (1, 0, 1, 0))
+        monkeypatch.setattr(models, "ENUMERATION_CAP", 10)
+        assert len(fock_distribution(qft_matrix(4), (1, 0, 1, 0)).probabilities) == 10
 
 
 class TestCoincidenceCurves:
