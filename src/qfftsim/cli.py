@@ -16,8 +16,9 @@ streams (0 = experiment simulation, 1 = Monte Carlo error bars,
 2 = reconstruction restarts, 3 = mean-field sampling), so identical
 invocations produce byte-identical artifacts. Files are written atomically.
 Exit codes: 0 success, 2 invalid inputs or domain errors, 3 numerical
-failures, 4 I/O or parse errors. ``QFFT_THREADS`` sets the default worker
-count for Monte Carlo resampling.
+failures, 4 I/O or parse errors. ``curve`` and ``certify`` accept only
+cyclic two-photon inputs, the modes m/2 apart that the suppression law
+covers; ``simulate`` takes any pair.
 """
 
 from __future__ import annotations
@@ -28,12 +29,13 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
 from .certify import (
+    MAX_EXPECTED_COUNTS,
     CoincidenceRecord,
     certify,
     classical_pair_probabilities,
@@ -65,9 +67,6 @@ EXIT_IO = 4
 
 DEFAULT_SEED = 12345
 
-#: Largest expected count per delay point; numpy's Poisson sampler refuses means near 2^63.
-MAX_EXPECTED_COUNTS = 1e18
-
 _SEED_STREAMS = {"simulate": 0, "monte_carlo": 1, "reconstruct": 2, "mean_field": 3}
 
 _MODEL_FLAGS = {"fock": FOCK, "dist": DISTINGUISHABLE, "mf": MEAN_FIELD}
@@ -77,15 +76,6 @@ def derived_seed(master: int, stream: str) -> int:
     """64-bit seed for one named subsystem stream of the master seed."""
     words = np.random.SeedSequence([int(master), _SEED_STREAMS[stream]]).generate_state(2)
     return (int(words[0]) << 32) | int(words[1])
-
-
-def _env_threads() -> int | None:
-    """The ``QFFT_THREADS`` worker count, or None when the variable is unset."""
-    text = os.environ.get("QFFT_THREADS")
-    try:
-        return None if text is None else int(text)
-    except ValueError:
-        raise DomainError(f"QFFT_THREADS must be an integer, got {text!r}") from None
 
 
 @dataclass
@@ -113,7 +103,6 @@ class RunConfig:
     threshold: float = 3.0
     restarts: int = 32
     tol: float = 1e-10
-    threads: int | None = field(default_factory=_env_threads)
 
 
 def simulate_experiment(
@@ -227,6 +216,11 @@ def _analyzed_curve(config: RunConfig):
     u, source = _load_unitary(config)
     m = u.shape[0]
     pair = _input_pair(config, m)
+    if 2 * (pair[1] - pair[0]) != m:
+        raise DomainError(
+            f"--input {config.input_modes} is not a cyclic input on {m} modes: "
+            "the suppression law needs two modes m/2 apart"
+        )
     with open(config.data_path) as handle:
         records = read_coincidence_csv(handle, source=config.data_path)
     records = [r for r in records if r.input == pair]
@@ -238,13 +232,14 @@ def _analyzed_curve(config: RunConfig):
         pc,
         trials=config.trials,
         seed=derived_seed(config.seed, "monte_carlo"),
-        threads=config.threads,
     )
     return curve, pc, source, pair
 
 
 def run(config: RunConfig) -> int:
     """Execute one configured command; returns the process exit status."""
+    if config.seed < 0:
+        raise DomainError(f"--seed must be non-negative, got {config.seed}")
     if config.command == "synth":
         p = _power_of_two(config.modes)
         _write_json(config.out, circuit_to_json(synthesize_qfft(p)))
@@ -368,14 +363,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curve", help="violation degree versus delay from a counts CSV")
     p.add_argument("--data", dest="data_path", required=True, help="coincidence CSV")
     add_unitary(p)
-    p.add_argument("--input", required=True, help="two 1-based input modes")
+    p.add_argument("--input", required=True, help="two 1-based input modes m/2 apart, e.g. 1,5 on 8 modes")
     p.add_argument("--trials", type=int, default=3000, help="Monte Carlo trials for error bars")
     add_common(p)
 
     p = sub.add_parser("certify", help="hypothesis test at the smallest |delay| point")
     p.add_argument("--data", dest="data_path", required=True, help="coincidence CSV")
     add_unitary(p)
-    p.add_argument("--input", required=True, help="two 1-based input modes")
+    p.add_argument("--input", required=True, help="two 1-based input modes m/2 apart, e.g. 1,5 on 8 modes")
     p.add_argument("--trials", type=int, default=3000)
     p.add_argument("--threshold", type=float, default=3.0, help="rejection threshold in sigmas")
     add_common(p)

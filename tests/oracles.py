@@ -149,3 +149,30 @@ def mean_field_grid(u, modes, outputs, grid: int = 64) -> list[float]:
 def visibility_sigma_delta(c: float, q: float) -> float:
     """First-order Poisson propagation of V = (c - q)/c."""
     return math.sqrt(q**2 / c**3 + q / c**2)
+
+
+def violation_curve_loop(records, pc, n_d, trials: int, seed) -> list[tuple[float, float, float]]:
+    """Violation curve with one Monte Carlo trial per loop iteration.
+
+    Each trial draws the whole counts table, the reference row last, with one
+    ``rng.poisson`` call on a single generator seeded once; a zero reference
+    draw makes that trial NaN, and NaN trials drop out of the spread.
+    """
+    pairs = sorted(pc)
+    counts = {(r.delta_x, r.output): r.counts for r in records if r.output in pc}
+    delays = sorted({dx for dx, _ in counts})
+    lam = np.array(
+        [[counts[dx, pair] for pair in pairs] for dx in delays] + [[n_d[pair] for pair in pairs]],
+        dtype=float,
+    )
+    weights = np.array([pc[pair] for pair in pairs])
+    d_obs = lam[:-1] @ (weights / lam[-1])
+    rng = np.random.default_rng(seed)
+    sims = []
+    for _ in range(trials):
+        draw = rng.poisson(lam)
+        ref = draw[-1].astype(float)
+        ref[ref == 0] = np.nan
+        sims.append(draw[:-1] @ (weights / ref))
+    sigma = np.nan_to_num(np.nanstd(np.array(sims), axis=0, ddof=1), nan=0.0)
+    return [(float(dx), float(d), float(s)) for dx, d, s in zip(delays, d_obs, sigma)]

@@ -1,4 +1,6 @@
+import importlib
 import io
+import re
 
 import numpy as np
 import pytest
@@ -20,10 +22,15 @@ from qfftsim.certify import (
     visibility,
     write_coincidence_csv,
 )
+from qfftsim.cli import simulate_experiment
 from qfftsim.errors import DomainError, ParseError, UndefinedVisibilityError
 from qfftsim.fourier import occupied_modes, partition_outputs, qft_matrix
+from qfftsim.models import DelayModel
 
-from oracles import visibility_sigma_delta
+from oracles import violation_curve_loop, visibility_sigma_delta
+
+# the package exports the function ``certify``, which shadows the module's name
+certify_module = importlib.import_module("qfftsim.certify")
 
 
 def forbidden_pairs(m):
@@ -102,10 +109,15 @@ class TestMonteCarloErrors:
         b = monte_carlo_errors([50, 70], statistic=np.sum, trials=200, seed=3)
         assert a == b
 
-    def test_independent_of_thread_count(self):
-        a = monte_carlo_errors([50, 70], statistic=np.sum, trials=64, seed=4, threads=1)
-        b = monte_carlo_errors([50, 70], statistic=np.sum, trials=64, seed=4, threads=4)
-        assert a == b
+    def test_independent_of_block_size(self, monkeypatch):
+        a = monte_carlo_errors([50, 70], statistic=np.sum, trials=64, seed=4)
+        monkeypatch.setattr(certify_module, "MC_BLOCK_ENTRIES", 1)
+        assert monte_carlo_errors([50, 70], statistic=np.sum, trials=64, seed=4) == a
+
+    @pytest.mark.parametrize("counts", [[1e19], [10**23], [float("nan")], [float("inf")], [-1]])
+    def test_counts_outside_the_sampler_range_rejected(self, counts):
+        with pytest.raises(DomainError, match="Poisson sampler"):
+            monte_carlo_errors(counts, statistic=np.sum, trials=10, seed=0)
 
 
 class TestViolationCurve:
@@ -173,6 +185,59 @@ class TestViolationCurve:
         records = records[:-1]  # drop one (delay, pair) cell
         with pytest.raises(DomainError):
             violation_curve(records, self.pc, trials=10)
+
+    def test_duplicate_cell_rejected(self):
+        records = make_records({0.0: {pair: 100 for pair in self.pairs}})
+        records.append(CoincidenceRecord((0, 2), self.pairs[1], 0.0, 900000))
+        with pytest.raises(DomainError, match=re.escape(f"delay 0.0 and output pair {self.pairs[1]}")):
+            violation_curve(records, self.pc, {pair: 200.0 for pair in self.pairs}, trials=10)
+
+    @pytest.mark.parametrize("counts", [10**19, 10**23, 10**400], ids=["1e19", "1e23", "1e400"])
+    def test_counts_above_the_sampler_limit_rejected(self, counts):
+        records = make_records({dx: {pair: 100 for pair in self.pairs} for dx in (-200.0, 0.0, 200.0)})
+        records[3] = CoincidenceRecord((0, 2), records[3].output, records[3].delta_x, counts)
+        with pytest.raises(DomainError, match="Poisson sampler"):
+            violation_curve(records, self.pc, trials=10)
+
+    @pytest.mark.parametrize("ref", [1e19, float("inf"), float("nan")])
+    def test_reference_counts_outside_the_sampler_range_rejected(self, ref):
+        records = make_records({0.0: {pair: 100 for pair in self.pairs}})
+        n_d = {pair: 200.0 for pair in self.pairs}
+        n_d[self.pairs[2]] = ref
+        with pytest.raises(DomainError):
+            violation_curve(records, self.pc, n_d, trials=10)
+
+    @pytest.mark.parametrize(
+        "counts, ref, trials, block",
+        [
+            (1e5, None, 300, None),  # a simulated 8-mode run, several blocks
+            (3.0, 2.5, 400, 200),  # ~3/4 of the trials draw a zero reference and drop out
+            (50.0, 4.0, 40, 1),  # one trial per block, ~1/4 of them dropped
+        ],
+    )
+    def test_matches_trial_loop_oracle_bit_for_bit(self, monkeypatch, counts, ref, trials, block):
+        u = qft_matrix(8)
+        pc = classical_pair_probabilities(u, (0, 4), forbidden_pairs(8))
+        rng = np.random.default_rng(17)
+        delays = np.linspace(-300, 300, 41)
+        records = simulate_experiment(u, (0, 4), DelayModel(alpha=0.9), delays, counts, rng)
+        n_d = reference_counts([r for r in records if r.output in pc], sorted(pc))
+        if ref is not None:
+            n_d = {pair: ref for pair in pc}
+        if block is not None:
+            monkeypatch.setattr(certify_module, "MC_BLOCK_ENTRIES", block)
+        expected = violation_curve_loop(records, pc, n_d, trials, seed=23)
+        assert violation_curve(records, pc, n_d, trials=trials, seed=23) == expected
+        if ref is None:
+            assert violation_curve(records, pc, trials=trials, seed=23) == expected
+
+    def test_sigma_independent_of_block_size(self, monkeypatch):
+        records = make_records(
+            {dx: {pair: 40 * (1 + k) for k, pair in enumerate(self.pairs)} for dx in (-100.0, 0.0, 100.0)}
+        )
+        curve = violation_curve(records, self.pc, trials=500, seed=9)
+        monkeypatch.setattr(certify_module, "MC_BLOCK_ENTRIES", 1)
+        assert violation_curve(records, self.pc, trials=500, seed=9) == curve
 
     def test_sigma_scale_matches_poisson(self):
         n0, nref = 625, 12500

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from qfftsim.certify import read_coincidence_csv
 from qfftsim.cli import (
@@ -16,7 +22,7 @@ from qfftsim.cli import (
     simulate_experiment,
 )
 from qfftsim.errors import DomainError
-from qfftsim.fourier import qft_matrix
+from qfftsim.fourier import occupied_modes, partition_outputs, qft_matrix
 from qfftsim.models import DelayModel, fock_distribution
 
 
@@ -190,6 +196,51 @@ class TestCurveAndCertify:
         assert run_cli(*args, "--out", str(b)) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("command", ["curve", "certify"])
+    @pytest.mark.parametrize("modes, pair", [("8", "1,2"), ("8", "1,4"), ("4", "1,2")])
+    def test_non_cyclic_input_exits_2(self, command, modes, pair, tmp_path, capsys):
+        data = tmp_path / "counts.csv"
+        assert run_cli("simulate", "--modes", modes, "--input", pair, "--points", "5",
+                       "--out", str(data)) == EXIT_OK
+        code = run_cli(command, "--data", str(data), "--modes", modes, "--input", pair,
+                       "--trials", "10", "--out", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert err.startswith("qfft: invalid input:") and "not a cyclic input" in err
+
+    @pytest.mark.parametrize("command", ["curve", "certify"])
+    def test_duplicate_row_exits_2(self, command, tmp_path, capsys):
+        data = tmp_path / "counts.csv"
+        assert run_cli("simulate", "--modes", "8", "--input", "1,5", "--points", "41",
+                       "--out", str(data)) == EXIT_OK
+        with open(data, "a") as handle:
+            handle.write("1,5,1,2,0.0,900000\n")
+        code = run_cli(command, "--data", str(data), "--modes", "8", "--input", "1,5",
+                       "--trials", "10", "--out", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert "duplicate counts for delay 0.0 and output pair (0, 1)" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["curve", "certify"])
+    def test_count_above_sampler_limit_exits_2(self, command, tmp_path, capsys):
+        data = tmp_path / "counts.csv"
+        assert run_cli("simulate", "--modes", "8", "--input", "1,5", "--points", "5",
+                       "--out", str(data)) == EXIT_OK
+        lines = data.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + "," + str(10**23)
+        data.write_text("\n".join(lines) + "\n")
+        code = run_cli(command, "--data", str(data), "--modes", "8", "--input", "1,5",
+                       "--trials", "10", "--out", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert err.startswith("qfft: invalid input:") and "Poisson sampler" in err
+        assert "Traceback" not in err
+
+    def test_simulate_accepts_non_cyclic_input(self, tmp_path):
+        assert run_cli("simulate", "--modes", "8", "--input", "1,2", "--points", "5",
+                       "--out", str(tmp_path / "counts.csv")) == EXIT_OK
+
     def test_certify_missing_input_records(self, dataset, tmp_path, capsys):
         code = run_cli("certify", "--data", str(dataset), "--modes", "4",
                        "--input", "1,3", "--out", str(tmp_path / "r.json"))
@@ -302,14 +353,72 @@ class TestErrorPaths:
         assert err.startswith("qfft: invalid input:") and "enumeration cap" in err
         assert "Traceback" not in err
 
-    def test_non_integer_thread_count(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setenv("QFFT_THREADS", "abc")
-        code = run_cli("synth", "--modes", "8", "--out", str(tmp_path / "x.json"))
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("synth", "--modes", "8"),
+            ("layout", "--modes", "8"),
+            ("evolve", "--modes", "4", "--input", "1,3"),
+            ("simulate", "--modes", "8", "--input", "1,5"),
+            ("curve", "--data", "counts.csv", "--modes", "8", "--input", "1,5"),
+            ("certify", "--data", "counts.csv", "--modes", "8", "--input", "1,5"),
+            ("reconstruct", "--problem", "problem.json"),
+        ],
+    )
+    def test_negative_seed_exits_2(self, argv, tmp_path, capsys):
+        code = run_cli(*argv, "--seed", "-1", "--out", str(tmp_path / "x"))
         err = capsys.readouterr().err
         assert code == EXIT_VALIDATION
-        assert err.startswith("qfft: invalid input:") and "QFFT_THREADS" in err
+        assert err.startswith("qfft: invalid input:") and "--seed" in err
         assert "Traceback" not in err
-        assert not (tmp_path / "x.json").exists()
+        assert not (tmp_path / "x").exists()
+
+
+_FORBIDDEN_8 = sorted(
+    tuple(occupied_modes(s)) for s in partition_outputs(2, 8, collision_free_only=True).forbidden
+)
+_ANY_DELAY = st.floats(allow_nan=True, allow_infinity=True)
+_ANY_COUNT = st.one_of(st.integers(0, 10**6), st.integers(10**17, 10**25), st.just(10**400))
+
+
+@st.composite
+def counts_csv(draw):
+    """An 8-mode coincidence CSV for input 1,5: a complete grid plus hostile extra rows."""
+    delays = draw(st.lists(st.floats(-300, 300), min_size=1, max_size=3, unique=True))
+    rows = [(pair, dx, draw(st.integers(0, 10**6))) for dx in delays for pair in _FORBIDDEN_8]
+    extra = st.tuples(
+        st.sampled_from(_FORBIDDEN_8),
+        st.one_of(st.sampled_from(delays), _ANY_DELAY),
+        _ANY_COUNT,
+    )
+    rows += draw(st.lists(extra, max_size=4))
+    lines = ["input_i,input_j,output_i,output_j,delta_x_um,counts"]
+    lines += [f"1,5,{i + 1},{j + 1},{dx!r},{n}" for (i, j), dx, n in rows]
+    return "\n".join(lines) + "\n"
+
+
+class TestFuzz:
+    # no shrink phase: a failure is reported with its first example at once
+    @settings(max_examples=80, deadline=None, derandomize=True, phases=(Phase.explicit, Phase.generate))
+    @given(
+        command=st.sampled_from(["curve", "certify"]),
+        text=counts_csv(),
+        pair=st.sampled_from(["1,5", "3,7", "1,2"]),
+        trials=st.integers(-2, 40),
+        seed=st.integers(-3, 2**40),
+    )
+    def test_curve_and_certify_end_with_a_documented_exit_code(self, command, text, pair, trials, seed):
+        with tempfile.TemporaryDirectory() as tmp:
+            data = os.path.join(tmp, "counts.csv")
+            with open(data, "w") as handle:
+                handle.write(text)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = run_cli(command, "--data", data, "--modes", "8", "--input", pair,
+                               "--trials", str(trials), "--seed", str(seed),
+                               "--out", os.path.join(tmp, "out"))
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err.getvalue()
 
 
 class TestSimulateExperimentFunction:
