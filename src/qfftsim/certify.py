@@ -5,13 +5,17 @@ visibilities, the violation degree D (the classical-probability-weighted
 count ratio summed over the forbidden output pairs), Poissonian Monte Carlo
 error bars, and the hypothesis test against the distinguishable-particle
 and mean-field reference values D = 0.5 and D = 0.25. The Monte Carlo trials
-are Poisson redraws of every count from one generator seeded once, drawn in
-blocks of trials and evaluated a block at a time.
+are Poisson redraws of the counts, drawn in blocks of trials. In a violation
+curve the reference counts and every delay row have their own generator,
+spawned from the one seed, so one row (the zero-delay point of a
+certification) can be resampled alone and gives exactly its value in the
+full curve.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +36,14 @@ DEFAULT_TRIALS = 3000
 #: Largest Poisson mean accepted anywhere; numpy's sampler refuses means near 2^63.
 MAX_EXPECTED_COUNTS = 1e18
 
-#: Poisson draws per Monte Carlo block. The draws run in C order from one
-#: generator, so results do not depend on it; it only bounds peak memory. For
-#: 3000 trials of an 8-mode curve (42 x 16 means) one unblocked draw raised
-#: peak RSS by ~32 MB, blocks of this size by ~3 MB.
+#: Most Monte Carlo trials accepted. A violation curve holds the reference
+#: weights of every trial plus the resampled values of one row, 8 x trials x
+#: (pairs + 1) bytes: 136 MB for the 16 forbidden pairs of 8 modes at the cap.
+MAX_TRIALS = 10**6
+
+#: Poisson draws per Monte Carlo block of one row (or of the whole table in
+#: ``monte_carlo_errors``). Each generator draws in C order, so results do not
+#: depend on it; it only bounds the memory of the draws.
 MC_BLOCK_ENTRIES = 2**16
 
 
@@ -129,8 +137,8 @@ def _poisson_blocks(lam, trials, seed):
 
     Each block holds the draws of consecutive trials, shape ``(b, *lam.shape)``.
     """
-    if trials < 2:
-        raise DomainError(f"need at least 2 trials, got {trials}")
+    if not 2 <= trials <= MAX_TRIALS:
+        raise DomainError(f"trials must be in [2, {MAX_TRIALS}], got {trials}")
     lam = np.asarray(lam, dtype=float)
     if not np.all((lam >= 0) & (lam <= MAX_EXPECTED_COUNTS)):
         raise DomainError(f"counts must be in [0, {MAX_EXPECTED_COUNTS:g}], the Poisson sampler's range")
@@ -161,6 +169,7 @@ def violation_curve(
     *,
     trials: int = DEFAULT_TRIALS,
     seed=None,
+    at=None,
 ) -> list[tuple[float, float, float]]:
     """Observed violation degree versus delay, with Monte Carlo error bars.
 
@@ -169,7 +178,12 @@ def violation_curve(
     computed from ``records``; explicit ``n_d`` values are treated as
     measured counts and enter the Monte Carlo resampling like the rest.
     Each (delay, pair) cell needs exactly one record. Returns
-    ``(delta_x, d_obs, sigma)`` triples sorted by delay.
+    ``(delta_x, d_obs, sigma)`` triples sorted by delay, or only the triple
+    of delay ``at``, which must be one of the measured delays.
+
+    ``seed`` spawns one generator for each delay row and one for the
+    reference counts, so a row's triple does not depend on which other
+    rows are evaluated.
     """
     records = [r for r in records if r.output in pc]
     if not records:
@@ -178,7 +192,9 @@ def violation_curve(
     delays = sorted({r.delta_x for r in records})
     row = {dx: i for i, dx in enumerate(delays)}
     col = {pair: j for j, pair in enumerate(pairs)}
-    # the last row holds the reference counts, so one draw resamples both
+    if at is not None and at not in row:
+        raise DomainError(f"no records at delay {at}")
+    # the last row holds the reference counts
     lam = np.full((len(delays) + 1, len(pairs)), np.nan)
     for r in records:
         cell = row[r.delta_x], col[r.output]
@@ -205,15 +221,22 @@ def violation_curve(
     lam[-1] = [float(n_d[pair]) for pair in pairs]
 
     weights = np.array([pc[pair] for pair in pairs])
-    blocks = _poisson_blocks(lam, trials, seed)
-    d_obs = lam[:-1] @ (weights / lam[-1])
-    sims = np.empty((trials, len(delays)))
+    streams = np.random.SeedSequence(seed).spawn(len(delays) + 1)
+    blocks = _poisson_blocks(lam[-1], trials, streams[-1])
+    ref = np.empty((trials, len(pairs)))
     for t, draws in blocks:
-        ref = draws[:, -1].astype(float)
-        ref[ref == 0.0] = np.nan  # degenerate trials drop out of the spread
-        sims[t : t + len(draws)] = (draws[:, :-1] @ (weights / ref)[:, :, None])[..., 0]
-    sigma = np.nan_to_num(np.nanstd(sims, axis=0, ddof=1), nan=0.0)
-    return [(float(dx), float(d), float(s)) for dx, d, s in zip(delays, d_obs, sigma)]
+        ref[t : t + len(draws)] = draws
+    ref[ref == 0.0] = np.nan  # degenerate trials drop out of the spread
+    np.divide(weights, ref, out=ref)
+    d_obs = lam[:-1] @ (weights / lam[-1])
+    curve = []
+    for k in range(len(delays)) if at is None else [row[at]]:
+        sims = np.empty(trials)
+        for t, draws in _poisson_blocks(lam[k], trials, streams[k]):
+            sims[t : t + len(draws)] = (draws * ref[t : t + len(draws)]).sum(axis=1)
+        sigma = np.nan_to_num(np.nanstd(sims, ddof=1), nan=0.0)
+        curve.append((float(delays[k]), float(d_obs[k]), float(sigma)))
+    return curve
 
 
 def certify(d_obs: float, sigma: float, threshold_sigmas: float = 3.0) -> ViolationReport:
@@ -279,6 +302,8 @@ def read_coincidence_csv(stream, source: str = "<csv>") -> list[CoincidenceRecor
                 values[name] = float(cell) if name == "delta_x_um" else int(cell)
             except ValueError:
                 raise ParseError(f"{source}:{lineno}: field {name!r} has invalid value {cell!r}") from None
+        if not math.isfinite(values["delta_x_um"]):
+            raise ParseError(f"{source}:{lineno}: field 'delta_x_um' must be finite, got {row[4]!r}")
         for name in ("input_i", "input_j", "output_i", "output_j"):
             if values[name] < 1:
                 raise ParseError(f"{source}:{lineno}: field {name!r} must be a 1-based mode label")

@@ -107,8 +107,10 @@ class DelayModel:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise DomainError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.coherence_length <= 0.0:
-            raise DomainError(f"coherence length must be positive, got {self.coherence_length}")
+        if not 0.0 < self.coherence_length < math.inf:
+            raise DomainError(
+                f"coherence length must be positive and finite, got {self.coherence_length}"
+            )
         if self.shape != "gaussian":
             raise DomainError(f"unsupported overlap shape {self.shape!r}")
 

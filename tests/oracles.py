@@ -154,9 +154,11 @@ def visibility_sigma_delta(c: float, q: float) -> float:
 def violation_curve_loop(records, pc, n_d, trials: int, seed) -> list[tuple[float, float, float]]:
     """Violation curve with one Monte Carlo trial per loop iteration.
 
-    Each trial draws the whole counts table, the reference row last, with one
-    ``rng.poisson`` call on a single generator seeded once; a zero reference
-    draw makes that trial NaN, and NaN trials drop out of the spread.
+    ``seed`` spawns one generator per delay row and a last one for the
+    reference counts. Each trial draws the reference row from its generator,
+    then every delay row from its own, one ``rng.poisson`` call each; a zero
+    reference draw makes the trial NaN in every row, and NaN trials drop out
+    of the spread.
     """
     pairs = sorted(pc)
     counts = {(r.delta_x, r.output): r.counts for r in records if r.output in pc}
@@ -167,12 +169,26 @@ def violation_curve_loop(records, pc, n_d, trials: int, seed) -> list[tuple[floa
     )
     weights = np.array([pc[pair] for pair in pairs])
     d_obs = lam[:-1] @ (weights / lam[-1])
-    rng = np.random.default_rng(seed)
-    sims = []
+    *rngs, ref_rng = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(len(lam))]
+    sims = [[] for _ in delays]
     for _ in range(trials):
-        draw = rng.poisson(lam)
-        ref = draw[-1].astype(float)
+        ref = ref_rng.poisson(lam[-1]).astype(float)
         ref[ref == 0] = np.nan
-        sims.append(draw[:-1] @ (weights / ref))
-    sigma = np.nan_to_num(np.nanstd(np.array(sims), axis=0, ddof=1), nan=0.0)
+        for k, rng in enumerate(rngs):
+            sims[k].append((rng.poisson(lam[k]) * (weights / ref)).sum())
+    sigma = [np.nan_to_num(np.nanstd(np.array(row), ddof=1), nan=0.0) for row in sims]
     return [(float(dx), float(d), float(s)) for dx, d, s in zip(delays, d_obs, sigma)]
+
+
+def simulated_counts_loop(curves, expected_counts, rng) -> list[tuple[float, tuple[int, int], int]]:
+    """(delay, output pair, counts) of a simulated scan, one scalar Poisson draw per cell.
+
+    Cells run in (delay, pair) order; each mean is ``expected_counts`` times
+    the two-photon coincidence probability, negative rounding clamped to 0.
+    """
+    cells = []
+    for idx, dx in enumerate(curves.delta_x):
+        for pair in curves.pairs():
+            lam = expected_counts * max(float(curves.quantum[pair][idx]), 0.0)
+            cells.append((float(dx), pair, int(rng.poisson(lam))))
+    return cells

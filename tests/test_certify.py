@@ -9,6 +9,7 @@ from qfftsim.certify import (
     CoincidenceRecord,
     D_DISTINGUISHABLE,
     D_MEAN_FIELD,
+    MAX_TRIALS,
     RULES_OUT_BOTH,
     RULES_OUT_DISTINGUISHABLE,
     RULES_OUT_NEITHER,
@@ -108,6 +109,10 @@ class TestMonteCarloErrors:
         a = monte_carlo_errors([50, 70], statistic=np.sum, trials=200, seed=3)
         b = monte_carlo_errors([50, 70], statistic=np.sum, trials=200, seed=3)
         assert a == b
+
+    def test_trials_above_the_cap_rejected(self):
+        with pytest.raises(DomainError, match="trials"):
+            monte_carlo_errors(np.array([5.0]), lambda x: x[0], trials=MAX_TRIALS + 1)
 
     def test_independent_of_block_size(self, monkeypatch):
         a = monte_carlo_errors([50, 70], statistic=np.sum, trials=64, seed=4)
@@ -231,6 +236,28 @@ class TestViolationCurve:
         if ref is None:
             assert violation_curve(records, pc, trials=trials, seed=23) == expected
 
+    def test_each_row_alone_matches_the_full_curve_bit_for_bit(self):
+        u = qft_matrix(8)
+        pc = classical_pair_probabilities(u, (0, 4), forbidden_pairs(8))
+        rng = np.random.default_rng(29)
+        delays = np.linspace(-300, 300, 41)
+        records = simulate_experiment(u, (0, 4), DelayModel(alpha=0.9), delays, 1e5, rng)
+        full = violation_curve(records, pc, trials=200, seed=31)
+        assert [dx for dx, _, _ in full] == sorted(delays)
+        for row in full:
+            assert violation_curve(records, pc, trials=200, seed=31, at=row[0]) == [row]
+
+    @pytest.mark.parametrize("at", [50.0, float("nan")])
+    def test_unmeasured_delay_rejected(self, at):
+        records = make_records({dx: {pair: 100 for pair in self.pairs} for dx in (-100.0, 0.0, 100.0)})
+        with pytest.raises(DomainError, match="no records at delay"):
+            violation_curve(records, self.pc, trials=10, seed=0, at=at)
+
+    def test_trials_above_the_cap_rejected(self):
+        records = make_records({0.0: {pair: 100 for pair in self.pairs}})
+        with pytest.raises(DomainError, match="trials"):
+            violation_curve(records, self.pc, trials=MAX_TRIALS + 1)
+
     def test_sigma_independent_of_block_size(self, monkeypatch):
         records = make_records(
             {dx: {pair: 40 * (1 + k) for k, pair in enumerate(self.pairs)} for dx in (-100.0, 0.0, 100.0)}
@@ -343,6 +370,16 @@ class TestCsv:
         text = "input_i,input_j,output_i,output_j,delta_x_um,counts\n1,3,2,4,0.0,x\n"
         with pytest.raises(ParseError, match=r"counts\.csv:2.*'counts'"):
             read_coincidence_csv(io.StringIO(text), source="counts.csv")
+
+    @pytest.mark.parametrize("delay", ["inf", "-inf", "nan", "1e400"])
+    def test_non_finite_delay_diagnosed_with_line(self, delay):
+        text = (
+            "input_i,input_j,output_i,output_j,delta_x_um,counts\n"
+            "1,3,1,2,0.0,5\n"
+            f"1,3,1,2,{delay},5\n"
+        )
+        with pytest.raises(ParseError, match=r"f\.csv:3: field 'delta_x_um' must be finite"):
+            read_coincidence_csv(io.StringIO(text), source="f.csv")
 
     def test_zero_based_label_rejected(self):
         text = "input_i,input_j,output_i,output_j,delta_x_um,counts\n0,3,2,4,0.0,5\n"

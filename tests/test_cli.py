@@ -9,12 +9,13 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from qfftsim.certify import read_coincidence_csv
+from qfftsim.certify import MAX_TRIALS, read_coincidence_csv
 from qfftsim.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_VALIDATION,
     DEFAULT_SEED,
+    MAX_POINTS,
     RunConfig,
     derived_seed,
     main,
@@ -23,7 +24,9 @@ from qfftsim.cli import (
 )
 from qfftsim.errors import DomainError
 from qfftsim.fourier import occupied_modes, partition_outputs, qft_matrix
-from qfftsim.models import DelayModel, fock_distribution
+from qfftsim.models import DelayModel, fock_distribution, two_photon_coincidences
+
+from oracles import simulated_counts_loop
 
 
 def run_cli(*argv):
@@ -187,11 +190,35 @@ class TestCurveAndCertify:
         assert obj["pc_source"].startswith("qft-model")
         assert obj["delta_x"] == 0.0
 
+    @pytest.mark.parametrize("points, dx0", [("21", 0.0), ("20", -300.0 / 19)])
+    def test_certify_matches_the_curve_row_nearest_zero_delay(self, points, dx0, tmp_path):
+        data = tmp_path / "counts.csv"
+        assert run_cli("simulate", "--modes", "8", "--input", "1,5", "--points", points,
+                       "--seed", "4", "--out", str(data)) == EXIT_OK
+        args = ["--data", str(data), "--modes", "8", "--input", "1,5", "--trials", "300", "--seed", "6"]
+        assert run_cli("curve", *args, "--out", str(tmp_path / "curve.csv")) == EXIT_OK
+        assert run_cli("certify", *args, "--out", str(tmp_path / "report.json")) == EXIT_OK
+        rows = (tmp_path / "curve.csv").read_text().splitlines()[1:]
+        table = {float(r.split(",")[0]): tuple(map(float, r.split(",")[1:])) for r in rows}
+        report = json.loads((tmp_path / "report.json").read_text())
+        # on an even grid the tie between -dx and +dx goes to the negative delay
+        assert report["delta_x"] == pytest.approx(dx0, abs=1e-12)
+        assert (report["d_obs"], report["sigma"]) == table[report["delta_x"]]
+
     def test_curve_is_byte_identical_on_rerun(self, dataset, tmp_path):
         args = ["curve", "--data", str(dataset), "--modes", "4", "--input", "2,4",
                 "--trials", "100", "--seed", "2"]
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
+        assert run_cli(*args, "--out", str(a)) == EXIT_OK
+        assert run_cli(*args, "--out", str(b)) == EXIT_OK
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_certify_is_byte_identical_on_rerun(self, dataset, tmp_path):
+        args = ["certify", "--data", str(dataset), "--modes", "4", "--input", "2,4",
+                "--trials", "100", "--seed", "2"]
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
         assert run_cli(*args, "--out", str(a)) == EXIT_OK
         assert run_cli(*args, "--out", str(b)) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
@@ -236,6 +263,28 @@ class TestCurveAndCertify:
         assert code == EXIT_VALIDATION
         assert err.startswith("qfft: invalid input:") and "Poisson sampler" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["curve", "certify"])
+    def test_trials_above_the_cap_exit_2(self, command, dataset, tmp_path, capsys):
+        code = run_cli(command, "--data", str(dataset), "--modes", "4", "--input", "2,4",
+                       "--trials", str(10**12), "--out", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert err.startswith("qfft: invalid input:") and f"[2, {MAX_TRIALS}]" in err
+
+    @pytest.mark.parametrize("command", ["curve", "certify"])
+    @pytest.mark.parametrize("delay", ["inf", "-inf", "nan"])
+    def test_non_finite_delay_exits_4(self, command, delay, tmp_path, capsys):
+        data = tmp_path / "counts.csv"
+        assert run_cli("simulate", "--modes", "8", "--input", "1,5", "--points", "5",
+                       "--out", str(data)) == EXIT_OK
+        data.write_text(data.read_text().replace(",300.0,", f",{delay},"))
+        code = run_cli(command, "--data", str(data), "--modes", "8", "--input", "1,5",
+                       "--trials", "10", "--out", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == EXIT_IO
+        assert "counts.csv:" in err and "'delta_x_um' must be finite" in err
+        assert not (tmp_path / "out").exists()
 
     def test_simulate_accepts_non_cyclic_input(self, tmp_path):
         assert run_cli("simulate", "--modes", "8", "--input", "1,2", "--points", "5",
@@ -335,6 +384,11 @@ class TestErrorPaths:
             ("simulate", "--modes", "8", "--input", "1,5", "--counts", "nan"),
             ("simulate", "--modes", "8", "--input", "1,5", "--counts", "inf"),
             ("simulate", "--modes", "8", "--input", "1,5", "--span", "inf"),
+            ("simulate", "--modes", "8", "--input", "1,5", "--points", "100000000000"),
+            ("simulate", "--modes", "8", "--input", "1,5", "--points", str(MAX_POINTS + 1)),
+            ("simulate", "--modes", "8", "--input", "1,5", "--coherence-length", "nan"),
+            ("simulate", "--modes", "8", "--input", "1,5", "--coherence-length", "inf"),
+            ("simulate", "--modes", "8", "--input", "1,5", "--span", "1e308", "--points", "3"),
         ],
     )
     def test_bad_numbers_exit_2_without_traceback(self, argv, tmp_path, capsys):
@@ -377,7 +431,7 @@ class TestErrorPaths:
 _FORBIDDEN_8 = sorted(
     tuple(occupied_modes(s)) for s in partition_outputs(2, 8, collision_free_only=True).forbidden
 )
-_ANY_DELAY = st.floats(allow_nan=True, allow_infinity=True)
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
 _ANY_COUNT = st.one_of(st.integers(0, 10**6), st.integers(10**17, 10**25), st.just(10**400))
 
 
@@ -388,7 +442,7 @@ def counts_csv(draw):
     rows = [(pair, dx, draw(st.integers(0, 10**6))) for dx in delays for pair in _FORBIDDEN_8]
     extra = st.tuples(
         st.sampled_from(_FORBIDDEN_8),
-        st.one_of(st.sampled_from(delays), _ANY_DELAY),
+        st.one_of(st.sampled_from(delays), _ANY_FLOAT),
         _ANY_COUNT,
     )
     rows += draw(st.lists(extra, max_size=4))
@@ -420,6 +474,26 @@ class TestFuzz:
         assert code in (0, 2, 3, 4)
         assert "Traceback" not in err.getvalue()
 
+    @settings(max_examples=80, deadline=None, derandomize=True, phases=(Phase.explicit, Phase.generate))
+    @given(
+        points=st.one_of(st.integers(-2, 40), st.sampled_from([MAX_POINTS + 1, 10**11])),
+        span=st.one_of(st.floats(1, 1000), _ANY_FLOAT),
+        alpha=st.one_of(st.floats(0, 1), _ANY_FLOAT),
+        coherence=st.one_of(st.floats(1, 1000), _ANY_FLOAT),
+        counts=st.one_of(st.floats(1, 1e6), _ANY_FLOAT),
+    )
+    def test_simulate_ends_with_a_documented_exit_code(self, points, span, alpha, coherence, counts):
+        with tempfile.TemporaryDirectory() as tmp:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                # "--flag=value" keeps argparse from reading "-inf" as an option
+                code = run_cli("simulate", "--modes", "4", "--input", "1,3", f"--points={points}",
+                               f"--span={span!r}", f"--alpha={alpha!r}",
+                               f"--coherence-length={coherence!r}", f"--counts={counts!r}",
+                               "--out", os.path.join(tmp, "out"))
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err.getvalue()
+
 
 class TestSimulateExperimentFunction:
     def test_rejects_nonpositive_counts(self):
@@ -427,6 +501,16 @@ class TestSimulateExperimentFunction:
             simulate_experiment(
                 qft_matrix(4), (0, 2), DelayModel(), [0.0], 0.0, np.random.default_rng(0)
             )
+
+    @pytest.mark.parametrize("counts", [1e5, 20.0])  # both of numpy's Poisson samplers
+    def test_one_draw_matches_the_scalar_loop(self, counts):
+        u = qft_matrix(8)
+        model = DelayModel(alpha=0.9)
+        delays = np.linspace(-300.0, 300.0, 41)
+        records = simulate_experiment(u, (0, 4), model, delays, counts, np.random.default_rng(5))
+        curves = two_photon_coincidences(u, (0, 4), model, delays)
+        expected = simulated_counts_loop(curves, counts, np.random.default_rng(5))
+        assert [(r.delta_x, r.output, r.counts) for r in records] == expected
 
     def test_record_grid_is_complete(self):
         records = simulate_experiment(

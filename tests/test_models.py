@@ -384,6 +384,9 @@ class TestDelayModel:
             DelayModel(coherence_length=0.0)
         with pytest.raises(DomainError):
             DelayModel(shape="boxcar")
+        for length in (float("nan"), float("inf")):
+            with pytest.raises(DomainError, match="positive and finite"):
+                DelayModel(coherence_length=length)
 
 
 def test_distribution_json_round_trip():
