@@ -39,7 +39,6 @@ from .circuit import (
     synthesize_qfft,
 )
 from .errors import (
-    BoundsError,
     CapacityError,
     ConvergenceError,
     DomainError,
@@ -61,7 +60,6 @@ from .layout import HypercubeLayout, hypercube_layout
 from .linalg import (
     fidelity,
     haar_random_unitary,
-    is_unitary,
     permanent,
 )
 from .models import (

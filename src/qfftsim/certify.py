@@ -33,6 +33,9 @@ RULES_OUT_BOTH = "rules_out_both"
 
 DEFAULT_TRIALS = 3000
 
+#: Standard deviations below a reference value that reject its hypothesis.
+DEFAULT_THRESHOLD_SIGMAS = 3.0
+
 #: Largest Poisson mean accepted anywhere; numpy's sampler refuses means near 2^63.
 MAX_EXPECTED_COUNTS = 1e18
 
@@ -239,7 +242,7 @@ def violation_curve(
     return curve
 
 
-def certify(d_obs: float, sigma: float, threshold_sigmas: float = 3.0) -> ViolationReport:
+def certify(d_obs: float, sigma: float, threshold_sigmas: float = DEFAULT_THRESHOLD_SIGMAS) -> ViolationReport:
     """Hypothesis test of the observed violation degree against both references.
 
     The distinguishable (mean-field) hypothesis is rejected when the observed
@@ -248,6 +251,8 @@ def certify(d_obs: float, sigma: float, threshold_sigmas: float = 3.0) -> Violat
     """
     if sigma <= 0:
         raise DomainError(f"sigma must be positive, got {sigma}")
+    if not 0 < threshold_sigmas < math.inf:
+        raise DomainError(f"threshold must be positive and finite, got {threshold_sigmas}")
     s_dist = (D_DISTINGUISHABLE - d_obs) / sigma
     s_mf = (D_MEAN_FIELD - d_obs) / sigma
     if s_dist >= threshold_sigmas and s_mf >= threshold_sigmas:

@@ -316,20 +316,25 @@ def circuit_from_json(obj) -> QfftCircuit:
         m = int(obj["m"])
         raw_layers = obj["layers"]
         raw_swaps = obj["relabeling"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"circuit object needs 'p', 'm', 'layers', 'relabeling': {exc}") from exc
-    layers = []
-    for raw in raw_layers:
-        layers.append(
+    if not 0 <= p <= SYNTH_CAP:
+        raise ValidationError(f"layer count p must be in 0..{SYNTH_CAP}, got {p}")
+    try:
+        layers = [
             Layer(
                 step=int(raw["step"]),
                 couplers=tuple((int(a) - 1, int(b) - 1) for a, b in raw["couplers"]),
                 phases={int(t) - 1: float(v) for t, v in raw.get("phases", {}).items()},
             )
-        )
-    relabeling = list(range(m))
-    for a, b in raw_swaps:
-        relabeling[int(a) - 1], relabeling[int(b) - 1] = int(b) - 1, int(a) - 1
+            for raw in raw_layers
+        ]
+        # sized by p, not by the unchecked m, which validate_circuit compares with 2^p
+        relabeling = list(range(1 << p))
+        for a, b in raw_swaps:
+            relabeling[int(a) - 1], relabeling[int(b) - 1] = int(b) - 1, int(a) - 1
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError, OverflowError) as exc:
+        raise ValidationError(f"malformed circuit layers or relabeling: {exc}") from exc
     circuit = QfftCircuit(p=p, m=m, layers=tuple(layers), output_relabeling=tuple(relabeling))
     validate_circuit(circuit)
     return circuit

@@ -2,8 +2,8 @@
 
 Everything derives from :class:`QfftError` so callers can catch the whole
 family at once; the leaf classes also subclass the matching builtin
-(``ValueError``, ``IndexError``, ``ArithmeticError``) so generic numpy-style
-error handling keeps working.
+(``ValueError``, ``ArithmeticError``) so generic numpy-style error handling
+keeps working.
 """
 
 
@@ -13,10 +13,6 @@ class QfftError(Exception):
 
 class ShapeError(QfftError, ValueError):
     """Matrix or vector dimensions are incompatible with the operation."""
-
-
-class BoundsError(QfftError, IndexError):
-    """A mode or matrix index lies outside the valid range."""
 
 
 class DomainError(QfftError, ValueError):

@@ -104,15 +104,11 @@ def unitarity_defect(u) -> float:
     return float(np.max(np.abs(u.conj().T @ u - eye)))
 
 
-def is_unitary(u, tol: float = DEFAULT_TOL) -> bool:
-    return unitarity_defect(u) <= tol
-
-
 def assert_unitary(u, tol: float = DEFAULT_TOL, what: str = "matrix") -> np.ndarray:
     """Return ``u`` as a complex ndarray, raising ValidationError if not unitary."""
     u = as_complex_matrix(u)
     defect = unitarity_defect(u)
-    if defect > tol:
+    if not defect <= tol:  # a NaN defect or tolerance fails too
         raise ValidationError(f"{what} is not unitary: max |U^dag U - I| = {defect:.3e} > {tol:.1e}")
     return u
 
@@ -141,12 +137,15 @@ def matrix_from_json(obj) -> np.ndarray:
     try:
         rows = int(obj["rows"])
         cols = int(obj["cols"])
-        entries = obj["entries"]
-    except (KeyError, TypeError) as exc:
+        entries = list(obj["entries"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"matrix object needs 'rows', 'cols' and 'entries': {exc}") from exc
     if rows < 0 or cols < 0:
         raise ValidationError(f"matrix dimensions must be non-negative, got {rows}x{cols}")
     if len(entries) != rows * cols:
         raise ValidationError(f"expected {rows * cols} entries, got {len(entries)}")
-    flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
+    try:
+        flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"matrix entries must be [re, im] number pairs: {exc}") from exc
     return flat.reshape(rows, cols)

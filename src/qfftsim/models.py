@@ -29,11 +29,14 @@ from .fourier import (
     output_count,
     photon_number,
 )
-from .linalg import PERMANENT_CAP, assert_unitary, permanent
+from .linalg import DEFAULT_TOL, PERMANENT_CAP, assert_unitary, permanent
 
 FOCK = "fock"
 DISTINGUISHABLE = "distinguishable"
 MEAN_FIELD = "mean_field"
+
+#: Monte Carlo phase draws of a mean-field average by default.
+DEFAULT_SAMPLES = 64
 
 #: Probabilities more negative than this raise instead of being clamped.
 CLAMP_FLOOR = -1e-12
@@ -158,7 +161,7 @@ def _permanent_table(mat: np.ndarray, state: FockState, n: int, cap: int):
     return outs, t_fact, perms
 
 
-def fock_distribution(u, input_state, *, unitary_id=None, tol=1e-10, cap=PERMANENT_CAP) -> OutcomeDistribution:
+def fock_distribution(u, input_state, *, unitary_id=None, tol=DEFAULT_TOL, cap=PERMANENT_CAP) -> OutcomeDistribution:
     """Outcome distribution for indistinguishable photons.
 
     P(T | S) = |perm(U[T, S])|^2 / (prod_k s_k! * prod_k t_k!) where the
@@ -173,7 +176,7 @@ def fock_distribution(u, input_state, *, unitary_id=None, tol=1e-10, cap=PERMANE
     return OutcomeDistribution(FOCK, state, dict(zip(outs, probs.tolist())), unitary_id=unitary_id)
 
 
-def distinguishable_distribution(u, input_state, *, unitary_id=None, tol=1e-10, cap=PERMANENT_CAP) -> OutcomeDistribution:
+def distinguishable_distribution(u, input_state, *, unitary_id=None, tol=DEFAULT_TOL, cap=PERMANENT_CAP) -> OutcomeDistribution:
     """Outcome distribution for fully distinguishable particles.
 
     Classical mixing: P(T | S) = perm(W[T, S]) / prod_k t_k! with
@@ -214,34 +217,15 @@ def _mean_field_shots(u, modes, thetas, rows, coeff) -> np.ndarray:
     return pi[:, rows].prod(axis=2) * coeff
 
 
-def single_shot_mean_field(u, input_state, thetas) -> dict[FockState, float]:
-    """Multinomial outcome distribution for one definite phase draw.
-
-    Every particle occupies the single-particle state
-    ``sum_r exp(i theta_r) |j_r> / sqrt(n)`` over the occupied input modes
-    ``j_r``; outputs follow the multinomial of the single-particle output
-    probabilities.
-    """
-    u = np.asarray(u, dtype=complex)
-    modes = _require_cyclic(input_state)
-    n = len(modes)
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.shape != (n,):
-        raise DomainError(f"need {n} phases, got shape {thetas.shape}")
-    outs, rows, t_fact = _outcomes(n, u.shape[0])
-    shot = _mean_field_shots(u, modes, thetas[None, :], rows, math.factorial(n) / t_fact)
-    return dict(zip(outs, shot[0].tolist()))
-
-
 def mean_field_distribution(
     u,
     input_state,
     method: str = "quadrature",
-    samples: int = 64,
+    samples: int = DEFAULT_SAMPLES,
     seed=None,
     *,
     unitary_id=None,
-    tol=1e-10,
+    tol=DEFAULT_TOL,
 ) -> OutcomeDistribution:
     """Phase-averaged mean-field outcome distribution for a cyclic input.
 
@@ -335,7 +319,7 @@ class CoincidenceCurves:
 
 
 def two_photon_coincidences(
-    u, input_pair, delay_model: DelayModel, delta_x, *, tol=1e-10
+    u, input_pair, delay_model: DelayModel, delta_x, *, tol=DEFAULT_TOL
 ) -> CoincidenceCurves:
     """Coincidence curves Q_ij(dx) for a collision-free two-photon input.
 
@@ -358,7 +342,7 @@ def two_photon_coincidences(
     return CoincidenceCurves(input=(a, b), delta_x=dx, quantum=quantum, classical=classical)
 
 
-def full_bunching_visibilities(u, input_pair, *, tol=1e-10) -> dict[int, float]:
+def full_bunching_visibilities(u, input_pair, *, tol=DEFAULT_TOL) -> dict[int, float]:
     """Visibility (C_kk - Q_kk)/C_kk of the both-photons-in-mode-k outcome.
 
     Modes with zero classical bunching probability are omitted. For any

@@ -380,7 +380,7 @@ def problem_to_json(problem: ReconstructionProblem) -> dict:
 
 def problem_from_json(obj) -> ReconstructionProblem:
     try:
-        template = circuit_from_json(obj["template"])
+        raw_template = obj["template"]
         free = tuple((int(step), int(mode) - 1) for step, mode in obj["free_phases"])
         singles = {
             (int(e["input"]) - 1, int(e["output"]) - 1): float(e["p"])
@@ -393,9 +393,9 @@ def problem_from_json(obj) -> ReconstructionProblem:
             ): (float(e["v"]), float(e["sigma"]))
             for e in obj.get("visibilities", [])
         }
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError, OverflowError) as exc:
         raise ValidationError(f"malformed reconstruction problem: {exc}") from exc
-    return ReconstructionProblem(template, free, singles, visibilities)
+    return ReconstructionProblem(circuit_from_json(raw_template), free, singles, visibilities)
 
 
 def result_to_json(result: ReconstructionResult) -> dict:

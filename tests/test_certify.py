@@ -316,6 +316,11 @@ class TestCertify:
         with pytest.raises(DomainError):
             certify(0.1, sigma=0.0)
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), 0.0, -5.0])
+    def test_rejects_a_threshold_that_is_not_positive_and_finite(self, threshold):
+        with pytest.raises(DomainError, match="threshold"):
+            certify(0.4, sigma=0.01, threshold_sigmas=threshold)
+
 
 class TestReferenceCounts:
     def test_plateau_rule_uses_two_extremes(self):

@@ -102,13 +102,13 @@ class TestComposition:
             circuit_to_unitary(bad)
 
     def test_result_is_unitary(self):
-        from qfftsim.linalg import is_unitary
+        from qfftsim.linalg import DEFAULT_TOL, unitarity_defect
 
         rng = np.random.default_rng(5)
         c = synthesize_qfft(3)
         positions = nontrivial_phase_positions(c)
         c = perturb_circuit(c, {pos: rng.uniform(0, 2 * np.pi) for pos in positions})
-        assert is_unitary(circuit_to_unitary(c))
+        assert unitarity_defect(circuit_to_unitary(c)) <= DEFAULT_TOL
 
 
     def test_layer_steps_must_run_in_order(self):
@@ -239,3 +239,20 @@ class TestCircuitJson:
     def test_malformed_rejected(self):
         with pytest.raises(ValidationError):
             circuit_from_json({"p": 1, "m": 2})
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"p": -1},
+            {"p": 10**6, "m": 2},
+            {"p": float("inf")},
+            {"layers": [[1]]},
+            {"layers": [{"step": 1, "couplers": [[1]]}]},
+            {"layers": [{"step": 1, "couplers": [[1, 2]], "phases": [1.0]}]},
+            {"relabeling": [[1, 99]]},
+            {"relabeling": [["a", 2]]},
+        ],
+    )
+    def test_malformed_values_rejected(self, change):
+        with pytest.raises(ValidationError):
+            circuit_from_json({**circuit_to_json(synthesize_qfft(1)), **change})

@@ -9,22 +9,36 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from qfftsim import cli
 from qfftsim.certify import MAX_TRIALS, read_coincidence_csv
+from qfftsim.circuit import (
+    SYNTH_CAP,
+    circuit_to_unitary,
+    nontrivial_phase_positions,
+    set_phases,
+    synthesize_qfft,
+)
 from qfftsim.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_VALIDATION,
     DEFAULT_SEED,
     MAX_POINTS,
-    RunConfig,
+    MAX_RECORDS,
     derived_seed,
     main,
-    run,
     simulate_experiment,
 )
 from qfftsim.errors import DomainError
 from qfftsim.fourier import occupied_modes, partition_outputs, qft_matrix
+from qfftsim.linalg import matrix_to_json
 from qfftsim.models import DelayModel, fock_distribution, two_photon_coincidences
+from qfftsim.reconstruct import (
+    ReconstructionProblem,
+    problem_to_json,
+    singles_from_unitary,
+    visibilities_from_unitary,
+)
 
 from oracles import simulated_counts_loop
 
@@ -108,6 +122,18 @@ class TestEvolveCommand:
                 "--out", str(tmp_path / "d.json")]
         assert run_cli(*args) == EXIT_VALIDATION
         assert run_cli(*args, "--tol", "1e-4") == EXIT_OK
+
+    def test_non_finite_unitary_exits_2(self, tmp_path, capsys):
+        u = matrix_to_json(qft_matrix(4))
+        u["entries"][5] = [float("nan"), 0.0]
+        u_path = tmp_path / "nan.json"
+        u_path.write_text(json.dumps(u))
+        code = run_cli("evolve", "--unitary", str(u_path), "--input", "1,3",
+                       "--out", str(tmp_path / "d.json"))
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert "is not unitary" in err
+        assert not (tmp_path / "d.json").exists()
 
     def test_mean_field_model(self, tmp_path):
         out = tmp_path / "mf.json"
@@ -290,6 +316,15 @@ class TestCurveAndCertify:
         assert run_cli("simulate", "--modes", "8", "--input", "1,2", "--points", "5",
                        "--out", str(tmp_path / "counts.csv")) == EXIT_OK
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "0", "-5"])
+    def test_threshold_not_positive_and_finite_exits_2(self, threshold, dataset, tmp_path, capsys):
+        code = run_cli("certify", "--data", str(dataset), "--modes", "4", "--input", "2,4",
+                       "--trials", "10", f"--threshold={threshold}", "--out", str(tmp_path / "r.json"))
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert err.startswith("qfft: invalid input:") and "threshold" in err
+        assert not (tmp_path / "r.json").exists()
+
     def test_certify_missing_input_records(self, dataset, tmp_path, capsys):
         code = run_cli("certify", "--data", str(dataset), "--modes", "4",
                        "--input", "1,3", "--out", str(tmp_path / "r.json"))
@@ -428,6 +463,66 @@ class TestErrorPaths:
         assert not (tmp_path / "x").exists()
 
 
+class TestSizeCaps:
+    @pytest.mark.parametrize("modes", [2**SYNTH_CAP + 1, 3_000_000])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("evolve", "--input", "1,2"),
+            ("simulate", "--input", "1,2"),
+            ("curve", "--data", "counts.csv", "--input", "1,2"),
+            ("certify", "--data", "counts.csv", "--input", "1,2"),
+        ],
+    )
+    def test_modes_above_the_cap_exit_2(self, argv, modes, tmp_path, capsys):
+        code = run_cli(*argv, "--modes", str(modes), "--out", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert err.startswith("qfft: invalid input:")
+        assert f"--modes must be at most {2**SYNTH_CAP}, got {modes}" in err
+
+    def test_modes_at_the_cap_pass_it(self, tmp_path, capsys):
+        # the data file is opened only after the Fourier matrix is built
+        code = run_cli("curve", "--data", str(tmp_path / "missing.csv"), "--modes", str(2**SYNTH_CAP),
+                       "--input", f"1,{2**SYNTH_CAP // 2 + 1}")
+        assert code == EXIT_IO
+        assert "missing.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "modes, points, allowed",
+        [(15, 3000, True), (15, 3001, False), (128, 43, True), (128, 44, False), (1024, 41, False)],
+    )
+    def test_record_cap_at_its_boundary(self, modes, points, allowed, monkeypatch, tmp_path, capsys):
+        size = points * modes * (modes + 1) // 2
+        assert (size <= MAX_RECORDS) == allowed
+        calls = []
+        monkeypatch.setattr(cli, "simulate_experiment", lambda *args, **kwargs: calls.append(args) or [])
+        code = run_cli("simulate", "--modes", str(modes), "--input", "1,2", "--points", str(points),
+                       "--out", str(tmp_path / "counts.csv"))
+        err = capsys.readouterr().err
+        assert len(calls) == allowed
+        if allowed:
+            assert code == EXIT_OK
+        else:
+            assert code == EXIT_VALIDATION
+            assert f"make {size} records, over {MAX_RECORDS}" in err
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)])
+    @pytest.mark.parametrize(
+        "argv", [("synth", "--modes", "4"), ("simulate", "--modes", "4", "--input", "1,3")]
+    )
+    def test_out_file_mode_follows_the_umask(self, argv, umask, mode, tmp_path):
+        out = tmp_path / "artifact"
+        previous = os.umask(umask)
+        try:
+            assert run_cli(*argv, "--out", str(out)) == EXIT_OK
+        finally:
+            os.umask(previous)
+        assert out.stat().st_mode & 0o777 == mode
+
+
 _FORBIDDEN_8 = sorted(
     tuple(occupied_modes(s)) for s in partition_outputs(2, 8, collision_free_only=True).forbidden
 )
@@ -449,6 +544,73 @@ def counts_csv(draw):
     lines = ["input_i,input_j,output_i,output_j,delta_x_um,counts"]
     lines += [f"1,5,{i + 1},{j + 1},{dx!r},{n}" for (i, j), dx, n in rows]
     return "\n".join(lines) + "\n"
+
+
+_JSON_LEAF = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 20), _ANY_FLOAT, st.text(max_size=3)
+)
+_JSON = st.recursive(
+    _JSON_LEAF,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+
+
+@st.composite
+def mutated(draw, obj):
+    """A copy of the JSON value ``obj`` with up to three nodes replaced or deleted,
+    three in four of them below the top level."""
+    obj = json.loads(json.dumps(obj))
+    for _ in range(draw(st.integers(0, 3))):
+        parent, key, node = None, None, obj
+        while isinstance(node, (dict, list)) and node and (parent is None or draw(st.integers(0, 3))):
+            keys = list(node) if isinstance(node, dict) else range(len(node))
+            parent, key = node, draw(st.sampled_from(keys))
+            node = parent[key]
+        if parent is None:
+            obj = draw(_JSON)
+        elif draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = draw(_JSON)
+    return obj
+
+
+_TEMPLATE = synthesize_qfft(2)
+_FREE = tuple(nontrivial_phase_positions(_TEMPLATE))
+_U_TRUE = circuit_to_unitary(set_phases(_TEMPLATE, {_FREE[0]: 2.2}))
+_PROBLEM = problem_to_json(
+    ReconstructionProblem(
+        _TEMPLATE,
+        _FREE,
+        singles_from_unitary(_U_TRUE),
+        visibilities_from_unitary(_U_TRUE, [(0, 1), (0, 2), (1, 3)], 0.02),
+    )
+)
+_MATRIX = matrix_to_json(qft_matrix(4))
+_MODE_LABELS = st.one_of(
+    st.sampled_from(["1,3", "2,4", "1,2", "1,1,3"]),
+    st.lists(st.integers(-1, 10), min_size=1, max_size=4).map(lambda ks: ",".join(map(str, ks))),
+    st.text(max_size=6),
+)
+
+
+def _run_with_files(argv, files):
+    """Exit code and stderr of ``qfft argv --flag=path ...``, one temporary file
+    per ``flag`` in ``files`` holding that JSON value."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = list(argv)
+        for k, (flag, obj) in enumerate(files.items()):
+            path = os.path.join(tmp, f"{k}.json")
+            with open(path, "w") as handle:
+                json.dump(obj, handle)
+            argv.append(f"{flag}={path}")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run_cli(*argv, "--out", os.path.join(tmp, "out"))
+    return code, err.getvalue()
 
 
 class TestFuzz:
@@ -494,6 +656,55 @@ class TestFuzz:
         assert code in (0, 2, 3, 4)
         assert "Traceback" not in err.getvalue()
 
+    @settings(max_examples=60, deadline=None, derandomize=True, phases=(Phase.explicit, Phase.generate))
+    @given(
+        command=st.sampled_from(["synth", "layout"]),
+        modes=st.one_of(st.integers(-4, 70), st.sampled_from([2**SYNTH_CAP, 2**SYNTH_CAP + 1, 10**12])),
+        seed=st.integers(-3, 2**40),
+    )
+    def test_synth_and_layout_end_with_a_documented_exit_code(self, command, modes, seed):
+        code, err = _run_with_files([command, f"--modes={modes}", f"--seed={seed}"], {})
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err
+
+    @settings(max_examples=80, deadline=None, derandomize=True, phases=(Phase.explicit, Phase.generate))
+    @given(
+        source=st.one_of(st.integers(-2, 9), mutated(_MATRIX)),
+        labels=_MODE_LABELS,
+        model=st.sampled_from(["fock", "dist", "mf"]),
+        method=st.sampled_from(["quadrature", "monte_carlo"]),
+        samples=st.integers(-2, 20),
+        tol=st.one_of(st.floats(0, 1), _ANY_FLOAT),
+        seed=st.integers(-3, 2**40),
+    )
+    def test_evolve_ends_with_a_documented_exit_code(self, source, labels, model, method, samples, tol, seed):
+        argv = ["evolve", f"--input={labels}", f"--model={model}", f"--method={method}",
+                f"--samples={samples}", f"--tol={tol!r}", f"--seed={seed}"]
+        if isinstance(source, int):
+            code, err = _run_with_files([*argv, f"--modes={source}"], {})
+        else:
+            code, err = _run_with_files(argv, {"--unitary": source})
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err
+
+    @settings(max_examples=80, deadline=None, derandomize=True, phases=(Phase.explicit, Phase.generate))
+    @given(
+        problem=mutated(_PROBLEM),
+        target=st.one_of(st.none(), st.just("qft"), mutated(_MATRIX)),
+        restarts=st.integers(-2, 3),
+        seed=st.integers(-3, 2**40),
+    )
+    def test_reconstruct_ends_with_a_documented_exit_code(self, problem, target, restarts, seed):
+        argv = ["reconstruct", f"--restarts={restarts}", f"--seed={seed}"]
+        files = {"--problem": problem}
+        if target == "qft":
+            argv.append("--target=qft")
+        elif target is not None:
+            files["--target"] = target
+        code, err = _run_with_files(argv, files)
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err
+
 
 class TestSimulateExperimentFunction:
     def test_rejects_nonpositive_counts(self):
@@ -528,6 +739,8 @@ class TestSeedDerivation:
         assert seeds == {name: derived_seed(DEFAULT_SEED, name) for name in seeds}
 
 
-def test_run_config_unknown_command():
-    with pytest.raises(DomainError):
-        run(RunConfig(command="frobnicate"))
+def test_unknown_command_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["frobnicate"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'frobnicate'" in capsys.readouterr().err

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from qfftsim.errors import CapacityError, ShapeError, ValidationError
 from qfftsim.fourier import qft_matrix
 from qfftsim.linalg import (
+    DEFAULT_TOL,
     assert_unitary,
     fidelity,
     haar_random_unitary,
-    is_unitary,
     matrix_from_json,
     matrix_to_json,
     permanent,
@@ -114,18 +114,23 @@ class TestFidelity:
 class TestUnitarity:
     def test_haar_random_is_unitary(self):
         u = haar_random_unitary(6, np.random.default_rng(4))
-        assert is_unitary(u)
         assert unitarity_defect(u) <= 1e-12
 
     def test_product_preserves_unitarity(self):
         rng = np.random.default_rng(9)
         u = assert_unitary(haar_random_unitary(5, rng))
         v = assert_unitary(haar_random_unitary(5, rng))
-        assert is_unitary(u @ v)
+        assert unitarity_defect(u @ v) <= DEFAULT_TOL
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValidationError):
             assert_unitary(np.ones((2, 2)))
+
+    def test_nan_defect_or_tolerance_fails(self):
+        with pytest.raises(ValidationError):
+            assert_unitary(np.full((2, 2), np.nan))
+        with pytest.raises(ValidationError):
+            assert_unitary(np.eye(2), tol=float("nan"))
 
     def test_haar_seeding_is_reproducible(self):
         a = haar_random_unitary(4, np.random.default_rng(77))
@@ -146,3 +151,18 @@ class TestMatrixJson:
     def test_missing_field(self):
         with pytest.raises(ValidationError):
             matrix_from_json({"rows": 2, "entries": []})
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"rows": "two", "cols": 1, "entries": [[1, 0], [0, 0]]},
+            {"rows": float("inf"), "cols": 1, "entries": []},
+            {"rows": 1, "cols": 1, "entries": 5},
+            {"rows": 1, "cols": 1, "entries": [["1", "0"]]},
+            {"rows": 1, "cols": 1, "entries": [[1, 0, 0]]},
+            {"rows": 1, "cols": 1, "entries": [None]},
+        ],
+    )
+    def test_malformed_values_rejected(self, obj):
+        with pytest.raises(ValidationError):
+            matrix_from_json(obj)

@@ -16,7 +16,6 @@ from qfftsim.models import (
     full_bunching_visibilities,
     is_cyclic_state,
     mean_field_distribution,
-    single_shot_mean_field,
     two_photon_coincidences,
     two_photon_probabilities,
     write_coincidence_curves_csv,
@@ -158,9 +157,9 @@ class TestMeanField:
         assert mass == pytest.approx(0.25, abs=1e-3)
 
     def test_single_shot_is_normalised_multinomial(self):
-        probs = single_shot_mean_field(qft_matrix(4), (1, 0, 1, 0), [0.0, 0.0])
-        assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
-        again = single_shot_mean_field(qft_matrix(4), (1, 0, 1, 0), [0.0, 0.0])
+        probs = mean_field_distribution(qft_matrix(4), (1, 0, 1, 0), "monte_carlo", 1, seed=0)
+        assert sum(probs.probabilities.values()) == pytest.approx(1.0, abs=1e-12)
+        again = mean_field_distribution(qft_matrix(4), (1, 0, 1, 0), "monte_carlo", 1, seed=0)
         assert probs == again
 
     def test_matches_dense_grid_oracle(self):

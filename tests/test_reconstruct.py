@@ -13,7 +13,7 @@ from qfftsim.circuit import (
     set_phases,
     synthesize_qfft,
 )
-from qfftsim.errors import ConvergenceError, DomainError
+from qfftsim.errors import ConvergenceError, DomainError, ValidationError
 from qfftsim.fourier import qft_matrix
 from qfftsim.linalg import fidelity, haar_random_unitary
 from qfftsim.models import distinguishable_distribution, fock_distribution
@@ -355,6 +355,27 @@ class TestSerialisation:
         assert again.free_phases == problem.free_phases
         assert again.singles == pytest.approx(problem.singles)
         assert set(again.visibilities) == set(problem.visibilities)
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("visibilities", 0, "v"), "high"),
+            (("visibilities", 0, "input"), [1]),
+            (("singles", 0, "input"), "one"),
+            (("singles", 0), [1, 2]),
+            (("free_phases", 0), [2]),
+            (("template", "p"), -1),
+        ],
+    )
+    def test_malformed_values_rejected(self, path, value):
+        problem, _, _ = make_problem(2, [1.0])
+        obj = problem_to_json(problem)
+        node = obj
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(ValidationError):
+            problem_from_json(obj)
 
     def test_result_json_shape(self):
         problem, u_true, _ = make_problem(2, [1.0])
