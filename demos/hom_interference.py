@@ -31,15 +31,13 @@ def main():
     print(f"coincidence probabilities for input modes (1, 3), alpha = {model.alpha}:")
     header = "  output   " + "".join(f"  dx={dx:5.0f}" for dx in delays) + "   visibility"
     print(header)
-    for i, j in curves.pairs():
-        c = curves.classical[(i, j)]
+    for (i, j), c, q in zip(curves.pairs, curves.classical, curves.quantum.T):
         if c == 0.0:
             continue
-        q0 = curves.quantum[(i, j)][0]
-        vis = visibility(c, q0)
+        vis = visibility(c, q[0])
         out = tuple(2 if i == j and k == i else int(k in (i, j)) for k in range(m))
         tag = "bunched" if i == j else ("forbidden" if is_suppressed(out, 2) else "allowed")
-        row = "".join(f"  {curves.quantum[(i, j)][idx]:7.4f}" for idx in range(len(delays)))
+        row = "".join(f"  {value:7.4f}" for value in q)
         print(f"  ({i + 1},{j + 1}) {tag:9s}{row}   V = {vis:+.3f}")
 
     print("\nfull-bunching visibilities are -1 for any unitary:")

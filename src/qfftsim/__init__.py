@@ -8,7 +8,7 @@ fourier      Fourier matrices, cyclic inputs, the suppression predicate/partitio
 circuit      butterfly synthesis of the Fourier transform and circuit composition
 layout       planar hypercube waveguide placement for the butterfly circuit
 models       Fock / distinguishable / mean-field output statistics, delay curves
-certify      visibilities, violation degrees, Poissonian Monte Carlo, verdicts
+certify      visibilities, violation curves with Poissonian Monte Carlo, verdicts
 reconstruct  chi-squared phase reconstruction from singles and visibilities
 cli          the ``qfft`` command-line tool
 """
@@ -24,9 +24,7 @@ from .certify import (
     RULES_OUT_NEITHER,
     ViolationReport,
     certify,
-    monte_carlo_errors,
     violation_curve,
-    violation_degree,
     visibility,
 )
 from .circuit import (

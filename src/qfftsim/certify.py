@@ -1,13 +1,15 @@
 """Suppression-law certification from coincidence-counting data.
 
 Given coincidence counts versus relative delay, this module computes HOM
-visibilities, the violation degree D (the classical-probability-weighted
-count ratio summed over the forbidden output pairs), Poissonian Monte Carlo
-error bars, and the hypothesis test against the distinguishable-particle
-and mean-field reference values D = 0.5 and D = 0.25. The Monte Carlo trials
-are Poisson redraws of the counts, drawn in blocks of trials. In a violation
-curve the reference counts and every delay row have their own generator,
-spawned from the one seed, so one row (the zero-delay point of a
+visibilities, the violation curve and the hypothesis test against the
+distinguishable-particle and mean-field reference values D = 0.5 and
+D = 0.25. :func:`violation_curve` is the one place counts become a violation
+degree D (the classical-probability-weighted count ratio summed over the
+forbidden output pairs) and its Poissonian Monte Carlo error bar. It holds
+the counts as one table of delays by forbidden output pairs, plus a row of
+reference counts, and resamples that table with Poisson redraws drawn in
+blocks of trials. The reference row and every delay row have their own
+generator, spawned from the one seed, so one row (the zero-delay point of a
 certification) can be resampled alone and gives exactly its value in the
 full curve.
 """
@@ -44,9 +46,8 @@ MAX_EXPECTED_COUNTS = 1e18
 #: (pairs + 1) bytes: 136 MB for the 16 forbidden pairs of 8 modes at the cap.
 MAX_TRIALS = 10**6
 
-#: Poisson draws per Monte Carlo block of one row (or of the whole table in
-#: ``monte_carlo_errors``). Each generator draws in C order, so results do not
-#: depend on it; it only bounds the memory of the draws.
+#: Poisson draws per Monte Carlo block of one row. Each generator draws in C
+#: order, so results do not depend on it; it only bounds the memory of the draws.
 MC_BLOCK_ENTRIES = 2**16
 
 
@@ -99,40 +100,10 @@ def visibility(c: float, q: float) -> float:
     return (c - q) / c
 
 
-def violation_degree(pc, v) -> float:
-    """D = sum over forbidden pairs of pc * (1 - visibility)."""
-    if set(pc) != set(v):
-        missing = set(pc) ^ set(v)
-        raise DomainError(f"probability and visibility maps disagree on pairs {sorted(missing)}")
-    return float(sum(pc[key] * (1.0 - v[key]) for key in pc))
-
-
 def classical_pair_probabilities(u, input_pair, pairs) -> dict[tuple[int, int], float]:
     """Distinguishable-particle probability of each requested output pair."""
     _, pc = two_photon_probabilities(u, input_pair)
     return {(i, j): float(pc[i, j]) for (i, j) in pairs}
-
-
-def reference_counts(records, pairs=None) -> dict[tuple[int, int], float]:
-    """Distinguishable-reference counts per output pair.
-
-    Default plateau rule: the mean of the counts measured at the two delay
-    values of largest magnitude (or the single extreme value if only one
-    delay was measured).
-    """
-    records = list(records)
-    if not records:
-        raise DomainError("no records to take reference counts from")
-    delays = sorted({r.delta_x for r in records}, key=abs, reverse=True)
-    extremes = delays[:2] if len(delays) >= 2 else delays
-    wanted = set(pairs) if pairs is not None else {r.output for r in records}
-    ref: dict[tuple[int, int], float] = {}
-    for pair in wanted:
-        values = [r.counts for r in records if r.output == pair and r.delta_x in extremes]
-        if not values:
-            raise DomainError(f"no extreme-delay records for output pair {pair}")
-        ref[pair] = float(np.mean(values))
-    return ref
 
 
 def _poisson_blocks(lam, trials, seed):
@@ -153,18 +124,6 @@ def _poisson_blocks(lam, trials, seed):
     )
 
 
-def monte_carlo_errors(counts, statistic, trials: int = DEFAULT_TRIALS, seed=None) -> float:
-    """Poissonian Monte Carlo standard deviation of ``statistic(counts)``.
-
-    Each trial redraws every count from a Poisson law whose mean is the
-    observed count and re-evaluates the statistic; the sample standard
-    deviation over trials is returned. All trials come from one generator
-    seeded with ``seed``.
-    """
-    values = [statistic(draw) for _, draws in _poisson_blocks(counts, trials, seed) for draw in draws]
-    return float(np.std(np.asarray(values, dtype=float), ddof=1))
-
-
 def violation_curve(
     records,
     pc,
@@ -177,12 +136,13 @@ def violation_curve(
     """Observed violation degree versus delay, with Monte Carlo error bars.
 
     ``D(dx) = sum over forbidden pairs of pc * N(dx) / N_ref``. The
-    reference counts default to the plateau rule of :func:`reference_counts`
-    computed from ``records``; explicit ``n_d`` values are treated as
-    measured counts and enter the Monte Carlo resampling like the rest.
-    Each (delay, pair) cell needs exactly one record. Returns
-    ``(delta_x, d_obs, sigma)`` triples sorted by delay, or only the triple
-    of delay ``at``, which must be one of the measured delays.
+    reference counts default to the plateau rule: the mean of the counts at
+    the two delays of largest magnitude (the single delay, if only one was
+    measured), a tie in magnitude going to the negative delay. Explicit
+    ``n_d`` values are treated as measured counts and enter the Monte Carlo
+    resampling like the rest. Each (delay, pair) cell needs exactly one
+    record. Returns ``(delta_x, d_obs, sigma)`` triples sorted by delay, or
+    only the triple of delay ``at``, which must be one of the measured delays.
 
     ``seed`` spawns one generator for each delay row and one for the
     reference counts, so a row's triple does not depend on which other
@@ -214,14 +174,16 @@ def violation_curve(
         raise DomainError(f"missing counts for (delay, pair) combinations {holes[:5]}")
 
     if n_d is None:
-        n_d = reference_counts(records, pairs)
-    missing = [pair for pair in pairs if pair not in n_d]
-    if missing:
-        raise DomainError(f"missing reference counts for pairs {missing}")
-    bad = [pair for pair in pairs if not n_d[pair] > 0]
+        extremes = sorted(range(len(delays)), key=lambda i: (-abs(delays[i]), delays[i]))[:2]
+        lam[-1] = lam[extremes].mean(axis=0)
+    else:
+        missing = [pair for pair in pairs if pair not in n_d]
+        if missing:
+            raise DomainError(f"missing reference counts for pairs {missing}")
+        lam[-1] = [float(n_d[pair]) for pair in pairs]
+    bad = [pair for pair, ref in zip(pairs, lam[-1]) if not ref > 0]
     if bad:
         raise DomainError(f"reference counts must be positive, not for pairs {bad}")
-    lam[-1] = [float(n_d[pair]) for pair in pairs]
 
     weights = np.array([pc[pair] for pair in pairs])
     streams = np.random.SeedSequence(seed).spawn(len(delays) + 1)
@@ -249,8 +211,10 @@ def certify(d_obs: float, sigma: float, threshold_sigmas: float = DEFAULT_THRESH
     value lies more than ``threshold_sigmas`` standard deviations *below* the
     reference 0.5 (0.25).
     """
-    if sigma <= 0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
+    if not math.isfinite(d_obs):
+        raise DomainError(f"d_obs must be finite, got {d_obs}")
+    if not 0 < sigma < math.inf:
+        raise DomainError(f"sigma must be positive and finite, got {sigma}")
     if not 0 < threshold_sigmas < math.inf:
         raise DomainError(f"threshold must be positive and finite, got {threshold_sigmas}")
     s_dist = (D_DISTINGUISHABLE - d_obs) / sigma

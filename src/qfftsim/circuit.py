@@ -77,7 +77,7 @@ def bit_reversal(p: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def synthesize_qfft(p: int, cap: int = SYNTH_CAP) -> QfftCircuit:
+def synthesize_qfft(p: int) -> QfftCircuit:
     """Nominal p-layer butterfly circuit composing to ``qft_matrix(2^p)``.
 
     Layer j pairs the modes differing in bit j (MSB first) and carries the
@@ -85,8 +85,8 @@ def synthesize_qfft(p: int, cap: int = SYNTH_CAP) -> QfftCircuit:
     whose bit j-1 is set, q being the mode's offset within the lower half of
     its step-(j-1) block. Layer 1 carries no phases.
     """
-    if not 1 <= p <= cap:
-        raise DomainError(f"layer count p must be in 1..{cap}, got {p}")
+    if not 1 <= p <= SYNTH_CAP:
+        raise DomainError(f"layer count p must be in 1..{SYNTH_CAP}, got {p}")
     m = 1 << p
     layers = []
     for j in range(1, p + 1):

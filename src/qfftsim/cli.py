@@ -25,7 +25,8 @@ with the permissions the umask gives a new file.
 Exit codes: 0 success, 2 invalid inputs or domain errors, 3 numerical
 failures, 4 I/O or parse errors. ``curve`` and ``certify`` accept only
 cyclic two-photon inputs, the modes m/2 apart that the suppression law
-covers; ``simulate`` takes any pair.
+covers, and refuse a record of that input whose output mode exceeds m;
+``simulate`` takes any pair.
 """
 
 from __future__ import annotations
@@ -107,13 +108,11 @@ def simulate_experiment(
         )
     curves = two_photon_coincidences(u, input_pair, delay_model, delta_x, tol=tol)
     a, b = sorted(curves.input)
-    pairs = curves.pairs()
-    q = np.array([curves.quantum[pair] for pair in pairs], dtype=float).T
-    counts = rng.poisson(expected_counts * np.maximum(q, 0.0))
+    counts = rng.poisson(expected_counts * np.maximum(curves.quantum, 0.0))
     return [
         CoincidenceRecord(input=(a, b), output=pair, delta_x=float(dx), counts=int(n))
         for dx, row in zip(curves.delta_x, counts)
-        for pair, n in zip(pairs, row)
+        for pair, n in zip(curves.pairs, row)
     ]
 
 
@@ -221,6 +220,12 @@ def _analyzed_curve(args, *, at_zero: bool = False):
     records = [r for r in records if r.input == pair]
     if not records:
         raise DomainError(f"no records for input pair {tuple(k + 1 for k in pair)} in {args.data_path}")
+    beyond = next((r.output for r in records if r.output[1] >= m), None)
+    if beyond is not None:
+        raise DomainError(
+            f"{args.data_path} has output pair {tuple(k + 1 for k in beyond)} for input pair "
+            f"{tuple(k + 1 for k in pair)}, beyond the {m} modes of the unitary"
+        )
     pc = classical_pair_probabilities(u, pair, _forbidden_pairs(m))
     at = None
     if at_zero:

@@ -127,7 +127,6 @@ def partition_outputs(
     n: int,
     m: int,
     collision_free_only: bool = False,
-    cap: int = ENUMERATION_CAP,
 ) -> OutputPartition:
     """Enumerate the n-photon, m-mode outputs and split them by the rule of
     :func:`is_suppressed`, applied to all outputs at once."""
@@ -136,8 +135,8 @@ def partition_outputs(
     if m < 1:
         raise DomainError(f"mode count must be >= 1, got {m}")
     count = output_count(n, m, collision_free_only)
-    if count > cap:
-        raise CapacityError(f"{count} output states exceed enumeration cap {cap}")
+    if count > ENUMERATION_CAP:
+        raise CapacityError(f"{count} output states exceed enumeration cap {ENUMERATION_CAP}")
     states = list(enumerate_outputs(n, m, collision_free_only))
     occ = np.array(states, dtype=np.intp).reshape(len(states), m)
     forbidden = frozenset(compress(states, (occ @ np.arange(1, m + 1)) % n != 0))

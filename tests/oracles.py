@@ -5,7 +5,8 @@ literal permutation sum, a circuit is a dense product of one full matrix per
 phase layer, coupler layer and the output permutation, outcome probabilities
 are evaluated one outcome at a time, the mean-field average is a dense phase
 grid, or a sum of permanents over the ways to hand the photons to the input
-modes, and the visibility uncertainty uses first-order error propagation.
+modes, Monte Carlo trials run one per loop iteration, and the reference counts
+of a violation curve come from a scan over the records for each pair.
 """
 
 import math
@@ -146,9 +147,18 @@ def mean_field_grid(u, modes, outputs, grid: int = 64) -> list[float]:
     return [total / grid ** (n - 1) for total in totals]
 
 
-def visibility_sigma_delta(c: float, q: float) -> float:
-    """First-order Poisson propagation of V = (c - q)/c."""
-    return math.sqrt(q**2 / c**3 + q / c**2)
+def plateau_reference(records, pairs) -> dict[tuple[int, int], float]:
+    """Reference counts per output pair by the plateau rule, one record scan per pair.
+
+    The mean of the pair's counts at the two delays of largest magnitude (the
+    single delay, if only one was measured); a tie in magnitude goes to the
+    negative delay.
+    """
+    extremes = sorted({r.delta_x for r in records}, key=lambda dx: (-abs(dx), dx))[:2]
+    return {
+        pair: float(np.mean([r.counts for r in records if r.output == pair and r.delta_x in extremes]))
+        for pair in pairs
+    }
 
 
 def violation_curve_loop(records, pc, n_d, trials: int, seed) -> list[tuple[float, float, float]]:
@@ -188,7 +198,7 @@ def simulated_counts_loop(curves, expected_counts, rng) -> list[tuple[float, tup
     """
     cells = []
     for idx, dx in enumerate(curves.delta_x):
-        for pair in curves.pairs():
-            lam = expected_counts * max(float(curves.quantum[pair][idx]), 0.0)
+        for k, pair in enumerate(curves.pairs):
+            lam = expected_counts * max(float(curves.quantum[idx, k]), 0.0)
             cells.append((float(dx), pair, int(rng.poisson(lam))))
     return cells

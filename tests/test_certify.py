@@ -15,11 +15,8 @@ from qfftsim.certify import (
     RULES_OUT_NEITHER,
     certify,
     classical_pair_probabilities,
-    monte_carlo_errors,
     read_coincidence_csv,
-    reference_counts,
     violation_curve,
-    violation_degree,
     visibility,
     write_coincidence_csv,
 )
@@ -28,7 +25,7 @@ from qfftsim.errors import DomainError, ParseError, UndefinedVisibilityError
 from qfftsim.fourier import occupied_modes, partition_outputs, qft_matrix
 from qfftsim.models import DelayModel
 
-from oracles import violation_curve_loop, visibility_sigma_delta
+from oracles import plateau_reference, violation_curve_loop
 
 # the package exports the function ``certify``, which shadows the module's name
 certify_module = importlib.import_module("qfftsim.certify")
@@ -62,67 +59,6 @@ class TestVisibility:
     def test_zero_reference_undefined(self):
         with pytest.raises(UndefinedVisibilityError):
             visibility(0, 10)
-
-
-class TestViolationDegree:
-    def setup_method(self):
-        self.pc = {pair: 0.125 for pair in forbidden_pairs(4)}
-
-    def test_ideal_fock_gives_zero(self):
-        v = {pair: 1.0 for pair in self.pc}
-        assert violation_degree(self.pc, v) == pytest.approx(0.0)
-
-    def test_no_interference_gives_half(self):
-        v = {pair: 0.0 for pair in self.pc}
-        assert violation_degree(self.pc, v) == pytest.approx(0.5)
-
-    def test_partial_visibility(self):
-        v = {pair: 0.95 for pair in self.pc}
-        assert violation_degree(self.pc, v) == pytest.approx(0.025)
-
-    def test_key_mismatch(self):
-        v = {pair: 1.0 for pair in list(self.pc)[:-1]}
-        with pytest.raises(DomainError):
-            violation_degree(self.pc, v)
-
-
-class TestMonteCarloErrors:
-    def test_all_zero_counts(self):
-        assert monte_carlo_errors([0, 0, 0], statistic=np.sum, trials=100, seed=0) == 0.0
-
-    def test_poisson_width_of_identity(self):
-        sigma = monte_carlo_errors([10000], statistic=lambda c: float(c[0]), seed=1)
-        assert sigma == pytest.approx(100.0, rel=0.05)
-
-    def test_visibility_statistic_matches_delta_method(self):
-        def stat(counts):
-            return visibility(counts[0], counts[1])
-
-        sigma = monte_carlo_errors([1000, 100], statistic=stat, seed=2)
-        assert sigma == pytest.approx(visibility_sigma_delta(1000, 100), rel=0.15)
-
-    def test_requires_two_trials(self):
-        with pytest.raises(DomainError):
-            monte_carlo_errors([10], statistic=np.sum, trials=1)
-
-    def test_deterministic_for_fixed_seed(self):
-        a = monte_carlo_errors([50, 70], statistic=np.sum, trials=200, seed=3)
-        b = monte_carlo_errors([50, 70], statistic=np.sum, trials=200, seed=3)
-        assert a == b
-
-    def test_trials_above_the_cap_rejected(self):
-        with pytest.raises(DomainError, match="trials"):
-            monte_carlo_errors(np.array([5.0]), lambda x: x[0], trials=MAX_TRIALS + 1)
-
-    def test_independent_of_block_size(self, monkeypatch):
-        a = monte_carlo_errors([50, 70], statistic=np.sum, trials=64, seed=4)
-        monkeypatch.setattr(certify_module, "MC_BLOCK_ENTRIES", 1)
-        assert monte_carlo_errors([50, 70], statistic=np.sum, trials=64, seed=4) == a
-
-    @pytest.mark.parametrize("counts", [[1e19], [10**23], [float("nan")], [float("inf")], [-1]])
-    def test_counts_outside_the_sampler_range_rejected(self, counts):
-        with pytest.raises(DomainError, match="Poisson sampler"):
-            monte_carlo_errors(counts, statistic=np.sum, trials=10, seed=0)
 
 
 class TestViolationCurve:
@@ -226,7 +162,7 @@ class TestViolationCurve:
         rng = np.random.default_rng(17)
         delays = np.linspace(-300, 300, 41)
         records = simulate_experiment(u, (0, 4), DelayModel(alpha=0.9), delays, counts, rng)
-        n_d = reference_counts([r for r in records if r.output in pc], sorted(pc))
+        n_d = plateau_reference([r for r in records if r.output in pc], sorted(pc))
         if ref is not None:
             n_d = {pair: ref for pair in pc}
         if block is not None:
@@ -255,8 +191,9 @@ class TestViolationCurve:
 
     def test_trials_above_the_cap_rejected(self):
         records = make_records({0.0: {pair: 100 for pair in self.pairs}})
-        with pytest.raises(DomainError, match="trials"):
-            violation_curve(records, self.pc, trials=MAX_TRIALS + 1)
+        for trials in (1, MAX_TRIALS + 1):  # a spread needs two trials
+            with pytest.raises(DomainError, match="trials"):
+                violation_curve(records, self.pc, trials=trials)
 
     def test_sigma_independent_of_block_size(self, monkeypatch):
         records = make_records(
@@ -316,6 +253,16 @@ class TestCertify:
         with pytest.raises(DomainError):
             certify(0.1, sigma=0.0)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_rejects_a_sigma_outside_zero_to_infinity(self, sigma):
+        with pytest.raises(DomainError, match="sigma"):
+            certify(0.1, sigma=sigma)
+
+    @pytest.mark.parametrize("d_obs", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_a_d_obs_that_is_not_finite(self, d_obs):
+        with pytest.raises(DomainError, match="d_obs"):
+            certify(d_obs, sigma=0.01)
+
     @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), 0.0, -5.0])
     def test_rejects_a_threshold_that_is_not_positive_and_finite(self, threshold):
         with pytest.raises(DomainError, match="threshold"):
@@ -323,8 +270,11 @@ class TestCertify:
 
 
 class TestReferenceCounts:
+    """The plateau rule ``violation_curve`` applies when no reference counts are given."""
+
     def test_plateau_rule_uses_two_extremes(self):
         pairs = forbidden_pairs(4)
+        pc = {pair: 0.125 for pair in pairs}
         records = make_records(
             {
                 -300.0: {pair: 100 for pair in pairs},
@@ -332,12 +282,28 @@ class TestReferenceCounts:
                 300.0: {pair: 110 for pair in pairs},
             }
         )
-        ref = reference_counts(records)
-        assert all(ref[pair] == pytest.approx(105.0) for pair in pairs)
+        by_dx = {dx: d for dx, d, _ in violation_curve(records, pc, trials=10, seed=0)}
+        assert by_dx[0.0] == pytest.approx(0.5 * 5 / 105.0)
+        assert by_dx[-300.0] == pytest.approx(0.5 * 100 / 105.0)
 
     def test_single_delay_falls_back(self):
         records = make_records({0.0: {(0, 1): 42}})
-        assert reference_counts(records)[(0, 1)] == pytest.approx(42.0)
+        assert violation_curve(records, {(0, 1): 0.125}, trials=10, seed=0)[0][1] == 0.125
+
+    def test_a_tie_in_magnitude_goes_to_the_negative_delay(self):
+        pairs = forbidden_pairs(4)
+        pc = {pair: 0.125 for pair in pairs}
+        records = make_records(
+            {
+                -300.0: {pair: 100 for pair in pairs},
+                -250.0: {pair: 120 for pair in pairs},
+                250.0: {pair: 80 for pair in pairs},
+            }
+        )
+        by_dx = {dx: d for dx, d, _ in violation_curve(records, pc, trials=10, seed=0)}
+        assert by_dx[250.0] == pytest.approx(0.5 * 80 / 110.0)
+        explicit = violation_curve(records, pc, plateau_reference(records, pairs), trials=10, seed=0)
+        assert violation_curve(records, pc, trials=10, seed=0) == explicit
 
 
 class TestClassicalPairProbabilities:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from qfftsim import cli
+from qfftsim import cli, models, reconstruct
 from qfftsim.certify import MAX_TRIALS, read_coincidence_csv
 from qfftsim.circuit import (
     SYNTH_CAP,
@@ -325,6 +325,28 @@ class TestCurveAndCertify:
         assert err.startswith("qfft: invalid input:") and "threshold" in err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("command", ["curve", "certify"])
+    def test_output_mode_beyond_m_exits_2(self, command, tmp_path, capsys):
+        data = tmp_path / "counts.csv"
+        assert run_cli("simulate", "--modes", "16", "--input", "1,5", "--points", "5",
+                       "--out", str(data)) == EXIT_OK
+        code = run_cli(command, "--data", str(data), "--modes", "8", "--input", "1,5",
+                       "--trials", "10", "--out", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert err.startswith("qfft: invalid input:")
+        assert "output pair (1, 9) for input pair (1, 5), beyond the 8 modes" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["curve", "certify"])
+    def test_output_mode_beyond_m_of_another_input_pair_skipped(self, command, tmp_path):
+        data = tmp_path / "counts.csv"
+        assert run_cli("simulate", "--modes", "8", "--input", "1,5", "--points", "5",
+                       "--out", str(data)) == EXIT_OK
+        data.write_text(data.read_text() + "2,6,1,16,0.0,5\n")
+        assert run_cli(command, "--data", str(data), "--modes", "8", "--input", "1,5",
+                       "--trials", "10", "--out", str(tmp_path / "out")) == EXIT_OK
+
     def test_certify_missing_input_records(self, dataset, tmp_path, capsys):
         code = run_cli("certify", "--data", str(dataset), "--modes", "4",
                        "--input", "1,3", "--out", str(tmp_path / "r.json"))
@@ -332,30 +354,26 @@ class TestCurveAndCertify:
         assert "no records" in capsys.readouterr().err
 
 
-class TestReconstructCommand:
-    def test_small_problem(self, tmp_path):
-        from qfftsim.circuit import nontrivial_phase_positions, set_phases, synthesize_qfft, circuit_to_unitary
-        from qfftsim.reconstruct import (
-            ReconstructionProblem,
-            problem_to_json,
-            singles_from_unitary,
-            visibilities_from_unitary,
-        )
+@pytest.fixture()
+def problem4(tmp_path):
+    """A 4-mode problem file whose one free phase is 2.2."""
+    template = synthesize_qfft(2)
+    free = tuple(nontrivial_phase_positions(template))
+    u_true = circuit_to_unitary(set_phases(template, {free[0]: 2.2}))
+    pairs = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    problem = ReconstructionProblem(
+        template, free, singles_from_unitary(u_true), visibilities_from_unitary(u_true, pairs, 0.02)
+    )
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem_to_json(problem)))
+    return path
 
-        template = synthesize_qfft(2)
-        free = tuple(nontrivial_phase_positions(template))
-        true = set_phases(template, {free[0]: 2.2})
-        u_true = circuit_to_unitary(true)
-        pairs = [(a, b) for a in range(4) for b in range(a + 1, 4)]
-        problem = ReconstructionProblem(
-            template, free, singles_from_unitary(u_true),
-            visibilities_from_unitary(u_true, pairs, 0.02),
-        )
-        prob_path = tmp_path / "problem.json"
-        prob_path.write_text(json.dumps(problem_to_json(problem)))
+
+class TestReconstructCommand:
+    def test_small_problem(self, problem4, tmp_path):
         out = tmp_path / "result.json"
         assert (
-            run_cli("reconstruct", "--problem", str(prob_path), "--target", "qft",
+            run_cli("reconstruct", "--problem", str(problem4), "--target", "qft",
                     "--restarts", "4", "--seed", "5", "--out", str(out))
             == EXIT_OK
         )
@@ -506,6 +524,41 @@ class TestSizeCaps:
         else:
             assert code == EXIT_VALIDATION
             assert f"make {size} records, over {MAX_RECORDS}" in err
+
+    @pytest.mark.parametrize("samples", [models.MAX_SAMPLES + 1, 10**12])
+    def test_samples_above_the_cap_exit_2(self, samples, tmp_path, capsys):
+        code = run_cli("evolve", "--modes", "4", "--input", "1,3", "--model", "mf", "--method",
+                       "monte_carlo", "--samples", str(samples), "--out", str(tmp_path / "mf.json"))
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert err.startswith("qfft: invalid input:")
+        assert f"samples must be in [1, {models.MAX_SAMPLES}], got {samples}" in err
+        assert not (tmp_path / "mf.json").exists()
+
+    def test_samples_cap_at_its_boundary(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(models, "MAX_SAMPLES", 5)
+        argv = ("evolve", "--modes", "4", "--input", "1,3", "--model", "mf", "--method", "monte_carlo")
+        assert run_cli(*argv, "--samples", "5", "--out", str(tmp_path / "mf.json")) == EXIT_OK
+        assert run_cli(*argv, "--samples", "6", "--out", str(tmp_path / "mf.json")) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("restarts", [reconstruct.MAX_RESTARTS + 1, 10**12])
+    def test_restarts_above_the_cap_exit_2(self, restarts, problem4, tmp_path, capsys):
+        code = run_cli("reconstruct", "--problem", str(problem4), "--restarts", str(restarts),
+                       "--out", str(tmp_path / "result.json"))
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert err.startswith("qfft: invalid input:")
+        assert f"restarts must be in [1, {reconstruct.MAX_RESTARTS}], got {restarts}" in err
+        assert not (tmp_path / "result.json").exists()
+
+    def test_restarts_cap_at_its_boundary(self, problem4, monkeypatch, tmp_path):
+        monkeypatch.setattr(reconstruct, "MAX_RESTARTS", 3)
+        out = tmp_path / "result.json"
+        assert run_cli("reconstruct", "--problem", str(problem4), "--restarts", "4",
+                       "--out", str(out)) == EXIT_VALIDATION
+        assert run_cli("reconstruct", "--problem", str(problem4), "--restarts", "3",
+                       "--out", str(out)) == EXIT_OK
+        assert len(json.loads(out.read_text())["restarts"]) == 3
 
 
 class TestOutputFiles:

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -18,7 +17,6 @@ from qfftsim.models import (
     mean_field_distribution,
     two_photon_coincidences,
     two_photon_probabilities,
-    write_coincidence_curves_csv,
 )
 
 from oracles import (
@@ -192,6 +190,16 @@ class TestMeanField:
         with pytest.raises(DomainError):
             mean_field_distribution(qft_matrix(4), (1, 1, 0, 0))
 
+    def test_samples_cap_at_its_boundary(self, monkeypatch):
+        for samples in (0, models.MAX_SAMPLES + 1, 10**12):
+            with pytest.raises(DomainError, match="samples"):
+                mean_field_distribution(qft_matrix(4), (1, 0, 1, 0), "monte_carlo", samples, seed=0)
+        monkeypatch.setattr(models, "MAX_SAMPLES", 5)
+        with pytest.raises(DomainError, match=r"samples must be in \[1, 5\], got 6"):
+            mean_field_distribution(qft_matrix(4), (1, 0, 1, 0), "monte_carlo", 6, seed=0)
+        dist = mean_field_distribution(qft_matrix(4), (1, 0, 1, 0), "monte_carlo", 5, seed=0)
+        assert dist.total() == pytest.approx(1.0, abs=1e-12)
+
     def test_cyclic_detection(self):
         assert is_cyclic_state((1, 0, 1, 0))
         assert is_cyclic_state((0, 1, 0, 0, 0, 1, 0, 0))
@@ -278,30 +286,27 @@ class TestCoincidenceCurves:
         curves = two_photon_coincidences(
             qft_matrix(4), (0, 2), DelayModel(alpha=0.95), delta_x=[1e6]
         )
-        for pair in curves.pairs():
-            assert curves.quantum[pair][0] == pytest.approx(curves.classical[pair], abs=1e-12)
+        np.testing.assert_allclose(curves.quantum[0], curves.classical, rtol=0, atol=1e-12)
 
     def test_zero_delay_perfect_source_suppresses(self):
         curves = two_photon_coincidences(
             qft_matrix(4), (0, 2), DelayModel(alpha=1.0), delta_x=[0.0]
         )
         for pair in forbidden_pairs(4):
-            assert curves.quantum[pair][0] == pytest.approx(0.0, abs=1e-12)
+            assert curves.quantum[0, curves.pairs.index(pair)] == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_delay_alpha_residual(self):
         curves = two_photon_coincidences(
             qft_matrix(4), (0, 2), DelayModel(alpha=0.95), delta_x=[0.0]
         )
         for pair in forbidden_pairs(4):
-            assert curves.quantum[pair][0] == pytest.approx(
-                0.05 * curves.classical[pair], abs=1e-12
-            )
+            k = curves.pairs.index(pair)
+            assert curves.quantum[0, k] == pytest.approx(0.05 * curves.classical[k], abs=1e-12)
 
     def test_monotone_in_overlap(self):
         dx = np.linspace(0.0, 400.0, 30)
         curves = two_photon_coincidences(qft_matrix(4), (0, 1), DelayModel(alpha=0.9), dx)
-        for pair in curves.pairs():
-            q = curves.quantum[pair]
+        for pair, q in zip(curves.pairs, curves.quantum.T):
             diffs = np.diff(q)
             assert np.all(diffs >= -1e-12) or np.all(diffs <= 1e-12), pair
 
@@ -309,17 +314,12 @@ class TestCoincidenceCurves:
         u = haar_random_unitary(4, np.random.default_rng(3))
         curves = two_photon_coincidences(u, (0, 3), DelayModel(alpha=1.0), [0.0, 1e9])
         pq, pc = two_photon_probabilities(u, (0, 3))
-        for i, j in curves.pairs():
-            assert curves.quantum[(i, j)][0] == pytest.approx(pq[i, j], abs=1e-12)
-            assert curves.quantum[(i, j)][1] == pytest.approx(pc[i, j], abs=1e-12)
-
-    def test_csv_format(self):
-        curves = two_photon_coincidences(qft_matrix(2), (0, 1), DelayModel(), [0.0, 50.0])
-        buffer = io.StringIO()
-        write_coincidence_curves_csv(curves, buffer)
-        lines = buffer.getvalue().strip().splitlines()
-        assert lines[0] == "delta_x,output_i,output_j,Q,C"
-        assert len(lines) == 1 + 2 * 3  # two delays, three output pairs
+        assert curves.pairs == tuple((i, j) for i in range(4) for j in range(i, 4))
+        assert curves.quantum.shape == (2, 10) and curves.classical.shape == (10,)
+        for k, (i, j) in enumerate(curves.pairs):
+            assert curves.quantum[0, k] == pytest.approx(pq[i, j], abs=1e-12)
+            assert curves.quantum[1, k] == pytest.approx(pc[i, j], abs=1e-12)
+            assert curves.classical[k] == pc[i, j]
 
     def test_rejects_bunched_input(self):
         with pytest.raises(DomainError):
@@ -381,8 +381,6 @@ class TestDelayModel:
             DelayModel(alpha=1.2)
         with pytest.raises(DomainError):
             DelayModel(coherence_length=0.0)
-        with pytest.raises(DomainError):
-            DelayModel(shape="boxcar")
         for length in (float("nan"), float("inf")):
             with pytest.raises(DomainError, match="positive and finite"):
                 DelayModel(coherence_length=length)

@@ -239,6 +239,16 @@ class TestFitPhases:
         with pytest.raises(ConvergenceError):
             fit_phases(problem, restarts=3, seed=0)
 
+    def test_restarts_cap_at_its_boundary(self, monkeypatch):
+        problem, _, _ = make_problem(2, [1.0])
+        for restarts in (0, reconstruct.MAX_RESTARTS + 1, 10**12):
+            with pytest.raises(DomainError, match="restarts"):
+                fit_phases(problem, restarts=restarts, seed=0)
+        monkeypatch.setattr(reconstruct, "MAX_RESTARTS", 3)
+        with pytest.raises(DomainError, match=r"restarts must be in \[1, 3\], got 4"):
+            fit_phases(problem, restarts=4, seed=0)
+        assert len(fit_phases(problem, restarts=3, seed=0).restarts) == 3
+
 
 class TestModuliFromSingles:
     def test_exact_qft4(self):
