@@ -189,11 +189,15 @@ class TestViolationCurve:
         with pytest.raises(DomainError, match="no records at delay"):
             violation_curve(records, self.pc, trials=10, seed=0, at=at)
 
+    def test_requires_two_trials(self):
+        records = make_records({0.0: {pair: 100 for pair in self.pairs}})
+        with pytest.raises(DomainError, match="trials"):  # a spread needs two trials
+            violation_curve(records, self.pc, trials=1)
+
     def test_trials_above_the_cap_rejected(self):
         records = make_records({0.0: {pair: 100 for pair in self.pairs}})
-        for trials in (1, MAX_TRIALS + 1):  # a spread needs two trials
-            with pytest.raises(DomainError, match="trials"):
-                violation_curve(records, self.pc, trials=trials)
+        with pytest.raises(DomainError, match="trials"):
+            violation_curve(records, self.pc, trials=MAX_TRIALS + 1)
 
     def test_sigma_independent_of_block_size(self, monkeypatch):
         records = make_records(
