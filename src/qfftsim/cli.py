@@ -59,6 +59,7 @@ from .layout import hypercube_layout
 from .linalg import DEFAULT_TOL, matrix_from_json
 from .models import (
     DEFAULT_SAMPLES,
+    MEAN_FIELD_METHODS,
     DelayModel,
     distinguishable_distribution,
     fock_distribution,
@@ -355,7 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_unitary(p)
     p.add_argument("--input", required=True, help="comma-separated 1-based occupied modes, e.g. 1,3")
     p.add_argument("--model", choices=["dist", "fock", "mf"], default="fock")
-    p.add_argument("--method", choices=["quadrature", "monte_carlo"], default="quadrature",
+    p.add_argument("--method", choices=MEAN_FIELD_METHODS, default=MEAN_FIELD_METHODS[0],
                    help="mean-field averaging method")
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
                    help="Monte Carlo draws for --method monte_carlo (default %(default)s)")

@@ -1,17 +1,17 @@
 """Discrete Fourier unitaries and the two-photon suppression combinatorics.
 
 Fock states are occupation tuples: ``state[k]`` photons in mode ``k``
-(0-based internally). The suppression predicate and the cyclic-input rule are
-stated with 1-based mode labels in user-facing material; conversion happens
-at the function boundary.
+(0-based internally). :func:`enumerate_outputs` lists all outputs at once,
+as an array of occupied modes. The suppression predicate and the
+cyclic-input rule are stated with 1-based mode labels in user-facing
+material; conversion happens at the function boundary.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, compress
-from typing import Iterator
+from itertools import chain, combinations, combinations_with_replacement
 
 import numpy as np
 
@@ -87,14 +87,31 @@ def is_suppressed(output, n: int) -> bool:
     return label_sum % n != 0
 
 
-def enumerate_outputs(n: int, m: int, collision_free_only: bool = False) -> Iterator[FockState]:
-    """All n-photon outputs on m modes in lexicographic occupied-mode order."""
-    if collision_free_only:
-        combos = combinations(range(m), n)
-    else:
-        combos = combinations_with_replacement(range(m), n)
-    for modes in combos:
-        yield occupation_from_modes(modes, m)
+def enumerate_outputs(n: int, m: int, collision_free_only: bool = False) -> np.ndarray:
+    """All n-photon outputs on m modes, as an (N, n) array of occupied modes.
+
+    Each row lists one output's occupied modes with multiplicity, ascending;
+    the rows are in lexicographic order. This is the one place that refuses
+    n < 1, m < 1 and more than :data:`ENUMERATION_CAP` outputs.
+    """
+    if n < 1:
+        raise DomainError(f"photon number must be >= 1, got {n}")
+    if m < 1:
+        raise DomainError(f"mode count must be >= 1, got {m}")
+    count = output_count(n, m, collision_free_only)
+    if count > ENUMERATION_CAP:
+        raise CapacityError(
+            f"{count} outputs of {n} photons on {m} modes exceed enumeration cap {ENUMERATION_CAP}"
+        )
+    combos = combinations if collision_free_only else combinations_with_replacement
+    modes = np.fromiter(chain.from_iterable(combos(range(m), n)), dtype=np.intp, count=count * n)
+    return modes.reshape(count, n)
+
+
+def occupations(rows: np.ndarray, m: int) -> np.ndarray:
+    """(N, m) occupation counts of the (N, n) occupied-mode rows of :func:`enumerate_outputs`."""
+    flat = rows + m * np.arange(len(rows))[:, None]
+    return np.bincount(flat.ravel(), minlength=len(rows) * m).reshape(len(rows), m)
 
 
 def output_count(n: int, m: int, collision_free_only: bool = False) -> int:
@@ -113,15 +130,6 @@ class OutputPartition:
     allowed: frozenset[FockState]
     forbidden: frozenset[FockState]
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "collision_free_only": self.collision_free_only,
-            "allowed": [list(s) for s in sorted(self.allowed)],
-            "forbidden": [list(s) for s in sorted(self.forbidden)],
-        }
-
 
 def partition_outputs(
     n: int,
@@ -129,31 +137,15 @@ def partition_outputs(
     collision_free_only: bool = False,
 ) -> OutputPartition:
     """Enumerate the n-photon, m-mode outputs and split them by the rule of
-    :func:`is_suppressed`, applied to all outputs at once."""
-    if n < 1:
-        raise DomainError(f"photon number must be >= 1, got {n}")
-    if m < 1:
-        raise DomainError(f"mode count must be >= 1, got {m}")
-    count = output_count(n, m, collision_free_only)
-    if count > ENUMERATION_CAP:
-        raise CapacityError(f"{count} output states exceed enumeration cap {ENUMERATION_CAP}")
-    states = list(enumerate_outputs(n, m, collision_free_only))
-    occ = np.array(states, dtype=np.intp).reshape(len(states), m)
-    forbidden = frozenset(compress(states, (occ @ np.arange(1, m + 1)) % n != 0))
+    :func:`is_suppressed`, applied to all outputs at once: the 1-based label
+    sum is the 0-based sum of the occupied modes plus n."""
+    rows = enumerate_outputs(n, m, collision_free_only)
+    occ = occupations(rows, m)
+    suppressed = rows.sum(axis=1) % n != 0
     return OutputPartition(
         n=n,
         m=m,
         collision_free_only=collision_free_only,
-        allowed=frozenset(states) - forbidden,
-        forbidden=forbidden,
-    )
-
-
-def partition_from_json(obj) -> OutputPartition:
-    return OutputPartition(
-        n=int(obj["n"]),
-        m=int(obj["m"]),
-        collision_free_only=bool(obj.get("collision_free_only", False)),
-        allowed=frozenset(tuple(int(x) for x in s) for s in obj["allowed"]),
-        forbidden=frozenset(tuple(int(x) for x in s) for s in obj["forbidden"]),
+        allowed=frozenset(map(tuple, occ[~suppressed].tolist())),
+        forbidden=frozenset(map(tuple, occ[suppressed].tolist())),
     )

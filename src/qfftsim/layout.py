@@ -31,9 +31,8 @@ DEFAULT_ANGLES = (
     math.atan2(1.0, 3.0),
 )
 
-
-def _default_scale(k: int) -> float:
-    return float(2 ** (k // 2))
+#: Relative tolerance of the geometric checks in :func:`validate_layout`.
+GEOMETRY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -52,29 +51,19 @@ class HypercubeLayout:
         }
 
 
-def hypercube_layout(p: int, angles=None, scales=None) -> HypercubeLayout:
+def hypercube_layout(p: int) -> HypercubeLayout:
     """Project the p-cube vertices to the plane and list the per-step edges.
 
     Dimension k (from the least significant bit) contributes the offset
-    vector ``scales[k] * (cos angles[k], sin angles[k])``; defaults follow
-    :data:`DEFAULT_ANGLES` and a 2^(k//2) scale ladder so that more
-    significant bits separate sub-cubes more widely.
+    vector ``2^(k//2) * (cos a_k, sin a_k)``, with a_k from
+    :data:`DEFAULT_ANGLES`; the scale ladder makes more significant bits
+    separate sub-cubes more widely.
     """
     if not 1 <= p <= LAYOUT_CAP:
         raise DomainError(f"layout dimension must be in 1..{LAYOUT_CAP}, got {p}")
-    if angles is None:
-        angles = DEFAULT_ANGLES[:p]
-    if len(angles) < p:
-        raise DomainError(f"need {p} projection angles, got {len(angles)}")
-    if scales is None:
-        scales = [_default_scale(k) for k in range(p)]
-    if len(scales) < p:
-        raise DomainError(f"need {p} projection scales, got {len(scales)}")
-
     m = 1 << p
-    offsets = np.array(
-        [[scales[k] * math.cos(angles[k]), scales[k] * math.sin(angles[k])] for k in range(p)]
-    )
+    offsets = np.array([[math.cos(a), math.sin(a)] for a in DEFAULT_ANGLES[:p]])
+    offsets *= (2.0 ** (np.arange(p) // 2))[:, None]
     vertices = np.zeros((m, 2))
     for mode in range(m):
         for k in range(p):
@@ -96,13 +85,14 @@ def step_edge_vectors(layout: HypercubeLayout, step_index: int) -> np.ndarray:
     return np.array([layout.vertices[b] - layout.vertices[a] for a, b in edges])
 
 
-def validate_layout(layout: HypercubeLayout, tol: float = 1e-9) -> None:
+def validate_layout(layout: HypercubeLayout) -> None:
     """Raise ValidationError unless the geometric invariants hold.
 
     Checks: distinct vertex coordinates; per-step edges of identical length
     and direction (up to sign); no two same-step edges overlap except at
-    shared endpoints.
+    shared endpoints. Tolerances are relative, :data:`GEOMETRY_TOL`.
     """
+    tol = GEOMETRY_TOL
     verts = layout.vertices
     m = verts.shape[0]
     if m != 1 << layout.p:

@@ -20,29 +20,27 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, NumericalError, ShapeError
-from .fourier import (
-    ENUMERATION_CAP,
-    FockState,
-    enumerate_outputs,
-    occupied_modes,
-    output_count,
-    photon_number,
-)
+from .errors import DomainError, NumericalError, ShapeError
+from .fourier import FockState, enumerate_outputs, occupations, occupied_modes, photon_number
 from .linalg import DEFAULT_TOL, PERMANENT_CAP, assert_unitary, permanent
 
 FOCK = "fock"
 DISTINGUISHABLE = "distinguishable"
 MEAN_FIELD = "mean_field"
 
+#: Mean-field averaging methods; the first is the default.
+MEAN_FIELD_METHODS = ("quadrature", "monte_carlo")
+
 #: Monte Carlo phase draws of a mean-field average by default.
 DEFAULT_SAMPLES = 64
 
-#: Most Monte Carlo phase draws of a mean-field average. The draws take
-#: 8 x samples x n bytes. At the cap, ``qfft evolve --model mf --method
+#: Most phase draws of a mean-field average: Monte Carlo ``samples``, or the
+#: (n + 1)^(n - 1) quadrature grid, refused before it is built. The draws take
+#: 8 x draws x n bytes. At the cap, ``qfft evolve --model mf --method
 #: monte_carlo`` peaked at 118 MB RSS (80 MB at the default) and took 1.1 s
 #: for two photons on 4 modes; four photons on 16 modes (3876 outcomes) took
-#: 54 s and 124 MB.
+#: 54 s and 124 MB. The quadrature of 7 photons on 7 modes (262,144 draws)
+#: took 7.3 s and 121 MB; 8 photons would need 4,782,969.
 MAX_SAMPLES = 10**6
 
 #: Probabilities more negative than this raise instead of being clamped.
@@ -137,18 +135,12 @@ def _check_input(u: np.ndarray, input_state) -> tuple[FockState, int]:
 
 
 def _outcomes(n: int, m: int) -> tuple[list[FockState], np.ndarray, np.ndarray]:
-    """The n-photon outputs on m modes (after checking the enumeration cap), each
-    output's occupied modes with multiplicity as an (N, n) array, and its prod_k t_k!."""
-    count = output_count(n, m)
-    if count > ENUMERATION_CAP:
-        raise CapacityError(
-            f"{count} outputs of {n} photons on {m} modes exceed enumeration cap {ENUMERATION_CAP}"
-        )
-    outs = list(enumerate_outputs(n, m))
-    occ = np.array(outs, dtype=np.intp).reshape(len(outs), m)
-    rows = np.repeat(np.tile(np.arange(m), len(outs)), occ.ravel()).reshape(len(outs), n)
+    """The n-photon outputs on m modes as occupation tuples, their occupied
+    modes with multiplicity as an (N, n) array, and each output's prod_k t_k!."""
+    rows = enumerate_outputs(n, m)
+    occ = occupations(rows, m)
     factorials = np.array([math.factorial(k) for k in range(n + 1)], dtype=float)
-    return outs, rows, factorials[occ].prod(axis=1)
+    return list(map(tuple, occ.tolist())), rows, factorials[occ].prod(axis=1)
 
 
 def _permanent_table(mat: np.ndarray, state: FockState, n: int):
@@ -224,7 +216,7 @@ def _mean_field_shots(u, modes, thetas, rows, coeff) -> np.ndarray:
 def mean_field_distribution(
     u,
     input_state,
-    method: str = "quadrature",
+    method: str = MEAN_FIELD_METHODS[0],
     samples: int = DEFAULT_SAMPLES,
     seed=None,
     *,
@@ -242,17 +234,23 @@ def mean_field_distribution(
         probability is a trigonometric polynomial of degree <= n in each
         phase, which that grid integrates without error. ``"monte_carlo"``
         draws ``samples`` uniform phase vectors with the given ``seed`` and
-        also fills ``stderr`` with per-outcome standard errors.
+        also fills ``stderr`` with per-outcome standard errors. Both are
+        refused above :data:`MAX_SAMPLES` draws.
     samples:
         Monte Carlo draws; the quadrature ignores it.
     """
     u = assert_unitary(u, tol=tol, what="evolution matrix")
     state, n = _check_input(u, input_state)
     modes = _require_cyclic(state)
-    if method not in ("quadrature", "monte_carlo"):
+    if method not in MEAN_FIELD_METHODS:
         raise DomainError(f"unknown averaging method {method!r}")
     if method == "monte_carlo" and not 1 <= samples <= MAX_SAMPLES:
         raise DomainError(f"samples must be in [1, {MAX_SAMPLES}], got {samples}")
+    if method == "quadrature" and (n + 1) ** (n - 1) > MAX_SAMPLES:
+        raise DomainError(
+            f"the quadrature of {n} photons needs {(n + 1) ** (n - 1)} phase draws, above the cap "
+            f"{MAX_SAMPLES}; use method='monte_carlo'"
+        )
     outs, rows, t_fact = _outcomes(n, u.shape[0])
     coeff = math.factorial(n) / t_fact
 

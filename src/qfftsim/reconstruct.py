@@ -120,6 +120,10 @@ class ReconstructionResult:
 #: Chi-squared window, relative to max(best, 1), within which a restart reaches the best basin.
 BASIN_RTOL = 1e-6
 
+#: Relative size of the imaginary part that fixes the conjugation branch in
+#: :func:`canonical_gauge`.
+GAUGE_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class _Visibilities:
@@ -321,7 +325,7 @@ def visibilities_from_unitary(u, input_pairs, sigma: float) -> dict:
     return table
 
 
-def canonical_gauge(u, tol: float = 1e-8) -> np.ndarray:
+def canonical_gauge(u) -> np.ndarray:
     """Fix the gauge freedoms left by singles and visibility data.
 
     Output and input mode phases are chosen so the first row and first
@@ -336,7 +340,7 @@ def canonical_gauge(u, tol: float = 1e-8) -> np.ndarray:
     w = w * np.exp(-1j * np.angle(w[:, 0]))[:, None]
     scale = float(np.max(np.abs(w))) or 1.0
     for z in w.ravel():
-        if abs(z.imag) > tol * scale:
+        if abs(z.imag) > GAUGE_TOL * scale:
             if z.imag < 0:
                 w = np.conj(w)
             break

@@ -541,6 +541,17 @@ class TestSizeCaps:
         assert run_cli(*argv, "--samples", "5", "--out", str(tmp_path / "mf.json")) == EXIT_OK
         assert run_cli(*argv, "--samples", "6", "--out", str(tmp_path / "mf.json")) == EXIT_VALIDATION
 
+    def test_quadrature_grid_above_the_cap_exits_2(self, tmp_path, capsys):
+        # eight cyclic photons on eight modes: 9^7 = 4,782,969 quadrature draws
+        code = run_cli("evolve", "--modes", "8", "--input", "1,2,3,4,5,6,7,8", "--model", "mf",
+                       "--out", str(tmp_path / "mf.json"))
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert err.startswith("qfft: invalid input:")
+        assert f"needs 4782969 phase draws, above the cap {models.MAX_SAMPLES}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "mf.json").exists()
+
     @pytest.mark.parametrize("restarts", [reconstruct.MAX_RESTARTS + 1, 10**12])
     def test_restarts_above_the_cap_exit_2(self, restarts, problem4, tmp_path, capsys):
         code = run_cli("reconstruct", "--problem", str(problem4), "--restarts", str(restarts),

@@ -1,7 +1,10 @@
 import math
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfftsim.errors import CapacityError, DomainError
 from qfftsim.fourier import (
@@ -9,8 +12,8 @@ from qfftsim.fourier import (
     enumerate_outputs,
     is_suppressed,
     occupation_from_modes,
+    occupations,
     occupied_modes,
-    partition_from_json,
     partition_outputs,
     qft_matrix,
 )
@@ -118,9 +121,46 @@ class TestPartitionOutputs:
         with pytest.raises(CapacityError):
             partition_outputs(2, 100_000, collision_free_only=True)
 
-    def test_json_round_trip(self):
-        part = partition_outputs(2, 4, collision_free_only=True)
-        assert partition_from_json(part.to_json()) == part
+
+class TestEnumerateOutputs:
+    """The (N, n) occupied-mode array against itertools and the scalar rule."""
+
+    shapes = dict(n=st.integers(1, 5), m=st.integers(1, 8), collision_free_only=st.booleans())
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(**shapes)
+    def test_rows_are_itertools_combinations_in_order(self, n, m, collision_free_only):
+        combos = combinations if collision_free_only else combinations_with_replacement
+        rows = enumerate_outputs(n, m, collision_free_only)
+        assert rows.dtype == np.intp
+        assert rows.shape == (len(list(combos(range(m), n))), n)
+        assert rows.tolist() == [list(c) for c in combos(range(m), n)]
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(**shapes)
+    def test_occupations_round_trip(self, n, m, collision_free_only):
+        rows = enumerate_outputs(n, m, collision_free_only)
+        occ = occupations(rows, m)
+        assert occ.shape == (len(rows), m)
+        assert (occ.sum(axis=1) == n).all()
+        for row, state in zip(rows.tolist(), occ.tolist()):
+            assert occupied_modes(state) == row
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(**shapes)
+    def test_partition_agrees_with_scalar_rule(self, n, m, collision_free_only):
+        combos = combinations if collision_free_only else combinations_with_replacement
+        states = [occupation_from_modes(c, m) for c in combos(range(m), n)]
+        part = partition_outputs(n, m, collision_free_only)
+        assert part.allowed | part.forbidden == set(states)
+        assert not part.allowed & part.forbidden
+        for state in states:
+            assert (state in part.forbidden) == is_suppressed(state, n), state
+
+    @pytest.mark.parametrize("n,m", [(0, 4), (2, 0)])
+    def test_rejects_empty_shapes(self, n, m):
+        with pytest.raises(DomainError):
+            enumerate_outputs(n, m)
 
 
 class TestSuppressionLaw:
@@ -138,7 +178,8 @@ class TestSuppressionLaw:
 
     def test_partition_exhausts_enumeration(self):
         part = partition_outputs(2, 4)
-        assert part.allowed | part.forbidden == set(enumerate_outputs(2, 4))
+        outputs = occupations(enumerate_outputs(2, 4), 4).tolist()
+        assert part.allowed | part.forbidden == set(map(tuple, outputs))
         assert not part.allowed & part.forbidden
 
 

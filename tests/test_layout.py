@@ -61,9 +61,12 @@ def test_steps_pair_single_bits():
 
 
 def test_degenerate_projection_rejected():
-    # single angle repeated: vertices of a square collapse onto a line
-    with pytest.raises(ValidationError):
-        hypercube_layout(2, angles=[0.0, 0.0], scales=[1.0, 1.0])
+    # one offset (1, 0) for both bits: the square collapses onto a line and
+    # vertices 1 and 2 coincide
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    lay = HypercubeLayout(p=2, vertices=verts, steps=(((0, 2), (1, 3)), ((0, 1), (2, 3))))
+    with pytest.raises(ValidationError, match="vertices 1 and 2 coincide"):
+        validate_layout(lay)
 
 
 def test_overlap_rejected():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qfftsim import models
+from qfftsim import fourier, models
 from qfftsim.errors import CapacityError, DomainError, ValidationError
 from qfftsim.fourier import occupation_from_modes, occupied_modes, partition_outputs, qft_matrix
 from qfftsim.linalg import haar_random_unitary
@@ -200,6 +200,16 @@ class TestMeanField:
         dist = mean_field_distribution(qft_matrix(4), (1, 0, 1, 0), "monte_carlo", 5, seed=0)
         assert dist.total() == pytest.approx(1.0, abs=1e-12)
 
+    def test_quadrature_grid_cap_at_its_boundary(self, monkeypatch):
+        # two photons average over a grid of (2 + 1)^1 = 3 phase draws
+        monkeypatch.setattr(models, "MAX_SAMPLES", 2)
+        refused = "needs 3 phase draws, above the cap 2; use method='monte_carlo'"
+        with pytest.raises(DomainError, match=refused):
+            mean_field_distribution(qft_matrix(4), (1, 0, 1, 0))
+        monkeypatch.setattr(models, "MAX_SAMPLES", 3)
+        dist = mean_field_distribution(qft_matrix(4), (1, 0, 1, 0))
+        assert dist.total() == pytest.approx(1.0, abs=1e-12)
+
     def test_cyclic_detection(self):
         assert is_cyclic_state((1, 0, 1, 0))
         assert is_cyclic_state((0, 1, 0, 0, 0, 1, 0, 0))
@@ -274,11 +284,27 @@ class TestEnumerationCap:
             make(qft_matrix(256), occupation_from_modes([0, 64, 128, 192], 256))
 
     def test_boundary(self, monkeypatch):
-        monkeypatch.setattr(models, "ENUMERATION_CAP", 9)
+        monkeypatch.setattr(fourier, "ENUMERATION_CAP", 9)
         with pytest.raises(CapacityError):
             fock_distribution(qft_matrix(4), (1, 0, 1, 0))
-        monkeypatch.setattr(models, "ENUMERATION_CAP", 10)
+        monkeypatch.setattr(fourier, "ENUMERATION_CAP", 10)
         assert len(fock_distribution(qft_matrix(4), (1, 0, 1, 0)).probabilities) == 10
+
+    @pytest.mark.parametrize(
+        "enumerate_",
+        [
+            lambda: fock_distribution(qft_matrix(4), (1, 0, 1, 0)),
+            lambda: distinguishable_distribution(qft_matrix(4), (1, 0, 1, 0)),
+            lambda: mean_field_distribution(qft_matrix(4), (1, 0, 1, 0)),
+            lambda: partition_outputs(2, 4),
+        ],
+        ids=["fock", "distinguishable", "mean_field", "partition"],
+    )
+    def test_one_cap_check_in_fourier(self, enumerate_, monkeypatch):
+        # two photons on four modes have N = 10 outputs
+        monkeypatch.setattr(fourier, "ENUMERATION_CAP", 9)
+        with pytest.raises(CapacityError, match="10 outputs of 2 photons on 4 modes"):
+            enumerate_()
 
 
 class TestCoincidenceCurves:
