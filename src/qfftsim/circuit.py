@@ -124,16 +124,20 @@ def validate_circuit(circuit: QfftCircuit) -> None:
             seen.update((a, b))
         if len(seen) != m:
             raise ValidationError(f"layer {layer.step}: {m - len(seen)} modes left uncoupled")
-        for t in layer.phases:
+        for t, angle in layer.phases.items():
             if not 0 <= t < m:
                 raise ValidationError(f"layer {layer.step}: phase on unknown mode {t}")
+            if not math.isfinite(angle):
+                raise ValidationError(f"layer {layer.step}: phase on mode {t} is not finite: {angle}")
 
 
 @dataclass(frozen=True)
 class CompiledCircuit:
     """A validated circuit reduced to arrays, for repeated evaluation.
 
-    ``couplers[j]`` holds the (upper, lower) mode index arrays of layer j,
+    ``couplers[j]`` holds the (upper, lower) mode index arrays of layer j
+    and the permutation that puts rows stacked as (upper, lower) back in
+    mode order,
     ``phases[j]`` its phase vector over all m modes, row k of ``slots`` the
     (layer index, mode) of free phase k, ``nominal`` the circuit's own values
     there, and ``inverse_relabeling`` the physical port feeding each logical
@@ -141,7 +145,7 @@ class CompiledCircuit:
     """
 
     m: int
-    couplers: tuple[tuple[np.ndarray, np.ndarray], ...]
+    couplers: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     phases: np.ndarray
     slots: np.ndarray
     nominal: np.ndarray
@@ -182,13 +186,10 @@ class CompiledCircuit:
 
 def _couple_rows(u: np.ndarray, pairs) -> np.ndarray:
     """Balanced couplers [[1, 1], [1, -1]]/sqrt(2) on the (upper, lower) row pairs."""
-    upper, lower = pairs
+    upper, lower, restore = pairs
     ra = u[upper]
     rb = u[lower]
-    out = np.empty_like(u)
-    out[upper] = (ra + rb) * _INV_SQRT2
-    out[lower] = (ra - rb) * _INV_SQRT2
-    return out
+    return np.concatenate((ra + rb, ra - rb))[restore] * _INV_SQRT2
 
 
 def compile_circuit(circuit: QfftCircuit, free_phases=()) -> CompiledCircuit:
@@ -201,10 +202,11 @@ def compile_circuit(circuit: QfftCircuit, free_phases=()) -> CompiledCircuit:
     free_phases = tuple(free_phases)
     _check_positions(circuit, free_phases)
     m = circuit.m
-    couplers = tuple(
-        (np.array([a for a, _ in layer.couplers]), np.array([b for _, b in layer.couplers]))
-        for layer in circuit.layers
-    )
+    couplers = []
+    for layer in circuit.layers:
+        upper = np.array([a for a, _ in layer.couplers], dtype=int)
+        lower = np.array([b for _, b in layer.couplers], dtype=int)
+        couplers.append((upper, lower, np.argsort(np.concatenate((upper, lower)))))
     phases = np.zeros((circuit.p, m))
     for j, layer in enumerate(circuit.layers):
         for t, angle in layer.phases.items():
@@ -213,7 +215,7 @@ def compile_circuit(circuit: QfftCircuit, free_phases=()) -> CompiledCircuit:
     nominal = phases[slots[:, 0], slots[:, 1]]
     inverse = np.empty(m, dtype=int)
     inverse[list(circuit.output_relabeling)] = np.arange(m)
-    return CompiledCircuit(m, couplers, phases, slots, nominal, inverse)
+    return CompiledCircuit(m, tuple(couplers), phases, slots, nominal, inverse)
 
 
 def circuit_to_unitary(circuit: QfftCircuit) -> np.ndarray:

@@ -36,7 +36,7 @@ from .circuit import (
     compile_circuit,
 )
 from .errors import ConvergenceError, DomainError, ValidationError
-from .linalg import as_complex_matrix, fidelity
+from .linalg import as_complex_matrix, assert_unitary, fidelity
 from .models import two_photon_probabilities
 
 TWO_PI = 2.0 * math.pi
@@ -151,36 +151,63 @@ def _compile(problem: ReconstructionProblem) -> _Visibilities:
     return _Visibilities(circuit, modes, flat, *values.T)
 
 
-def _residuals(data: _Visibilities, phases, jacobian: bool = False):
-    """Residuals (v_model - v_meas)/sigma and, on request, their Jacobian (N, k).
+#: Row of each amplitude's partner in ``_Visibilities.flat``: U_ia with U_jb, U_ib with U_ja.
+_PARTNERS = np.array([1, 0, 3, 2])
+
+
+def _model(data: _Visibilities, u: np.ndarray, coefficients: bool = False):
+    """Residuals (v_model - v_meas)/sigma at U and, on request, their amplitude coefficients.
 
     With A = U_ia U_jb + U_ib U_ja and C = |U_ia|^2 |U_jb|^2 + |U_ib|^2 |U_ja|^2
     the model visibility is 1 - |A|^2/C (the bunched-output factor 1/2
     cancels in the ratio). Each of the four amplitudes X enters A and C
     only through its partner P (U_ia with U_jb, U_ib with U_ja), so
-    dv = 2 Re sum_X dX (|A|^2 conj(X) |P|^2 - C conj(A) P) / C^2.
+    dv = 2 Re sum_X dX coeff_X with coeff_X = (|A|^2 conj(X) |P|^2 - C conj(A) P) / C^2,
+    returned as a (4, N) array in the order of ``data.flat``.
     """
-    if jacobian:
-        u, du = data.circuit.unitary(phases, derivatives=True)
-    else:
-        u = data.circuit.unitary(phases)
     z = u.ravel()[data.flat]
     amp = z[0] * z[1] + z[2] * z[3]
     pq = np.abs(amp) ** 2
     weights = np.abs(z) ** 2
     pc = weights[0] * weights[1] + weights[2] * weights[3]
-    if np.any(pc <= 0.0):
-        a, b, i, j = data.modes[int(np.argmax(pc <= 0.0))]
+    undefined = pc <= 0.0
+    if undefined.any():
+        a, b, i, j = data.modes[int(np.argmax(undefined))]
         raise DomainError(
             f"model visibility undefined: zero classical rate for input ({a},{b}) output ({i},{j})"
         )
     r = (1.0 - pq / pc - data.v_meas) / data.sigmas
-    if not jacobian:
+    if not coefficients:
         return r
-    partner = z[[1, 0, 3, 2]]
-    coeff = (pq * np.conj(z) * weights[[1, 0, 3, 2]] - pc * np.conj(amp) * partner) / pc**2
+    partner = z[_PARTNERS]
+    coeff = (pq * np.conj(z) * weights[_PARTNERS] - pc * np.conj(amp) * partner) / pc**2
+    return r, coeff
+
+
+def _residuals(data: _Visibilities, phases, jacobian: bool = False):
+    """Residuals at the given phases and, on request, their Jacobian (N, k)."""
+    if not jacobian:
+        return _model(data, data.circuit.unitary(phases))
+    u, du = data.circuit.unitary(phases, derivatives=True)
+    r, coeff = _model(data, u, coefficients=True)
     d_v = 2.0 * np.real(np.sum(du.reshape(len(du), -1)[:, data.flat] * coeff, axis=1))
     return r, (d_v / data.sigmas).T
+
+
+def _chi2_and_gradient(data: _Visibilities, phases) -> tuple[float, np.ndarray]:
+    """chi2 = r.r and its gradient 2 J^T r by one adjoint contraction, without building J.
+
+    2 J^T r = 2 Re sum_X dX (2 r coeff_X / sigma): the scaled coefficients
+    are scattered, visibility by visibility, into one m x m matrix G at
+    their amplitudes' positions, so the gradient is 2 Re(dU G) with dU
+    flattened to (k, m^2).
+    """
+    u, du = data.circuit.unitary(phases, derivatives=True)
+    r, coeff = _model(data, u, coefficients=True)
+    scaled = (coeff * (2.0 * r / data.sigmas)).ravel(order="F")
+    positions = data.flat.ravel(order="F")
+    g = np.bincount(positions, scaled.real, u.size) + 1j * np.bincount(positions, scaled.imag, u.size)
+    return float(r @ r), 2.0 * np.real(du.reshape(len(du), u.size) @ g)
 
 
 def _singular_values(jac: np.ndarray) -> tuple[np.ndarray, float]:
@@ -204,6 +231,8 @@ def chi2_objective(problem: ReconstructionProblem, phases) -> float:
         raise DomainError(
             f"expected {len(problem.free_phases)} phase parameters, got shape {phases.shape}"
         )
+    if not np.all(np.isfinite(phases)):
+        raise DomainError(f"phase parameters must be finite, got {phases.tolist()}")
     r = _residuals(_compile(problem), phases)
     return float(r @ r)
 
@@ -219,13 +248,21 @@ def fit_phases(
     Starts are drawn uniformly on [0, 2*pi)^k from ``seed``; each runs an
     L-BFGS-B local minimisation of chi2 = r.r with the analytic gradient
     2 J^T r, r being the sigma-scaled visibility residuals and J their
-    Jacobian from the compiled template. The lowest chi-squared wins, ties
-    broken by restart index, so the result is deterministic for a fixed seed
-    and restart count. When ``target`` is given the fidelity of the
-    reconstruction against it is computed in the canonical gauge.
+    Jacobian from the compiled template. The gradient is one adjoint
+    contraction; J itself is built once, at the fitted phases, for its
+    condition number. The lowest chi-squared wins, ties broken by restart
+    index, so the result is deterministic for a fixed seed and restart
+    count. When ``target`` is given, it must be an m x m unitary, and the
+    fidelity of the reconstruction against it is computed in the canonical
+    gauge.
     """
     k = len(problem.free_phases)
     data = _compile(problem)
+    if target is not None:
+        target = assert_unitary(target, what="target matrix")
+        m = problem.template.m
+        if target.shape != (m, m):
+            raise ValidationError(f"target matrix is {target.shape}, expected ({m}, {m})")
     if len(problem.visibilities) < k:
         raise DomainError(
             f"underdetermined fit: {len(problem.visibilities)} visibilities for {k} phases"
@@ -241,8 +278,7 @@ def fit_phases(
         raise DomainError(f"restarts must be in [1, {MAX_RESTARTS}], got {restarts}")
 
     def objective(x):
-        r, jac = _residuals(data, x, jacobian=True)
-        return float(r @ r), 2.0 * (jac.T @ r)
+        return _chi2_and_gradient(data, x)
 
     rng = np.random.default_rng(seed)
     starts = rng.uniform(0.0, TWO_PI, size=(restarts, k))
@@ -310,8 +346,8 @@ def singles_from_unitary(u) -> dict[tuple[int, int], float]:
 
 def visibilities_from_unitary(u, input_pairs, sigma: float) -> dict:
     """Ideal visibility table for the collision-free output pairs of each input."""
-    if sigma <= 0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
+    if not 0 < sigma < math.inf:
+        raise DomainError(f"sigma must be positive and finite, got {sigma}")
     u = as_complex_matrix(u)
     m = u.shape[0]
     table = {}

@@ -17,6 +17,7 @@ from qfftsim.circuit import (
     relabeling_swaps,
     set_phases,
     synthesize_qfft,
+    validate_circuit,
 )
 from qfftsim.errors import DomainError, ValidationError
 from qfftsim.fourier import qft_matrix
@@ -256,3 +257,15 @@ class TestCircuitJson:
     def test_malformed_values_rejected(self, change):
         with pytest.raises(ValidationError):
             circuit_from_json({**circuit_to_json(synthesize_qfft(1)), **change})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_phase_rejected(self, bad):
+        obj = circuit_to_json(synthesize_qfft(2))
+        obj["layers"][1]["phases"]["4"] = bad
+        with pytest.raises(ValidationError, match="not finite"):
+            circuit_from_json(obj)
+        circuit = perturb_circuit(synthesize_qfft(2), {(2, 3): bad})
+        with pytest.raises(ValidationError, match="not finite"):
+            validate_circuit(circuit)
+        with pytest.raises(ValidationError, match="not finite"):
+            compile_circuit(circuit)

@@ -399,6 +399,34 @@ class TestReconstructCommand:
         assert code == EXIT_VALIDATION
         assert "duplicate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("defect", ["nan_entry", "doubled"])
+    def test_bad_target_file_exits_2(self, defect, problem4, tmp_path, capsys):
+        obj = matrix_to_json(qft_matrix(4))
+        if defect == "nan_entry":
+            obj["entries"][5][0] = float("nan")
+        else:
+            obj["entries"] = [[2 * re, 2 * im] for re, im in obj["entries"]]
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps(obj))
+        out = tmp_path / "r.json"
+        code = run_cli("reconstruct", "--problem", str(problem4), "--target", str(target),
+                       "--restarts", "2", "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert "target matrix is not unitary" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_non_finite_template_phase_exits_2(self, problem4, tmp_path, capsys):
+        obj = json.loads(problem4.read_text())
+        obj["template"]["layers"][1]["phases"]["1"] = float("nan")  # not a free phase
+        problem4.write_text(json.dumps(obj))
+        out = tmp_path / "r.json"
+        code = run_cli("reconstruct", "--problem", str(problem4), "--restarts", "2", "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert "not finite" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestErrorPaths:
     def test_missing_data_file(self, tmp_path, capsys):
@@ -662,8 +690,9 @@ _MODE_LABELS = st.one_of(
 
 
 def _run_with_files(argv, files):
-    """Exit code and stderr of ``qfft argv --flag=path ...``, one temporary file
-    per ``flag`` in ``files`` holding that JSON value."""
+    """Exit code, stderr and ``--out`` text (None if no file was written) of
+    ``qfft argv --flag=path ...``, one temporary file per ``flag`` in ``files``
+    holding that JSON value."""
     with tempfile.TemporaryDirectory() as tmp:
         argv = list(argv)
         for k, (flag, obj) in enumerate(files.items()):
@@ -671,10 +700,19 @@ def _run_with_files(argv, files):
             with open(path, "w") as handle:
                 json.dump(obj, handle)
             argv.append(f"{flag}={path}")
+        out = os.path.join(tmp, "out")
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            code = run_cli(*argv, "--out", os.path.join(tmp, "out"))
-    return code, err.getvalue()
+            code = run_cli(*argv, "--out", out)
+        text = None
+        if os.path.exists(out):
+            with open(out) as handle:
+                text = handle.read()
+    return code, err.getvalue(), text
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
 
 
 class TestFuzz:
@@ -727,7 +765,7 @@ class TestFuzz:
         seed=st.integers(-3, 2**40),
     )
     def test_synth_and_layout_end_with_a_documented_exit_code(self, command, modes, seed):
-        code, err = _run_with_files([command, f"--modes={modes}", f"--seed={seed}"], {})
+        code, err, _ = _run_with_files([command, f"--modes={modes}", f"--seed={seed}"], {})
         assert code in (0, 2, 3, 4)
         assert "Traceback" not in err
 
@@ -745,9 +783,9 @@ class TestFuzz:
         argv = ["evolve", f"--input={labels}", f"--model={model}", f"--method={method}",
                 f"--samples={samples}", f"--tol={tol!r}", f"--seed={seed}"]
         if isinstance(source, int):
-            code, err = _run_with_files([*argv, f"--modes={source}"], {})
+            code, err, _ = _run_with_files([*argv, f"--modes={source}"], {})
         else:
-            code, err = _run_with_files(argv, {"--unitary": source})
+            code, err, _ = _run_with_files(argv, {"--unitary": source})
         assert code in (0, 2, 3, 4)
         assert "Traceback" not in err
 
@@ -765,9 +803,11 @@ class TestFuzz:
             argv.append("--target=qft")
         elif target is not None:
             files["--target"] = target
-        code, err = _run_with_files(argv, files)
+        code, err, text = _run_with_files(argv, files)
         assert code in (0, 2, 3, 4)
         assert "Traceback" not in err
+        if code == EXIT_OK:
+            json.loads(text, parse_constant=_refuse_constant)
 
 
 class TestSimulateExperimentFunction:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -121,6 +122,12 @@ class TestChi2Objective:
         with pytest.raises(DomainError):
             chi2_objective(problem, [0.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_phases_rejected(self, bad):
+        problem, _, _ = make_problem(3)
+        with pytest.raises(DomainError, match="finite"):
+            chi2_objective(problem, [0.0, bad, 0.0, 0.0, 0.0])
+
 
 def oracle_residuals(problem, phases):
     """Sigma-scaled visibility residuals from the dense oracle circuit and pair formulas."""
@@ -131,20 +138,27 @@ def oracle_residuals(problem, phases):
     ])
 
 
+def random_problem(p, seed):
+    """Three free phases anywhere in the template (first layer included), three
+    random input pairs, and a probe point, all drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    template = synthesize_qfft(p)
+    positions = [(layer.step, t) for layer in template.layers for t in range(template.m)]
+    free = tuple(positions[i] for i in sorted(rng.choice(len(positions), size=3, replace=False)))
+    pairs = [(a, b) for a in range(template.m) for b in range(a + 1, template.m)]
+    pairs = [pairs[i] for i in rng.choice(len(pairs), size=3, replace=False)]
+    truth = rng.uniform(0, TWO_PI, len(free))
+    u_true = circuit_to_unitary(set_phases(template, dict(zip(free, truth))))
+    problem = ReconstructionProblem(template, free, {}, visibilities_from_unitary(u_true, pairs, 0.02))
+    return problem, rng.uniform(0, TWO_PI, len(free))
+
+
 class TestResidualJacobian:
     @settings(max_examples=15, deadline=None, derandomize=True)
     @given(p=st.integers(2, 3), seed=st.integers(0, 2**32 - 1))
     def test_matches_central_differences_of_oracle(self, p, seed):
-        rng = np.random.default_rng(seed)
-        template = synthesize_qfft(p)
-        positions = [(layer.step, t) for layer in template.layers for t in range(template.m)]
-        free = tuple(positions[i] for i in sorted(rng.choice(len(positions), size=3, replace=False)))
-        pairs = [(a, b) for a in range(template.m) for b in range(a + 1, template.m)]
-        pairs = [pairs[i] for i in rng.choice(len(pairs), size=3, replace=False)]
-        truth = rng.uniform(0, TWO_PI, len(free))
-        u_true = circuit_to_unitary(set_phases(template, dict(zip(free, truth))))
-        problem = ReconstructionProblem(template, free, {}, visibilities_from_unitary(u_true, pairs, 0.02))
-        probe = rng.uniform(0, TWO_PI, len(free))
+        problem, probe = random_problem(p, seed)
+        free = problem.free_phases
         r, jac = reconstruct._residuals(reconstruct._compile(problem), probe, jacobian=True)
         assert r == pytest.approx(oracle_residuals(problem, probe), rel=1e-9, abs=1e-9)
         h = 1e-6
@@ -155,6 +169,49 @@ class TestResidualJacobian:
         # first-layer phases are input-mode phases, which no visibility sees: J
         # is then zero, and differences are compared at the scale of one
         assert np.max(np.abs(jac - fd)) <= 1e-6 * max(np.max(np.abs(jac)), 1.0)
+
+
+class TestFitGradient:
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(p=st.integers(2, 3), seed=st.integers(0, 2**32 - 1))
+    def test_equals_two_jt_r_and_oracle_differences(self, p, seed):
+        problem, probe = random_problem(p, seed)
+        data = reconstruct._compile(problem)
+        chi2, grad = reconstruct._chi2_and_gradient(data, probe)
+        r, jac = reconstruct._residuals(data, probe, jacobian=True)
+        assert chi2 == pytest.approx(float(r @ r), rel=1e-12)
+        reference = 2.0 * (jac.T @ r)
+        # relative to the largest component, at the scale of one when every
+        # component is of rounding size (phases no drawn visibility sees)
+        scale = max(np.max(np.abs(reference)), 1.0)
+        assert np.max(np.abs(grad - reference)) <= 1e-12 * scale
+
+        def oracle_chi2(phases):
+            res = oracle_residuals(problem, phases)
+            return res @ res
+
+        h = 1e-6
+        fd = np.array([
+            (oracle_chi2(probe + h * e) - oracle_chi2(probe - h * e)) / (2 * h)
+            for e in np.eye(len(probe))
+        ])
+        assert np.max(np.abs(grad - fd)) <= 1e-6 * scale
+
+    def test_zero_classical_rate_is_refused_on_the_gradient_path(self, monkeypatch):
+        # no butterfly template has a zero entry, so U is replaced by the identity,
+        # for which every visibility with i, j not in {a, b} has C = 0
+        class Identity:
+            def unitary(self, values=None, derivatives=False):
+                u = np.eye(4, dtype=complex)
+                return (u, np.zeros((len(values), 4, 4), dtype=complex)) if derivatives else u
+
+        problem, _, _ = make_problem(2, [1.0])
+        data = dataclasses.replace(reconstruct._compile(problem), circuit=Identity())
+        with pytest.raises(DomainError, match="zero classical rate for input"):
+            reconstruct._chi2_and_gradient(data, [1.0])
+        monkeypatch.setattr(reconstruct, "_compile", lambda _: data)
+        with pytest.raises(DomainError, match="zero classical rate for input"):
+            fit_phases(problem, restarts=1, seed=0)
 
 
 class TestFitPhases:
@@ -238,6 +295,19 @@ class TestFitPhases:
         monkeypatch.setattr(reconstruct, "minimize", failing)
         with pytest.raises(ConvergenceError):
             fit_phases(problem, restarts=3, seed=0)
+
+    @pytest.mark.parametrize("defect", ["nan_entry", "doubled", "wrong_size"])
+    def test_bad_target_rejected(self, defect):
+        problem, u_true, _ = make_problem(2, [1.0])
+        target = u_true.copy()
+        if defect == "nan_entry":
+            target[2, 1] = np.nan
+        elif defect == "doubled":
+            target *= 2.0
+        else:
+            target = qft_matrix(8)
+        with pytest.raises(ValidationError, match="target matrix"):
+            fit_phases(problem, restarts=2, seed=0, target=target)
 
     def test_restarts_cap_at_its_boundary(self, monkeypatch):
         problem, _, _ = make_problem(2, [1.0])
@@ -343,6 +413,11 @@ class TestProblemValidation:
         template = synthesize_qfft(2)
         with pytest.raises(DomainError):
             ReconstructionProblem(template, (), {}, {((0, 1), (0, 1)): entry})
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), float("inf")])
+    def test_ideal_table_needs_finite_positive_sigma(self, sigma):
+        with pytest.raises(DomainError, match="sigma"):
+            visibilities_from_unitary(qft_matrix(4), [(0, 1)], sigma)
 
     def test_duplicate_free_phases_rejected(self):
         template = synthesize_qfft(3)
