@@ -39,7 +39,8 @@ def main():
             bar = "#" * int(round(d_obs * 60))
             print(f"  dx = {dx:+6.0f} um  D = {d_obs:.4f} +/- {sigma:.4f}  {bar}")
 
-    # resampling the zero-delay row alone gives exactly its value in the curve
+    # every row shares the same reference redraws, so the zero-delay row
+    # evaluated alone gives exactly its value in the curve
     [(_, d0, s0)] = violation_curve(records, pc, trials=3000, seed=7, at=0.0)
     report = certify(d0, s0)
     print(f"\nzero-delay violation: {report.d_obs:.5f} +/- {report.sigma:.5f}")

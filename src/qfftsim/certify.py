@@ -7,11 +7,11 @@ D = 0.25. :func:`violation_curve` is the one place counts become a violation
 degree D (the classical-probability-weighted count ratio summed over the
 forbidden output pairs) and its Poissonian Monte Carlo error bar. It holds
 the counts as one table of delays by forbidden output pairs, plus a row of
-reference counts, and resamples that table with Poisson redraws drawn in
-blocks of trials. The reference row and every delay row have their own
-generator, spawned from the one seed, so one row (the zero-delay point of a
-certification) can be resampled alone and gives exactly its value in the
-full curve.
+reference counts. The Monte Carlo redraws only the reference row, from one
+generator, in blocks of trials; the Poisson spread of the delay rows enters
+through its exact conditional mean and variance (Rao-Blackwellisation). Every
+row shares those trials, so one row (the zero-delay point of a certification)
+can be evaluated alone and gives exactly its value in the full curve.
 """
 
 from __future__ import annotations
@@ -41,13 +41,14 @@ DEFAULT_THRESHOLD_SIGMAS = 3.0
 #: Largest Poisson mean accepted anywhere; numpy's sampler refuses means near 2^63.
 MAX_EXPECTED_COUNTS = 1e18
 
-#: Most Monte Carlo trials accepted. A violation curve holds the reference
-#: weights of every trial plus the resampled values of one row, 8 x trials x
-#: (pairs + 1) bytes: 136 MB for the 16 forbidden pairs of 8 modes at the cap.
+#: Most Monte Carlo trials accepted. A violation curve holds the weights of
+#: every kept trial, 8 x trials x pairs bytes, plus a few trial-length
+#: vectors per row: 128 MB for the 16 forbidden pairs of 8 modes at the cap.
 MAX_TRIALS = 10**6
 
-#: Poisson draws per Monte Carlo block of one row. Each generator draws in C
-#: order, so results do not depend on it; it only bounds the memory of the draws.
+#: Poisson draws per Monte Carlo block of reference redraws. The generator
+#: draws in C order, so results do not depend on it; it only bounds the
+#: memory of the draws.
 MC_BLOCK_ENTRIES = 2**16
 
 
@@ -106,24 +107,6 @@ def classical_pair_probabilities(u, input_pair, pairs) -> dict[tuple[int, int], 
     return {(i, j): float(pc[i, j]) for (i, j) in pairs}
 
 
-def _poisson_blocks(lam, trials, seed):
-    """``trials`` Poisson redraws of ``lam`` from one generator, as (first trial, draws) blocks.
-
-    Each block holds the draws of consecutive trials, shape ``(b, *lam.shape)``.
-    """
-    if not 2 <= trials <= MAX_TRIALS:
-        raise DomainError(f"trials must be in [2, {MAX_TRIALS}], got {trials}")
-    lam = np.asarray(lam, dtype=float)
-    if not np.all((lam >= 0) & (lam <= MAX_EXPECTED_COUNTS)):
-        raise DomainError(f"counts must be in [0, {MAX_EXPECTED_COUNTS:g}], the Poisson sampler's range")
-    rng = np.random.default_rng(seed)
-    block = max(1, MC_BLOCK_ENTRIES // max(lam.size, 1))
-    return (
-        (t, rng.poisson(lam, size=(min(block, trials - t), *lam.shape)))
-        for t in range(0, trials, block)
-    )
-
-
 def violation_curve(
     records,
     pc,
@@ -139,15 +122,24 @@ def violation_curve(
     reference counts default to the plateau rule: the mean of the counts at
     the two delays of largest magnitude (the single delay, if only one was
     measured), a tie in magnitude going to the negative delay. Explicit
-    ``n_d`` values are treated as measured counts and enter the Monte Carlo
-    resampling like the rest. Each (delay, pair) cell needs exactly one
-    record. Returns ``(delta_x, d_obs, sigma)`` triples sorted by delay, or
-    only the triple of delay ``at``, which must be one of the measured delays.
+    ``n_d`` values are treated as measured counts like the rest. Each
+    (delay, pair) cell needs exactly one record. Returns
+    ``(delta_x, d_obs, sigma)`` triples sorted by delay, or only the triple
+    of delay ``at``, which must be one of the measured delays.
 
-    ``seed`` spawns one generator for each delay row and one for the
-    reference counts, so a row's triple does not depend on which other
-    rows are evaluated.
+    ``sigma`` is the spread of D when every count is redrawn from a Poisson
+    distribution about its measured value. Only the reference counts are
+    redrawn: ``trials`` times, from one generator seeded by ``seed``. Given
+    trial t's weights ``c_t = pc / R_t``, a row's numerator has the exact
+    Poisson mean ``mu_t = sum c_t N`` and variance ``v_t = sum c_t**2 N``,
+    so by the law of total variance ``sigma**2 = mean(v_t) + var(mu_t)``
+    (``ddof=1``) over the trials. A trial that draws a zero reference count
+    for any pair drops out; at least two must remain. Every row is computed
+    from the same trials by the same arithmetic, so ``at`` gives exactly
+    that row of the full curve.
     """
+    if not 2 <= trials <= MAX_TRIALS:
+        raise DomainError(f"trials must be in [2, {MAX_TRIALS}], got {trials}")
     records = [r for r in records if r.output in pc]
     if not records:
         raise DomainError("no records for any forbidden output pair")
@@ -184,23 +176,34 @@ def violation_curve(
     bad = [pair for pair, ref in zip(pairs, lam[-1]) if not ref > 0]
     if bad:
         raise DomainError(f"reference counts must be positive, not for pairs {bad}")
+    if not np.all(lam[-1] <= MAX_EXPECTED_COUNTS):
+        raise DomainError(f"reference counts exceed the Poisson sampler's limit {MAX_EXPECTED_COUNTS:g}")
 
     weights = np.array([pc[pair] for pair in pairs])
-    streams = np.random.SeedSequence(seed).spawn(len(delays) + 1)
-    blocks = _poisson_blocks(lam[-1], trials, streams[-1])
-    ref = np.empty((trials, len(pairs)))
-    for t, draws in blocks:
-        ref[t : t + len(draws)] = draws
-    ref[ref == 0.0] = np.nan  # degenerate trials drop out of the spread
-    np.divide(weights, ref, out=ref)
     d_obs = lam[:-1] @ (weights / lam[-1])
+    # pack the reference redraws of the trials whose draws are all non-zero, in
+    # trial order, then turn them into the weights c_t = pc / R_t
+    rng = np.random.default_rng(seed)
+    block = max(1, MC_BLOCK_ENTRIES // len(pairs))
+    c = np.empty((trials, len(pairs)))
+    kept = 0
+    for t in range(0, trials, block):
+        draws = rng.poisson(lam[-1], size=(min(block, trials - t), len(pairs)))
+        draws = draws[np.all(draws > 0, axis=1)]
+        c[kept : kept + len(draws)] = draws
+        kept += len(draws)
+    if kept < 2:
+        raise DomainError(
+            f"only {kept} of {trials} Monte Carlo trials drew a non-zero reference count for "
+            "every pair; the error bar needs two"
+        )
+    c = np.divide(weights, c[:kept], out=c[:kept])
+    mean_c2 = np.einsum("tj,tj->j", c, c) / kept
     curve = []
     for k in range(len(delays)) if at is None else [row[at]]:
-        sims = np.empty(trials)
-        for t, draws in _poisson_blocks(lam[k], trials, streams[k]):
-            sims[t : t + len(draws)] = (draws * ref[t : t + len(draws)]).sum(axis=1)
-        sigma = np.nan_to_num(np.nanstd(sims, ddof=1), nan=0.0)
-        curve.append((float(delays[k]), float(d_obs[k]), float(sigma)))
+        mu = c @ lam[k]
+        sigma = math.sqrt(lam[k] @ mean_c2 + mu.var(ddof=1))
+        curve.append((float(delays[k]), float(d_obs[k]), sigma))
     return curve
 
 

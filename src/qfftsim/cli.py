@@ -18,10 +18,11 @@ Conventions: mode labels in flags and files are 1-based; all randomness
 derives from one master seed (``--seed``) through fixed per-subsystem
 streams (0 = experiment simulation, 1 = Monte Carlo error bars,
 2 = reconstruction restarts, 3 = mean-field sampling), so identical
-invocations produce byte-identical artifacts. Stream 1 spawns one generator
-per curve row, so ``certify`` resamples only the row at the smallest |delay|
-and reports exactly that row of ``curve``. Files are written atomically,
-with the permissions the umask gives a new file.
+invocations produce byte-identical artifacts. Stream 1 seeds the one
+generator that redraws the reference counts; every curve row shares those
+draws, so ``certify`` evaluates only the row at the smallest |delay| and
+reports exactly that row of ``curve``. Input files must be UTF-8 text.
+Files are written atomically, with the permissions the umask gives a new file.
 Exit codes: 0 success, 2 invalid inputs or domain errors, 3 numerical
 failures, 4 I/O or parse errors. ``curve`` and ``certify`` accept only
 cyclic two-photon inputs, the modes m/2 apart that the suppression law
@@ -141,12 +142,21 @@ def _write_json(out: str | None, obj) -> None:
     _write_text(out, json.dumps(obj, indent=2) + "\n")
 
 
+def _read_text(path: str) -> str:
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        byte = raw[exc.start]
+        raise ParseError(f"{path}: not UTF-8 text: byte {byte:#04x} at offset {exc.start}") from None
+
+
 def _load_json(path: str):
-    with open(path) as handle:
-        try:
-            return json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
 
 
 def _parse_input(text: str) -> tuple[int, ...]:
@@ -216,8 +226,9 @@ def _analyzed_curve(args, *, at_zero: bool = False):
             f"--input {modes} is not a cyclic input on {m} modes: "
             "the suppression law needs two modes m/2 apart"
         )
-    with open(args.data_path) as handle:
-        records = read_coincidence_csv(handle, source=args.data_path)
+    # newline=None reads \r and \r\n line ends as open() does
+    stream = io.StringIO(_read_text(args.data_path), newline=None)
+    records = read_coincidence_csv(stream, source=args.data_path)
     records = [r for r in records if r.input == pair]
     if not records:
         raise DomainError(f"no records for input pair {tuple(k + 1 for k in pair)} in {args.data_path}")
@@ -378,14 +389,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", dest="data_path", required=True, help="coincidence CSV")
     add_unitary(p)
     p.add_argument("--input", required=True, help="two 1-based input modes m/2 apart, e.g. 1,5 on 8 modes")
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS, help="Monte Carlo trials for error bars")
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
+                   help="Monte Carlo redraws of the reference counts for the error bars (default %(default)s)")
     add_common(p, _curve)
 
     p = sub.add_parser("certify", help="hypothesis test at the smallest |delay| point")
     p.add_argument("--data", dest="data_path", required=True, help="coincidence CSV")
     add_unitary(p)
     p.add_argument("--input", required=True, help="two 1-based input modes m/2 apart, e.g. 1,5 on 8 modes")
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
+                   help="Monte Carlo redraws of the reference counts for the error bar (default %(default)s)")
     p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD_SIGMAS,
                    help="rejection threshold in sigmas")
     add_common(p, _certify)

@@ -401,6 +401,8 @@ def phase_sensitivity(
     values and condition number. An effectively infinite condition number
     means the input set cannot determine the phases.
     """
+    if not free_phases or not input_pairs:
+        raise DomainError("phase sensitivity needs at least one free phase and one input pair")
     pairs = [tuple(sorted(pair)) for pair in input_pairs]
     table = visibilities_from_unitary(circuit_to_unitary(template), pairs, 1.0)
     data = _compile(ReconstructionProblem(template, tuple(free_phases), {}, table))

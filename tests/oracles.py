@@ -5,11 +5,14 @@ literal permutation sum, a circuit is a dense product of one full matrix per
 phase layer, coupler layer and the output permutation, outcome probabilities
 are evaluated one outcome at a time, the mean-field average is a dense phase
 grid, or a sum of permanents over the ways to hand the photons to the input
-modes, Monte Carlo trials run one per loop iteration, and the reference counts
-of a violation curve come from a scan over the records for each pair.
+modes, Monte Carlo trials run one per loop iteration (redrawing every count,
+or only the reference counts with each row's conditional mean and variance
+summed term by term), and the reference counts of a violation curve come from
+a scan over the records for each pair.
 """
 
 import math
+import statistics
 from itertools import permutations, product
 
 import numpy as np
@@ -188,6 +191,40 @@ def violation_curve_loop(records, pc, n_d, trials: int, seed) -> list[tuple[floa
             sims[k].append((rng.poisson(lam[k]) * (weights / ref)).sum())
     sigma = [np.nan_to_num(np.nanstd(np.array(row), ddof=1), nan=0.0) for row in sims]
     return [(float(dx), float(d), float(s)) for dx, d, s in zip(delays, d_obs, sigma)]
+
+
+def violation_curve_conditional_loop(records, pc, n_d, trials: int, seed) -> list[tuple[float, float, float]]:
+    """Violation curve whose error bar redraws only the reference counts, one trial per iteration.
+
+    Each trial draws the reference row with one ``rng.poisson`` call from
+    ``default_rng(seed)`` and is skipped if any draw is zero. A kept trial's
+    weights ``c = pc / R`` give each row's conditional mean ``sum c N`` and
+    variance ``sum c**2 N``, each summed with ``math.fsum``; sigma is the root
+    of the mean variance plus the ``statistics.variance`` of the means.
+    ``statistics`` raises ``StatisticsError`` when fewer than two trials are kept.
+    """
+    pairs = sorted(pc)
+    counts = {(r.delta_x, r.output): r.counts for r in records if r.output in pc}
+    delays = sorted({dx for dx, _ in counts})
+    lam = [[float(counts[dx, pair]) for pair in pairs] for dx in delays]
+    ref_mean = [float(n_d[pair]) for pair in pairs]
+    weights = [pc[pair] for pair in pairs]
+    d_obs = np.array(lam) @ (np.array(weights) / np.array(ref_mean))
+    rng = np.random.default_rng(seed)
+    means = [[] for _ in delays]
+    variances = [[] for _ in delays]
+    for _ in range(trials):
+        ref = rng.poisson(ref_mean)
+        if np.any(ref == 0):
+            continue
+        c = [w / float(r) for w, r in zip(weights, ref)]
+        for k, row in enumerate(lam):
+            means[k].append(math.fsum(cj * n for cj, n in zip(c, row)))
+            variances[k].append(math.fsum(cj * cj * n for cj, n in zip(c, row)))
+    sigma = [
+        math.sqrt(statistics.fmean(v) + statistics.variance(mu)) for mu, v in zip(means, variances)
+    ]
+    return [(float(dx), float(d), s) for dx, d, s in zip(delays, d_obs, sigma)]
 
 
 def simulated_counts_loop(curves, expected_counts, rng) -> list[tuple[float, tuple[int, int], int]]:

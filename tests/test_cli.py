@@ -347,6 +347,21 @@ class TestCurveAndCertify:
         assert run_cli(command, "--data", str(data), "--modes", "8", "--input", "1,5",
                        "--trials", "10", "--out", str(tmp_path / "out")) == EXIT_OK
 
+    @pytest.mark.filterwarnings("error")  # numpy's "Degrees of freedom <= 0" must not appear
+    @pytest.mark.parametrize("command", ["curve", "certify"])
+    def test_fewer_than_two_kept_trials_exit_2(self, command, tmp_path, capsys):
+        data = tmp_path / "counts.csv"
+        assert run_cli("simulate", "--modes", "8", "--input", "1,5", "--points", "41",
+                       "--out", str(data)) == EXIT_OK
+        lines = data.read_text().splitlines()
+        data.write_text("\n".join([lines[0]] + [line.rsplit(",", 1)[0] + ",1" for line in lines[1:]]) + "\n")
+        code = run_cli(command, "--data", str(data), "--modes", "8", "--input", "1,5",
+                       "--trials", "3", "--out", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert err.startswith("qfft: invalid input:") and "of 3 Monte Carlo trials" in err
+        assert not (tmp_path / "out").exists()
+
     def test_certify_missing_input_records(self, dataset, tmp_path, capsys):
         code = run_cli("certify", "--data", str(dataset), "--modes", "4",
                        "--input", "1,3", "--out", str(tmp_path / "r.json"))
@@ -446,6 +461,26 @@ class TestErrorPaths:
         bad.write_text("{not json")
         code = run_cli("evolve", "--unitary", str(bad), "--input", "1,2")
         assert code == EXIT_IO
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("curve", "--modes", "8", "--input", "1,5"), "--data"),
+            (("certify", "--modes", "8", "--input", "1,5"), "--data"),
+            (("evolve", "--input", "1,2"), "--unitary"),
+            (("reconstruct",), "--problem"),
+            (("reconstruct", "--problem", "problem.json"), "--target"),
+        ],
+    )
+    def test_non_utf8_file_exits_4(self, argv, flag, problem4, tmp_path, capsys):
+        binary = tmp_path / "binary"
+        binary.write_bytes(b'{"a": 1,\n "b": "\xff\xfe"}\n')
+        argv = [str(problem4) if a == "problem.json" else a for a in argv]
+        code = run_cli(*argv, flag, str(binary), "--out", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == EXIT_IO
+        assert err.startswith(f"qfft: error: {binary}: not UTF-8 text: byte 0xff at offset 16")
+        assert not (tmp_path / "out").exists()
 
     def test_bad_input_flag(self, capsys):
         assert run_cli("evolve", "--modes", "4", "--input", "1;3") == EXIT_VALIDATION
@@ -638,6 +673,15 @@ def counts_csv(draw):
     return "\n".join(lines) + "\n"
 
 
+@st.composite
+def non_utf8(draw, text):
+    """The bytes of a drawn ASCII text with one byte above 0x7f spliced in,
+    which makes them invalid UTF-8 wherever it lands."""
+    raw = draw(text).encode("ascii")
+    at = draw(st.integers(0, len(raw)))
+    return raw[:at] + bytes([draw(st.integers(0x80, 0xFF))]) + raw[at:]
+
+
 _JSON_LEAF = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 20), _ANY_FLOAT, st.text(max_size=3)
 )
@@ -692,13 +736,13 @@ _MODE_LABELS = st.one_of(
 def _run_with_files(argv, files):
     """Exit code, stderr and ``--out`` text (None if no file was written) of
     ``qfft argv --flag=path ...``, one temporary file per ``flag`` in ``files``
-    holding that JSON value."""
+    holding that JSON value, or those raw bytes."""
     with tempfile.TemporaryDirectory() as tmp:
         argv = list(argv)
         for k, (flag, obj) in enumerate(files.items()):
             path = os.path.join(tmp, f"{k}.json")
-            with open(path, "w") as handle:
-                json.dump(obj, handle)
+            with open(path, "wb") as handle:
+                handle.write(obj if isinstance(obj, bytes) else json.dumps(obj).encode())
             argv.append(f"{flag}={path}")
         out = os.path.join(tmp, "out")
         err = io.StringIO()
@@ -720,7 +764,7 @@ class TestFuzz:
     @settings(max_examples=80, deadline=None, derandomize=True, phases=(Phase.explicit, Phase.generate))
     @given(
         command=st.sampled_from(["curve", "certify"]),
-        text=counts_csv(),
+        text=st.one_of(counts_csv(), non_utf8(counts_csv())),
         pair=st.sampled_from(["1,5", "3,7", "1,2"]),
         trials=st.integers(-2, 40),
         seed=st.integers(-3, 2**40),
@@ -728,8 +772,8 @@ class TestFuzz:
     def test_curve_and_certify_end_with_a_documented_exit_code(self, command, text, pair, trials, seed):
         with tempfile.TemporaryDirectory() as tmp:
             data = os.path.join(tmp, "counts.csv")
-            with open(data, "w") as handle:
-                handle.write(text)
+            with open(data, "wb") as handle:
+                handle.write(text if isinstance(text, bytes) else text.encode())
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
                 code = run_cli(command, "--data", data, "--modes", "8", "--input", pair,
@@ -771,7 +815,7 @@ class TestFuzz:
 
     @settings(max_examples=80, deadline=None, derandomize=True, phases=(Phase.explicit, Phase.generate))
     @given(
-        source=st.one_of(st.integers(-2, 9), mutated(_MATRIX)),
+        source=st.one_of(st.integers(-2, 9), mutated(_MATRIX), non_utf8(mutated(_MATRIX).map(json.dumps))),
         labels=_MODE_LABELS,
         model=st.sampled_from(["fock", "dist", "mf"]),
         method=st.sampled_from(["quadrature", "monte_carlo"]),
@@ -791,8 +835,10 @@ class TestFuzz:
 
     @settings(max_examples=80, deadline=None, derandomize=True, phases=(Phase.explicit, Phase.generate))
     @given(
-        problem=mutated(_PROBLEM),
-        target=st.one_of(st.none(), st.just("qft"), mutated(_MATRIX)),
+        problem=st.one_of(mutated(_PROBLEM), non_utf8(mutated(_PROBLEM).map(json.dumps))),
+        target=st.one_of(
+            st.none(), st.just("qft"), mutated(_MATRIX), non_utf8(mutated(_MATRIX).map(json.dumps))
+        ),
         restarts=st.integers(-2, 3),
         seed=st.integers(-3, 2**40),
     )

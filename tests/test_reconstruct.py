@@ -389,6 +389,13 @@ class TestPhaseSensitivity:
         _, cond = phase_sensitivity(template, free, cyclic)
         assert cond > 1e6
 
+    @pytest.mark.parametrize("free, pairs", [((), [(0, 2)]), (None, [])], ids=["no-phases", "no-pairs"])
+    def test_empty_problem_rejected(self, free, pairs):
+        template = synthesize_qfft(2)
+        free = nontrivial_phase_positions(template) if free is None else free
+        with pytest.raises(DomainError, match="at least one free phase and one input pair"):
+            phase_sensitivity(template, free, pairs)
+
     def test_all_pairs_are_well_conditioned(self):
         template = synthesize_qfft(3)
         free = nontrivial_phase_positions(template)
