@@ -24,15 +24,15 @@ def main():
     delays = np.linspace(-300.0, 300.0, 21)
     rng = np.random.default_rng(42)
 
-    records = simulate_experiment(u, input_pair, model, delays, 1e5, rng)
-    print(f"simulated {len(records)} coincidence records "
-          f"({len(delays)} delays x {len(records) // len(delays)} output pairs)")
+    table = simulate_experiment(u, input_pair, model, delays, 1e5, rng)
+    print(f"simulated {table.counts.size} coincidence counts "
+          f"({len(table.delays)} delays x {len(table.pairs)} output pairs)")
 
     partition = partition_outputs(2, m, collision_free_only=True)
     pairs = sorted(tuple(occupied_modes(s)) for s in partition.forbidden)
     pc = classical_pair_probabilities(u, input_pair, pairs)
 
-    curve = violation_curve(records, pc, trials=3000, seed=7)
+    curve = violation_curve(table, pc, trials=3000, seed=7)
     print("\nviolation degree versus delay (expected: 0.5 plateau, 0.025 floor):")
     for dx, d_obs, sigma in curve:
         if abs(dx) in (0.0, 60.0, 120.0, 180.0, 300.0):
@@ -41,7 +41,7 @@ def main():
 
     # every row shares the same reference redraws, so the zero-delay row
     # evaluated alone gives exactly its value in the curve
-    [(_, d0, s0)] = violation_curve(records, pc, trials=3000, seed=7, at=0.0)
+    [(_, d0, s0)] = violation_curve(table, pc, trials=3000, seed=7, at=0.0)
     report = certify(d0, s0)
     print(f"\nzero-delay violation: {report.d_obs:.5f} +/- {report.sigma:.5f}")
     print(f"  vs distinguishable (0.5): {report.sigmas_vs_distinguishable:7.1f} sigma")

@@ -8,7 +8,7 @@ fourier      Fourier matrices, cyclic inputs, the suppression predicate/partitio
 circuit      butterfly synthesis of the Fourier transform and circuit composition
 layout       planar hypercube waveguide placement for the butterfly circuit
 models       Fock / distinguishable / mean-field output statistics, delay curves
-certify      visibilities, violation curves with Poissonian Monte Carlo, verdicts
+certify      count tables and CSV, visibilities, violation curves with Monte Carlo, verdicts
 reconstruct  chi-squared phase reconstruction from singles and visibilities
 cli          the ``qfft`` command-line tool
 """
@@ -16,7 +16,7 @@ cli          the ``qfft`` command-line tool
 __version__ = "0.1.0"
 
 from .certify import (
-    CoincidenceRecord,
+    CoincidenceTable,
     D_DISTINGUISHABLE,
     D_MEAN_FIELD,
     RULES_OUT_BOTH,

@@ -52,18 +52,60 @@ MAX_TRIALS = 10**6
 MC_BLOCK_ENTRIES = 2**16
 
 
-@dataclass(frozen=True)
-class CoincidenceRecord:
-    """One coincidence measurement: counts for an input/output mode pair at a delay."""
+@dataclass(frozen=True, eq=False)
+class CoincidenceTable:
+    """Coincidence counts of one input pair, one per (delay, output pair) cell.
+
+    ``delays`` ascend without repeats, ``pairs`` are ascending 0-based
+    (i, j), i <= j, and ``counts[k, p]`` is the int64 count of ``pairs[p]``
+    at ``delays[k]``.
+    """
 
     input: tuple[int, int]
-    output: tuple[int, int]
-    delta_x: float
-    counts: int
+    delays: np.ndarray
+    pairs: tuple[tuple[int, int], ...]
+    counts: np.ndarray
 
-    def __post_init__(self):
-        if self.counts < 0:
-            raise DomainError(f"counts must be non-negative, got {self.counts}")
+    @classmethod
+    def from_cells(cls, input_pair, delta_x, output, counts, pairs) -> CoincidenceTable:
+        """The table of the ascending output ``pairs`` from one count per row:
+        ``counts[r]`` of pair ``output[r]`` at ``delta_x[r]``.
+
+        Rows of other pairs are left out. Each cell needs exactly one row and
+        a count in [0, ``MAX_EXPECTED_COUNTS``], checked before it becomes an
+        int64; the first row at fault is named.
+        """
+        output = np.asarray(output, dtype=np.int64).reshape(-1, 2)
+        pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        # (i, j) as i * width + j keeps the order of the pairs
+        width = np.array([max(output.max(initial=0), pairs.max(initial=0)) + 1, 1])
+        keep = np.isin(output @ width, pairs @ width)
+        col = np.searchsorted(pairs @ width, output[keep] @ width)
+        delta_x = np.asarray(delta_x, dtype=float)[keep]
+        # return_index sorts stably: of equal delays (0.0 and -0.0) the first row's is kept
+        delays, _, row = np.unique(delta_x, return_index=True, return_inverse=True)
+        counts = np.asarray(counts, dtype=object)[keep]
+        pairs = list(map(tuple, pairs.tolist()))
+        cell = row * len(pairs) + col
+        repeats = np.setdiff1d(np.arange(len(cell)), np.unique(cell, return_index=True)[1], assume_unique=True)
+        outside = np.flatnonzero((counts < 0) | (counts > int(MAX_EXPECTED_COUNTS)))
+        faulty = np.union1d(repeats[:1], outside[:1])
+        if faulty.size:
+            k = faulty[0]
+            where = f"delay {delta_x[k]} and output pair {pairs[col[k]]}"
+            if k in repeats:
+                raise DomainError(f"duplicate counts for {where}")
+            if counts[k] < 0:
+                raise DomainError(f"counts must be non-negative, got {counts[k]}")
+            raise DomainError(
+                f"counts {counts[k]} at {where} exceed the Poisson sampler's limit {MAX_EXPECTED_COUNTS:g}"
+            )
+        table = np.full((len(delays), len(pairs)), -1, dtype=np.int64)
+        table.flat[cell] = counts
+        if np.any(table < 0):
+            holes = [(float(delays[k]), pairs[p]) for k, p in np.argwhere(table < 0)[:5]]
+            raise DomainError(f"missing counts for (delay, pair) combinations {holes}")
+        return cls(tuple(input_pair), delays, tuple(pairs), table)
 
 
 @dataclass(frozen=True)
@@ -108,7 +150,7 @@ def classical_pair_probabilities(u, input_pair, pairs) -> dict[tuple[int, int], 
 
 
 def violation_curve(
-    records,
+    table: CoincidenceTable,
     pc,
     n_d=None,
     *,
@@ -118,12 +160,12 @@ def violation_curve(
 ) -> list[tuple[float, float, float]]:
     """Observed violation degree versus delay, with Monte Carlo error bars.
 
-    ``D(dx) = sum over forbidden pairs of pc * N(dx) / N_ref``. The
+    ``D(dx) = sum over forbidden pairs of pc * N(dx) / N_ref``, from the
+    table's columns of the pairs in ``pc``, which it must all hold. The
     reference counts default to the plateau rule: the mean of the counts at
     the two delays of largest magnitude (the single delay, if only one was
     measured), a tie in magnitude going to the negative delay. Explicit
-    ``n_d`` values are treated as measured counts like the rest. Each
-    (delay, pair) cell needs exactly one record. Returns
+    ``n_d`` values are treated as measured counts like the rest. Returns
     ``(delta_x, d_obs, sigma)`` triples sorted by delay, or only the triple
     of delay ``at``, which must be one of the measured delays.
 
@@ -140,30 +182,19 @@ def violation_curve(
     """
     if not 2 <= trials <= MAX_TRIALS:
         raise DomainError(f"trials must be in [2, {MAX_TRIALS}], got {trials}")
-    records = [r for r in records if r.output in pc]
-    if not records:
-        raise DomainError("no records for any forbidden output pair")
     pairs = sorted(pc)
-    delays = sorted({r.delta_x for r in records})
-    row = {dx: i for i, dx in enumerate(delays)}
-    col = {pair: j for j, pair in enumerate(pairs)}
-    if at is not None and at not in row:
+    column = {pair: p for p, pair in enumerate(table.pairs)}
+    if not len(table.delays) or not any(pair in column for pair in pairs):
+        raise DomainError("no records for any forbidden output pair")
+    delays = table.delays.tolist()
+    if at is not None and at not in delays:
         raise DomainError(f"no records at delay {at}")
-    # the last row holds the reference counts
-    lam = np.full((len(delays) + 1, len(pairs)), np.nan)
-    for r in records:
-        cell = row[r.delta_x], col[r.output]
-        if not np.isnan(lam[cell]):
-            raise DomainError(f"duplicate counts for delay {r.delta_x} and output pair {r.output}")
-        if r.counts > MAX_EXPECTED_COUNTS:
-            raise DomainError(
-                f"counts {r.counts} at delay {r.delta_x} and output pair {r.output} exceed "
-                f"the Poisson sampler's limit {MAX_EXPECTED_COUNTS:g}"
-            )
-        lam[cell] = r.counts
-    if np.any(np.isnan(lam[:-1])):
-        holes = [(delays[i], pairs[j]) for i, j in zip(*np.nonzero(np.isnan(lam[:-1])))]
+    holes = [(dx, pair) for dx in delays for pair in pairs if pair not in column]
+    if holes:
         raise DomainError(f"missing counts for (delay, pair) combinations {holes[:5]}")
+    # the last row holds the reference counts
+    lam = np.empty((len(delays) + 1, len(pairs)))
+    lam[:-1] = table.counts[:, [column[pair] for pair in pairs]]
 
     if n_d is None:
         extremes = sorted(range(len(delays)), key=lambda i: (-abs(delays[i]), delays[i]))[:2]
@@ -200,7 +231,7 @@ def violation_curve(
     c = np.divide(weights, c[:kept], out=c[:kept])
     mean_c2 = np.einsum("tj,tj->j", c, c) / kept
     curve = []
-    for k in range(len(delays)) if at is None else [row[at]]:
+    for k in range(len(delays)) if at is None else [delays.index(at)]:
         mu = c @ lam[k]
         sigma = math.sqrt(lam[k] @ mean_c2 + mu.var(ddof=1))
         curve.append((float(delays[k]), float(d_obs[k]), sigma))
@@ -240,54 +271,85 @@ def certify(d_obs: float, sigma: float, threshold_sigmas: float = DEFAULT_THRESH
 CSV_COLUMNS = ("input_i", "input_j", "output_i", "output_j", "delta_x_um", "counts")
 
 
-def write_coincidence_csv(records, stream) -> None:
-    """Write records with 1-based mode labels and a header row."""
-    stream.write(",".join(CSV_COLUMNS) + "\n")
-    for r in records:
-        stream.write(
-            f"{r.input[0] + 1},{r.input[1] + 1},{r.output[0] + 1},{r.output[1] + 1},"
-            f"{float(r.delta_x)!r},{r.counts}\n"
-        )
+def write_coincidence_csv(table: CoincidenceTable, stream) -> None:
+    """Write a table with 1-based mode labels and a header row, one record per
+    cell in (delay, pair) order."""
+    a, b = (k + 1 for k in table.input)
+    heads = [f"{a},{b},{i + 1},{j + 1}," for i, j in table.pairs]
+    rows = [head + dx for dx in map("{!r},".format, table.delays.tolist()) for head in heads]
+    counts = map(str, table.counts.ravel().tolist())
+    stream.write("\n".join([",".join(CSV_COLUMNS), *map(str.__add__, rows, counts)]) + "\n")
 
 
-def read_coincidence_csv(stream, source: str = "<csv>") -> list[CoincidenceRecord]:
-    """Parse a coincidence CSV (1-based mode labels) into records.
+def _int_array(values) -> np.ndarray:
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
 
-    Malformed rows raise :class:`ParseError` naming the line and field.
+
+def read_coincidence_csv(stream, source: str = "<csv>"):
+    """Parse a coincidence CSV (1-based mode labels), column by column.
+
+    Returns the records in file order as four columns: (N, 2) 0-based input
+    and output pairs, each ascending, delays and counts; an integer column
+    with a value beyond int64 holds Python ints. Blank lines are skipped. The
+    first malformed record raises :class:`ParseError` naming its line and
+    first fault: field count, then each field's syntax, a finite delay,
+    1-based labels and non-negative counts.
     """
     reader = csv.reader(stream)
+    header, rows, broken = None, [], None
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError(f"{source}: empty file, expected header {','.join(CSV_COLUMNS)}") from None
+        header = next(reader, None)
+        rows.extend(reader)  # appends as it reads: the records before a csv.Error stay
+    except csv.Error as exc:  # raised after the faults of the records before it
+        broken = ParseError(f"{source}:{reader.line_num}: {exc}")
+    if header is None:
+        raise broken or ParseError(f"{source}: empty file, expected header {','.join(CSV_COLUMNS)}")
     if [h.strip() for h in header] != list(CSV_COLUMNS):
         raise ParseError(f"{source}:1: expected header {','.join(CSV_COLUMNS)}, got {','.join(header)}")
-    records = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(CSV_COLUMNS):
-            raise ParseError(f"{source}:{lineno}: expected {len(CSV_COLUMNS)} fields, got {len(row)}")
-        values = {}
-        for name, cell in zip(CSV_COLUMNS, row):
-            try:
-                values[name] = float(cell) if name == "delta_x_um" else int(cell)
-            except ValueError:
-                raise ParseError(f"{source}:{lineno}: field {name!r} has invalid value {cell!r}") from None
-        if not math.isfinite(values["delta_x_um"]):
-            raise ParseError(f"{source}:{lineno}: field 'delta_x_um' must be finite, got {row[4]!r}")
-        for name in ("input_i", "input_j", "output_i", "output_j"):
-            if values[name] < 1:
-                raise ParseError(f"{source}:{lineno}: field {name!r} must be a 1-based mode label")
-        if values["counts"] < 0:
-            raise ParseError(f"{source}:{lineno}: field 'counts' must be non-negative")
-        # mode pairs are unordered; store them ascending
-        records.append(
-            CoincidenceRecord(
-                input=tuple(sorted((values["input_i"] - 1, values["input_j"] - 1))),
-                output=tuple(sorted((values["output_i"] - 1, values["output_j"] - 1))),
-                delta_x=values["delta_x_um"],
-                counts=values["counts"],
-            )
-        )
-    return records
+    lines = range(2, len(rows) + 2)
+    if not all(rows):
+        lines = [line for line, row in zip(lines, rows) if row]
+        rows = list(filter(None, rows))
+    faults = []  # (row, rank within the row, message); the first is raised
+    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    wrong = np.flatnonzero(lengths != len(CSV_COLUMNS))
+    if wrong.size:
+        faults.append((wrong[0], -1, f"expected {len(CSV_COLUMNS)} fields, got {lengths[wrong[0]]}"))
+        rows = rows[: wrong[0]]
+    columns = []
+    cells_by_column = list(zip(*rows)) or [()] * len(CSV_COLUMNS)
+    for rank, (name, cells) in enumerate(zip(CSV_COLUMNS, cells_by_column)):
+        kind = float if name == "delta_x_um" else int
+        try:
+            values = list(map(kind, cells))
+        except ValueError:  # keep the values before the first refused cell
+            values = []
+            for cell in cells:
+                try:
+                    values.append(kind(cell))
+                except ValueError:
+                    faults.append((len(values), rank, f"field {name!r} has invalid value {cell!r}"))
+                    break
+        columns.append(np.array(values) if kind is float else _int_array(values))
+    *labels, delta_x, counts = columns
+    bad = np.flatnonzero(~np.isfinite(delta_x))
+    if bad.size:
+        faults.append((bad[0], 6, f"field 'delta_x_um' must be finite, got {rows[bad[0]][4]!r}"))
+    for rank, (name, column) in enumerate(zip(CSV_COLUMNS, labels), start=7):
+        bad = np.flatnonzero(column < 1)
+        if bad.size:
+            faults.append((bad[0], rank, f"field {name!r} must be a 1-based mode label"))
+    bad = np.flatnonzero(counts < 0)
+    if bad.size:
+        faults.append((bad[0], 11, "field 'counts' must be non-negative"))
+    if faults:
+        k, _, message = min(faults)
+        raise ParseError(f"{source}:{lines[k]}: {message}")
+    if broken:
+        raise broken
+    # mode pairs are unordered; store them ascending
+    inputs, outputs = (np.sort(np.stack(labels[k : k + 2], axis=1), axis=1) - 1 for k in (0, 2))
+    return inputs, outputs, delta_x, counts

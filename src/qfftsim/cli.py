@@ -12,7 +12,7 @@ reconstruct  fit circuit phases to a measurement problem file
 
 Each command has one handler: it reads the parsed arguments, calls the
 library and writes the artifact. A default the library also has is read
-from the library's constant.
+from the library's constant. The parser is built once per process.
 
 Conventions: mode labels in flags and files are 1-based; all randomness
 derives from one master seed (``--seed``) through fixed per-subsystem
@@ -33,6 +33,7 @@ covers, and refuse a record of that input whose output mode exceeds m;
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import os
@@ -46,7 +47,7 @@ from .certify import (
     DEFAULT_THRESHOLD_SIGMAS,
     DEFAULT_TRIALS,
     MAX_EXPECTED_COUNTS,
-    CoincidenceRecord,
+    CoincidenceTable,
     certify,
     classical_pair_probabilities,
     read_coincidence_csv,
@@ -96,26 +97,21 @@ def derived_seed(master: int, stream: str) -> int:
 
 def simulate_experiment(
     u, input_pair, delay_model, delta_x, expected_counts, rng, *, tol=DEFAULT_TOL
-) -> list[CoincidenceRecord]:
+) -> CoincidenceTable:
     """Poisson-distributed coincidence counts around the model curves.
 
     The expected count of output pair (i, j) at delay dx is
     ``expected_counts * Q_ij(dx)``; each is drawn once from the given
     generator, in deterministic (delay, pair) order, by one call over the
-    whole table of means.
+    whole table of means. ``delta_x`` must ascend without repeats.
     """
     if not 0 < expected_counts <= MAX_EXPECTED_COUNTS:
         raise DomainError(
             f"expected counts must be in (0, {MAX_EXPECTED_COUNTS:g}], got {expected_counts}"
         )
     curves = two_photon_coincidences(u, input_pair, delay_model, delta_x, tol=tol)
-    a, b = sorted(curves.input)
     counts = rng.poisson(expected_counts * np.maximum(curves.quantum, 0.0))
-    return [
-        CoincidenceRecord(input=(a, b), output=pair, delta_x=float(dx), counts=int(n))
-        for dx, row in zip(curves.delta_x, counts)
-        for pair, n in zip(curves.pairs, row)
-    ]
+    return CoincidenceTable(tuple(sorted(curves.input)), curves.delta_x, curves.pairs, counts)
 
 
 def _write_text(out: str | None, text: str) -> None:
@@ -228,23 +224,25 @@ def _analyzed_curve(args, *, at_zero: bool = False):
         )
     # newline=None reads \r and \r\n line ends as open() does
     stream = io.StringIO(_read_text(args.data_path), newline=None)
-    records = read_coincidence_csv(stream, source=args.data_path)
-    records = [r for r in records if r.input == pair]
-    if not records:
-        raise DomainError(f"no records for input pair {tuple(k + 1 for k in pair)} in {args.data_path}")
-    beyond = next((r.output for r in records if r.output[1] >= m), None)
-    if beyond is not None:
+    inputs, outputs, delta_x, counts = read_coincidence_csv(stream, source=args.data_path)
+    mine = np.all(inputs == pair, axis=1)
+    outputs = outputs[mine]
+    labels = tuple(k + 1 for k in pair)
+    if not len(outputs):
+        raise DomainError(f"no records for input pair {labels} in {args.data_path}")
+    beyond = outputs[outputs[:, 1] >= m]
+    if len(beyond):
         raise DomainError(
-            f"{args.data_path} has output pair {tuple(k + 1 for k in beyond)} for input pair "
-            f"{tuple(k + 1 for k in pair)}, beyond the {m} modes of the unitary"
+            f"{args.data_path} has output pair {tuple(int(k) + 1 for k in beyond[0])} for input pair "
+            f"{labels}, beyond the {m} modes of the unitary"
         )
     pc = classical_pair_probabilities(u, pair, _forbidden_pairs(m))
+    table = CoincidenceTable.from_cells(pair, delta_x[mine], outputs, counts[mine], sorted(pc))
     at = None
-    if at_zero:
-        delays = {r.delta_x for r in records if r.output in pc}
-        at = min(delays, key=lambda dx: (abs(dx), dx), default=None)
+    if at_zero and len(table.delays):
+        at = min(table.delays.tolist(), key=lambda dx: (abs(dx), dx))
     curve = violation_curve(
-        records,
+        table,
         pc,
         trials=args.trials,
         seed=derived_seed(args.seed, "monte_carlo"),
@@ -292,9 +290,9 @@ def _simulate(args) -> None:
     size = args.points * m * (m + 1) // 2
     if size > MAX_RECORDS:
         raise DomainError(f"--points {args.points} on {m} modes make {size} records, over {MAX_RECORDS}")
-    records = simulate_experiment(u, pair, model, grid, args.expected_counts, rng, tol=args.tol)
+    table = simulate_experiment(u, pair, model, grid, args.expected_counts, rng, tol=args.tol)
     buffer = io.StringIO()
-    write_coincidence_csv(records, buffer)
+    write_coincidence_csv(table, buffer)
     _write_text(args.out, buffer.getvalue())
 
 
@@ -335,7 +333,9 @@ def _reconstruct(args) -> None:
     _write_json(args.out, result_to_json(result))
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``qfft`` parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qfft",
         description="Simulate, synthesise and certify Fourier-transform photonic interferometers.",

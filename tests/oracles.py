@@ -7,10 +7,12 @@ are evaluated one outcome at a time, the mean-field average is a dense phase
 grid, or a sum of permanents over the ways to hand the photons to the input
 modes, Monte Carlo trials run one per loop iteration (redrawing every count,
 or only the reference counts with each row's conditional mean and variance
-summed term by term), and the reference counts of a violation curve come from
-a scan over the records for each pair.
+summed term by term), the reference counts of a violation curve come from
+a scan over the table's cells for each pair, and a coincidence CSV is parsed
+one record at a time.
 """
 
+import csv
 import math
 import statistics
 from itertools import permutations, product
@@ -150,21 +152,31 @@ def mean_field_grid(u, modes, outputs, grid: int = 64) -> list[float]:
     return [total / grid ** (n - 1) for total in totals]
 
 
-def plateau_reference(records, pairs) -> dict[tuple[int, int], float]:
-    """Reference counts per output pair by the plateau rule, one record scan per pair.
+def table_cells(table) -> dict[tuple[float, tuple[int, int]], int]:
+    """The counts of a coincidence table keyed by (delay, output pair), one cell at a time."""
+    cells = {}
+    for k, dx in enumerate(table.delays):
+        for p, pair in enumerate(table.pairs):
+            cells[float(dx), pair] = int(table.counts[k, p])
+    return cells
+
+
+def plateau_reference(table, pairs) -> dict[tuple[int, int], float]:
+    """Reference counts per output pair by the plateau rule, one cell scan per pair.
 
     The mean of the pair's counts at the two delays of largest magnitude (the
     single delay, if only one was measured); a tie in magnitude goes to the
     negative delay.
     """
-    extremes = sorted({r.delta_x for r in records}, key=lambda dx: (-abs(dx), dx))[:2]
+    cells = table_cells(table)
+    extremes = sorted({dx for dx, _ in cells}, key=lambda dx: (-abs(dx), dx))[:2]
     return {
-        pair: float(np.mean([r.counts for r in records if r.output == pair and r.delta_x in extremes]))
+        pair: float(np.mean([n for (dx, out), n in cells.items() if out == pair and dx in extremes]))
         for pair in pairs
     }
 
 
-def violation_curve_loop(records, pc, n_d, trials: int, seed) -> list[tuple[float, float, float]]:
+def violation_curve_loop(table, pc, n_d, trials: int, seed) -> list[tuple[float, float, float]]:
     """Violation curve with one Monte Carlo trial per loop iteration.
 
     ``seed`` spawns one generator per delay row and a last one for the
@@ -174,7 +186,7 @@ def violation_curve_loop(records, pc, n_d, trials: int, seed) -> list[tuple[floa
     of the spread.
     """
     pairs = sorted(pc)
-    counts = {(r.delta_x, r.output): r.counts for r in records if r.output in pc}
+    counts = {(dx, pair): n for (dx, pair), n in table_cells(table).items() if pair in pc}
     delays = sorted({dx for dx, _ in counts})
     lam = np.array(
         [[counts[dx, pair] for pair in pairs] for dx in delays] + [[n_d[pair] for pair in pairs]],
@@ -193,7 +205,7 @@ def violation_curve_loop(records, pc, n_d, trials: int, seed) -> list[tuple[floa
     return [(float(dx), float(d), float(s)) for dx, d, s in zip(delays, d_obs, sigma)]
 
 
-def violation_curve_conditional_loop(records, pc, n_d, trials: int, seed) -> list[tuple[float, float, float]]:
+def violation_curve_conditional_loop(table, pc, n_d, trials: int, seed) -> list[tuple[float, float, float]]:
     """Violation curve whose error bar redraws only the reference counts, one trial per iteration.
 
     Each trial draws the reference row with one ``rng.poisson`` call from
@@ -204,7 +216,7 @@ def violation_curve_conditional_loop(records, pc, n_d, trials: int, seed) -> lis
     ``statistics`` raises ``StatisticsError`` when fewer than two trials are kept.
     """
     pairs = sorted(pc)
-    counts = {(r.delta_x, r.output): r.counts for r in records if r.output in pc}
+    counts = {(dx, pair): n for (dx, pair), n in table_cells(table).items() if pair in pc}
     delays = sorted({dx for dx, _ in counts})
     lam = [[float(counts[dx, pair]) for pair in pairs] for dx in delays]
     ref_mean = [float(n_d[pair]) for pair in pairs]
@@ -239,3 +251,49 @@ def simulated_counts_loop(curves, expected_counts, rng) -> list[tuple[float, tup
             lam = expected_counts * max(float(curves.quantum[idx, k]), 0.0)
             cells.append((float(dx), pair, int(rng.poisson(lam))))
     return cells
+
+
+CSV_COLUMNS = ("input_i", "input_j", "output_i", "output_j", "delta_x_um", "counts")
+
+
+def read_coincidence_csv_rows(stream, source: str = "<csv>") -> list[tuple]:
+    """Records ``(input, output, delta_x, counts)`` of a coincidence CSV, one row at a time.
+
+    Pairs become 0-based and ascending; blank lines are skipped. The first
+    malformed row raises :class:`ValueError`: a row's field count is checked
+    first, then each field's syntax in column order, then a finite delay,
+    1-based labels and non-negative counts.
+    """
+    reader = csv.reader(stream)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError(f"{source}: empty file, expected header {','.join(CSV_COLUMNS)}") from None
+    if [h.strip() for h in header] != list(CSV_COLUMNS):
+        raise ValueError(f"{source}:1: expected header {','.join(CSV_COLUMNS)}, got {','.join(header)}")
+    records = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(CSV_COLUMNS):
+            raise ValueError(f"{source}:{lineno}: expected {len(CSV_COLUMNS)} fields, got {len(row)}")
+        values = {}
+        for name, cell in zip(CSV_COLUMNS, row):
+            try:
+                values[name] = float(cell) if name == "delta_x_um" else int(cell)
+            except ValueError:
+                raise ValueError(f"{source}:{lineno}: field {name!r} has invalid value {cell!r}") from None
+        if not math.isfinite(values["delta_x_um"]):
+            raise ValueError(f"{source}:{lineno}: field 'delta_x_um' must be finite, got {row[4]!r}")
+        for name in ("input_i", "input_j", "output_i", "output_j"):
+            if values[name] < 1:
+                raise ValueError(f"{source}:{lineno}: field {name!r} must be a 1-based mode label")
+        if values["counts"] < 0:
+            raise ValueError(f"{source}:{lineno}: field 'counts' must be non-negative")
+        records.append((
+            tuple(sorted((values["input_i"] - 1, values["input_j"] - 1))),
+            tuple(sorted((values["output_i"] - 1, values["output_j"] - 1))),
+            values["delta_x_um"],
+            values["counts"],
+        ))
+    return records

@@ -5,11 +5,11 @@ import statistics
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from qfftsim.certify import (
-    CoincidenceRecord,
+    CoincidenceTable,
     D_DISTINGUISHABLE,
     D_MEAN_FIELD,
     MAX_TRIALS,
@@ -28,7 +28,12 @@ from qfftsim.errors import DomainError, ParseError, UndefinedVisibilityError
 from qfftsim.fourier import occupied_modes, partition_outputs, qft_matrix
 from qfftsim.models import DelayModel
 
-from oracles import plateau_reference, violation_curve_conditional_loop, violation_curve_loop
+from oracles import (
+    plateau_reference,
+    read_coincidence_csv_rows,
+    violation_curve_conditional_loop,
+    violation_curve_loop,
+)
 
 # the package exports the function ``certify``, which shadows the module's name
 certify_module = importlib.import_module("qfftsim.certify")
@@ -39,14 +44,15 @@ def forbidden_pairs(m):
     return sorted(tuple(occupied_modes(s)) for s in part.forbidden)
 
 
-def make_records(pair_counts_by_delay, input_pair=(0, 2)):
-    records = []
-    for dx, pair_counts in pair_counts_by_delay.items():
-        for pair, counts in pair_counts.items():
-            records.append(
-                CoincidenceRecord(input=input_pair, output=pair, delta_x=dx, counts=counts)
-            )
-    return records
+def make_cells(pair_counts_by_delay):
+    """Delay, output pair and counts columns, one row per cell."""
+    rows = [(dx, pair, n) for dx, row in pair_counts_by_delay.items() for pair, n in row.items()]
+    return [list(column) for column in zip(*rows)]
+
+
+def make_table(pair_counts_by_delay, input_pair=(0, 2)):
+    delays, outputs, counts = make_cells(pair_counts_by_delay)
+    return CoincidenceTable.from_cells(input_pair, delays, outputs, counts, sorted(set(outputs)))
 
 
 class TestVisibility:
@@ -70,22 +76,22 @@ class TestViolationCurve:
         self.pc = {pair: 0.125 for pair in self.pairs}
 
     def test_flat_counts_give_distinguishable_plateau(self):
-        records = make_records(
+        table = make_table(
             {dx: {pair: 5000 for pair in self.pairs} for dx in (-200.0, 0.0, 200.0)}
         )
-        curve = violation_curve(records, self.pc, trials=50, seed=0)
+        curve = violation_curve(table, self.pc, trials=50, seed=0)
         for _, d_obs, _ in curve:
             assert d_obs == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_counts_give_zero(self):
-        records = make_records(
+        table = make_table(
             {
                 -200.0: {pair: 4000 for pair in self.pairs},
                 0.0: {pair: 0 for pair in self.pairs},
                 200.0: {pair: 4000 for pair in self.pairs},
             }
         )
-        curve = violation_curve(records, self.pc, trials=50, seed=0)
+        curve = violation_curve(table, self.pc, trials=50, seed=0)
         by_dx = {dx: d for dx, d, _ in curve}
         assert by_dx[0.0] == pytest.approx(0.0)
 
@@ -96,60 +102,69 @@ class TestViolationCurve:
             200.0: {pair: 4000 for pair in self.pairs},
         }
         scaled = {dx: {p: 10 * c for p, c in row.items()} for dx, row in base.items()}
-        curve_a = violation_curve(make_records(base), self.pc, trials=10, seed=0)
-        curve_b = violation_curve(make_records(scaled), self.pc, trials=10, seed=0)
+        curve_a = violation_curve(make_table(base), self.pc, trials=10, seed=0)
+        curve_b = violation_curve(make_table(scaled), self.pc, trials=10, seed=0)
         for (_, da, _), (_, db, _) in zip(curve_a, curve_b):
             assert da == pytest.approx(db, abs=1e-12)
 
     def test_explicit_reference_counts(self):
-        records = make_records({0.0: {pair: 100 for pair in self.pairs}})
+        table = make_table({0.0: {pair: 100 for pair in self.pairs}})
         n_d = {pair: 200.0 for pair in self.pairs}
-        curve = violation_curve(records, self.pc, n_d, trials=10, seed=0)
+        curve = violation_curve(table, self.pc, n_d, trials=10, seed=0)
         assert curve[0][1] == pytest.approx(0.25)
 
     def test_missing_reference_rejected(self):
-        records = make_records({0.0: {pair: 100 for pair in self.pairs}})
+        table = make_table({0.0: {pair: 100 for pair in self.pairs}})
         n_d = {self.pairs[0]: 100.0}
         with pytest.raises(DomainError):
-            violation_curve(records, self.pc, n_d, trials=10)
+            violation_curve(table, self.pc, n_d, trials=10)
 
     def test_zero_reference_rejected(self):
-        records = make_records({0.0: {pair: 100 for pair in self.pairs}})
+        table = make_table({0.0: {pair: 100 for pair in self.pairs}})
         n_d = {pair: 0.0 for pair in self.pairs}
         with pytest.raises(DomainError):
-            violation_curve(records, self.pc, n_d, trials=10)
+            violation_curve(table, self.pc, n_d, trials=10)
 
     def test_missing_grid_point_rejected(self):
-        records = make_records(
+        delays, outputs, counts = make_cells(
             {
                 -200.0: {pair: 4000 for pair in self.pairs},
                 200.0: {pair: 4000 for pair in self.pairs},
             }
         )
-        records = records[:-1]  # drop one (delay, pair) cell
-        with pytest.raises(DomainError):
-            violation_curve(records, self.pc, trials=10)
+        with pytest.raises(DomainError):  # one (delay, pair) cell dropped
+            CoincidenceTable.from_cells((0, 2), delays[:-1], outputs[:-1], counts[:-1], self.pairs)
 
     def test_duplicate_cell_rejected(self):
-        records = make_records({0.0: {pair: 100 for pair in self.pairs}})
-        records.append(CoincidenceRecord((0, 2), self.pairs[1], 0.0, 900000))
+        delays, outputs, counts = make_cells({0.0: {pair: 100 for pair in self.pairs}})
         with pytest.raises(DomainError, match=re.escape(f"delay 0.0 and output pair {self.pairs[1]}")):
-            violation_curve(records, self.pc, {pair: 200.0 for pair in self.pairs}, trials=10)
+            CoincidenceTable.from_cells(
+                (0, 2), delays + [0.0], outputs + [self.pairs[1]], counts + [900000], self.pairs
+            )
+
+    def test_zero_and_negative_zero_delays_share_a_row(self):
+        # the first row's delay is kept; a repeated cell is named by its own delay
+        table = CoincidenceTable.from_cells((0, 2), [-0.0, 0.0], [(0, 1), (2, 3)], [3, 4], [(0, 1), (2, 3)])
+        assert table.delays.tolist() == [0.0] and np.signbit(table.delays[0])
+        assert table.counts.tolist() == [[3, 4]]
+        with pytest.raises(DomainError, match=re.escape("duplicate counts for delay 0.0 and output pair (0, 1)")):
+            CoincidenceTable.from_cells((0, 2), [-0.0, 0.0], [(0, 1), (0, 1)], [3, 4], [(0, 1)])
 
     @pytest.mark.parametrize("counts", [10**19, 10**23, 10**400], ids=["1e19", "1e23", "1e400"])
     def test_counts_above_the_sampler_limit_rejected(self, counts):
-        records = make_records({dx: {pair: 100 for pair in self.pairs} for dx in (-200.0, 0.0, 200.0)})
-        records[3] = CoincidenceRecord((0, 2), records[3].output, records[3].delta_x, counts)
+        grid = {dx: {pair: 100 for pair in self.pairs} for dx in (-200.0, 0.0, 200.0)}
+        delays, outputs, cells = make_cells(grid)
+        cells[3] = counts
         with pytest.raises(DomainError, match="Poisson sampler"):
-            violation_curve(records, self.pc, trials=10)
+            CoincidenceTable.from_cells((0, 2), delays, outputs, cells, self.pairs)
 
     @pytest.mark.parametrize("ref", [1e19, float("inf"), float("nan")])
     def test_reference_counts_outside_the_sampler_range_rejected(self, ref):
-        records = make_records({0.0: {pair: 100 for pair in self.pairs}})
+        table = make_table({0.0: {pair: 100 for pair in self.pairs}})
         n_d = {pair: 200.0 for pair in self.pairs}
         n_d[self.pairs[2]] = ref
         with pytest.raises(DomainError):
-            violation_curve(records, self.pc, n_d, trials=10)
+            violation_curve(table, self.pc, n_d, trials=10)
 
     @pytest.mark.parametrize(
         "counts, ref, trials, block",
@@ -164,19 +179,19 @@ class TestViolationCurve:
         pc = classical_pair_probabilities(u, (0, 4), forbidden_pairs(8))
         rng = np.random.default_rng(17)
         delays = np.linspace(-300, 300, 41)
-        records = simulate_experiment(u, (0, 4), DelayModel(alpha=0.9), delays, counts, rng)
-        n_d = plateau_reference([r for r in records if r.output in pc], sorted(pc))
+        table = simulate_experiment(u, (0, 4), DelayModel(alpha=0.9), delays, counts, rng)
+        n_d = plateau_reference(table, sorted(pc))
         if ref is not None:
             n_d = {pair: ref for pair in pc}
         if block is not None:
             monkeypatch.setattr(certify_module, "MC_BLOCK_ENTRIES", block)
-        expected = violation_curve_conditional_loop(records, pc, n_d, trials, seed=23)
-        curve = violation_curve(records, pc, n_d, trials=trials, seed=23)
+        expected = violation_curve_conditional_loop(table, pc, n_d, trials, seed=23)
+        curve = violation_curve(table, pc, n_d, trials=trials, seed=23)
         assert [(dx, d) for dx, d, _ in curve] == [(dx, d) for dx, d, _ in expected]
         # the sums run in another order than the oracle's fsum
         assert [s for _, _, s in curve] == pytest.approx([s for _, _, s in expected], rel=1e-12, abs=0)
         if ref is None:
-            assert violation_curve(records, pc, trials=trials, seed=23) == curve
+            assert violation_curve(table, pc, trials=trials, seed=23) == curve
 
     def test_sigma_agrees_with_full_resampling(self):
         # Over 20 seeds, against the exact sigma of zero-truncated Poisson
@@ -184,17 +199,17 @@ class TestViolationCurve:
         # 0.4 % per row and this estimator's at most 0.25 %: their difference
         # has a spread of ~0.45 %, and the 3 % bound is over six of those.
         pc = {pair: 0.125 * (1 + k) for k, pair in enumerate(self.pairs)}
-        records = make_records(
+        table = make_table(
             {
                 -300.0: {pair: 30 + 10 * k for k, pair in enumerate(self.pairs)},
                 0.0: {pair: 3 * k for k, pair in enumerate(self.pairs)},
                 300.0: {pair: 50 - 5 * k for k, pair in enumerate(self.pairs)},
             }
         )
-        n_d = plateau_reference(records, self.pairs)
+        n_d = plateau_reference(table, self.pairs)
         trials = 20000
-        brute = violation_curve_loop(records, pc, n_d, trials, seed=41)
-        curve = violation_curve(records, pc, trials=trials, seed=43)
+        brute = violation_curve_loop(table, pc, n_d, trials, seed=41)
+        curve = violation_curve(table, pc, trials=trials, seed=43)
         assert [(dx, d) for dx, d, _ in curve] == [(dx, d) for dx, d, _ in brute]
         assert [s for _, _, s in curve] == pytest.approx([s for _, _, s in brute], rel=0.03)
 
@@ -203,54 +218,54 @@ class TestViolationCurve:
         pc = classical_pair_probabilities(u, (0, 4), forbidden_pairs(8))
         rng = np.random.default_rng(29)
         delays = np.linspace(-300, 300, 41)
-        records = simulate_experiment(u, (0, 4), DelayModel(alpha=0.9), delays, 1e5, rng)
-        full = violation_curve(records, pc, trials=200, seed=31)
+        table = simulate_experiment(u, (0, 4), DelayModel(alpha=0.9), delays, 1e5, rng)
+        full = violation_curve(table, pc, trials=200, seed=31)
         assert [dx for dx, _, _ in full] == sorted(delays)
         for row in full:
-            assert violation_curve(records, pc, trials=200, seed=31, at=row[0]) == [row]
+            assert violation_curve(table, pc, trials=200, seed=31, at=row[0]) == [row]
 
     @pytest.mark.parametrize("at", [50.0, float("nan")])
     def test_unmeasured_delay_rejected(self, at):
-        records = make_records({dx: {pair: 100 for pair in self.pairs} for dx in (-100.0, 0.0, 100.0)})
+        table = make_table({dx: {pair: 100 for pair in self.pairs} for dx in (-100.0, 0.0, 100.0)})
         with pytest.raises(DomainError, match="no records at delay"):
-            violation_curve(records, self.pc, trials=10, seed=0, at=at)
+            violation_curve(table, self.pc, trials=10, seed=0, at=at)
 
     def test_requires_two_trials(self):
-        records = make_records({0.0: {pair: 100 for pair in self.pairs}})
+        table = make_table({0.0: {pair: 100 for pair in self.pairs}})
         with pytest.raises(DomainError, match="trials"):  # a spread needs two trials
-            violation_curve(records, self.pc, trials=1)
+            violation_curve(table, self.pc, trials=1)
 
     def test_fewer_than_two_kept_trials_rejected(self):
         # with a mean of 1 per pair, all 16 reference draws of a trial are
         # non-zero with probability (1 - 1/e)^16 ~ 7e-4
-        records = make_records({0.0: {pair: 1 for pair in forbidden_pairs(8)}})
+        table = make_table({0.0: {pair: 1 for pair in forbidden_pairs(8)}})
         pc = {pair: 1 / 16 for pair in forbidden_pairs(8)}
         with pytest.raises(DomainError, match="only 0 of 3 Monte Carlo trials"):
-            violation_curve(records, pc, trials=3, seed=0)
+            violation_curve(table, pc, trials=3, seed=0)
 
     def test_trials_above_the_cap_rejected(self):
-        records = make_records({0.0: {pair: 100 for pair in self.pairs}})
+        table = make_table({0.0: {pair: 100 for pair in self.pairs}})
         with pytest.raises(DomainError, match="trials"):
-            violation_curve(records, self.pc, trials=MAX_TRIALS + 1)
+            violation_curve(table, self.pc, trials=MAX_TRIALS + 1)
 
     def test_sigma_independent_of_block_size(self, monkeypatch):
-        records = make_records(
+        table = make_table(
             {dx: {pair: 40 * (1 + k) for k, pair in enumerate(self.pairs)} for dx in (-100.0, 0.0, 100.0)}
         )
-        curve = violation_curve(records, self.pc, trials=500, seed=9)
+        curve = violation_curve(table, self.pc, trials=500, seed=9)
         monkeypatch.setattr(certify_module, "MC_BLOCK_ENTRIES", 1)
-        assert violation_curve(records, self.pc, trials=500, seed=9) == curve
+        assert violation_curve(table, self.pc, trials=500, seed=9) == curve
 
     def test_sigma_scale_matches_poisson(self):
         n0, nref = 625, 12500
-        records = make_records(
+        table = make_table(
             {
                 -300.0: {pair: nref for pair in self.pairs},
                 0.0: {pair: n0 for pair in self.pairs},
                 300.0: {pair: nref for pair in self.pairs},
             }
         )
-        curve = violation_curve(records, self.pc, trials=3000, seed=5)
+        curve = violation_curve(table, self.pc, trials=3000, seed=5)
         sigma0 = dict((dx, s) for dx, _, s in curve)[0.0]
         expected = np.sqrt(4 * (0.125 / nref) ** 2 * n0)  # leading Poisson term
         assert sigma0 == pytest.approx(expected, rel=0.2)
@@ -258,7 +273,7 @@ class TestViolationCurve:
 
 @st.composite
 def small_tables(draw):
-    """Records, pc and reference counts of a table of up to 4 delays by 4 pairs.
+    """A table of up to 4 delays by 4 pairs, its pc and reference counts.
 
     Cells are often zero. The reference counts are the plateau rule's
     (``None``) or explicit, down to means at which most trials draw a zero.
@@ -267,9 +282,9 @@ def small_tables(draw):
     pc = {pair: draw(st.floats(0.01, 1.0)) for pair in pairs}
     delays = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=4, unique=True))
     cell = st.one_of(st.integers(0, 3), st.integers(0, 2000))
-    records = make_records({50.0 * dx: {pair: draw(cell) for pair in pairs} for dx in delays})
+    table = make_table({50.0 * dx: {pair: draw(cell) for pair in pairs} for dx in delays})
     n_d = draw(st.one_of(st.none(), st.fixed_dictionaries({pair: st.floats(0.3, 40.0) for pair in pairs})))
-    return records, pc, n_d
+    return table, pc, n_d
 
 
 class TestConditionalVariance:
@@ -278,26 +293,26 @@ class TestConditionalVariance:
     @settings(max_examples=150, deadline=None, derandomize=True, phases=(Phase.explicit, Phase.generate))
     @given(table=small_tables(), trials=st.integers(2, 60), seed=st.integers(0, 2**32))
     def test_matches_the_loop_oracle_row_by_row_and_for_any_block(self, table, trials, seed):
-        records, pc, n_d = table
-        reference = plateau_reference(records, sorted(pc)) if n_d is None else n_d
+        table, pc, n_d = table
+        reference = plateau_reference(table, sorted(pc)) if n_d is None else n_d
         if min(reference.values()) <= 0:
             with pytest.raises(DomainError, match="must be positive"):
-                violation_curve(records, pc, n_d, trials=trials, seed=seed)
+                violation_curve(table, pc, n_d, trials=trials, seed=seed)
             return
         try:
-            expected = violation_curve_conditional_loop(records, pc, reference, trials, seed)
+            expected = violation_curve_conditional_loop(table, pc, reference, trials, seed)
         except statistics.StatisticsError:  # fewer than two trials kept
             with pytest.raises(DomainError, match=f"of {trials} Monte Carlo trials"):
-                violation_curve(records, pc, n_d, trials=trials, seed=seed)
+                violation_curve(table, pc, n_d, trials=trials, seed=seed)
             return
-        curve = violation_curve(records, pc, n_d, trials=trials, seed=seed)
+        curve = violation_curve(table, pc, n_d, trials=trials, seed=seed)
         assert [(dx, d) for dx, d, _ in curve] == [(dx, d) for dx, d, _ in expected]
         assert [s for _, _, s in curve] == pytest.approx([s for _, _, s in expected], rel=1e-12, abs=0)
         for row in curve:
-            assert violation_curve(records, pc, n_d, trials=trials, seed=seed, at=row[0]) == [row]
+            assert violation_curve(table, pc, n_d, trials=trials, seed=seed, at=row[0]) == [row]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(certify_module, "MC_BLOCK_ENTRIES", 1)
-            assert violation_curve(records, pc, n_d, trials=trials, seed=seed) == curve
+            assert violation_curve(table, pc, n_d, trials=trials, seed=seed) == curve
 
 
 class TestCertify:
@@ -357,35 +372,35 @@ class TestReferenceCounts:
     def test_plateau_rule_uses_two_extremes(self):
         pairs = forbidden_pairs(4)
         pc = {pair: 0.125 for pair in pairs}
-        records = make_records(
+        table = make_table(
             {
                 -300.0: {pair: 100 for pair in pairs},
                 0.0: {pair: 5 for pair in pairs},
                 300.0: {pair: 110 for pair in pairs},
             }
         )
-        by_dx = {dx: d for dx, d, _ in violation_curve(records, pc, trials=10, seed=0)}
+        by_dx = {dx: d for dx, d, _ in violation_curve(table, pc, trials=10, seed=0)}
         assert by_dx[0.0] == pytest.approx(0.5 * 5 / 105.0)
         assert by_dx[-300.0] == pytest.approx(0.5 * 100 / 105.0)
 
     def test_single_delay_falls_back(self):
-        records = make_records({0.0: {(0, 1): 42}})
-        assert violation_curve(records, {(0, 1): 0.125}, trials=10, seed=0)[0][1] == 0.125
+        table = make_table({0.0: {(0, 1): 42}})
+        assert violation_curve(table, {(0, 1): 0.125}, trials=10, seed=0)[0][1] == 0.125
 
     def test_a_tie_in_magnitude_goes_to_the_negative_delay(self):
         pairs = forbidden_pairs(4)
         pc = {pair: 0.125 for pair in pairs}
-        records = make_records(
+        table = make_table(
             {
                 -300.0: {pair: 100 for pair in pairs},
                 -250.0: {pair: 120 for pair in pairs},
                 250.0: {pair: 80 for pair in pairs},
             }
         )
-        by_dx = {dx: d for dx, d, _ in violation_curve(records, pc, trials=10, seed=0)}
+        by_dx = {dx: d for dx, d, _ in violation_curve(table, pc, trials=10, seed=0)}
         assert by_dx[250.0] == pytest.approx(0.5 * 80 / 110.0)
-        explicit = violation_curve(records, pc, plateau_reference(records, pairs), trials=10, seed=0)
-        assert violation_curve(records, pc, trials=10, seed=0) == explicit
+        explicit = violation_curve(table, pc, plateau_reference(table, pairs), trials=10, seed=0)
+        assert violation_curve(table, pc, trials=10, seed=0) == explicit
 
 
 class TestClassicalPairProbabilities:
@@ -397,20 +412,75 @@ class TestClassicalPairProbabilities:
                 assert pc[pair] == pytest.approx(2 / m**2, abs=1e-12)
 
 
+_INT = st.one_of(st.integers(1, 9), st.integers(10, 10**6), st.integers(2**63, 10**25))
+_FLOAT = st.floats(-1e3, 1e3, allow_subnormal=False)
+_PADS = st.sampled_from(["{}", " {} ", "{:_}", "+{}"])
+# integer and delay cells that int() or float() refuse, or that parse to a refused value
+_BAD_CELLS = (["x", "", "1.5", "0", "-1", "-0", "9" * 5000], ["x", "", "inf", "-inf", "nan", "1e400"])
+
+
+@st.composite
+def coincidence_csvs(draw):
+    """A coincidence CSV of up to 12 records: unordered pairs, ``" 5 "``, ``"1_000"``
+    and ``"+5"`` integer cells, blank lines, LF or CRLF line ends, and up to three
+    faults, a refused cell or a record with a field too few or too many."""
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        cells = [draw(_INT) for _ in range(4)] + [draw(_FLOAT), draw(_INT)]
+        rows.append([repr(v) if isinstance(v, float) else draw(_PADS).format(v) for v in cells])
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        row = draw(st.sampled_from(rows))
+        fault = draw(st.sampled_from(["cell"] * 8 + ["short", "long"]))
+        if fault == "cell":
+            k = draw(st.integers(0, len(row) - 1))
+            row[k] = draw(st.sampled_from(_BAD_CELLS[k == 4]))
+        elif fault == "short":
+            row.pop(draw(st.integers(0, len(row) - 1)))
+        else:
+            row.append("1")
+    lines = ["input_i,input_j,output_i,output_j,delta_x_um,counts"] + [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+
+
 class TestCsv:
+    @settings(max_examples=200, deadline=None, derandomize=True, phases=(Phase.explicit, Phase.generate))
+    @given(text=coincidence_csvs())
+    @example(text="input_i,input_j,output_i,output_j,delta_x_um,counts\n1,3,2,4,0.0,-1\n")
+    @example(text="input_i,input_j,output_i,output_j,delta_x_um,counts\n1,3,0,4,nan,-1\n1,x,2,4,0.0,5\n")
+    def test_matches_the_row_by_row_oracle(self, text):
+        def parse(reader):
+            return reader(io.StringIO(text, newline=None), source="f.csv")
+
+        try:
+            expected = parse(read_coincidence_csv_rows)
+        except ValueError as exc:
+            with pytest.raises(ParseError) as refused:
+                parse(read_coincidence_csv)
+            assert str(refused.value) == str(exc)
+            return
+        inputs, outputs, delta_x, counts = parse(read_coincidence_csv)
+        pairs = zip(map(tuple, inputs.tolist()), map(tuple, outputs.tolist()))
+        assert [(*pair, dx, n) for pair, dx, n in zip(pairs, delta_x.tolist(), counts.tolist())] == expected
+
     def test_round_trip(self):
-        records = make_records(
+        table = make_table(
             {0.0: {(0, 1): 3, (2, 3): 7}, 120.5: {(0, 1): 11, (2, 3): 0}}
         )
         buffer = io.StringIO()
-        write_coincidence_csv(records, buffer)
+        write_coincidence_csv(table, buffer)
         buffer.seek(0)
-        again = read_coincidence_csv(buffer)
-        assert sorted(again, key=str) == sorted(records, key=str)
+        inputs, outputs, delta_x, counts = read_coincidence_csv(buffer)
+        assert inputs.tolist() == [[0, 2]] * 4
+        again = CoincidenceTable.from_cells((0, 2), delta_x, outputs, counts, table.pairs)
+        assert again.input == table.input and again.pairs == table.pairs
+        assert again.delays.tolist() == table.delays.tolist()
+        assert again.counts.tolist() == table.counts.tolist()
 
     def test_header_is_one_based(self):
         buffer = io.StringIO()
-        write_coincidence_csv([CoincidenceRecord((0, 2), (1, 3), 0.0, 5)], buffer)
+        write_coincidence_csv(make_table({0.0: {(1, 3): 5}}), buffer)
         lines = buffer.getvalue().splitlines()
         assert lines[0] == "input_i,input_j,output_i,output_j,delta_x_um,counts"
         assert lines[1] == "1,3,2,4,0.0,5"
@@ -434,6 +504,14 @@ class TestCsv:
         with pytest.raises(ParseError, match=r"f\.csv:3: field 'delta_x_um' must be finite"):
             read_coincidence_csv(io.StringIO(text), source="f.csv")
 
+    def test_field_above_the_csv_size_limit_named_after_earlier_faults(self):
+        header = "input_i,input_j,output_i,output_j,delta_x_um,counts\n"
+        big = "1,3,2,4,1.0," + "1" * 140_000 + "\n"
+        with pytest.raises(ParseError, match=r"^f\.csv:3: field larger than field limit"):
+            read_coincidence_csv(io.StringIO(header + "1,3,2,4,0.0,5\n" + big), source="f.csv")
+        with pytest.raises(ParseError, match=r"^f\.csv:2: field 'counts' has invalid value 'x'"):
+            read_coincidence_csv(io.StringIO(header + "1,3,2,4,0.0,x\n" + big), source="f.csv")
+
     def test_zero_based_label_rejected(self):
         text = "input_i,input_j,output_i,output_j,delta_x_um,counts\n0,3,2,4,0.0,5\n"
         with pytest.raises(ParseError, match="1-based"):
@@ -441,11 +519,11 @@ class TestCsv:
 
     def test_unordered_pairs_normalised(self):
         text = "input_i,input_j,output_i,output_j,delta_x_um,counts\n3,1,4,2,0.0,5\n"
-        (record,) = read_coincidence_csv(io.StringIO(text))
-        assert record.input == (0, 2)
-        assert record.output == (1, 3)
+        inputs, outputs, _, _ = read_coincidence_csv(io.StringIO(text))
+        assert inputs.tolist() == [[0, 2]]
+        assert outputs.tolist() == [[1, 3]]
 
 
 def test_negative_counts_rejected():
     with pytest.raises(DomainError):
-        CoincidenceRecord((0, 1), (2, 3), 0.0, -1)
+        CoincidenceTable.from_cells((0, 1), [0.0], [(2, 3)], [-1], [(2, 3)])

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from qfftsim import cli, models, reconstruct
-from qfftsim.certify import MAX_TRIALS, read_coincidence_csv
+from qfftsim.certify import MAX_TRIALS, CoincidenceTable, read_coincidence_csv
 from qfftsim.circuit import (
     SYNTH_CAP,
     circuit_to_unitary,
@@ -166,11 +168,11 @@ class TestSimulateCommand:
             == EXIT_OK
         )
         with open(out) as handle:
-            records = read_coincidence_csv(handle)
+            _, outputs, delta_x, counts = read_coincidence_csv(handle)
         forbidden = {(0, 1), (0, 3), (1, 2), (2, 3)}
-        for r in records:
-            if r.delta_x == 0.0 and r.output in forbidden:
-                assert r.counts == 0
+        for output, dx, n in zip(map(tuple, outputs.tolist()), delta_x, counts):
+            if dx == 0.0 and output in forbidden:
+                assert n == 0
 
 
 class TestCurveAndCertify:
@@ -456,6 +458,19 @@ class TestErrorPaths:
         assert code == EXIT_IO
         assert "bad.csv:2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["curve", "certify"])
+    def test_field_above_the_csv_size_limit_exits_4(self, command, tmp_path, capsys):
+        data = tmp_path / "big.csv"
+        header = "input_i,input_j,output_i,output_j,delta_x_um,counts\n"
+        data.write_text(header + "1,5,1,2,0.0," + "1" * 140_000 + "\n")
+        code = run_cli(command, "--data", str(data), "--modes", "8", "--input", "1,5",
+                       "--out", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == EXIT_IO
+        assert err.startswith(f"qfft: error: {data}:2: field larger than field limit")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_json(self, tmp_path):
         bad = tmp_path / "u.json"
         bad.write_text("{not json")
@@ -577,7 +592,8 @@ class TestSizeCaps:
         size = points * modes * (modes + 1) // 2
         assert (size <= MAX_RECORDS) == allowed
         calls = []
-        monkeypatch.setattr(cli, "simulate_experiment", lambda *args, **kwargs: calls.append(args) or [])
+        empty = CoincidenceTable((0, 1), np.empty(0), (), np.empty((0, 0), dtype=np.int64))
+        monkeypatch.setattr(cli, "simulate_experiment", lambda *args, **kwargs: calls.append(args) or empty)
         code = run_cli("simulate", "--modes", str(modes), "--input", "1,2", "--points", str(points),
                        "--out", str(tmp_path / "counts.csv"))
         err = capsys.readouterr().err
@@ -868,17 +884,63 @@ class TestSimulateExperimentFunction:
         u = qft_matrix(8)
         model = DelayModel(alpha=0.9)
         delays = np.linspace(-300.0, 300.0, 41)
-        records = simulate_experiment(u, (0, 4), model, delays, counts, np.random.default_rng(5))
+        table = simulate_experiment(u, (0, 4), model, delays, counts, np.random.default_rng(5))
         curves = two_photon_coincidences(u, (0, 4), model, delays)
         expected = simulated_counts_loop(curves, counts, np.random.default_rng(5))
-        assert [(r.delta_x, r.output, r.counts) for r in records] == expected
+        cells = zip(table.delays.tolist(), table.counts.tolist())
+        assert [(dx, pair, n) for dx, row in cells for pair, n in zip(table.pairs, row)] == expected
 
     def test_record_grid_is_complete(self):
-        records = simulate_experiment(
+        table = simulate_experiment(
             qft_matrix(4), (0, 2), DelayModel(), [-50.0, 0.0, 50.0], 100.0,
             np.random.default_rng(1),
         )
-        assert len(records) == 3 * 10  # three delays x C(4,2)+4 output pairs
+        assert table.counts.shape == (3, 10)  # three delays x C(4,2)+4 output pairs
+
+
+class TestParserReuse:
+    # each step leaves out a flag an earlier one set, so state kept from one
+    # parse would change a later artifact
+    STEPS = [
+        ("simulate", "--modes", "4", "--input", "2,4", "--points", "11", "--counts", "5000", "--seed", "3",
+         "--out", "counts.csv"),
+        ("curve", "--data", "counts.csv", "--modes", "4", "--input", "2,4", "--trials", "50", "--seed", "5",
+         "--out", "curve.csv"),
+        ("certify", "--data", "counts.csv", "--modes", "4", "--input", "2,4", "--threshold", "40",
+         "--out", "report.json"),
+        ("certify", "--data", "counts.csv", "--modes", "4", "--input", "1,2", "--out", "refused.json"),
+        ("curve", "--data", "counts.csv", "--modes", "4", "--input", "4,2", "--out", "curve-again.csv"),
+    ]
+
+    @staticmethod
+    def _fresh(argv, cwd):
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.Popen([sys.executable, "-m", "qfftsim.cli", *argv], cwd=cwd, env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+    def test_repeated_main_calls_match_fresh_processes(self, tmp_path, monkeypatch, capsys):
+        here, fresh = tmp_path / "in-process", tmp_path / "fresh"
+        here.mkdir()
+        fresh.mkdir()
+        argvs = [*self.STEPS, ("--version",)]
+        procs = [self._fresh(argvs[0], fresh)]
+        outputs = [procs[0].communicate(timeout=120)]
+        procs += [self._fresh(argv, fresh) for argv in argvs[1:]]  # these only read counts.csv
+        outputs += [proc.communicate(timeout=120) for proc in procs[1:]]
+        expected = {argv: (proc.returncode, *out) for argv, proc, out in zip(argvs, procs, outputs)}
+        assert [expected[argv][0] for argv in argvs] == [EXIT_OK] * 3 + [EXIT_VALIDATION, EXIT_OK, EXIT_OK]
+        monkeypatch.chdir(here)
+        for argv in [("--version",), *self.STEPS, ("--version",)]:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            assert (code, *capsys.readouterr()) == expected[argv], argv
+        assert sorted(os.listdir(here)) == sorted(os.listdir(fresh))
+        for name in os.listdir(fresh):
+            assert (here / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
 class TestSeedDerivation:
