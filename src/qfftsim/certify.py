@@ -192,6 +192,9 @@ def violation_curve(
     holes = [(dx, pair) for dx in delays for pair in pairs if pair not in column]
     if holes:
         raise DomainError(f"missing counts for (delay, pair) combinations {holes[:5]}")
+    repeats = np.flatnonzero(np.diff(table.delays) == 0)
+    if repeats.size:
+        raise DomainError(f"duplicate counts for delay {delays[repeats[0] + 1]} and output pair {pairs[0]}")
     # the last row holds the reference counts
     lam = np.empty((len(delays) + 1, len(pairs)))
     lam[:-1] = table.counts[:, [column[pair] for pair in pairs]]

@@ -103,7 +103,7 @@ def simulate_experiment(
     The expected count of output pair (i, j) at delay dx is
     ``expected_counts * Q_ij(dx)``; each is drawn once from the given
     generator, in deterministic (delay, pair) order, by one call over the
-    whole table of means. ``delta_x`` must ascend without repeats.
+    whole table of means. The table's rows are then ordered by delay.
     """
     if not 0 < expected_counts <= MAX_EXPECTED_COUNTS:
         raise DomainError(
@@ -111,7 +111,8 @@ def simulate_experiment(
         )
     curves = two_photon_coincidences(u, input_pair, delay_model, delta_x, tol=tol)
     counts = rng.poisson(expected_counts * np.maximum(curves.quantum, 0.0))
-    return CoincidenceTable(tuple(sorted(curves.input)), curves.delta_x, curves.pairs, counts)
+    order = np.argsort(curves.delta_x, kind="stable")
+    return CoincidenceTable(tuple(sorted(curves.input)), curves.delta_x[order], curves.pairs, counts[order])
 
 
 def _write_text(out: str | None, text: str) -> None:

@@ -142,6 +142,13 @@ class TestViolationCurve:
                 (0, 2), delays + [0.0], outputs + [self.pairs[1]], counts + [900000], self.pairs
             )
 
+    def test_repeated_simulated_delay_rejected(self):
+        u = qft_matrix(4)
+        table = simulate_experiment(u, (0, 2), DelayModel(), [0.0, 0.0, 300.0], 1e4, np.random.default_rng(1))
+        pc = classical_pair_probabilities(u, (0, 2), self.pairs)
+        with pytest.raises(DomainError, match=re.escape("duplicate counts for delay 0.0 and output pair (0, 1)")):
+            violation_curve(table, pc, trials=10)
+
     def test_zero_and_negative_zero_delays_share_a_row(self):
         # the first row's delay is kept; a repeated cell is named by its own delay
         table = CoincidenceTable.from_cells((0, 2), [-0.0, 0.0], [(0, 1), (2, 3)], [3, 4], [(0, 1), (2, 3)])

@@ -890,6 +890,14 @@ class TestSimulateExperimentFunction:
         cells = zip(table.delays.tolist(), table.counts.tolist())
         assert [(dx, pair, n) for dx, row in cells for pair, n in zip(table.pairs, row)] == expected
 
+    def test_rows_are_ordered_by_delay(self):
+        u, model, delays = qft_matrix(4), DelayModel(alpha=0.9), [0.0, -300.0, 150.0, -150.0]
+        table = simulate_experiment(u, (0, 2), model, delays, 1e4, np.random.default_rng(2))
+        curves = two_photon_coincidences(u, (0, 2), model, delays)
+        expected = sorted(simulated_counts_loop(curves, 1e4, np.random.default_rng(2)), key=lambda cell: cell[0])
+        cells = zip(table.delays.tolist(), table.counts.tolist())
+        assert [(dx, pair, n) for dx, row in cells for pair, n in zip(table.pairs, row)] == expected
+
     def test_record_grid_is_complete(self):
         table = simulate_experiment(
             qft_matrix(4), (0, 2), DelayModel(), [-50.0, 0.0, 50.0], 100.0,
