@@ -323,8 +323,10 @@ def read_coincidence_csv(stream, source: str = "<csv>"):
         faults.append((wrong[0], -1, f"expected {len(CSV_COLUMNS)} fields, got {lengths[wrong[0]]}"))
         rows = rows[: wrong[0]]
     columns = []
-    cells_by_column = list(zip(*rows)) or [()] * len(CSV_COLUMNS)
-    for rank, (name, cells) in enumerate(zip(CSV_COLUMNS, cells_by_column)):
+    # each column's text is dropped once converted, which bounds the peak memory
+    texts, rows = list(zip(*rows)) or [()] * len(CSV_COLUMNS), None
+    for rank, name in enumerate(CSV_COLUMNS):
+        cells, texts[rank] = texts[rank], None
         kind = float if name == "delta_x_um" else int
         try:
             values = list(map(kind, cells))
@@ -336,11 +338,14 @@ def read_coincidence_csv(stream, source: str = "<csv>"):
                 except ValueError:
                     faults.append((len(values), rank, f"field {name!r} has invalid value {cell!r}"))
                     break
-        columns.append(np.array(values) if kind is float else _int_array(values))
+        if kind is int:
+            columns.append(_int_array(values))
+            continue
+        columns.append(np.array(values, dtype=float))
+        bad = np.flatnonzero(~np.isfinite(columns[-1]))
+        if bad.size:
+            faults.append((bad[0], 6, f"field 'delta_x_um' must be finite, got {cells[bad[0]]!r}"))
     *labels, delta_x, counts = columns
-    bad = np.flatnonzero(~np.isfinite(delta_x))
-    if bad.size:
-        faults.append((bad[0], 6, f"field 'delta_x_um' must be finite, got {rows[bad[0]][4]!r}"))
     for rank, (name, column) in enumerate(zip(CSV_COLUMNS, labels), start=7):
         bad = np.flatnonzero(column < 1)
         if bad.size:
