@@ -17,6 +17,7 @@ can be evaluated alone and gives exactly its value in the full curve.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -50,6 +51,11 @@ MAX_TRIALS = 10**6
 #: draws in C order, so results do not depend on it; it only bounds the
 #: memory of the draws.
 MC_BLOCK_ENTRIES = 2**16
+
+#: Coincidence CSV records converted at a time. Only one block's text is held
+#: at once, which bounds the reader's memory on a large file; results do not
+#: depend on it.
+CSV_BLOCK_RECORDS = 2**14
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,20 +305,39 @@ def read_coincidence_csv(stream, source: str = "<csv>"):
     with a value beyond int64 holds Python ints. Blank lines are skipped. The
     first malformed record raises :class:`ParseError` naming its line and
     first fault: field count, then each field's syntax, a finite delay,
-    1-based labels and non-negative counts.
+    1-based labels and non-negative counts. Records are converted
+    ``CSV_BLOCK_RECORDS`` at a time, so only one block's text is held.
     """
     reader = csv.reader(stream)
-    header, rows, broken = None, [], None
     try:
         header = next(reader, None)
-        rows.extend(reader)  # appends as it reads: the records before a csv.Error stay
-    except csv.Error as exc:  # raised after the faults of the records before it
-        broken = ParseError(f"{source}:{reader.line_num}: {exc}")
+    except csv.Error as exc:
+        raise ParseError(f"{source}:{reader.line_num}: {exc}") from None
     if header is None:
-        raise broken or ParseError(f"{source}: empty file, expected header {','.join(CSV_COLUMNS)}")
+        raise ParseError(f"{source}: empty file, expected header {','.join(CSV_COLUMNS)}")
     if [h.strip() for h in header] != list(CSV_COLUMNS):
         raise ParseError(f"{source}:1: expected header {','.join(CSV_COLUMNS)}, got {','.join(header)}")
-    lines = range(2, len(rows) + 2)
+    blocks = []
+    for first in itertools.count(2, CSV_BLOCK_RECORDS):  # file line of the block's first record
+        rows, broken = [], None
+        try:
+            # appends as it reads: the records before a csv.Error stay
+            rows.extend(itertools.islice(reader, CSV_BLOCK_RECORDS))
+        except csv.Error as exc:  # raised after the faults of the records before it
+            broken = ParseError(f"{source}:{reader.line_num}: {exc}")
+        blocks.append(_convert_block(rows, range(first, first + len(rows)), source))
+        if broken:
+            raise broken
+        if len(rows) < CSV_BLOCK_RECORDS:
+            break
+    *labels, delta_x, counts = map(np.concatenate, zip(*blocks))
+    # mode pairs are unordered; store them ascending
+    inputs, outputs = (np.sort(np.stack(labels[k : k + 2], axis=1), axis=1) - 1 for k in (0, 2))
+    return inputs, outputs, delta_x, counts
+
+
+def _convert_block(rows, lines, source: str) -> list[np.ndarray]:
+    """The six columns of one block of records; the block's first fault raises :class:`ParseError`."""
     if not all(rows):
         lines = [line for line, row in zip(lines, rows) if row]
         rows = list(filter(None, rows))
@@ -345,19 +370,14 @@ def read_coincidence_csv(stream, source: str = "<csv>"):
         bad = np.flatnonzero(~np.isfinite(columns[-1]))
         if bad.size:
             faults.append((bad[0], 6, f"field 'delta_x_um' must be finite, got {cells[bad[0]]!r}"))
-    *labels, delta_x, counts = columns
-    for rank, (name, column) in enumerate(zip(CSV_COLUMNS, labels), start=7):
+    for rank, (name, column) in enumerate(zip(CSV_COLUMNS, columns[:4]), start=7):
         bad = np.flatnonzero(column < 1)
         if bad.size:
             faults.append((bad[0], rank, f"field {name!r} must be a 1-based mode label"))
-    bad = np.flatnonzero(counts < 0)
+    bad = np.flatnonzero(columns[5] < 0)
     if bad.size:
         faults.append((bad[0], 11, "field 'counts' must be non-negative"))
     if faults:
         k, _, message = min(faults)
         raise ParseError(f"{source}:{lines[k]}: {message}")
-    if broken:
-        raise broken
-    # mode pairs are unordered; store them ascending
-    inputs, outputs = (np.sort(np.stack(labels[k : k + 2], axis=1), axis=1) - 1 for k in (0, 2))
-    return inputs, outputs, delta_x, counts
+    return columns

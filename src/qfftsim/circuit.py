@@ -133,89 +133,109 @@ def validate_circuit(circuit: QfftCircuit) -> None:
 
 @dataclass(frozen=True)
 class CompiledCircuit:
-    """A validated circuit reduced to arrays, for repeated evaluation.
+    """A validated circuit folded into fixed segments, for repeated evaluation.
 
-    ``couplers[j]`` holds the (upper, lower) mode index arrays of layer j
-    and the permutation that puts rows stacked as (upper, lower) back in
-    mode order,
-    ``phases[j]`` its phase vector over all m modes, row k of ``slots`` the
-    (layer index, mode) of free phase k, ``nominal`` the circuit's own values
-    there, and ``inverse_relabeling`` the physical port feeding each logical
-    output. Build it with :func:`compile_circuit`.
+    Each run of layers that holds no free phase, and the output relabeling
+    after the last layer, is folded once into a fixed complex m x m segment.
+    With r layers holding a free phase, U = S_r D_r ... S_1 D_1 S_0, where
+    ``segments`` holds S_0..S_r and D_i is the diagonal exp(i phi) of the
+    i-th free layer; a circuit with no free phase is one segment.
+    ``diagonals[i]`` is D_i at the circuit's own values, ``slots[k]`` the
+    position of free phase k in ``diagonals`` flattened (free layer times m
+    plus mode), ``nominal[k]`` its value in the circuit, and ``folded`` the
+    whole circuit at its own values as one segment. Build it with
+    :func:`compile_circuit`.
     """
 
-    m: int
-    couplers: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-    phases: np.ndarray
+    segments: tuple[np.ndarray, ...]
+    diagonals: np.ndarray
     slots: np.ndarray
     nominal: np.ndarray
-    inverse_relabeling: np.ndarray
+    folded: np.ndarray
 
     def unitary(self, values=None, derivatives: bool = False):
         """U with the free phases set to ``values`` (default: the nominal ones).
 
-        With ``derivatives`` also returns dU of shape (k, m, m), where
-        dU[k] = dU/d(phi_k) = i * L[:, t] (x) (D R)[t, :] for the free phase
-        at mode t of layer j, L being the product of everything after layer
-        j's phases and D R the product up to and including them.
+        With ``derivatives`` also returns the (k, m) arrays ``left`` and
+        ``right`` of the rank-one derivatives dU/d(phi_k) = i * outer(left[k],
+        right[k]). For the free phase at mode t of free layer i, right[k] is
+        row t of D_i S_(i-1) ... D_1 S_0, the product up to and including
+        that phase, and left[k] is column t of the product after it, which is
+        U conj(right[k]) because that prefix is unitary.
         """
-        phases = self.phases.copy()
-        phases[self.slots[:, 0], self.slots[:, 1]] = self.nominal if values is None else values
-        diagonals = np.exp(1j * phases)
-        u = np.eye(self.m, dtype=complex)
-        prefixes = []
-        for diagonal, pairs in zip(diagonals, self.couplers):
-            u = diagonal[:, None] * u
-            prefixes.append(u)
-            u = _couple_rows(u, pairs)
-        u = u[self.inverse_relabeling]
+        if values is None and not derivatives:
+            return self.folded.copy()
+        diagonals = self.diagonals.copy()
+        if values is not None:
+            diagonals.reshape(-1)[self.slots] = np.exp(1j * np.asarray(values, dtype=float))
+        m = len(self.folded)
+        prefixes = np.empty((len(diagonals), m, m), dtype=complex)
+        u = self.segments[0]
+        for diagonal, segment, prefix in zip(diagonals[:, :, None], self.segments[1:], prefixes):
+            u = segment.dot(np.multiply(diagonal, u, out=prefix))
+        if not len(prefixes):
+            u = u.copy()
         if not derivatives:
             return u
-        suffix = np.eye(self.m, dtype=complex)[self.inverse_relabeling]
-        suffixes = [None] * len(self.couplers)
-        for layer in range(len(self.couplers) - 1, -1, -1):
-            # X C = (C X^T)^T: every coupler block is symmetric
-            suffix = _couple_rows(suffix.T, self.couplers[layer]).T
-            suffixes[layer] = suffix
-            suffix = suffix * diagonals[layer][None, :]
-        layers, modes = self.slots[:, 0], self.slots[:, 1]
-        left = np.stack(suffixes)[layers, :, modes]
-        right = np.stack(prefixes)[layers, modes, :]
-        return u, 1j * left[:, :, None] * right[:, None, :]
+        right = prefixes.reshape(-1, m)[self.slots]
+        return u, right.conj().dot(u.T), right
 
 
-def _couple_rows(u: np.ndarray, pairs) -> np.ndarray:
+def _couple_rows(u: np.ndarray, couplers) -> np.ndarray:
     """Balanced couplers [[1, 1], [1, -1]]/sqrt(2) on the (upper, lower) row pairs."""
-    upper, lower, restore = pairs
+    upper, lower = np.array(couplers, dtype=int).T
     ra = u[upper]
     rb = u[lower]
+    restore = np.argsort(np.concatenate((upper, lower)))
     return np.concatenate((ra + rb, ra - rb))[restore] * _INV_SQRT2
 
 
+def _fold(circuit: QfftCircuit, phases: np.ndarray, cuts) -> list[np.ndarray]:
+    """The fixed segments between the layers in ``cuts``, whose phases are left out.
+
+    Each segment applies its layers' phases and couplers to the identity row
+    by row, in circuit order; the last one ends with the output relabeling.
+    """
+    m = circuit.m
+    segments = []
+    u = np.eye(m, dtype=complex)
+    for j, layer in enumerate(circuit.layers):
+        if j in cuts:
+            segments.append(u)
+            u = np.eye(m, dtype=complex)
+        else:
+            u = np.exp(1j * phases[j])[:, None] * u
+        u = _couple_rows(u, layer.couplers)
+    inverse = np.empty(m, dtype=int)
+    inverse[list(circuit.output_relabeling)] = np.arange(m)
+    segments.append(u[inverse])
+    return segments
+
+
 def compile_circuit(circuit: QfftCircuit, free_phases=()) -> CompiledCircuit:
-    """Validate ``circuit`` once and reduce it to arrays; see :class:`CompiledCircuit`.
+    """Validate ``circuit`` once and fold it into segments; see :class:`CompiledCircuit`.
 
     ``free_phases`` lists the (step, mode) positions whose values are passed
-    to :meth:`CompiledCircuit.unitary`, in that order.
+    to :meth:`CompiledCircuit.unitary`, in that order. The segments cost
+    O(p m^2) once; an evaluation then costs one diagonal scale and one m x m
+    product per layer holding a free phase.
     """
     validate_circuit(circuit)
     free_phases = tuple(free_phases)
     _check_positions(circuit, free_phases)
-    m = circuit.m
-    couplers = []
-    for layer in circuit.layers:
-        upper = np.array([a for a, _ in layer.couplers], dtype=int)
-        lower = np.array([b for _, b in layer.couplers], dtype=int)
-        couplers.append((upper, lower, np.argsort(np.concatenate((upper, lower)))))
-    phases = np.zeros((circuit.p, m))
+    phases = np.zeros((circuit.p, circuit.m))
     for j, layer in enumerate(circuit.layers):
         for t, angle in layer.phases.items():
             phases[j, t] = angle
-    slots = np.array([(step - 1, mode) for step, mode in free_phases], dtype=int).reshape(-1, 2)
-    nominal = phases[slots[:, 0], slots[:, 1]]
-    inverse = np.empty(m, dtype=int)
-    inverse[list(circuit.output_relabeling)] = np.arange(m)
-    return CompiledCircuit(m, tuple(couplers), phases, slots, nominal, inverse)
+    free_layers = sorted({step - 1 for step, _ in free_phases})
+    slots = np.array(
+        [free_layers.index(step - 1) * circuit.m + mode for step, mode in free_phases], dtype=int
+    )
+    nominal = phases[free_layers].ravel()[slots]
+    folded = _fold(circuit, phases, ())[0]
+    segments = _fold(circuit, phases, free_layers) if free_layers else [folded]
+    diagonals = np.exp(1j * phases[free_layers])
+    return CompiledCircuit(tuple(segments), diagonals, slots, nominal, folded)
 
 
 def circuit_to_unitary(circuit: QfftCircuit) -> np.ndarray:

@@ -43,9 +43,10 @@ TWO_PI = 2.0 * math.pi
 
 DEFAULT_RESTARTS = 32
 
-#: Most restarts of a fit. At the cap, ``qfft reconstruct`` took 18 s on the
-#: 8-mode, 5-phase, 28-pair problem (4 s on 4 modes) and peaked at 83 MB RSS,
-#: 82 MB at the default; the starts take 8 x restarts x phases bytes.
+#: Most restarts of a fit. At the cap, ``qfft reconstruct`` took 5.4 s on the
+#: 8-mode, 5-phase, 28-pair problem (2 s on 4 modes) on a shared 2-core host
+#: and peaked at 83 MB RSS, 82 MB at the default; the starts take
+#: 8 x restarts x phases bytes.
 MAX_RESTARTS = 10**3
 
 
@@ -130,12 +131,16 @@ class _Visibilities:
     """The template compiled once, and the measured visibilities as gather arrays.
 
     Row n of ``modes`` is visibility n's (a, b, i, j); ``flat`` holds the
-    row-major positions of U_ia, U_jb, U_ib and U_ja in that order.
+    row-major positions of U_ia, U_jb, U_ib and U_ja in that order, and
+    ``parts`` the positions of their real and imaginary parts in U viewed
+    as floats, visibility by visibility: n's four amplitudes, each real part
+    before its imaginary part.
     """
 
     circuit: CompiledCircuit
     modes: np.ndarray
     flat: np.ndarray
+    parts: np.ndarray
     v_meas: np.ndarray
     sigmas: np.ndarray
 
@@ -147,29 +152,31 @@ def _compile(problem: ReconstructionProblem) -> _Visibilities:
     a, b, i, j = modes.T
     m = problem.template.m
     flat = np.stack([i * m + a, j * m + b, i * m + b, j * m + a])
+    parts = (2 * flat.T[:, :, None] + np.arange(2)).ravel()
     circuit = compile_circuit(problem.template, problem.free_phases)
-    return _Visibilities(circuit, modes, flat, *values.T)
+    return _Visibilities(circuit, modes, flat, parts, *values.T)
 
 
-#: Row of each amplitude's partner in ``_Visibilities.flat``: U_ia with U_jb, U_ib with U_ja.
-_PARTNERS = np.array([1, 0, 3, 2])
+def _model(data: _Visibilities, u: np.ndarray, weight=None):
+    """Residuals (v_model - v_meas)/sigma at U and, with ``weight``, weighted amplitude coefficients.
 
-
-def _model(data: _Visibilities, u: np.ndarray, coefficients: bool = False):
-    """Residuals (v_model - v_meas)/sigma at U and, on request, their amplitude coefficients.
-
-    With A = U_ia U_jb + U_ib U_ja and C = |U_ia|^2 |U_jb|^2 + |U_ib|^2 |U_ja|^2
-    the model visibility is 1 - |A|^2/C (the bunched-output factor 1/2
-    cancels in the ratio). Each of the four amplitudes X enters A and C
-    only through its partner P (U_ia with U_jb, U_ib with U_ja), so
-    dv = 2 Re sum_X dX coeff_X with coeff_X = (|A|^2 conj(X) |P|^2 - C conj(A) P) / C^2,
-    returned as a (4, N) array in the order of ``data.flat``.
+    With the pair products T_1 = U_ia U_jb and T_2 = U_ib U_ja, the
+    amplitude is A = T_1 + T_2, the classical rate C = |T_1|^2 + |T_2|^2 and
+    the model visibility 1 - |A|^2/C (the bunched-output factor 1/2 cancels
+    in the ratio). Each of the four amplitudes X enters only through its
+    pair's product T with its partner P (U_ia with U_jb, U_ib with U_ja),
+    so dv = 2 Re sum_X dX coeff_X with
+    coeff_X = (|A|^2 |P|^2 conj(X) - C conj(A) P) / C^2 = P conj(|A|^2 T - C A) / C^2.
+    ``weight(r)`` gives one real factor w per visibility, folded with 1/C^2
+    into the pair factor conj(...), so that w coeff_X takes one complex
+    product; it is returned as a (4, N) array in the order of ``data.flat``.
     """
-    z = u.ravel()[data.flat]
-    amp = z[0] * z[1] + z[2] * z[3]
-    pq = np.abs(amp) ** 2
-    weights = np.abs(z) ** 2
-    pc = weights[0] * weights[1] + weights[2] * weights[3]
+    pairs = u.ravel()[data.flat].reshape(2, 2, -1)  # (U_ia, U_jb) and (U_ib, U_ja)
+    products = pairs[:, 0] * pairs[:, 1]
+    amp = products[0] + products[1]
+    pq = amp.real**2 + amp.imag**2
+    rates = products.real**2 + products.imag**2
+    pc = rates[0] + rates[1]
     undefined = pc <= 0.0
     if undefined.any():
         a, b, i, j = data.modes[int(np.argmax(undefined))]
@@ -177,37 +184,43 @@ def _model(data: _Visibilities, u: np.ndarray, coefficients: bool = False):
             f"model visibility undefined: zero classical rate for input ({a},{b}) output ({i},{j})"
         )
     r = (1.0 - pq / pc - data.v_meas) / data.sigmas
-    if not coefficients:
+    if weight is None:
         return r
-    partner = z[_PARTNERS]
-    coeff = (pq * np.conj(z) * weights[_PARTNERS] - pc * np.conj(amp) * partner) / pc**2
-    return r, coeff
+    scale = weight(r) / pc
+    factor = np.conj((scale * pq / pc) * products - scale * amp)
+    # each pair reversed holds the partners
+    return r, (pairs[:, ::-1] * factor[:, None]).reshape(4, -1)
 
 
 def _residuals(data: _Visibilities, phases, jacobian: bool = False):
-    """Residuals at the given phases and, on request, their Jacobian (N, k)."""
+    """Residuals at the given phases and, on request, their Jacobian (N, k).
+
+    dr/dphi_k = (2/sigma) Re sum_X dU_k[X] coeff_X, with dU_k = i outer(left_k, right_k)
+    taken at each amplitude's row and column.
+    """
     if not jacobian:
         return _model(data, data.circuit.unitary(phases))
-    u, du = data.circuit.unitary(phases, derivatives=True)
-    r, coeff = _model(data, u, coefficients=True)
-    d_v = 2.0 * np.real(np.sum(du.reshape(len(du), -1)[:, data.flat] * coeff, axis=1))
-    return r, (d_v / data.sigmas).T
+    u, left, right = data.circuit.unitary(phases, derivatives=True)
+    r, coeff = _model(data, u, weight=lambda _: 2.0 / data.sigmas)
+    rows, cols = np.divmod(data.flat, len(u))
+    d_r = sum(left[:, i] * right[:, a] * c for i, a, c in zip(rows, cols, coeff))
+    return r, -np.imag(d_r).T
 
 
 def _chi2_and_gradient(data: _Visibilities, phases) -> tuple[float, np.ndarray]:
     """chi2 = r.r and its gradient 2 J^T r by one adjoint contraction, without building J.
 
-    2 J^T r = 2 Re sum_X dX (2 r coeff_X / sigma): the scaled coefficients
+    2 J^T r = 2 Re sum_X dX (2 r coeff_X / sigma): the weighted coefficients
     are scattered, visibility by visibility, into one m x m matrix G at
-    their amplitudes' positions, so the gradient is 2 Re(dU G) with dU
-    flattened to (k, m^2).
+    their amplitudes' positions (one bincount over their real and imaginary
+    parts), so with dU_k = i outer(left_k, right_k) the gradient is
+    -2 Im(left_k G right_k).
     """
-    u, du = data.circuit.unitary(phases, derivatives=True)
-    r, coeff = _model(data, u, coefficients=True)
-    scaled = (coeff * (2.0 * r / data.sigmas)).ravel(order="F")
-    positions = data.flat.ravel(order="F")
-    g = np.bincount(positions, scaled.real, u.size) + 1j * np.bincount(positions, scaled.imag, u.size)
-    return float(r @ r), 2.0 * np.real(du.reshape(len(du), u.size) @ g)
+    u, left, right = data.circuit.unitary(phases, derivatives=True)
+    r, coeff = _model(data, u, weight=lambda r: 2.0 * r / data.sigmas)
+    scaled = np.ascontiguousarray(coeff.T).view(float).ravel()
+    g = np.bincount(data.parts, scaled, 2 * u.size).view(complex).reshape(u.shape)
+    return float(r @ r), -2.0 * np.imag(np.sum(left.dot(g) * right, axis=1))
 
 
 def _singular_values(jac: np.ndarray) -> tuple[np.ndarray, float]:
@@ -256,6 +269,8 @@ def fit_phases(
     fidelity of the reconstruction against it is computed in the canonical
     gauge.
     """
+    if not 1 <= restarts <= MAX_RESTARTS:
+        raise DomainError(f"restarts must be in [1, {MAX_RESTARTS}], got {restarts}")
     k = len(problem.free_phases)
     data = _compile(problem)
     if target is not None:
@@ -273,9 +288,6 @@ def fit_phases(
         r = _residuals(data, ())
         fid = gauge_fixed_fidelity(unitary, target) if target is not None else None
         return ReconstructionResult({}, unitary, float(r @ r), fid)
-
-    if not 1 <= restarts <= MAX_RESTARTS:
-        raise DomainError(f"restarts must be in [1, {MAX_RESTARTS}], got {restarts}")
 
     def objective(x):
         return _chi2_and_gradient(data, x)

@@ -1,5 +1,6 @@
 import importlib
 import io
+import math
 import re
 import statistics
 
@@ -23,10 +24,16 @@ from qfftsim.certify import (
     visibility,
     write_coincidence_csv,
 )
+from qfftsim.circuit import circuit_to_unitary, set_phases, synthesize_qfft
 from qfftsim.cli import simulate_experiment
 from qfftsim.errors import DomainError, ParseError, UndefinedVisibilityError
-from qfftsim.fourier import occupied_modes, partition_outputs, qft_matrix
-from qfftsim.models import DelayModel
+from qfftsim.fourier import cyclic_inputs, occupied_modes, partition_outputs, qft_matrix
+from qfftsim.models import (
+    DelayModel,
+    distinguishable_distribution,
+    fock_distribution,
+    mean_field_distribution,
+)
 
 from oracles import (
     plateau_reference,
@@ -419,6 +426,29 @@ class TestClassicalPairProbabilities:
                 assert pc[pair] == pytest.approx(2 / m**2, abs=1e-12)
 
 
+class TestButterflyReferenceMasses:
+    """Two photons m/2 apart meet at one first-layer coupler, and no later
+    coupler joins the two halves of the modes, so the reference masses hold
+    on every butterfly chip whatever its phases."""
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(p=st.sampled_from([3, 4]), seed=st.integers(0, 2**32 - 1))
+    def test_hold_for_random_values_of_every_butterfly_phase(self, p, seed):
+        template = synthesize_qfft(p)
+        positions = [(layer.step, t) for layer in template.layers for t in range(template.m)]
+        values = np.random.default_rng(seed).uniform(0.0, 2 * np.pi, len(positions))
+        u = circuit_to_unitary(set_phases(template, dict(zip(positions, values))))
+        forbidden = partition_outputs(2, template.m).forbidden
+        for state in cyclic_inputs(2, p):
+            fock, dist, mf = (
+                math.fsum(map(model(u, state).probabilities.__getitem__, forbidden))
+                for model in (fock_distribution, distinguishable_distribution, mean_field_distribution)
+            )
+            assert fock == pytest.approx(0.0, abs=1e-14)
+            assert dist == pytest.approx(D_DISTINGUISHABLE, abs=1e-14)
+            assert mf == pytest.approx(D_MEAN_FIELD, abs=1e-14)
+
+
 _INT = st.one_of(st.integers(1, 9), st.integers(10, 10**6), st.integers(2**63, 10**25))
 _FLOAT = st.floats(-1e3, 1e3, allow_subnormal=False)
 _PADS = st.sampled_from(["{}", " {} ", "{:_}", "+{}"])
@@ -470,6 +500,19 @@ class TestCsv:
         inputs, outputs, delta_x, counts = parse(read_coincidence_csv)
         pairs = zip(map(tuple, inputs.tolist()), map(tuple, outputs.tolist()))
         assert [(*pair, dx, n) for pair, dx, n in zip(pairs, delta_x.tolist(), counts.tolist())] == expected
+
+    @settings(max_examples=100, deadline=None, derandomize=True, phases=(Phase.explicit, Phase.generate))
+    @given(text=coincidence_csvs(), block=st.sampled_from([1, 2]))
+    @example(text="input_i,input_j,output_i,output_j,delta_x_um,counts\n1,3,0,4,nan,-1\n\n1,x,2,4,0.0,5\n", block=1)
+    def test_matches_the_row_by_row_oracle_in_small_blocks(self, text, block):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(certify_module, "CSV_BLOCK_RECORDS", block)
+            TestCsv.test_matches_the_row_by_row_oracle.hypothesis.inner_test(self, text)
+
+    @pytest.mark.parametrize("block", [1, 2])
+    def test_field_above_the_csv_size_limit_in_small_blocks(self, block, monkeypatch):
+        monkeypatch.setattr(certify_module, "CSV_BLOCK_RECORDS", block)
+        self.test_field_above_the_csv_size_limit_named_after_earlier_faults()
 
     def test_round_trip(self):
         table = make_table(

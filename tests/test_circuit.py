@@ -149,8 +149,9 @@ class TestCompiledCircuit:
         c = synthesize_qfft(p)
         free = random_positions(c, rng)
         values = rng.uniform(0.0, 2 * np.pi, len(free))
-        u, du = compile_circuit(c, free).unitary(values, derivatives=True)
-        assert du.shape == (len(free), c.m, c.m)
+        u, left, right = compile_circuit(c, free).unitary(values, derivatives=True)
+        assert left.shape == right.shape == (len(free), c.m)
+        du = 1j * left[:, :, None] * right[:, None, :]
         h = 1e-6
         for k in range(len(free)):
             step = h * np.eye(len(free))[k]

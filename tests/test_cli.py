@@ -650,6 +650,23 @@ class TestSizeCaps:
                        "--out", str(out)) == EXIT_OK
         assert len(json.loads(out.read_text())["restarts"]) == 3
 
+    @pytest.mark.parametrize("restarts", [0, reconstruct.MAX_RESTARTS + 1])
+    def test_restarts_out_of_range_exit_2_without_free_phases(
+        self, restarts, problem4, tmp_path, capsys
+    ):
+        obj = json.loads(problem4.read_text())
+        obj["free_phases"] = []
+        problem4.write_text(json.dumps(obj))
+        out = tmp_path / "result.json"
+        code = run_cli("reconstruct", "--problem", str(problem4), "--restarts", str(restarts),
+                       "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert f"restarts must be in [1, {reconstruct.MAX_RESTARTS}], got {restarts}" in err
+        assert not out.exists()
+        assert run_cli("reconstruct", "--problem", str(problem4), "--restarts", "1",
+                       "--out", str(out)) == EXIT_OK
+
 
 class TestOutputFiles:
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)])

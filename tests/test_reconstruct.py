@@ -3,13 +3,14 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import distinguishable_pair_probability, fock_pair_probability, layer_product_unitary
 from qfftsim import reconstruct
 from qfftsim.circuit import (
     circuit_to_unitary,
+    compile_circuit,
     nontrivial_phase_positions,
     set_phases,
     synthesize_qfft,
@@ -171,6 +172,72 @@ class TestResidualJacobian:
         assert np.max(np.abs(jac - fd)) <= 1e-6 * max(np.max(np.abs(jac)), 1.0)
 
 
+@st.composite
+def free_layouts(draw):
+    """A layer count p and free phases, in any order, on some modes of no layer,
+    the first, the last (next to the relabeling), two adjacent layers or two
+    layers with a fixed one between them."""
+    p = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["none", "first", "last", "adjacent", "apart"][: p + 2]))
+    if kind == "adjacent":
+        step = draw(st.integers(1, p - 1))
+        steps = [step, step + 1]
+    elif kind == "apart":
+        step = draw(st.integers(1, p - 2))
+        steps = [step, draw(st.integers(step + 2, p))]
+    else:
+        steps = {"none": [], "first": [1], "last": [p]}[kind]
+    positions = [
+        (step, mode)
+        for step in steps
+        for mode in draw(st.lists(st.integers(0, 2**p - 1), min_size=1, max_size=4, unique=True))
+    ]
+    return p, tuple(draw(st.permutations(positions)))
+
+
+class TestFoldedTemplate:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(layout=free_layouts(), seed=st.integers(0, 2**32 - 1))
+    @example(layout=(2, ((2, 3), (2, 0))), seed=0)
+    @example(layout=(4, ((4, 1), (1, 5), (4, 6))), seed=1)
+    def test_segments_factors_and_gradient_match_the_dense_oracle(self, layout, seed):
+        p, free = layout
+        rng = np.random.default_rng(seed)
+        template = synthesize_qfft(p)
+        values = rng.uniform(0, TWO_PI, len(free))
+
+        def dense(x):
+            return layer_product_unitary(set_phases(template, dict(zip(free, x))))
+
+        compiled = compile_circuit(template, free)
+        u, left, right = compiled.unitary(values, derivatives=True)
+        assert np.max(np.abs(u - dense(values))) < 1e-12
+        assert np.array_equal(compiled.unitary(values), u)
+        assert left.shape == right.shape == (len(free), template.m)
+        h = 1e-6
+        for k, e in enumerate(np.eye(len(free))):
+            fd = (dense(values + h * e) - dense(values - h * e)) / (2 * h)
+            assert np.max(np.abs(1j * np.outer(left[k], right[k]) - fd)) < 1e-8
+
+        pairs = [(a, b) for a in range(template.m) for b in range(a + 1, template.m)]
+        pairs = [pairs[i] for i in rng.choice(len(pairs), size=min(2, len(pairs)), replace=False)]
+        vis = {
+            key: (v + rng.normal(0.0, 0.02), s)
+            for key, (v, s) in visibilities_from_unitary(dense(values), pairs, 0.02).items()
+        }
+        problem = ReconstructionProblem(template, free, {}, vis)
+        chi2, grad = reconstruct._chi2_and_gradient(reconstruct._compile(problem), values)
+        r = oracle_residuals(problem, values)
+        jac = np.zeros((len(r), len(free)))
+        for k, e in enumerate(np.eye(len(free))):
+            plus, minus = (oracle_residuals(problem, values + sign * h * e) for sign in (1, -1))
+            jac[:, k] = (plus - minus) / (2 * h)
+        reference = 2.0 * (jac.T @ r)
+        assert chi2 == pytest.approx(float(r @ r), rel=1e-9, abs=1e-12)
+        scale = max(np.max(np.abs(reference), initial=0.0), 1.0)
+        assert np.max(np.abs(grad - reference), initial=0.0) <= 1e-6 * scale
+
+
 class TestFitGradient:
     @settings(max_examples=15, deadline=None, derandomize=True)
     @given(p=st.integers(2, 3), seed=st.integers(0, 2**32 - 1))
@@ -203,7 +270,8 @@ class TestFitGradient:
         class Identity:
             def unitary(self, values=None, derivatives=False):
                 u = np.eye(4, dtype=complex)
-                return (u, np.zeros((len(values), 4, 4), dtype=complex)) if derivatives else u
+                flat = np.zeros((len(values), 4), dtype=complex)
+                return (u, flat, flat) if derivatives else u
 
         problem, _, _ = make_problem(2, [1.0])
         data = dataclasses.replace(reconstruct._compile(problem), circuit=Identity())
@@ -318,6 +386,15 @@ class TestFitPhases:
         with pytest.raises(DomainError, match=r"restarts must be in \[1, 3\], got 4"):
             fit_phases(problem, restarts=4, seed=0)
         assert len(fit_phases(problem, restarts=3, seed=0).restarts) == 3
+
+    @pytest.mark.parametrize("restarts", [0, reconstruct.MAX_RESTARTS + 1])
+    def test_restarts_checked_without_free_phases(self, restarts):
+        template = synthesize_qfft(2)
+        vis = visibilities_from_unitary(circuit_to_unitary(template), ALL_PAIRS_4, 0.02)
+        problem = ReconstructionProblem(template, (), {}, vis)
+        cap = reconstruct.MAX_RESTARTS
+        with pytest.raises(DomainError, match=rf"restarts must be in \[1, {cap}\], got {restarts}"):
+            fit_phases(problem, restarts=restarts, seed=0)
 
 
 class TestModuliFromSingles:
