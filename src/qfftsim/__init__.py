@@ -8,7 +8,7 @@ fourier      Fourier matrices, cyclic inputs, the suppression predicate/partitio
 circuit      butterfly synthesis of the Fourier transform and circuit composition
 layout       planar hypercube waveguide placement for the butterfly circuit
 models       Fock / distinguishable / mean-field output statistics, delay curves
-certify      count tables and CSV, visibilities, violation curves with Monte Carlo, verdicts
+certify      count tables and CSV, visibilities, violation curves with exact error bars, verdicts
 reconstruct  chi-squared phase reconstruction from singles and visibilities
 cli          the ``qfft`` command-line tool
 """

@@ -5,13 +5,13 @@ visibilities, the violation curve and the hypothesis test against the
 distinguishable-particle and mean-field reference values D = 0.5 and
 D = 0.25. :func:`violation_curve` is the one place counts become a violation
 degree D (the classical-probability-weighted count ratio summed over the
-forbidden output pairs) and its Poissonian Monte Carlo error bar. It holds
-the counts as one table of delays by forbidden output pairs, plus a row of
-reference counts. The Monte Carlo redraws only the reference row, from one
-generator, in blocks of trials; the Poisson spread of the delay rows enters
-through its exact conditional mean and variance (Rao-Blackwellisation). Every
-row shares those trials, so one row (the zero-delay point of a certification)
-can be evaluated alone and gives exactly its value in the full curve.
+forbidden output pairs) and its Poissonian error bar. It holds the counts as
+one table of delays by forbidden output pairs, plus a row of reference
+counts. The error bar is the exact spread of D when every count is redrawn
+from a Poisson distribution about its measured value, the reference counts
+conditioned on being non-zero: it needs only the first two moments of the
+inverse of a zero-truncated Poisson count (:func:`inverse_moments`), so it
+is deterministic and draws nothing.
 """
 
 from __future__ import annotations
@@ -34,23 +34,25 @@ RULES_OUT_NEITHER = "rules_out_neither"
 RULES_OUT_DISTINGUISHABLE = "rules_out_distinguishable"
 RULES_OUT_BOTH = "rules_out_both"
 
-DEFAULT_TRIALS = 3000
-
 #: Standard deviations below a reference value that reject its hypothesis.
 DEFAULT_THRESHOLD_SIGMAS = 3.0
 
 #: Largest Poisson mean accepted anywhere; numpy's sampler refuses means near 2^63.
 MAX_EXPECTED_COUNTS = 1e18
 
-#: Most Monte Carlo trials accepted. A violation curve holds the weights of
-#: every kept trial, 8 x trials x pairs bytes, plus a few trial-length
-#: vectors per row: 128 MB for the 16 forbidden pairs of 8 modes at the cap.
-MAX_TRIALS = 10**6
+#: Poisson mean from which :func:`inverse_moments` uses its asymptotic series
+#: instead of a sum over the pmf. There the series' first omitted terms are
+#: ~1e-20 (mean) and ~1e-15 (variance) relative, and the pmf sum would need
+#: ~800 terms per mean.
+SERIES_FROM = 1e3
 
-#: Poisson draws per Monte Carlo block of reference redraws. The generator
-#: draws in C order, so results do not depend on it; it only bounds the
-#: memory of the draws.
-MC_BLOCK_ENTRIES = 2**16
+#: Coefficients of the asymptotic series in x = 1/lambda, highest power first:
+#: E[1/R] = x (1 + x + 2 x^2 + ... + 7! x^7) and Var(1/R) = x^3 (1 + 6 x + ...
+#: + 97296 x^6). The variance's coefficients are those of E[1/R^2] (the
+#: unsigned Stirling numbers |s(k + 2, 2)|) minus those of E[1/R]^2, taken
+#: exactly, so the series never subtracts two close floats.
+_MEAN_SERIES = (5040.0, 720.0, 120.0, 24.0, 6.0, 2.0, 1.0, 1.0)
+_VARIANCE_SERIES = (97296.0, 11256.0, 1452.0, 210.0, 34.0, 6.0, 1.0)
 
 #: Coincidence CSV records converted at a time. Only one block's text is held
 #: at once, which bounds the reader's memory on a large file; results do not
@@ -155,16 +157,46 @@ def classical_pair_probabilities(u, input_pair, pairs) -> dict[tuple[int, int], 
     return {(i, j): float(pc[i, j]) for (i, j) in pairs}
 
 
+def inverse_moments(lam) -> tuple[np.ndarray, np.ndarray]:
+    """``(E[1/R], Var(1/R))`` of a zero-truncated Poisson count R of each mean in ``lam``.
+
+    Means below ``SERIES_FROM`` sum the pmf over ``floor(lam)`` +- 12
+    sqrt(lam) + 30 counts, which leaves out less than 1e-30 of the mass. The
+    log-pmf is a cumulative sum of log(lam / r) outward from ``floor(lam)``,
+    so no term loses digits to a large log-factorial, and the variance is
+    the centred sum. From ``SERIES_FROM`` on, both come from their
+    asymptotic series in 1/lam (see ``_VARIANCE_SERIES``), which leave out
+    the zero truncation, a change below e^-1000. The variance is never
+    E[1/R^2] - E[1/R]^2, which would lose ~log10(lam) digits.
+    """
+    lam = np.asarray(lam, dtype=float)
+    mean, var = np.empty_like(lam), np.empty_like(lam)
+    big = lam >= SERIES_FROM
+    x = 1.0 / lam[big]
+    mean[big] = x * np.polyval(_MEAN_SERIES, x)
+    var[big] = x**3 * np.polyval(_VARIANCE_SERIES, x)
+    small = lam[~big]
+    if small.size:
+        half = int(12 * math.sqrt(small.max())) + 30
+        r = np.maximum(np.floor(small), 1.0)[:, None] + np.arange(-half, half + 1)
+        step = np.log(small[:, None] / np.maximum(r, 1.0))  # log p(r) - log p(r - 1)
+        log_p = np.zeros_like(r)
+        log_p[:, half + 1 :] = np.cumsum(step[:, half + 1 :], axis=1)
+        log_p[:, :half] = -np.cumsum(step[:, half:0:-1], axis=1)[:, ::-1]
+        log_p[r < 1] = -np.inf
+        p = np.exp(log_p)
+        p /= p.sum(axis=1, keepdims=True)
+        inverse = 1.0 / np.maximum(r, 1.0)
+        mean[~big] = np.einsum("jr,jr->j", p, inverse)
+        inverse -= mean[~big, None]
+        var[~big] = np.einsum("jr,jr->j", p, inverse * inverse)
+    return mean, var
+
+
 def violation_curve(
-    table: CoincidenceTable,
-    pc,
-    n_d=None,
-    *,
-    trials: int = DEFAULT_TRIALS,
-    seed=None,
-    at=None,
+    table: CoincidenceTable, pc, n_d=None, *, trials: int = 0
 ) -> list[tuple[float, float, float]]:
-    """Observed violation degree versus delay, with Monte Carlo error bars.
+    """Observed violation degree versus delay, with exact Poisson error bars.
 
     ``D(dx) = sum over forbidden pairs of pc * N(dx) / N_ref``, from the
     table's columns of the pairs in ``pc``, which it must all hold. The
@@ -172,29 +204,21 @@ def violation_curve(
     the two delays of largest magnitude (the single delay, if only one was
     measured), a tie in magnitude going to the negative delay. Explicit
     ``n_d`` values are treated as measured counts like the rest. Returns
-    ``(delta_x, d_obs, sigma)`` triples sorted by delay, or only the triple
-    of delay ``at``, which must be one of the measured delays.
+    ``(delta_x, d_obs, sigma)`` triples sorted by delay.
 
     ``sigma`` is the spread of D when every count is redrawn from a Poisson
-    distribution about its measured value. Only the reference counts are
-    redrawn: ``trials`` times, from one generator seeded by ``seed``. Given
-    trial t's weights ``c_t = pc / R_t``, a row's numerator has the exact
-    Poisson mean ``mu_t = sum c_t N`` and variance ``v_t = sum c_t**2 N``,
-    so by the law of total variance ``sigma**2 = mean(v_t) + var(mu_t)``
-    (``ddof=1``) over the trials. A trial that draws a zero reference count
-    for any pair drops out; at least two must remain. Every row is computed
-    from the same trials by the same arithmetic, so ``at`` gives exactly
-    that row of the full curve.
+    distribution about its measured value, each reference count R_j
+    conditioned on R_j > 0. The draws are independent, so with
+    ``a_j = E[1/R_j]`` and ``v_j = Var(1/R_j)`` (:func:`inverse_moments`)
+    the law of total variance gives
+    ``sigma**2 = sum_j pc_j**2 (N_j (a_j**2 + v_j) + N_j**2 v_j)`` for a row
+    of counts N. ``trials`` is deprecated and ignored: nothing is drawn.
     """
-    if not 2 <= trials <= MAX_TRIALS:
-        raise DomainError(f"trials must be in [2, {MAX_TRIALS}], got {trials}")
     pairs = sorted(pc)
     column = {pair: p for p, pair in enumerate(table.pairs)}
     if not len(table.delays) or not any(pair in column for pair in pairs):
         raise DomainError("no records for any forbidden output pair")
     delays = table.delays.tolist()
-    if at is not None and at not in delays:
-        raise DomainError(f"no records at delay {at}")
     holes = [(dx, pair) for dx in delays for pair in pairs if pair not in column]
     if holes:
         raise DomainError(f"missing counts for (delay, pair) combinations {holes[:5]}")
@@ -221,30 +245,10 @@ def violation_curve(
 
     weights = np.array([pc[pair] for pair in pairs])
     d_obs = lam[:-1] @ (weights / lam[-1])
-    # pack the reference redraws of the trials whose draws are all non-zero, in
-    # trial order, then turn them into the weights c_t = pc / R_t
-    rng = np.random.default_rng(seed)
-    block = max(1, MC_BLOCK_ENTRIES // len(pairs))
-    c = np.empty((trials, len(pairs)))
-    kept = 0
-    for t in range(0, trials, block):
-        draws = rng.poisson(lam[-1], size=(min(block, trials - t), len(pairs)))
-        draws = draws[np.all(draws > 0, axis=1)]
-        c[kept : kept + len(draws)] = draws
-        kept += len(draws)
-    if kept < 2:
-        raise DomainError(
-            f"only {kept} of {trials} Monte Carlo trials drew a non-zero reference count for "
-            "every pair; the error bar needs two"
-        )
-    c = np.divide(weights, c[:kept], out=c[:kept])
-    mean_c2 = np.einsum("tj,tj->j", c, c) / kept
-    curve = []
-    for k in range(len(delays)) if at is None else [delays.index(at)]:
-        mu = c @ lam[k]
-        sigma = math.sqrt(lam[k] @ mean_c2 + mu.var(ddof=1))
-        curve.append((float(delays[k]), float(d_obs[k]), sigma))
-    return curve
+    a, v = inverse_moments(lam[-1])
+    w2 = weights * weights
+    sigma = np.sqrt(lam[:-1] @ (w2 * (a * a + v)) + (lam[:-1] * lam[:-1]) @ (w2 * v))
+    return list(zip(delays, d_obs.tolist(), sigma.tolist()))
 
 
 def certify(d_obs: float, sigma: float, threshold_sigmas: float = DEFAULT_THRESHOLD_SIGMAS) -> ViolationReport:

@@ -142,16 +142,15 @@ class CompiledCircuit:
     i-th free layer; a circuit with no free phase is one segment.
     ``diagonals[i]`` is D_i at the circuit's own values, ``slots[k]`` the
     position of free phase k in ``diagonals`` flattened (free layer times m
-    plus mode), ``nominal[k]`` its value in the circuit, and ``folded`` the
-    whole circuit at its own values as one segment. Build it with
-    :func:`compile_circuit`.
+    plus mode), ``nominal[k]`` its value in the circuit, and ``circuit`` the
+    circuit itself. Build it with :func:`compile_circuit`.
     """
 
     segments: tuple[np.ndarray, ...]
     diagonals: np.ndarray
     slots: np.ndarray
     nominal: np.ndarray
-    folded: np.ndarray
+    circuit: QfftCircuit
 
     def unitary(self, values=None, derivatives: bool = False):
         """U with the free phases set to ``values`` (default: the nominal ones).
@@ -162,13 +161,18 @@ class CompiledCircuit:
         row t of D_i S_(i-1) ... D_1 S_0, the product up to and including
         that phase, and left[k] is column t of the product after it, which is
         U conj(right[k]) because that prefix is unitary.
+
+        Without ``values`` or ``derivatives`` it is :func:`circuit_to_unitary`
+        bit for bit: a circuit with free phases is then folded again, whole.
         """
         if values is None and not derivatives:
-            return self.folded.copy()
+            if len(self.segments) > 1:
+                return circuit_to_unitary(self.circuit)
+            return self.segments[0].copy()
         diagonals = self.diagonals.copy()
         if values is not None:
             diagonals.reshape(-1)[self.slots] = np.exp(1j * np.asarray(values, dtype=float))
-        m = len(self.folded)
+        m = len(self.segments[0])
         prefixes = np.empty((len(diagonals), m, m), dtype=complex)
         u = self.segments[0]
         for diagonal, segment, prefix in zip(diagonals[:, :, None], self.segments[1:], prefixes):
@@ -232,10 +236,9 @@ def compile_circuit(circuit: QfftCircuit, free_phases=()) -> CompiledCircuit:
         [free_layers.index(step - 1) * circuit.m + mode for step, mode in free_phases], dtype=int
     )
     nominal = phases[free_layers].ravel()[slots]
-    folded = _fold(circuit, phases, ())[0]
-    segments = _fold(circuit, phases, free_layers) if free_layers else [folded]
+    segments = _fold(circuit, phases, free_layers)
     diagonals = np.exp(1j * phases[free_layers])
-    return CompiledCircuit(tuple(segments), diagonals, slots, nominal, folded)
+    return CompiledCircuit(tuple(segments), diagonals, slots, nominal, circuit)
 
 
 def circuit_to_unitary(circuit: QfftCircuit) -> np.ndarray:

@@ -16,12 +16,12 @@ from the library's constant. The parser is built once per process.
 
 Conventions: mode labels in flags and files are 1-based; all randomness
 derives from one master seed (``--seed``) through fixed per-subsystem
-streams (0 = experiment simulation, 1 = Monte Carlo error bars,
-2 = reconstruction restarts, 3 = mean-field sampling), so identical
-invocations produce byte-identical artifacts. Stream 1 seeds the one
-generator that redraws the reference counts; every curve row shares those
-draws, so ``certify`` evaluates only the row at the smallest |delay| and
-reports exactly that row of ``curve``. Input files must be UTF-8 text.
+streams (0 = experiment simulation, 2 = reconstruction restarts,
+3 = mean-field sampling; 1 is unused, so that the others keep their seeds),
+so identical invocations produce byte-identical artifacts.
+``certify`` reports the row of ``curve`` at the smallest |delay|, a tie
+going to the negative delay. ``--trials`` is still accepted and ignored.
+Input files must be UTF-8 text.
 Files are written atomically, with the permissions the umask gives a new file.
 Exit codes: 0 success, 2 invalid inputs or domain errors, 3 numerical
 failures, 4 I/O or parse errors. ``curve`` and ``certify`` accept only
@@ -45,7 +45,6 @@ import numpy as np
 from . import __version__
 from .certify import (
     DEFAULT_THRESHOLD_SIGMAS,
-    DEFAULT_TRIALS,
     MAX_EXPECTED_COUNTS,
     CoincidenceTable,
     certify,
@@ -86,7 +85,8 @@ MAX_POINTS = 10**4
 #: budget of ``MAX_POINTS`` on 8 modes, so memory is bounded for any m.
 MAX_RECORDS = 36 * MAX_POINTS
 
-_SEED_STREAMS = {"simulate": 0, "monte_carlo": 1, "reconstruct": 2, "mean_field": 3}
+# fixed indices, 1 unused: a stream's seed never depends on which others exist
+_SEED_STREAMS = {"simulate": 0, "reconstruct": 2, "mean_field": 3}
 
 
 def derived_seed(master: int, stream: str) -> int:
@@ -211,9 +211,8 @@ def _delay_grid(span: float, points: int) -> np.ndarray:
     return grid
 
 
-def _analyzed_curve(args, *, at_zero: bool = False):
-    """The violation curve of the ``--data`` file, or with ``at_zero`` only its
-    row at the smallest |delay|."""
+def _analyzed_curve(args):
+    """The violation curve of the ``--data`` file."""
     modes = _parse_input(args.input)
     u, source = _load_unitary(args)
     m = u.shape[0]
@@ -239,17 +238,7 @@ def _analyzed_curve(args, *, at_zero: bool = False):
         )
     pc = classical_pair_probabilities(u, pair, _forbidden_pairs(m))
     table = CoincidenceTable.from_cells(pair, delta_x[mine], outputs, counts[mine], sorted(pc))
-    at = None
-    if at_zero and len(table.delays):
-        at = min(table.delays.tolist(), key=lambda dx: (abs(dx), dx))
-    curve = violation_curve(
-        table,
-        pc,
-        trials=args.trials,
-        seed=derived_seed(args.seed, "monte_carlo"),
-        at=at,
-    )
-    return curve, pc, source, pair
+    return violation_curve(table, pc), source, pair
 
 
 def _synth(args) -> None:
@@ -298,14 +287,15 @@ def _simulate(args) -> None:
 
 
 def _curve(args) -> None:
-    curve, _, _, _ = _analyzed_curve(args)
+    curve, _, _ = _analyzed_curve(args)
     lines = ["delta_x,d_obs,sigma"]
     lines += [f"{dx!r},{d!r},{s!r}" for dx, d, s in curve]
     _write_text(args.out, "\n".join(lines) + "\n")
 
 
 def _certify(args) -> None:
-    [(dx0, d_obs, sigma)], pc, source, pair = _analyzed_curve(args, at_zero=True)
+    curve, source, pair = _analyzed_curve(args)
+    dx0, d_obs, sigma = min(curve, key=lambda row: (abs(row[0]), row[0]))
     report = certify(d_obs, sigma, threshold_sigmas=args.threshold)
     _write_json(
         args.out,
@@ -390,16 +380,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", dest="data_path", required=True, help="coincidence CSV")
     add_unitary(p)
     p.add_argument("--input", required=True, help="two 1-based input modes m/2 apart, e.g. 1,5 on 8 modes")
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
-                   help="Monte Carlo redraws of the reference counts for the error bars (default %(default)s)")
+    p.add_argument("--trials", type=int, help="ignored: the error bar is exact")
     add_common(p, _curve)
 
     p = sub.add_parser("certify", help="hypothesis test at the smallest |delay| point")
     p.add_argument("--data", dest="data_path", required=True, help="coincidence CSV")
     add_unitary(p)
     p.add_argument("--input", required=True, help="two 1-based input modes m/2 apart, e.g. 1,5 on 8 modes")
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
-                   help="Monte Carlo redraws of the reference counts for the error bar (default %(default)s)")
+    p.add_argument("--trials", type=int, help="ignored: the error bar is exact")
     p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD_SIGMAS,
                    help="rejection threshold in sigmas")
     add_common(p, _certify)

@@ -7,9 +7,11 @@ are evaluated one outcome at a time, the mean-field average is a dense phase
 grid, or a sum of permanents over the ways to hand the photons to the input
 modes, Monte Carlo trials run one per loop iteration (redrawing every count,
 or only the reference counts with each row's conditional mean and variance
-summed term by term), the reference counts of a violation curve come from
-a scan over the table's cells for each pair, and a coincidence CSV is parsed
-one record at a time.
+summed term by term), the exact error bar is summed term by term, the
+inverse moments of a zero-truncated Poisson count come from closed forms and
+quadrature in 50-digit ``mpmath``, the reference counts of a violation curve
+come from a scan over the table's cells for each pair, and a coincidence CSV
+is parsed one record at a time.
 """
 
 import csv
@@ -17,6 +19,7 @@ import math
 import statistics
 from itertools import permutations, product
 
+import mpmath
 import numpy as np
 
 
@@ -237,6 +240,63 @@ def violation_curve_conditional_loop(table, pc, n_d, trials: int, seed) -> list[
         math.sqrt(statistics.fmean(v) + statistics.variance(mu)) for mu, v in zip(means, variances)
     ]
     return [(float(dx), float(d), s) for dx, d, s in zip(delays, d_obs, sigma)]
+
+
+def violation_curve_exact_loop(table, pc, n_d, moments) -> list[tuple[float, float, float]]:
+    """Violation curve with the exact error bar, one row and one term at a time.
+
+    ``moments(lam)`` gives E[1/R] and Var(1/R) of a zero-truncated Poisson
+    count of mean ``lam``. Each row's variance is the ``math.fsum`` over the
+    pairs of ``pc**2 * (N * (a**2 + v) + N**2 * v)``: the Poisson variance of
+    N times the mean of (pc / R)**2, plus the variance of pc * N / R.
+    """
+    pairs = sorted(pc)
+    counts = {(dx, pair): n for (dx, pair), n in table_cells(table).items() if pair in pc}
+    delays = sorted({dx for dx, _ in counts})
+    lam = [[float(counts[dx, pair]) for pair in pairs] for dx in delays]
+    ref_mean = [float(n_d[pair]) for pair in pairs]
+    weights = [pc[pair] for pair in pairs]
+    d_obs = np.array(lam) @ (np.array(weights) / np.array(ref_mean))
+    terms = [(w * w, *map(float, moments(ref))) for w, ref in zip(weights, ref_mean)]
+    sigma = [
+        math.sqrt(math.fsum(w2 * (n * (a * a + v) + n * n * v) for (w2, a, v), n in zip(terms, row)))
+        for row in lam
+    ]
+    return [(float(dx), float(d), s) for dx, d, s in zip(delays, d_obs, sigma)]
+
+
+def truncated_poisson_inverse_moments(lam: float) -> tuple[float, float]:
+    """E[1/R] and Var(1/R) of a Poisson count R of mean ``lam`` conditioned on R > 0.
+
+    Computed with 50-digit ``mpmath``, then rounded. With P = 1 - e^-lam,
+    E[1/R] = e^-lam S / P, where S, the series of lam^r / (r r!), is
+    Ei(lam) - gamma - ln lam in closed form, or lam 2F2(1, 1; 2, 2; lam)
+    below lam = 1, where that difference would cancel. E[1/R^2] = int_0^inf t g(t) dt / P, where
+    g(t) = E[e^(-tR); R > 0] = exp(lam (e^-t - 1)) - e^-lam, since 1/r^2 is
+    int_0^inf t e^(-rt) dt; g is evaluated in whichever of two forms loses no
+    digits, and t is scaled by lam so that g decays on a unit scale. The
+    variance E[1/R^2] - E[1/R]^2 loses ~|log10 lam| of the 50 digits, so it
+    keeps 20 or more for lam in [1e-30, 1e30].
+    """
+    with mpmath.workdps(50):
+        lam = mpmath.mpf(float(lam))
+        tail = mpmath.exp(-lam)
+        norm = -mpmath.expm1(-lam)
+        scale = max(lam, 1)
+        cut = mpmath.log(lam) * scale if lam > 1 else 0  # where lam e^-t falls below 1
+
+        def g(u):  # divided by P, so that quad's tolerance is relative for any lam
+            t = u / scale
+            if u < cut:
+                return (mpmath.exp(lam * mpmath.expm1(-t)) - tail) / norm
+            return tail * mpmath.expm1(lam * mpmath.exp(-t)) / norm
+
+        if lam < 1:  # Ei - gamma - ln would cancel ~log10(1/lam) digits
+            mean = tail * lam * mpmath.hyp2f2(1, 1, 2, 2, lam) / norm
+        else:
+            mean = tail * (mpmath.ei(lam) - mpmath.euler - mpmath.log(lam)) / norm
+        second = mpmath.quad(lambda u: u * g(u), [0, mpmath.inf]) / scale**2
+        return float(mean), float(second - mean * mean)
 
 
 def simulated_counts_loop(curves, expected_counts, rng) -> list[tuple[float, tuple[int, int], int]]:

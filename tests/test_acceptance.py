@@ -162,7 +162,7 @@ def test_criterion_6_violation_curve_end_to_end():
         rng = np.random.default_rng(20250808)
         records = simulate_experiment(u, input_pair, model, delays, 1e5, rng)
         pc = classical_pair_probabilities(u, input_pair, forbidden_pairs(m))
-        curve = violation_curve(records, pc, trials=3000, seed=77)
+        curve = violation_curve(records, pc)
         by_dx = {dx: (d, s) for dx, d, s in curve}
 
         d0, s0 = by_dx[0.0]
