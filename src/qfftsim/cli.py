@@ -55,7 +55,7 @@ from .certify import (
 )
 from .circuit import SYNTH_CAP, circuit_to_json, synthesize_qfft
 from .errors import DomainError, NumericalError, ParseError, QfftError
-from .fourier import occupation_from_modes, occupied_modes, partition_outputs, qft_matrix
+from .fourier import enumerate_outputs, occupation_from_modes, qft_matrix
 from .layout import hypercube_layout
 from .linalg import DEFAULT_TOL, matrix_from_json
 from .models import (
@@ -191,12 +191,9 @@ def _input_pair(modes: tuple[int, ...], m: int) -> tuple[int, int]:
 
 
 def _forbidden_pairs(m: int) -> list[tuple[int, int]]:
-    partition = partition_outputs(2, m, collision_free_only=True)
-    pairs = []
-    for state in partition.forbidden:
-        i, j = occupied_modes(state)
-        pairs.append((i, j))
-    return sorted(pairs)
+    """The suppressed collision-free output pairs (i, j), i < j, ascending: odd 0-based sums."""
+    rows = enumerate_outputs(2, m, collision_free_only=True)
+    return list(map(tuple, rows[rows.sum(axis=1) % 2 == 1].tolist()))
 
 
 def _delay_grid(span: float, points: int) -> np.ndarray:

@@ -120,6 +120,24 @@ def output_count(n: int, m: int, collision_free_only: bool = False) -> int:
     return math.comb(m + n - 1, n)
 
 
+def output_rank(rows: np.ndarray, m: int) -> np.ndarray:
+    """Position of each (N, r) row of ascending modes in ``enumerate_outputs(r, m)``.
+
+    Row a maps to the r-subset b_j = a_j + j of m + r - 1 elements, whose
+    lexicographic rank in the combinatorial number system is
+    C(m + r - 1, r) - 1 - sum_j C(m + r - 2 - b_j, r - j). Every binomial
+    that can occur is at most the output count, so nothing overflows int64
+    while the enumeration cap holds.
+    """
+    r = rows.shape[1]
+    rank = np.full(len(rows), output_count(r, m) - 1, dtype=np.int64)
+    for j in range(r):
+        top = m + r - 2 - j
+        weights = np.array([math.comb(top - a, r - j) for a in range(m)], dtype=np.int64)
+        rank -= weights[rows[:, j]]
+    return rank
+
+
 @dataclass(frozen=True)
 class OutputPartition:
     """Split of the n-photon outputs into suppressed (forbidden) and allowed sets."""

@@ -126,14 +126,3 @@ def validate_layout(layout: HypercubeLayout) -> None:
                             f"step {s + 1}: edges {edges[i]} and {edges[k]} overlap"
                         )
 
-
-def layout_from_json(obj) -> HypercubeLayout:
-    try:
-        p = int(obj["p"])
-        vertices = np.array(obj["vertices"], dtype=float)
-        steps = tuple(
-            tuple((int(a) - 1, int(b) - 1) for a, b in step) for step in obj["steps"]
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"layout object needs 'p', 'vertices', 'steps': {exc}") from exc
-    return HypercubeLayout(p=p, vertices=vertices, steps=steps)

@@ -3,7 +3,8 @@
 * ``fock``: indistinguishable photons; outcome probabilities come from
   permanents of unitary submatrices.
 * ``distinguishable``: classical mixing of single-particle probabilities;
-  permanents of the elementwise ``|U|^2`` matrix.
+  permanents of the elementwise ``|U|^2`` matrix, all outcomes at once as
+  the coefficients of one polynomial product.
 * ``mean_field``: each particle occupies the same single-particle
   superposition of the occupied input modes with shot-to-shot random phases;
   outcome probabilities are phase-averaged multinomials.
@@ -20,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, ShapeError
-from .fourier import FockState, enumerate_outputs, occupations, occupied_modes, photon_number
+from .errors import CapacityError, DomainError, NumericalError, ShapeError
+from .fourier import FockState, enumerate_outputs, occupations, occupied_modes, output_rank, photon_number
 from .linalg import DEFAULT_TOL, PERMANENT_CAP, assert_unitary, permanent
 
 FOCK = "fock"
@@ -46,10 +47,19 @@ MAX_SAMPLES = 10**6
 #: Probabilities more negative than this raise instead of being clamped.
 CLAMP_FLOOR = -1e-12
 
-#: Most array entries an outcome kernel holds at once: outcomes x n x n
-#: submatrix entries for the permanents, draws x outcomes x n for the
-#: mean-field average. Keeps memory flat up to the enumeration cap.
+#: Most array entries the Fock stack or the mean-field average holds at once:
+#: outcomes x n x n submatrix entries for the Fock permanents, draws x
+#: outcomes x n for the mean-field draws. Keeps memory flat up to the
+#: enumeration cap.
 BLOCK_ENTRIES = 1 << 20
+
+#: Most occupation entries, outputs x modes, of one outcome table, refused
+#: after the enumeration and before any occupation is built. An entry costs
+#: ~110 bytes from the occupation tuples to the JSON text. Just below the cap,
+#: ``qfft evolve --modes 202 --input 1,102`` (4,141,606 entries) peaked at
+#: 492 MB RSS and took 3.5-3.9 s under each of the three models; 256 modes
+#: (8.4 million entries) peaked at 913 MB before this cap existed.
+MAX_OUTCOME_ENTRIES = 1 << 22
 
 
 def _clamp(p: np.ndarray) -> np.ndarray:
@@ -84,18 +94,6 @@ class OutcomeDistribution:
         if self.unitary_id is not None:
             obj["unitary_id"] = self.unitary_id
         return obj
-
-
-def distribution_from_json(obj) -> OutcomeDistribution:
-    return OutcomeDistribution(
-        model=str(obj["model"]),
-        input=tuple(int(x) for x in obj["input"]),
-        probabilities={
-            tuple(int(x) for x in entry["output"]): float(entry["p"])
-            for entry in obj["probabilities"]
-        },
-        unitary_id=obj.get("unitary_id"),
-    )
 
 
 @dataclass(frozen=True)
@@ -136,25 +134,54 @@ def _check_input(u: np.ndarray, input_state) -> tuple[FockState, int]:
 
 def _outcomes(n: int, m: int) -> tuple[list[FockState], np.ndarray, np.ndarray]:
     """The n-photon outputs on m modes as occupation tuples, their occupied
-    modes with multiplicity as an (N, n) array, and each output's prod_k t_k!."""
+    modes with multiplicity as an (N, n) array, and each output's prod_k t_k!.
+
+    Refuses more than :data:`MAX_OUTCOME_ENTRIES` occupation entries before
+    building any of them."""
     rows = enumerate_outputs(n, m)
+    if len(rows) * m > MAX_OUTCOME_ENTRIES:
+        raise CapacityError(
+            f"{len(rows)} outputs of {n} photons on {m} modes make {len(rows) * m} occupation "
+            f"entries, above the cap {MAX_OUTCOME_ENTRIES}"
+        )
     occ = occupations(rows, m)
     factorials = np.array([math.factorial(k) for k in range(n + 1)], dtype=float)
     return list(map(tuple, occ.tolist())), rows, factorials[occ].prod(axis=1)
 
 
-def _permanent_table(mat: np.ndarray, state: FockState, n: int):
-    """Outputs, prod_k t_k! and perm(mat[T, S]), one :func:`permanent` call per output T."""
+def _check_permanent_size(n: int) -> None:
     if n > PERMANENT_CAP:
         raise DomainError(f"{n} photons exceed the permanent cap {PERMANENT_CAP}")
-    outs, rows, t_fact = _outcomes(n, mat.shape[0])
-    cols = np.array(occupied_modes(state))
-    perms = np.empty(len(outs), dtype=complex)
-    step = max(1, BLOCK_ENTRIES // (n * n))
-    for start in range(0, len(outs), step):
-        stack = mat[rows[start : start + step, :, None], cols]
-        perms[start : start + step] = [permanent(block) for block in stack]
-    return outs, t_fact, perms
+
+
+def product_expansion(cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Coefficient of x^T in prod_j (sum_k cols[k, j] x_k) for each output T.
+
+    ``cols`` is (m, n), one column per photon; ``rows`` is
+    ``enumerate_outputs(n, m)``. The coefficient is perm(A[T, S]) / prod_k t_k!
+    for the matrix A whose input columns S are ``cols``. Level r holds the
+    coefficients of the first r factors over the r-photon outputs, the
+    distinct length-r prefixes of ``rows`` in :func:`enumerate_outputs` order:
+    c_r(T) = sum over distinct k in T of cols[k, r - 1] * c_(r-1)(T - e_k),
+    each parent found by :func:`output_rank`. Every level holds at most
+    N x n entries.
+    """
+    m, n = cols.shape
+    coeff = cols[:, 0]
+    for r in range(2, n + 1):
+        level = rows[:, :r]
+        if r < n:
+            fresh = np.ones(len(rows), dtype=bool)
+            fresh[1:] = (level[1:] != level[:-1]).any(axis=1)
+            level = level[fresh]
+        acc = np.zeros(len(level), dtype=coeff.dtype)
+        for i in range(r):
+            term = cols[level[:, i], r - 1] * coeff[output_rank(np.delete(level, i, axis=1), m)]
+            if i:  # a repeated mode was counted at its first position
+                term[level[:, i] == level[:, i - 1]] = 0.0
+            acc += term
+        coeff = acc
+    return coeff
 
 
 def fock_distribution(u, input_state, *, unitary_id=None, tol=DEFAULT_TOL) -> OutcomeDistribution:
@@ -162,11 +189,18 @@ def fock_distribution(u, input_state, *, unitary_id=None, tol=DEFAULT_TOL) -> Ou
 
     P(T | S) = |perm(U[T, S])|^2 / (prod_k s_k! * prod_k t_k!) where the
     submatrix repeats rows (columns) according to the output (input)
-    occupations.
+    occupations; one :func:`permanent` call per output T.
     """
     u = assert_unitary(u, tol=tol, what="evolution matrix")
     state, n = _check_input(u, input_state)
-    outs, t_fact, perms = _permanent_table(u, state, n)
+    _check_permanent_size(n)
+    outs, rows, t_fact = _outcomes(n, u.shape[0])
+    cols = np.array(occupied_modes(state))
+    perms = np.empty(len(outs), dtype=complex)
+    step = max(1, BLOCK_ENTRIES // (n * n))
+    for start in range(0, len(outs), step):
+        stack = u[rows[start : start + step, :, None], cols]
+        perms[start : start + step] = [permanent(block) for block in stack]
     s_fact = math.prod(math.factorial(k) for k in state)
     probs = _clamp(np.abs(perms) ** 2 / (s_fact * t_fact))
     return OutcomeDistribution(FOCK, state, dict(zip(outs, probs.tolist())), unitary_id=unitary_id)
@@ -176,12 +210,15 @@ def distinguishable_distribution(u, input_state, *, unitary_id=None, tol=DEFAULT
     """Outcome distribution for fully distinguishable particles.
 
     Classical mixing: P(T | S) = perm(W[T, S]) / prod_k t_k! with
-    W = |U|^2 elementwise. No interference between particle paths.
+    W = |U|^2 elementwise, the coefficient of x^T in
+    prod_j (sum_k W[k, s_j] x_k), all taken at once by
+    :func:`product_expansion`. No interference between particle paths.
     """
     u = assert_unitary(u, tol=tol, what="evolution matrix")
     state, n = _check_input(u, input_state)
-    outs, t_fact, perms = _permanent_table(np.abs(u) ** 2, state, n)
-    probs = _clamp(perms.real / t_fact)
+    _check_permanent_size(n)
+    outs, rows, _ = _outcomes(n, u.shape[0])
+    probs = _clamp(product_expansion(np.abs(u[:, occupied_modes(state)]) ** 2, rows))
     return OutcomeDistribution(DISTINGUISHABLE, state, dict(zip(outs, probs.tolist())), unitary_id=unitary_id)
 
 

@@ -610,6 +610,17 @@ class TestSizeCaps:
             assert code == EXIT_VALIDATION
             assert f"make {size} records, over {MAX_RECORDS}" in err
 
+    @pytest.mark.parametrize("model", ["fock", "dist", "mf"])
+    def test_outcome_table_above_the_cap_exits_2(self, model, tmp_path, capsys):
+        # C(257, 2) = 32,896 outputs x 256 modes = 8,421,376 occupation entries
+        code = run_cli("evolve", "--modes", "256", "--input", "1,129", "--model", model,
+                       "--out", str(tmp_path / "dist.json"))
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert err.startswith("qfft: invalid input:")
+        assert f"make 8421376 occupation entries, above the cap {models.MAX_OUTCOME_ENTRIES}" in err
+        assert not (tmp_path / "dist.json").exists()
+
     @pytest.mark.parametrize("samples", [models.MAX_SAMPLES + 1, 10**12])
     def test_samples_above_the_cap_exit_2(self, samples, tmp_path, capsys):
         code = run_cli("evolve", "--modes", "4", "--input", "1,3", "--model", "mf", "--method",
@@ -672,6 +683,12 @@ class TestSizeCaps:
         assert not out.exists()
         assert run_cli("reconstruct", "--problem", str(problem4), "--restarts", "1",
                        "--out", str(out)) == EXIT_OK
+
+
+@pytest.mark.parametrize("m", [2, 8, 64])
+def test_forbidden_pairs_match_the_partition(m):
+    forbidden = partition_outputs(2, m, collision_free_only=True).forbidden
+    assert cli._forbidden_pairs(m) == sorted(tuple(occupied_modes(s)) for s in forbidden)
 
 
 class TestOutputFiles:

@@ -14,6 +14,7 @@ from qfftsim.fourier import (
     occupation_from_modes,
     occupations,
     occupied_modes,
+    output_rank,
     partition_outputs,
     qft_matrix,
 )
@@ -156,6 +157,19 @@ class TestEnumerateOutputs:
         assert not part.allowed & part.forbidden
         for state in states:
             assert (state in part.forbidden) == is_suppressed(state, n), state
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 5), m=st.integers(1, 8))
+    def test_rank_inverts_the_order(self, n, m):
+        rows = enumerate_outputs(n, m)
+        assert output_rank(rows, m).tolist() == list(range(len(rows)))
+
+    @pytest.mark.parametrize("n,m", [(2, 64), (4, 28)])
+    def test_rank_where_a_positional_key_overflows(self, n, m):
+        # a key sum_j a_j (n + 1)^j would not fit in int64 here
+        assert (n + 1) ** m > np.iinfo(np.int64).max
+        rows = enumerate_outputs(n, m)
+        assert (output_rank(rows, m) == np.arange(len(rows))).all()
 
     @pytest.mark.parametrize("n,m", [(0, 4), (2, 0)])
     def test_rejects_empty_shapes(self, n, m):

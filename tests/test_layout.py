@@ -5,7 +5,6 @@ from qfftsim.errors import DomainError, ValidationError
 from qfftsim.layout import (
     HypercubeLayout,
     hypercube_layout,
-    layout_from_json,
     step_edge_vectors,
     validate_layout,
 )
@@ -75,14 +74,6 @@ def test_overlap_rejected():
     lay = HypercubeLayout(p=2, vertices=verts, steps=(((0, 1), (2, 3)), ((0, 2), (1, 3))))
     with pytest.raises(ValidationError):
         validate_layout(lay)
-
-
-def test_json_round_trip():
-    lay = hypercube_layout(3)
-    again = layout_from_json(lay.to_json())
-    assert again.p == lay.p
-    assert np.allclose(again.vertices, lay.vertices)
-    assert again.steps == lay.steps
 
 
 def test_json_modes_one_based():

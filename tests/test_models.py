@@ -2,19 +2,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfftsim import fourier, models
 from qfftsim.errors import CapacityError, DomainError, ValidationError
-from qfftsim.fourier import occupation_from_modes, occupied_modes, partition_outputs, qft_matrix
+from qfftsim.fourier import (
+    enumerate_outputs,
+    occupation_from_modes,
+    occupations,
+    occupied_modes,
+    partition_outputs,
+    qft_matrix,
+)
 from qfftsim.linalg import haar_random_unitary
 from qfftsim.models import (
     DelayModel,
     distinguishable_distribution,
-    distribution_from_json,
     fock_distribution,
     full_bunching_visibilities,
     is_cyclic_state,
     mean_field_distribution,
+    product_expansion,
     two_photon_coincidences,
     two_photon_probabilities,
 )
@@ -27,6 +36,7 @@ from oracles import (
     mean_field_grid,
     mean_field_pair_grid,
     mean_field_probability,
+    permanent_definition,
 )
 
 
@@ -241,6 +251,48 @@ class TestPerOutcomeOracles:
         assert fock_distribution(u, state).probabilities == whole
 
 
+class TestProductExpansion:
+    """The whole-table expansion against the permutation-sum permanent over prod_k t_k!."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        m=st.integers(1, 6),
+        photons=st.lists(st.integers(0, 5), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_permanent_definition(self, m, photons, seed):
+        modes = sorted(k % m for k in photons)  # bunched inputs included
+        rng = np.random.default_rng(seed)
+        u = haar_random_unitary(m, rng)
+        rows = enumerate_outputs(len(modes), m)
+        t_fact = [math.prod(map(math.factorial, occ)) for occ in occupations(rows, m).tolist()]
+        for mat in (rng.uniform(0.0, 1.0, (m, m)), np.abs(u) ** 2, u):
+            coeff = product_expansion(mat[:, modes], rows)
+            assert coeff.dtype == mat.dtype
+            for row, c, t in zip(rows, coeff, t_fact):
+                ref = permanent_definition(mat[np.ix_(row, modes)]) / t
+                assert abs(c - ref) <= 1e-13 * max(1.0, abs(ref)), (row, mat.dtype)
+
+    @pytest.mark.parametrize("state", [(2, 0, 1, 0), (0, 3, 0), (1, 1, 0, 2, 0)])
+    def test_bunched_input_distribution(self, state):
+        u = haar_random_unitary(len(state), np.random.default_rng(len(state)))
+        for out, p in distinguishable_distribution(u, state).probabilities.items():
+            assert abs(p - distinguishable_probability(u, state, out)) <= 1e-14, out
+
+
+class TestPermanentCap:
+    @pytest.mark.parametrize("make", [fock_distribution, distinguishable_distribution])
+    def test_refused_above_the_cap(self, make):
+        with pytest.raises(DomainError, match="21 photons exceed the permanent cap 20"):
+            make(qft_matrix(2), (21, 0))
+
+    def test_distinguishable_at_the_cap(self):
+        # each photon leaves a balanced coupler by either port: Binomial(20, 1/2)
+        probs = distinguishable_distribution(qft_matrix(2), (20, 0)).probabilities
+        for k in range(21):
+            assert probs[(k, 20 - k)] == pytest.approx(math.comb(20, k) / 2**20, rel=1e-13, abs=0.0)
+
+
 class TestQuadratureExactness:
     """n + 1 nodes per relative phase give the 64-node grid's average."""
 
@@ -289,6 +341,19 @@ class TestEnumerationCap:
             fock_distribution(qft_matrix(4), (1, 0, 1, 0))
         monkeypatch.setattr(fourier, "ENUMERATION_CAP", 10)
         assert len(fock_distribution(qft_matrix(4), (1, 0, 1, 0)).probabilities) == 10
+
+    @pytest.mark.parametrize(
+        "make", [fock_distribution, distinguishable_distribution, mean_field_distribution]
+    )
+    def test_outcome_entry_cap_boundary(self, make, monkeypatch):
+        # two photons on four modes: 10 outputs x 4 modes = 40 occupation entries
+        monkeypatch.setattr(models, "MAX_OUTCOME_ENTRIES", 39)
+        with monkeypatch.context() as patch:
+            patch.setattr(models, "occupations", None)  # refused before any is built
+            with pytest.raises(CapacityError, match="10 outputs of 2 photons on 4 modes make 40 "):
+                make(qft_matrix(4), (1, 0, 1, 0))
+        monkeypatch.setattr(models, "MAX_OUTCOME_ENTRIES", 40)
+        assert len(make(qft_matrix(4), (1, 0, 1, 0)).probabilities) == 10
 
     @pytest.mark.parametrize(
         "enumerate_",
@@ -411,12 +476,3 @@ class TestDelayModel:
             with pytest.raises(DomainError, match="positive and finite"):
                 DelayModel(coherence_length=length)
 
-
-def test_distribution_json_round_trip():
-    dist = fock_distribution(qft_matrix(4), (1, 0, 1, 0), unitary_id="qft-model:m=4")
-    again = distribution_from_json(dist.to_json())
-    assert again.model == dist.model
-    assert again.input == dist.input
-    assert again.unitary_id == dist.unitary_id
-    for out, p in dist.probabilities.items():
-        assert again.probabilities[out] == pytest.approx(p, abs=0.0)
