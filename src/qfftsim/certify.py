@@ -54,9 +54,9 @@ SERIES_FROM = 1e3
 _MEAN_SERIES = (5040.0, 720.0, 120.0, 24.0, 6.0, 2.0, 1.0, 1.0)
 _VARIANCE_SERIES = (97296.0, 11256.0, 1452.0, 210.0, 34.0, 6.0, 1.0)
 
-#: Coincidence CSV records converted at a time. Only one block's text is held
-#: at once, which bounds the reader's memory on a large file; results do not
-#: depend on it.
+#: Coincidence CSV records the column-wise reader converts at a time. Only
+#: one block's text is held at once, which bounds that reader's memory on a
+#: large file; results do not depend on it. Plain files do not use it.
 CSV_BLOCK_RECORDS = 2**14
 
 
@@ -302,16 +302,92 @@ def _int_array(values) -> np.ndarray:
 
 
 def read_coincidence_csv(stream, source: str = "<csv>"):
-    """Parse a coincidence CSV (1-based mode labels), column by column.
+    """Parse a coincidence CSV (1-based mode labels) from a seekable text stream.
 
     Returns the records in file order as four columns: (N, 2) 0-based input
     and output pairs, each ascending, delays and counts; an integer column
-    with a value beyond int64 holds Python ints. Blank lines are skipped. The
-    first malformed record raises :class:`ParseError` naming its line and
-    first fault: field count, then each field's syntax, a finite delay,
-    1-based labels and non-negative counts. Records are converted
-    ``CSV_BLOCK_RECORDS`` at a time, so only one block's text is held.
+    with a value beyond int64 holds Python ints. Blank lines are skipped.
+
+    A file of plain records, such as ``qfft simulate`` writes (see
+    :func:`_read_plain`), is read in one ``np.loadtxt`` pass. Any other file
+    is read again from the stream's starting position by the column-wise
+    reader, which alone names faults: the first malformed record raises
+    :class:`ParseError` naming its line and first fault: field count, then
+    each field's syntax, a finite delay, 1-based labels and non-negative
+    counts. That reader converts ``CSV_BLOCK_RECORDS`` records at a time, so
+    it holds only one block's text.
     """
+    start = stream.tell()
+    columns = _read_plain(stream)
+    if columns is None:
+        stream.seek(start)
+        columns = _read_column_wise(stream, source)
+    *labels, delta_x, counts = columns
+    # mode pairs are unordered; store them ascending
+    inputs, outputs = (
+        np.stack([np.minimum(i, j), np.maximum(i, j)], axis=1) - 1 for i, j in (labels[:2], labels[2:])
+    )
+    return inputs, outputs, delta_x, counts
+
+
+#: Characters of the records that :func:`_read_plain` reads; on them
+#: ``np.loadtxt`` and ``int()``/``float()`` agree on every cell. Outside them
+#: they differ: numpy 2.4 strips \x1c-\x1f as whitespace, reads many
+#: non-ASCII letters as digits and crashes on U+10FFFF.
+_PLAIN = b"0123456789+-.eE ,\n"
+
+_RECORD = np.dtype([(name, float if name == "delta_x_um" else np.int64) for name in CSV_COLUMNS])
+
+
+def _read_plain(stream) -> list[np.ndarray] | None:
+    """The six columns of a file of plain records, else ``None``.
+
+    Plain records follow a header of the bare column names and have at least
+    one record, only ``_PLAIN`` characters, no line longer than
+    ``csv.field_size_limit()``, six fields that ``np.loadtxt`` converts, finite
+    delays, 1-based labels and non-negative counts. The column-wise reader
+    reads such a file to the same values.
+    """
+    if [h.strip(" ") for h in stream.readline().removesuffix("\n").split(",")] != list(CSV_COLUMNS):
+        return None
+    body = stream.tell()
+    if not _plain_lines(stream):
+        return None
+    stream.seek(body)
+    try:
+        records = np.loadtxt(stream, dtype=_RECORD, delimiter=",", comments=None, quotechar=None, ndmin=1)
+    except ValueError:
+        return None
+    columns = [records[name] for name in CSV_COLUMNS]
+    if not (
+        np.isfinite(columns[4]).all()
+        and min(column.min() for column in columns[:4]) >= 1
+        and columns[5].min() >= 0
+    ):
+        return None
+    # copies, so that the record array is freed once the pairs are built
+    return columns[:4] + [column.copy() for column in columns[4:]]
+
+
+def _plain_lines(stream) -> bool:
+    """Whether the rest of ``stream`` holds a record, only ``_PLAIN``
+    characters and no line longer than ``csv.field_size_limit()``."""
+    limit = csv.field_size_limit()
+    run, seen = 0, False  # length of the line open at a chunk's start; a non-blank line seen
+    # a line within one chunk is shorter than the limit; only lines across chunks are counted
+    while chunk := stream.read(limit):
+        first = chunk.find("\n")
+        run += len(chunk) if first < 0 else first
+        if run > limit or not chunk.isascii() or chunk.encode().translate(None, _PLAIN):
+            return False
+        seen = seen or not chunk.isspace()
+        if first >= 0:
+            run = len(chunk) - chunk.rfind("\n") - 1
+    return seen
+
+
+def _read_column_wise(stream, source: str) -> list[np.ndarray]:
+    """The six columns of any coincidence CSV; its first fault raises :class:`ParseError`."""
     reader = csv.reader(stream)
     try:
         header = next(reader, None)
@@ -334,10 +410,7 @@ def read_coincidence_csv(stream, source: str = "<csv>"):
             raise broken
         if len(rows) < CSV_BLOCK_RECORDS:
             break
-    *labels, delta_x, counts = map(np.concatenate, zip(*blocks))
-    # mode pairs are unordered; store them ascending
-    inputs, outputs = (np.sort(np.stack(labels[k : k + 2], axis=1), axis=1) - 1 for k in (0, 2))
-    return inputs, outputs, delta_x, counts
+    return list(map(np.concatenate, zip(*blocks)))
 
 
 def _convert_block(rows, lines, source: str) -> list[np.ndarray]:

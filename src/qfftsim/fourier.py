@@ -20,6 +20,15 @@ from .errors import CapacityError, DomainError
 #: Refuse to enumerate more output states than this.
 ENUMERATION_CAP = 10**7
 
+#: Most occupation entries, outputs x modes, of one outcome table or output
+#: partition, refused after the enumeration and before any occupation is
+#: built. An entry costs ~110 bytes from the occupation tuples to the JSON
+#: text of a ``qfft evolve`` table. Just below the cap,
+#: ``qfft evolve --modes 202 --input 1,102`` (4,141,606 entries) peaked at
+#: 492 MB RSS and took 3.5-3.9 s under each of the three models; 256 modes
+#: (8.4 million entries) peaked at 913 MB before this cap existed.
+MAX_OUTCOME_ENTRIES = 1 << 22
+
 FockState = tuple[int, ...]
 
 
@@ -108,6 +117,15 @@ def enumerate_outputs(n: int, m: int, collision_free_only: bool = False) -> np.n
     return modes.reshape(count, n)
 
 
+def check_outcome_entries(rows: np.ndarray, n: int, m: int, cap: int) -> None:
+    """Refuse the (N, n) outputs ``rows`` if their (N, m) occupations hold more than ``cap`` entries."""
+    if len(rows) * m > cap:
+        raise CapacityError(
+            f"{len(rows)} outputs of {n} photons on {m} modes make {len(rows) * m} occupation "
+            f"entries, above the cap {cap}"
+        )
+
+
 def occupations(rows: np.ndarray, m: int) -> np.ndarray:
     """(N, m) occupation counts of the (N, n) occupied-mode rows of :func:`enumerate_outputs`."""
     flat = rows + m * np.arange(len(rows))[:, None]
@@ -156,8 +174,10 @@ def partition_outputs(
 ) -> OutputPartition:
     """Enumerate the n-photon, m-mode outputs and split them by the rule of
     :func:`is_suppressed`, applied to all outputs at once: the 1-based label
-    sum is the 0-based sum of the occupied modes plus n."""
+    sum is the 0-based sum of the occupied modes plus n. Refuses more than
+    :data:`MAX_OUTCOME_ENTRIES` occupation entries before building any."""
     rows = enumerate_outputs(n, m, collision_free_only)
+    check_outcome_entries(rows, n, m, MAX_OUTCOME_ENTRIES)
     occ = occupations(rows, m)
     suppressed = rows.sum(axis=1) % n != 0
     return OutputPartition(

@@ -21,8 +21,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, NumericalError, ShapeError
-from .fourier import FockState, enumerate_outputs, occupations, occupied_modes, output_rank, photon_number
+from .errors import DomainError, NumericalError, ShapeError
+from .fourier import (
+    MAX_OUTCOME_ENTRIES,
+    FockState,
+    check_outcome_entries,
+    enumerate_outputs,
+    occupations,
+    occupied_modes,
+    output_rank,
+    photon_number,
+)
 from .linalg import DEFAULT_TOL, PERMANENT_CAP, assert_unitary, permanent
 
 FOCK = "fock"
@@ -52,14 +61,6 @@ CLAMP_FLOOR = -1e-12
 #: outcomes x n for the mean-field draws. Keeps memory flat up to the
 #: enumeration cap.
 BLOCK_ENTRIES = 1 << 20
-
-#: Most occupation entries, outputs x modes, of one outcome table, refused
-#: after the enumeration and before any occupation is built. An entry costs
-#: ~110 bytes from the occupation tuples to the JSON text. Just below the cap,
-#: ``qfft evolve --modes 202 --input 1,102`` (4,141,606 entries) peaked at
-#: 492 MB RSS and took 3.5-3.9 s under each of the three models; 256 modes
-#: (8.4 million entries) peaked at 913 MB before this cap existed.
-MAX_OUTCOME_ENTRIES = 1 << 22
 
 
 def _clamp(p: np.ndarray) -> np.ndarray:
@@ -139,11 +140,7 @@ def _outcomes(n: int, m: int) -> tuple[list[FockState], np.ndarray, np.ndarray]:
     Refuses more than :data:`MAX_OUTCOME_ENTRIES` occupation entries before
     building any of them."""
     rows = enumerate_outputs(n, m)
-    if len(rows) * m > MAX_OUTCOME_ENTRIES:
-        raise CapacityError(
-            f"{len(rows)} outputs of {n} photons on {m} modes make {len(rows) * m} occupation "
-            f"entries, above the cap {MAX_OUTCOME_ENTRIES}"
-        )
+    check_outcome_entries(rows, n, m, MAX_OUTCOME_ENTRIES)
     occ = occupations(rows, m)
     factorials = np.array([math.factorial(k) for k in range(n + 1)], dtype=float)
     return list(map(tuple, occ.tolist())), rows, factorials[occ].prod(axis=1)

@@ -11,7 +11,7 @@ Identifiability caveats, both handled here:
   matrix (for the butterfly templates, conjugation is exactly the negation
   of all phase parameters). :func:`canonical_gauge` fixes both freedoms, and
   fidelities between reconstructed and target matrices are computed in that
-  gauge.
+  gauge, the better of the target's two conjugation branches.
 * Not every input set determines the phases: visibilities from the cyclic
   inputs alone leave flat directions. :func:`phase_sensitivity` reports the
   conditioning of the visibility Jacobian so input sets can be screened
@@ -396,8 +396,15 @@ def canonical_gauge(u) -> np.ndarray:
 
 
 def gauge_fixed_fidelity(u, v) -> float:
-    """Fidelity after canonical gauge fixing of both arguments."""
-    return fidelity(canonical_gauge(u), canonical_gauge(v))
+    """Fidelity after canonical gauge fixing of both arguments, the larger
+    over both conjugation branches of ``v``.
+
+    The branch rule of :func:`canonical_gauge` reads the sign of one
+    imaginary part; when that part is near zero, noise can put two nearly
+    conjugate matrices on opposite branches.
+    """
+    w, x = canonical_gauge(u), canonical_gauge(v)
+    return max(fidelity(w, x), fidelity(w, np.conj(x)))
 
 
 def phase_sensitivity(

@@ -486,6 +486,22 @@ class TestCsv:
     @given(text=coincidence_csvs())
     @example(text="input_i,input_j,output_i,output_j,delta_x_um,counts\n1,3,2,4,0.0,-1\n")
     @example(text="input_i,input_j,output_i,output_j,delta_x_um,counts\n1,3,0,4,nan,-1\n1,x,2,4,0.0,5\n")
+    # files the np.loadtxt pass must leave to the column-wise reader, and plain cells it reads
+    @example(text="input_i,input_j,output_i,output_j,delta_x_um,counts\n")
+    @example(text="input_i,input_j,output_i,output_j,delta_x_um,counts\n\n\n")
+    @example(text="input_i,input_j,output_i,output_j,delta_x_um,counts\n1,3,2,4,0.0,5\n   \n")
+    @example(text="input_i,input_j,output_i,output_j,delta_x_um,counts\n1,3,2,4,0.0,5\n#,3,2,4,0.0,5\n")
+    @example(text="input_i,input_j,output_i,output_j,delta_x_um,counts\n# comment\n1,3,2,4,0.0,5\n")
+    @example(text="input_i,input_j,output_i,output_j,delta_x_um,counts\n1,3,2,4,0.0,1_000\n")
+    @example(text="input_i,input_j,output_i,output_j,delta_x_um,counts\n+1,3,2,4,+0.5,+5\n")
+    @example(text="input_i,input_j,output_i,output_j,delta_x_um,counts\n 1 ,3,2,4, 0.5 , 5 \n")
+    @example(text="input_i,input_j,output_i,output_j,delta_x_um,counts\n1,3,2,4,0.0,\u0665\n")
+    @example(text="input_i,input_j,output_i,output_j,delta_x_um,counts\n1,3,2,4,0.0,\x1c5\n")
+    @example(text="input_i,input_j,output_i,output_j,delta_x_um,counts\n1,3,2,4,0.0,5\x00\n")
+    @example(text="input_i,input_j,output_i,output_j,delta_x_um,counts\n1,3,2,4,0.0,\U0010ffff\n")
+    @example(text="input_i,input_j,output_i,output_j,delta_x_um,counts\n1,3,2,4,0.0,5\n1,99999999999999999999,2,4,0.0,5\n")
+    @example(text="input_i,input_j,output_i,output_j,delta_x_um,counts\n1,3,2,4,-0.0,5\n1,3,2,4,-0e3,5\n")
+    @example(text='"input_i",input_j,output_i,output_j,delta_x_um,counts\n1,3,2,4,0.0,"5"\n')
     def test_matches_the_row_by_row_oracle(self, text):
         def parse(reader):
             return reader(io.StringIO(text, newline=None), source="f.csv")
@@ -500,6 +516,7 @@ class TestCsv:
         inputs, outputs, delta_x, counts = parse(read_coincidence_csv)
         pairs = zip(map(tuple, inputs.tolist()), map(tuple, outputs.tolist()))
         assert [(*pair, dx, n) for pair, dx, n in zip(pairs, delta_x.tolist(), counts.tolist())] == expected
+        assert np.signbit(delta_x).tolist() == [math.copysign(1.0, record[2]) < 0 for record in expected]
 
     @settings(max_examples=100, deadline=None, derandomize=True, phases=(Phase.explicit, Phase.generate))
     @given(text=coincidence_csvs(), block=st.sampled_from([1, 2]))
@@ -561,6 +578,31 @@ class TestCsv:
             read_coincidence_csv(io.StringIO(header + "1,3,2,4,0.0,5\n" + big), source="f.csv")
         with pytest.raises(ParseError, match=r"^f\.csv:2: field 'counts' has invalid value 'x'"):
             read_coincidence_csv(io.StringIO(header + "1,3,2,4,0.0,x\n" + big), source="f.csv")
+
+    @pytest.mark.parametrize(
+        "record", ["1,3,2,4,0.0," + "0" * 140_000 + "5", "1,3,2,4," + "0" * 140_000 + "1.5,5"], ids=["counts", "delay"]
+    )
+    def test_field_above_the_csv_size_limit_refused(self, record):
+        # np.loadtxt reads either record; the csv module refuses the long field
+        text = "input_i,input_j,output_i,output_j,delta_x_um,counts\n1,3,2,4,0.0,5\n" + record + "\n"
+        with pytest.raises(ParseError, match=r"^f\.csv:3: field larger than field limit"):
+            read_coincidence_csv(io.StringIO(text), source="f.csv")
+
+    def test_simulated_file_is_read_in_one_pass(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a simulated file reached the column-wise reader")
+
+        monkeypatch.setattr(certify_module, "_convert_block", refuse)
+        delays = np.linspace(-300.0, 300.0, 41)
+        table = simulate_experiment(qft_matrix(8), (0, 4), DelayModel(), delays, 1e5, np.random.default_rng(3))
+        buffer = io.StringIO()
+        write_coincidence_csv(table, buffer)
+        text = buffer.getvalue()
+        inputs, outputs, delta_x, counts = read_coincidence_csv(io.StringIO(text, newline=None))
+        pairs = zip(map(tuple, inputs.tolist()), map(tuple, outputs.tolist()))
+        records = [(*pair, dx, n) for pair, dx, n in zip(pairs, delta_x.tolist(), counts.tolist())]
+        assert records == read_coincidence_csv_rows(io.StringIO(text))
+        assert len(records) == 41 * 36
 
     def test_zero_based_label_rejected(self):
         text = "input_i,input_j,output_i,output_j,delta_x_um,counts\n0,3,2,4,0.0,5\n"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qfftsim import fourier
 from qfftsim.errors import CapacityError, DomainError
 from qfftsim.fourier import (
     cyclic_inputs,
@@ -121,6 +122,23 @@ class TestPartitionOutputs:
     def test_enumeration_cap(self):
         with pytest.raises(CapacityError):
             partition_outputs(2, 100_000, collision_free_only=True)
+
+    def test_occupation_entry_cap(self):
+        # C(1024, 2) = 523,776 outputs x 1024 modes = 536 million occupation entries
+        with pytest.raises(CapacityError, match="make 536346624 occupation entries"):
+            partition_outputs(2, 1024, collision_free_only=True)
+
+    @pytest.mark.parametrize("collision_free_only, entries", [(True, 24), (False, 40)])
+    def test_occupation_entry_cap_boundary(self, collision_free_only, entries, monkeypatch):
+        # two photons on four modes: 6 or 10 outputs x 4 modes
+        monkeypatch.setattr(fourier, "MAX_OUTCOME_ENTRIES", entries - 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(fourier, "occupations", None)  # refused before any is built
+            with pytest.raises(CapacityError, match=f"on 4 modes make {entries} occupation entries"):
+                partition_outputs(2, 4, collision_free_only)
+        monkeypatch.setattr(fourier, "MAX_OUTCOME_ENTRIES", entries)
+        part = partition_outputs(2, 4, collision_free_only)
+        assert len(part.allowed) + len(part.forbidden) == entries // 4
 
 
 class TestEnumerateOutputs:

@@ -451,6 +451,17 @@ class TestGauge:
         u = haar_random_unitary(4, np.random.default_rng(12))
         assert gauge_fixed_fidelity(u, np.conj(u)) == pytest.approx(1.0, abs=1e-10)
 
+    def test_conjugate_fit_scores_although_noise_flips_the_branch(self):
+        # a fit to noisy 8-mode visibilities that found the negated phases;
+        # the entry that picks the branch has imaginary part ~1e-3 in both
+        template = synthesize_qfft(3)
+        free = nontrivial_phase_positions(template)
+        generating = [3.1447149368450917, 0.02487538926956222, 5.539706208022232, 2.0287838117308006, 6.189163413822927]
+        fitted = [3.1425197091969173, 6.258266437760934, 0.7471802627083806, 4.255128615841217, 0.09209620088501322]
+        u, v = (circuit_to_unitary(set_phases(template, dict(zip(free, p)))) for p in (fitted, generating))
+        assert fidelity(canonical_gauge(u), canonical_gauge(v)) < 0.71
+        assert gauge_fixed_fidelity(u, v) == pytest.approx(1.0, abs=1e-5)
+
     def test_distinct_matrices_stay_distinct(self):
         rng = np.random.default_rng(13)
         u = haar_random_unitary(4, rng)
