@@ -47,10 +47,11 @@ DEFAULT_SAMPLES = 64
 #: Most phase draws of a mean-field average: Monte Carlo ``samples``, or the
 #: (n + 1)^(n - 1) quadrature grid, refused before it is built. The draws take
 #: 8 x draws x n bytes. At the cap, ``qfft evolve --model mf --method
-#: monte_carlo`` peaked at 118 MB RSS (80 MB at the default) and took 1.1 s
+#: monte_carlo`` peaked at 75 MB RSS (36 MB at the default) and took 0.4 s
 #: for two photons on 4 modes; four photons on 16 modes (3876 outcomes) took
-#: 54 s and 124 MB. The quadrature of 7 photons on 7 modes (262,144 draws)
-#: took 7.3 s and 121 MB; 8 photons would need 4,782,969.
+#: 54 s and 124 MB, ~48 MB of it scipy.optimize, which the command no longer
+#: loads. The quadrature of 7 photons on 7 modes (262,144 draws) took 6.1 s
+#: and 79 MB; 8 photons would need 4,782,969.
 MAX_SAMPLES = 10**6
 
 #: Probabilities more negative than this raise instead of being clamped.

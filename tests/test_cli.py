@@ -946,6 +946,14 @@ class TestSimulateExperimentFunction:
         assert table.counts.shape == (3, 10)  # three delays x C(4,2)+4 output pairs
 
 
+def fresh_env():
+    """The environment for a fresh interpreter that imports this checkout's qfftsim."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestParserReuse:
     # each step leaves out a flag an earlier one set, so state kept from one
     # parse would change a later artifact
@@ -962,10 +970,7 @@ class TestParserReuse:
 
     @staticmethod
     def _fresh(argv, cwd):
-        env = dict(os.environ)
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        return subprocess.Popen([sys.executable, "-m", "qfftsim.cli", *argv], cwd=cwd, env=env,
+        return subprocess.Popen([sys.executable, "-m", "qfftsim.cli", *argv], cwd=cwd, env=fresh_env(),
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
 
     def test_repeated_main_calls_match_fresh_processes(self, tmp_path, monkeypatch, capsys):
@@ -989,6 +994,39 @@ class TestParserReuse:
         assert sorted(os.listdir(here)) == sorted(os.listdir(fresh))
         for name in os.listdir(fresh):
             assert (here / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+class TestColdStart:
+    # Run in a fresh interpreter: this process has loaded scipy.optimize already.
+    SCRIPT = """
+import sys
+import qfftsim
+from qfftsim.cli import main
+
+def run(*argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 0, (argv, code)
+
+run("synth", "--modes", "8", "--out", "circuit.json")
+run("layout", "--modes", "8", "--out", "layout.json")
+for model in ("dist", "fock", "mf"):
+    run("evolve", "--modes", "4", "--input", "1,3", "--model", model, "--out", model + ".json")
+run("simulate", "--modes", "8", "--input", "1,5", "--points", "5", "--out", "counts.csv")
+run("curve", "--data", "counts.csv", "--modes", "8", "--input", "1,5", "--out", "curve.csv")
+run("certify", "--data", "counts.csv", "--modes", "8", "--input", "1,5", "--out", "report.json")
+run("--version")
+assert "scipy.optimize" not in sys.modules, "scipy.optimize loaded before any fit"
+run("reconstruct", "--problem", "problem.json", "--restarts", "2", "--out", "result.json")
+assert "scipy.optimize" in sys.modules, "reconstruct ran without scipy.optimize"
+"""
+
+    def test_only_a_fit_loads_scipy_optimize(self, problem4):
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT], cwd=problem4.parent, env=fresh_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestSeedDerivation:

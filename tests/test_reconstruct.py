@@ -364,6 +364,22 @@ class TestFitPhases:
         with pytest.raises(ConvergenceError):
             fit_phases(problem, restarts=3, seed=0)
 
+    def test_one_minimize_call_per_restart(self, monkeypatch):
+        # the benchmark's tracer counts fits through this binding
+        problem, _, _ = make_problem(2, [1.0])
+        expected = fit_phases(problem, restarts=3, seed=0)
+        real = reconstruct.minimize
+        calls = []
+
+        def recording(fun, x0, **options):
+            calls.append(options)
+            return real(fun, x0, **options)
+
+        monkeypatch.setattr(reconstruct, "minimize", recording)
+        result = fit_phases(problem, restarts=3, seed=0)
+        assert calls == [{"jac": True, "method": "L-BFGS-B"}] * 3
+        assert result.restarts == expected.restarts
+
     @pytest.mark.parametrize("defect", ["nan_entry", "doubled", "wrong_size"])
     def test_bad_target_rejected(self, defect):
         problem, u_true, _ = make_problem(2, [1.0])
