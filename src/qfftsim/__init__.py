@@ -9,8 +9,8 @@ circuit      butterfly synthesis of the Fourier transform and circuit compositio
 layout       planar hypercube waveguide placement for the butterfly circuit
 models       Fock / distinguishable / mean-field output statistics, delay curves
 certify      count tables and CSV, visibilities, violation curves with exact error bars, verdicts
-reconstruct  chi-squared phase reconstruction from singles and visibilities; the only
-             scipy user, it imports scipy.optimize at its first fit
+reconstruct  chi-squared phase reconstruction from singles and visibilities, by a
+             multi-start BFGS of its own
 cli          the ``qfft`` command-line tool
 """
 

@@ -26,8 +26,8 @@ ENUMERATION_CAP = 10**7
 #: text of a ``qfft evolve`` table. Just below the cap,
 #: ``qfft evolve --modes 202 --input 1,102`` (4,141,606 entries) peaked at
 #: 444-450 MB RSS and took 2.9-3.7 s under each of the three models; 256
-#: modes (8.4 million entries) peaked at 913 MB before this cap existed,
-#: ~48 MB of it scipy.optimize, which the command no longer loads.
+#: modes (8.4 million entries) peaked at 913 MB before this cap existed, in
+#: a process that also held scipy.optimize (~48 MB); no command loads scipy now.
 MAX_OUTCOME_ENTRIES = 1 << 22
 
 FockState = tuple[int, ...]

@@ -49,9 +49,9 @@ DEFAULT_SAMPLES = 64
 #: 8 x draws x n bytes. At the cap, ``qfft evolve --model mf --method
 #: monte_carlo`` peaked at 75 MB RSS (36 MB at the default) and took 0.4 s
 #: for two photons on 4 modes; four photons on 16 modes (3876 outcomes) took
-#: 54 s and 124 MB, ~48 MB of it scipy.optimize, which the command no longer
-#: loads. The quadrature of 7 photons on 7 modes (262,144 draws) took 6.1 s
-#: and 79 MB; 8 photons would need 4,782,969.
+#: 54 s and 124 MB in a process that also held scipy.optimize (~48 MB); no
+#: command loads scipy now. The quadrature of 7 photons on 7 modes (262,144
+#: draws) took 6.1 s and 79 MB; 8 photons would need 4,782,969.
 MAX_SAMPLES = 10**6
 
 #: Probabilities more negative than this raise instead of being clamped.

@@ -2,7 +2,9 @@
 
 Element moduli come from single-photon transmission probabilities; the
 circuit's free phase shifters are then fitted to the measured two-photon
-visibilities by chi-squared minimisation over the phase torus.
+visibilities by chi-squared minimisation over the phase torus, multi-start
+BFGS with the analytic gradient. The solver is in this module and needs
+only numpy.
 
 Identifiability caveats, both handled here:
 
@@ -42,9 +44,9 @@ TWO_PI = 2.0 * math.pi
 
 DEFAULT_RESTARTS = 32
 
-#: Most restarts of a fit. At the cap, ``qfft reconstruct`` took 5.4 s on the
-#: 8-mode, 5-phase, 28-pair problem (2 s on 4 modes) on a shared 2-core host
-#: and peaked at 83 MB RSS, 82 MB at the default; the starts take
+#: Most restarts of a fit. At the cap, ``qfft reconstruct`` took 3.6-4.8 s on
+#: the 8-mode, 5-phase, 28-pair problem (1.0 s on 4 modes) on a shared 2-core
+#: host and peaked at 39 MB RSS, 38 MB at the default; the starts take
 #: 8 x restarts x phases bytes.
 MAX_RESTARTS = 10**3
 
@@ -249,16 +251,128 @@ def chi2_objective(problem: ReconstructionProblem, phases) -> float:
     return float(r @ r)
 
 
-def minimize(fun, x0, **options):
-    """``scipy.optimize.minimize(fun, x0, **options)``, imported at the first call.
+#: Stopping tests and budget of :func:`minimize`, L-BFGS-B's as scipy sets
+#: them (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput. 16, 1190 (1995)):
+#: converged when max |gradient| <= GRADIENT_TOL (``pgtol``) or when a step
+#: lowers f by at most DECREASE_TOL * max(|f_old|, |f|, 1) (``factr`` = 1e7
+#: times the machine epsilon); failed after MAX_EVALS evaluations (``maxfun``).
+GRADIENT_TOL = 1e-5
+DECREASE_TOL = 2.220446049250313e-09
+MAX_EVALS = 15000
 
-    Importing scipy.optimize takes ~0.4 s and ~48 MB RSS in a fresh process,
-    and only fits need it, so every command but ``qfft reconstruct`` starts
-    without it.
+#: Strong-Wolfe constants of L-BFGS-B's line search ``dcsrch``: sufficient
+#: decrease and curvature; and its most evaluations per search (``maxls``).
+WOLFE_DECREASE = 1e-3
+WOLFE_CURVATURE = 0.9
+MAX_LINE_EVALS = 20
+
+
+@dataclass(frozen=True)
+class LocalFit:
+    """Outcome of :func:`minimize`: the last accepted point, its objective
+    value, the evaluations made, and whether a stopping test was met."""
+
+    x: np.ndarray
+    fun: float
+    nfev: int
+    success: bool
+    message: str
+
+
+def _cubic_step(a, fa, da, b, fb, db) -> float:
+    """Minimiser of the cubic through (a, fa) and (b, fb) with slopes da and db
+    (Nocedal & Wright, eq. 3.59); NaN when it has none."""
+    try:
+        d1 = da + db - 3.0 * (fa - fb) / (a - b)
+        d2 = math.copysign(math.sqrt(d1 * d1 - da * db), b - a)
+        return b - (b - a) * (db + d2 - d1) / (db - da + 2.0 * d2)
+    except (ValueError, ZeroDivisionError):  # no real minimiser, or no cubic term
+        return math.nan
+
+
+def _wolfe_step(evaluate, x, f0, g0, p, step, budget):
+    """A step along p meeting the strong Wolfe conditions, as (step, f, g),
+    or None when ``budget`` evaluations find none.
+
+    Nocedal & Wright, Alg. 3.5 and 3.6 as one loop: extrapolate until a
+    trial step brackets an acceptable one, then shrink the bracket [lo, hi]
+    by safeguarded cubic interpolation. ``lo`` is always the lowest point
+    met that satisfies sufficient decrease; a trial point whose value or
+    gradient is not finite fails that test.
     """
-    from scipy.optimize import minimize as scipy_minimize
+    slope0 = float(g0 @ p)
+    lo = (0.0, f0, slope0)
+    hi = None
+    for _ in range(budget):
+        f, g = evaluate(x + step * p)
+        slope = float(g @ p)
+        if f > f0 + WOLFE_DECREASE * step * slope0 or f >= lo[1]:
+            hi = (step, f, slope)
+        elif abs(slope) <= -WOLFE_CURVATURE * slope0:
+            return step, f, g
+        else:
+            if slope * (hi[0] - lo[0] if hi else 1.0) >= 0.0:
+                hi = lo
+            prev, lo = lo, (step, f, slope)
+        if hi:  # interpolate inside the bracket, away from its ends, else bisect
+            low, high = sorted((lo[0], hi[0]))
+            trial = _cubic_step(*lo, *hi)
+            margin = 0.1 * (high - low)
+            step = trial if low + margin <= trial <= high - margin else 0.5 * (low + high)
+        else:  # extrapolate by 1.1 to 4 times the last stride, as dcsrch does
+            stride = step - prev[0]
+            trial = _cubic_step(*prev, *lo) - step
+            step += 4.0 * stride if math.isnan(trial) else min(max(trial, 1.1 * stride), 4.0 * stride)
+    return None
 
-    return scipy_minimize(fun, x0, **options)
+
+def minimize(fun, x0) -> LocalFit:
+    """Dense BFGS from ``x0`` on ``fun(x) -> (f, gradient)``.
+
+    The inverse Hessian starts as the identity, is rescaled by y.s / y.y
+    (Shanno) before its first update and takes the BFGS update after every
+    step (Nocedal & Wright, *Numerical Optimization*, section 6.1). Each step
+    meets the strong Wolfe conditions; the first trial step is
+    min(1, 1/|p|) along p = -g, every later one 1. The method and every
+    constant above follow L-BFGS-B; with a handful of variables the dense
+    update costs less than the objective. A fit that runs out of
+    evaluations, or whose line search finds no acceptable step, stops at its
+    last accepted point with ``success=False``.
+    """
+    nfev = 0
+
+    def evaluate(point):
+        nonlocal nfev
+        nfev += 1
+        f, g = fun(point)
+        f = float(f)
+        return (f, g) if math.isfinite(f) and np.all(np.isfinite(g)) else (math.inf, g)
+
+    x = np.array(x0, dtype=float)
+    f, g = evaluate(x)
+    if f == math.inf:
+        return LocalFit(x, f, nfev, False, "objective or gradient not finite at the start")
+    h = None  # inverse Hessian; None is the unscaled identity
+    while np.max(np.abs(g)) > GRADIENT_TOL:
+        p = -g if h is None else -(h @ g)
+        step = min(1.0, 1.0 / float(np.linalg.norm(p))) if h is None else 1.0
+        found = _wolfe_step(evaluate, x, f, g, p, step, min(MAX_LINE_EVALS, MAX_EVALS - nfev))
+        if found is None:
+            reason = "evaluation limit reached" if nfev >= MAX_EVALS else "line search failed"
+            return LocalFit(x, f, nfev, False, reason)
+        step, f_new, g_new = found
+        s, y = step * p, g_new - g
+        ys = float(y @ s)
+        if ys > 0.0:
+            if h is None:
+                h = (ys / float(y @ y)) * np.eye(len(x))
+            hy = h @ y
+            h += (((ys + y @ hy) / ys) * np.outer(s, s) - np.outer(hy, s) - np.outer(s, hy)) / ys
+        x, g = x + s, g_new
+        f, f_old = f_new, f
+        if f_old - f <= DECREASE_TOL * max(abs(f_old), abs(f), 1.0):
+            return LocalFit(x, f, nfev, True, "relative decrease below tolerance")
+    return LocalFit(x, f, nfev, True, "gradient below tolerance")
 
 
 def fit_phases(
@@ -269,10 +383,10 @@ def fit_phases(
 ) -> ReconstructionResult:
     """Multi-start minimisation of the visibility chi-squared over the phases.
 
-    Starts are drawn uniformly on [0, 2*pi)^k from ``seed``; each runs an
-    L-BFGS-B local minimisation of chi2 = r.r with the analytic gradient
-    2 J^T r, r being the sigma-scaled visibility residuals and J their
-    Jacobian from the compiled template. The gradient is one adjoint
+    Starts are drawn uniformly on [0, 2*pi)^k from ``seed``; each runs one
+    BFGS local minimisation (:func:`minimize`) of chi2 = r.r with the
+    analytic gradient 2 J^T r, r being the sigma-scaled visibility residuals
+    and J their Jacobian from the compiled template. The gradient is one adjoint
     contraction; J itself is built once, at the fitted phases, for its
     condition number. The lowest chi-squared wins, ties broken by restart
     index, so the result is deterministic for a fixed seed and restart
@@ -309,7 +423,7 @@ def fit_phases(
     records = []
     failures = []
     for idx in range(restarts):
-        res = minimize(objective, starts[idx], jac=True, method="L-BFGS-B")
+        res = minimize(objective, starts[idx])
         records.append(RestartRecord(float(res.fun), int(res.nfev), bool(res.success)))
         if not res.success:
             failures.append(f"restart {idx}: {res.message}")

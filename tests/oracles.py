@@ -10,8 +10,8 @@ or only the reference counts with each row's conditional mean and variance
 summed term by term), the exact error bar is summed term by term, the
 inverse moments of a zero-truncated Poisson count come from closed forms and
 quadrature in 50-digit ``mpmath``, the reference counts of a violation curve
-come from a scan over the table's cells for each pair, and a coincidence CSV
-is parsed one record at a time.
+come from a scan over the table's cells for each pair, a coincidence CSV
+is parsed one record at a time, and local fits are scipy's L-BFGS-B.
 """
 
 import csv
@@ -21,6 +21,7 @@ from itertools import permutations, product
 
 import mpmath
 import numpy as np
+from scipy.optimize import minimize
 
 
 def permanent_definition(a) -> complex:
@@ -357,3 +358,8 @@ def read_coincidence_csv_rows(stream, source: str = "<csv>") -> list[tuple]:
             values["counts"],
         ))
     return records
+
+
+def lbfgsb_minimum(fun, starts) -> float:
+    """Lowest value scipy's L-BFGS-B reaches on ``fun(x) -> (f, gradient)`` from any of ``starts``."""
+    return min(float(minimize(fun, x0, jac=True, method="L-BFGS-B").fun) for x0 in starts)

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import distinguishable_pair_probability, fock_pair_probability, layer_product_unitary
+from oracles import (
+    distinguishable_pair_probability,
+    fock_pair_probability,
+    layer_product_unitary,
+    lbfgsb_minimum,
+)
 from qfftsim import reconstruct
 from qfftsim.circuit import (
     circuit_to_unitary,
@@ -353,12 +358,10 @@ class TestFitPhases:
         assert 1.0 <= result.jacobian_condition < 100.0
 
     def test_every_restart_failing_raises(self, monkeypatch):
-        from scipy.optimize import OptimizeResult
-
         problem, _, _ = make_problem(2, [1.0])
 
-        def failing(fun, x0, **kwargs):
-            return OptimizeResult(x=x0, fun=fun(x0)[0], nfev=1, success=False, message="stub")
+        def failing(fun, x0):
+            return reconstruct.LocalFit(x=x0, fun=fun(x0)[0], nfev=1, success=False, message="stub")
 
         monkeypatch.setattr(reconstruct, "minimize", failing)
         with pytest.raises(ConvergenceError):
@@ -371,13 +374,13 @@ class TestFitPhases:
         real = reconstruct.minimize
         calls = []
 
-        def recording(fun, x0, **options):
-            calls.append(options)
-            return real(fun, x0, **options)
+        def recording(*args, **options):
+            calls.append((len(args), options))
+            return real(*args, **options)
 
         monkeypatch.setattr(reconstruct, "minimize", recording)
         result = fit_phases(problem, restarts=3, seed=0)
-        assert calls == [{"jac": True, "method": "L-BFGS-B"}] * 3
+        assert calls == [(2, {})] * 3
         assert result.restarts == expected.restarts
 
     @pytest.mark.parametrize("defect", ["nan_entry", "doubled", "wrong_size"])
@@ -411,6 +414,84 @@ class TestFitPhases:
         cap = reconstruct.MAX_RESTARTS
         with pytest.raises(DomainError, match=rf"restarts must be in \[1, {cap}\], got {restarts}"):
             fit_phases(problem, restarts=restarts, seed=0)
+
+
+def rosenbrock(x):
+    f = np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2)
+    g = np.zeros_like(x)
+    g[:-1] += -400.0 * x[:-1] * (x[1:] - x[:-1] ** 2) - 2.0 * (1.0 - x[:-1])
+    g[1:] += 200.0 * (x[1:] - x[:-1] ** 2)
+    return f, g
+
+
+class TestMinimize:
+    def test_ill_conditioned_quadratic(self):
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
+        a = q @ np.diag(10.0 ** np.arange(5)) @ q.T
+        b = rng.normal(size=5)
+        for x0 in (np.zeros(5), 10.0 * rng.normal(size=5)):
+            res = reconstruct.minimize(lambda x: (0.5 * x @ a @ x - b @ x, a @ x - b), x0)
+            assert res.success, res.message
+            assert np.max(np.abs(res.x - np.linalg.solve(a, b))) <= 1e-6
+
+    def test_rosenbrock(self):
+        res = reconstruct.minimize(rosenbrock, np.array([-1.2, 1.0, -1.2, 1.0, -1.2]))
+        assert res.success, res.message
+        assert np.max(np.abs(res.x - 1.0)) <= 1e-6
+        assert res.fun == rosenbrock(res.x)[0]
+
+    def test_linear_stretch_extrapolates(self):
+        # along the first steps the Huber loss is linear, so the cubic through them is degenerate
+        def huber(x):
+            a = np.abs(x)
+            return np.sum(np.where(a <= 1.0, 0.5 * x * x, a - 0.5)), np.clip(x, -1.0, 1.0)
+
+        res = reconstruct.minimize(huber, np.array([10.0, -7.0]))
+        assert res.success, res.message
+        assert np.max(np.abs(res.x)) <= reconstruct.GRADIENT_TOL  # the Hessian is the identity near 0
+
+    def test_non_finite_trial_point_backs_off(self):
+        # the first trial step lands at x = (1, 0), inside the NaN region
+        centre = np.array([0.3, 0.0])
+        values = []
+
+        def fun(x):
+            d = x - centre
+            values.append(np.nan if x[0] > 0.5 else 10.0 * d @ d)
+            return values[-1], 20.0 * d
+
+        res = reconstruct.minimize(fun, np.zeros(2))
+        assert np.isnan(values[1])
+        assert res.success, res.message
+        assert np.isfinite(res.fun) and np.max(np.abs(res.x - centre)) <= 1e-6
+
+    def test_evaluation_cap_fails(self, monkeypatch):
+        monkeypatch.setattr(reconstruct, "MAX_EVALS", 10)
+        x0 = np.array([-1.2, 1.0, -1.2, 1.0, -1.2])
+        res = reconstruct.minimize(rosenbrock, x0)
+        assert not res.success and res.nfev == 10
+        assert "evaluation limit" in res.message
+        assert res.fun < rosenbrock(x0)[0]
+
+    def test_line_search_without_decrease_fails(self):
+        # a gradient of the wrong sign: every trial step goes uphill
+        res = reconstruct.minimize(lambda x: (x @ x, -2.0 * x), np.ones(3))
+        assert not res.success and res.nfev == 1 + reconstruct.MAX_LINE_EVALS
+        assert "line search" in res.message
+        assert res.fun == 3.0 and np.array_equal(res.x, np.ones(3))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(p=st.integers(2, 3), noisy=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_fit_reaches_the_lbfgsb_oracle(self, p, noisy, seed):
+        rng = np.random.default_rng(seed)
+        k = len(nontrivial_phase_positions(synthesize_qfft(p)))
+        problem, _, _ = make_problem(p, rng.uniform(0, TWO_PI, k), noise_rng=rng if noisy else None)
+        result = fit_phases(problem, restarts=4, seed=seed)
+        data = reconstruct._compile(problem)
+        starts = np.random.default_rng(seed).uniform(0.0, TWO_PI, size=(4, k))
+        oracle = lbfgsb_minimum(lambda x: reconstruct._chi2_and_gradient(data, x), starts)
+        assert result.chi2 <= oracle * (1 + 1e-9) + 1e-12
 
 
 class TestModuliFromSingles:
