@@ -16,9 +16,10 @@ from the library's constant. The parser is built once per process.
 
 Conventions: mode labels in flags and files are 1-based; all randomness
 derives from one master seed (``--seed``) through fixed per-subsystem
-streams (0 = experiment simulation, 2 = reconstruction restarts,
-3 = mean-field sampling; 1 is unused, so that the others keep their seeds),
-so identical invocations produce byte-identical artifacts.
+streams (0 = experiment simulation, 2 = reconstruction restarts; 1 and 3
+are unused, so that the others keep their seeds), so identical invocations
+produce byte-identical artifacts. Only ``simulate`` and ``reconstruct`` draw
+random numbers; the other commands accept ``--seed`` and ignore it.
 ``certify`` reports the row of ``curve`` at the smallest |delay|, a tie
 going to the negative delay. ``--trials`` is still accepted and ignored.
 Input files must be UTF-8 text.
@@ -59,8 +60,6 @@ from .fourier import enumerate_outputs, occupation_from_modes, qft_matrix
 from .layout import hypercube_layout
 from .linalg import DEFAULT_TOL, matrix_from_json
 from .models import (
-    DEFAULT_SAMPLES,
-    MEAN_FIELD_METHODS,
     DelayModel,
     distinguishable_distribution,
     fock_distribution,
@@ -85,8 +84,8 @@ MAX_POINTS = 10**4
 #: budget of ``MAX_POINTS`` on 8 modes, so memory is bounded for any m.
 MAX_RECORDS = 36 * MAX_POINTS
 
-# fixed indices, 1 unused: a stream's seed never depends on which others exist
-_SEED_STREAMS = {"simulate": 0, "reconstruct": 2, "mean_field": 3}
+# fixed indices, 1 and 3 unused: a stream's seed never depends on which others exist
+_SEED_STREAMS = {"simulate": 0, "reconstruct": 2}
 
 
 def derived_seed(master: int, stream: str) -> int:
@@ -250,19 +249,8 @@ def _evolve(args) -> None:
     modes = _parse_input(args.input)
     u, source = _load_unitary(args)
     state = occupation_from_modes([k - 1 for k in modes], u.shape[0])
-    if args.model == "mf":
-        dist = mean_field_distribution(
-            u,
-            state,
-            method=args.method,
-            samples=args.samples,
-            seed=derived_seed(args.seed, "mean_field"),
-            unitary_id=source,
-            tol=args.tol,
-        )
-    else:
-        model = fock_distribution if args.model == "fock" else distinguishable_distribution
-        dist = model(u, state, unitary_id=source, tol=args.tol)
+    model = {"dist": distinguishable_distribution, "fock": fock_distribution, "mf": mean_field_distribution}
+    dist = model[args.model](u, state, unitary_id=source, tol=args.tol)
     _write_json(args.out, dist.to_json())
 
 
@@ -355,10 +343,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_unitary(p)
     p.add_argument("--input", required=True, help="comma-separated 1-based occupied modes, e.g. 1,3")
     p.add_argument("--model", choices=["dist", "fock", "mf"], default="fock")
-    p.add_argument("--method", choices=MEAN_FIELD_METHODS, default=MEAN_FIELD_METHODS[0],
-                   help="mean-field averaging method")
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
-                   help="Monte Carlo draws for --method monte_carlo (default %(default)s)")
     add_common(p, _evolve)
 
     p = sub.add_parser("simulate", help="synthetic coincidence-counting experiment CSV")

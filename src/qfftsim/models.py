@@ -7,7 +7,8 @@
   the coefficients of one polynomial product.
 * ``mean_field``: each particle occupies the same single-particle
   superposition of the occupied input modes with shot-to-shot random phases;
-  outcome probabilities are phase-averaged multinomials.
+  the exact phase average of each outcome is the sum of the squared
+  coefficients of one such product per output, taken over the input phases.
 
 A two-photon partial-distinguishability model interpolates between the
 distinguishable and Fock limits as a function of the relative path delay.
@@ -15,7 +16,6 @@ distinguishable and Fock limits as a function of the relative path delay.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -29,6 +29,7 @@ from .fourier import (
     enumerate_outputs,
     occupations,
     occupied_modes,
+    output_count,
     output_rank,
     photon_number,
 )
@@ -38,29 +39,21 @@ FOCK = "fock"
 DISTINGUISHABLE = "distinguishable"
 MEAN_FIELD = "mean_field"
 
-#: Mean-field averaging methods; the first is the default.
-MEAN_FIELD_METHODS = ("quadrature", "monte_carlo")
-
-#: Monte Carlo phase draws of a mean-field average by default.
-DEFAULT_SAMPLES = 64
-
-#: Most phase draws of a mean-field average: Monte Carlo ``samples``, or the
-#: (n + 1)^(n - 1) quadrature grid, refused before it is built. The draws take
-#: 8 x draws x n bytes. At the cap, ``qfft evolve --model mf --method
-#: monte_carlo`` peaked at 75 MB RSS (36 MB at the default) and took 0.4 s
-#: for two photons on 4 modes; four photons on 16 modes (3876 outcomes) took
-#: 54 s and 124 MB in a process that also held scipy.optimize (~48 MB); no
-#: command loads scipy now. The quadrature of 7 photons on 7 modes (262,144
-#: draws) took 6.1 s and 79 MB; 8 photons would need 4,782,969.
-MAX_SAMPLES = 10**6
+#: Most coefficients of a mean-field table: N outputs x C(2n - 1, n) phase
+#: monomials each, refused before the expansion starts. On a 2-core x86 host,
+#: ``qfft evolve --model mf`` took 10.5 s at 46 MB peak RSS for 8 photons on
+#: 8 modes (41,409,225 coefficients) and 7.2 s for 6 photons on 18 modes
+#: (46,637,514), whose 100,947-output JSON artifact peaks at 326 MB, as
+#: ``--model dist`` does. 7 photons on 14 modes (133,024,320) are refused.
+MAX_MEAN_FIELD_COEFFICIENTS = 1 << 26
 
 #: Probabilities more negative than this raise instead of being clamped.
 CLAMP_FLOOR = -1e-12
 
-#: Most array entries the Fock stack or the mean-field average holds at once:
-#: outcomes x n x n submatrix entries for the Fock permanents, draws x
-#: outcomes x n for the mean-field draws. Keeps memory flat up to the
-#: enumeration cap.
+#: Most array entries the Fock stack or the mean-field expansion holds at
+#: once: outcomes x n x n submatrix entries for the Fock permanents, outcomes
+#: x C(2n - 1, n) phase monomials x n for the mean-field expansion. Keeps
+#: memory flat up to the enumeration cap.
 BLOCK_ENTRIES = 1 << 20
 
 
@@ -79,7 +72,6 @@ class OutcomeDistribution:
     input: FockState
     probabilities: dict[FockState, float]
     unitary_id: str | None = None
-    stderr: dict[FockState, float] | None = None
 
     def total(self) -> float:
         return float(sum(self.probabilities.values()))
@@ -153,30 +145,31 @@ def _check_permanent_size(n: int) -> None:
 
 
 def product_expansion(cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Coefficient of x^T in prod_j (sum_k cols[k, j] x_k) for each output T.
+    """Coefficient of x^T in prod_j (sum_k cols[..., k, j] x_k) for each output T.
 
-    ``cols`` is (m, n), one column per photon; ``rows`` is
-    ``enumerate_outputs(n, m)``. The coefficient is perm(A[T, S]) / prod_k t_k!
-    for the matrix A whose input columns S are ``cols``. Level r holds the
-    coefficients of the first r factors over the r-photon outputs, the
-    distinct length-r prefixes of ``rows`` in :func:`enumerate_outputs` order:
-    c_r(T) = sum over distinct k in T of cols[k, r - 1] * c_(r-1)(T - e_k),
-    each parent found by :func:`output_rank`. Every level holds at most
-    N x n entries.
+    ``cols`` is (..., m, n), one column per photon, with any leading batch
+    axes; ``rows`` is ``enumerate_outputs(n, m)``. The coefficient is
+    perm(A[T, S]) / prod_k t_k! for the matrix A whose input columns S are
+    ``cols``. Level r holds the coefficients of the first r factors over the
+    r-photon outputs, the distinct length-r prefixes of ``rows`` in
+    :func:`enumerate_outputs` order: c_r(T) = sum over distinct k in T of
+    cols[..., k, r - 1] * c_(r-1)(T - e_k), each parent found by
+    :func:`output_rank`. Every level holds at most N x n entries per batch
+    element.
     """
-    m, n = cols.shape
-    coeff = cols[:, 0]
+    m, n = cols.shape[-2:]
+    coeff = cols[..., :, 0]
     for r in range(2, n + 1):
         level = rows[:, :r]
         if r < n:
             fresh = np.ones(len(rows), dtype=bool)
             fresh[1:] = (level[1:] != level[:-1]).any(axis=1)
             level = level[fresh]
-        acc = np.zeros(len(level), dtype=coeff.dtype)
+        acc = np.zeros((*cols.shape[:-2], len(level)), dtype=coeff.dtype)
         for i in range(r):
-            term = cols[level[:, i], r - 1] * coeff[output_rank(np.delete(level, i, axis=1), m)]
+            term = cols[..., level[:, i], r - 1] * coeff[..., output_rank(np.delete(level, i, axis=1), m)]
             if i:  # a repeated mode was counted at its first position
-                term[level[:, i] == level[:, i - 1]] = 0.0
+                term[..., level[:, i] == level[:, i - 1]] = 0.0
             acc += term
         coeff = acc
     return coeff
@@ -241,75 +234,40 @@ def _require_cyclic(state) -> list[int]:
     return occupied_modes(state)
 
 
-def _mean_field_shots(u, modes, thetas, rows, coeff) -> np.ndarray:
-    """(draws, N) multinomial probabilities, coeff * prod_k pi_k^t_k, for (draws, n) phases."""
-    amp = np.exp(1j * thetas) @ (u[:, modes].T / math.sqrt(len(modes)))
-    pi = np.abs(amp) ** 2
-    return pi[:, rows].prod(axis=2) * coeff
-
-
-def mean_field_distribution(
-    u,
-    input_state,
-    method: str = MEAN_FIELD_METHODS[0],
-    samples: int = DEFAULT_SAMPLES,
-    seed=None,
-    *,
-    unitary_id=None,
-    tol=DEFAULT_TOL,
-) -> OutcomeDistribution:
+def mean_field_distribution(u, input_state, *, unitary_id=None, tol=DEFAULT_TOL) -> OutcomeDistribution:
     """Phase-averaged mean-field outcome distribution for a cyclic input.
 
-    Parameters
-    ----------
-    method:
-        ``"quadrature"`` averages exactly over a uniform tensor grid of n + 1
-        nodes per relative phase (the first phase is fixed to zero; only
-        relative phases matter), (n + 1)^(n - 1) draws in all. Each outcome's
-        probability is a trigonometric polynomial of degree <= n in each
-        phase, which that grid integrates without error. ``"monte_carlo"``
-        draws ``samples`` uniform phase vectors with the given ``seed`` and
-        also fills ``stderr`` with per-outcome standard errors. Both are
-        refused above :data:`MAX_SAMPLES` draws.
-    samples:
-        Monte Carlo draws; the quadrature ignores it.
+    Every photon occupies n^(-1/2) sum_j y_j a_(s_j)^dagger with independent
+    uniform phases y_j = e^(i theta_j), so for one draw the outputs are
+    multinomial: P(T | y) = n! / (prod_k t_k! * n^n) * |prod_r sum_j U[T_r, s_j] y_j|^2.
+    With c_alpha(T) the coefficient of y^alpha in that product, the phase
+    average keeps only the diagonal terms:
+
+        P(T) = n! / (prod_k t_k! * n^n) * sum_alpha |c_alpha(T)|^2,
+
+    exact for any n (Tichy, Mayer, Buchleitner & Molmer, PRL 113, 020502
+    (2014)). :func:`product_expansion` gives the C(2n - 1, n) coefficients of
+    every output, a block of outputs at a time; more than
+    :data:`MAX_MEAN_FIELD_COEFFICIENTS` in all are refused before the first.
     """
     u = assert_unitary(u, tol=tol, what="evolution matrix")
     state, n = _check_input(u, input_state)
     modes = _require_cyclic(state)
-    if method not in MEAN_FIELD_METHODS:
-        raise DomainError(f"unknown averaging method {method!r}")
-    if method == "monte_carlo" and not 1 <= samples <= MAX_SAMPLES:
-        raise DomainError(f"samples must be in [1, {MAX_SAMPLES}], got {samples}")
-    if method == "quadrature" and (n + 1) ** (n - 1) > MAX_SAMPLES:
-        raise DomainError(
-            f"the quadrature of {n} photons needs {(n + 1) ** (n - 1)} phase draws, above the cap "
-            f"{MAX_SAMPLES}; use method='monte_carlo'"
-        )
     outs, rows, t_fact = _outcomes(n, u.shape[0])
-    coeff = math.factorial(n) / t_fact
-
-    if method == "quadrature":
-        nodes = np.arange(n + 1) * (2.0 * np.pi / (n + 1))
-        draws = np.array([(0.0, *phases) for phases in itertools.product(nodes, repeat=n - 1)])
-    else:
-        draws = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size=(samples, n))
-    acc = np.zeros(len(outs))
-    acc_sq = np.zeros(len(outs))
-    step = max(1, BLOCK_ENTRIES // (len(outs) * n))
-    for start in range(0, len(draws), step):
-        shots = _mean_field_shots(u, modes, draws[start : start + step], rows, coeff)
-        acc += shots.sum(axis=0)
-        acc_sq += (shots**2).sum(axis=0)
-    count = len(draws)
-    probs = _clamp(acc / count)
-    stderr = None
-    if method == "monte_carlo" and count > 1:
-        var = np.maximum(acc_sq / count - (acc / count) ** 2, 0.0)
-        stderr = dict(zip(outs, np.sqrt(var / (count - 1)).tolist()))
-    return OutcomeDistribution(
-        MEAN_FIELD, state, dict(zip(outs, probs.tolist())), unitary_id=unitary_id, stderr=stderr
-    )
+    count = len(rows) * output_count(n, n)
+    if count > MAX_MEAN_FIELD_COEFFICIENTS:
+        raise DomainError(
+            f"the mean field of {n} photons on {u.shape[0]} modes needs {count} expansion "
+            f"coefficients, above the cap {MAX_MEAN_FIELD_COEFFICIENTS}"
+        )
+    monomials = enumerate_outputs(n, n)
+    weight = np.empty(len(rows))
+    step = max(1, BLOCK_ENTRIES // (len(monomials) * n))
+    for start in range(0, len(rows), step):
+        cols = u[rows[start : start + step, :, None], modes].transpose(0, 2, 1)
+        weight[start : start + step] = (np.abs(product_expansion(cols, monomials)) ** 2).sum(axis=1)
+    probs = math.factorial(n) / n**n * weight / t_fact
+    return OutcomeDistribution(MEAN_FIELD, state, dict(zip(outs, probs.tolist())), unitary_id=unitary_id)
 
 
 def _check_pair(u: np.ndarray, input_pair) -> tuple[int, int]:

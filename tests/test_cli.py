@@ -149,6 +149,21 @@ class TestEvolveCommand:
         total = sum(entry["p"] for entry in obj["probabilities"])
         assert total == pytest.approx(1.0, abs=1e-9)
 
+    def test_mean_field_ignores_the_seed(self, tmp_path):
+        argv = ("evolve", "--modes", "8", "--input", "2,6", "--model", "mf")
+        assert run_cli(*argv, "--seed", "1", "--out", str(tmp_path / "a.json")) == EXIT_OK
+        assert run_cli(*argv, "--seed", "2", "--out", str(tmp_path / "b.json")) == EXIT_OK
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    @pytest.mark.parametrize("option", ["--method=monte_carlo", "--samples=64"])
+    def test_no_averaging_options(self, option, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("evolve", "--modes", "4", "--input", "1,3", "--model", "mf", option,
+                    "--out", str(tmp_path / "mf.json"))
+        assert exc.value.code == EXIT_VALIDATION
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+        assert not (tmp_path / "mf.json").exists()
+
 
 class TestSimulateCommand:
     def test_deterministic_bytes(self, tmp_path):
@@ -621,30 +636,31 @@ class TestSizeCaps:
         assert f"make 8421376 occupation entries, above the cap {models.MAX_OUTCOME_ENTRIES}" in err
         assert not (tmp_path / "dist.json").exists()
 
-    @pytest.mark.parametrize("samples", [models.MAX_SAMPLES + 1, 10**12])
-    def test_samples_above_the_cap_exit_2(self, samples, tmp_path, capsys):
-        code = run_cli("evolve", "--modes", "4", "--input", "1,3", "--model", "mf", "--method",
-                       "monte_carlo", "--samples", str(samples), "--out", str(tmp_path / "mf.json"))
-        err = capsys.readouterr().err
-        assert code == EXIT_VALIDATION
-        assert err.startswith("qfft: invalid input:")
-        assert f"samples must be in [1, {models.MAX_SAMPLES}], got {samples}" in err
+    def test_mean_field_coefficient_cap_at_its_boundary(self, monkeypatch, tmp_path, capsys):
+        # two photons on four modes: 10 outputs x C(3, 2) = 3 phase monomials
+        argv = ("evolve", "--modes", "4", "--input", "1,3", "--model", "mf", "--out", str(tmp_path / "mf.json"))
+        monkeypatch.setattr(models, "MAX_MEAN_FIELD_COEFFICIENTS", 29)
+        assert run_cli(*argv) == EXIT_VALIDATION
+        assert "needs 30 expansion coefficients, above the cap 29" in capsys.readouterr().err
         assert not (tmp_path / "mf.json").exists()
+        monkeypatch.setattr(models, "MAX_MEAN_FIELD_COEFFICIENTS", 30)
+        assert run_cli(*argv) == EXIT_OK
 
-    def test_samples_cap_at_its_boundary(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(models, "MAX_SAMPLES", 5)
-        argv = ("evolve", "--modes", "4", "--input", "1,3", "--model", "mf", "--method", "monte_carlo")
-        assert run_cli(*argv, "--samples", "5", "--out", str(tmp_path / "mf.json")) == EXIT_OK
-        assert run_cli(*argv, "--samples", "6", "--out", str(tmp_path / "mf.json")) == EXIT_VALIDATION
+    def test_eight_mean_field_photons_on_eight_modes_pass(self, tmp_path):
+        out = tmp_path / "mf.json"
+        assert run_cli("evolve", "--modes", "8", "--input", "1,2,3,4,5,6,7,8", "--model", "mf",
+                       "--out", str(out)) == EXIT_OK
+        total = sum(entry["p"] for entry in json.loads(out.read_text())["probabilities"])
+        assert total == pytest.approx(1.0, abs=1e-12)
 
-    def test_quadrature_grid_above_the_cap_exits_2(self, tmp_path, capsys):
-        # eight cyclic photons on eight modes: 9^7 = 4,782,969 quadrature draws
-        code = run_cli("evolve", "--modes", "8", "--input", "1,2,3,4,5,6,7,8", "--model", "mf",
+    def test_mean_field_coefficients_above_the_cap_exit_2(self, tmp_path, capsys):
+        # ten cyclic photons on ten modes: C(19, 10)^2 = 92378^2 coefficients
+        code = run_cli("evolve", "--modes", "10", "--input", "1,2,3,4,5,6,7,8,9,10", "--model", "mf",
                        "--out", str(tmp_path / "mf.json"))
         err = capsys.readouterr().err
         assert code == EXIT_VALIDATION
         assert err.startswith("qfft: invalid input:")
-        assert f"needs 4782969 phase draws, above the cap {models.MAX_SAMPLES}" in err
+        assert f"needs {92378**2} expansion coefficients, above the cap {models.MAX_MEAN_FIELD_COEFFICIENTS}" in err
         assert "Traceback" not in err
         assert not (tmp_path / "mf.json").exists()
 
@@ -874,14 +890,11 @@ class TestFuzz:
         source=st.one_of(st.integers(-2, 9), mutated(_MATRIX), non_utf8(mutated(_MATRIX).map(json.dumps))),
         labels=_MODE_LABELS,
         model=st.sampled_from(["fock", "dist", "mf"]),
-        method=st.sampled_from(["quadrature", "monte_carlo"]),
-        samples=st.integers(-2, 20),
         tol=st.one_of(st.floats(0, 1), _ANY_FLOAT),
         seed=st.integers(-3, 2**40),
     )
-    def test_evolve_ends_with_a_documented_exit_code(self, source, labels, model, method, samples, tol, seed):
-        argv = ["evolve", f"--input={labels}", f"--model={model}", f"--method={method}",
-                f"--samples={samples}", f"--tol={tol!r}", f"--seed={seed}"]
+    def test_evolve_ends_with_a_documented_exit_code(self, source, labels, model, tol, seed):
+        argv = ["evolve", f"--input={labels}", f"--model={model}", f"--tol={tol!r}", f"--seed={seed}"]
         if isinstance(source, int):
             code, err, _ = _run_with_files([*argv, f"--modes={source}"], {})
         else:
@@ -1030,16 +1043,16 @@ assert "scipy" not in sys.modules, "a command loaded scipy"
 
 class TestSeedDerivation:
     def test_streams_are_distinct_and_stable(self):
-        seeds = {name: derived_seed(DEFAULT_SEED, name) for name in ("simulate", "reconstruct", "mean_field")}
-        assert len(set(seeds.values())) == 3
+        seeds = {name: derived_seed(DEFAULT_SEED, name) for name in ("simulate", "reconstruct")}
+        assert len(set(seeds.values())) == 2
         assert seeds == {name: derived_seed(DEFAULT_SEED, name) for name in seeds}
 
     def test_stream_indices_did_not_move(self):
         # the seeds these streams had while stream 1 seeded the Monte Carlo error bars
-        assert {name: derived_seed(DEFAULT_SEED, name) for name in ("simulate", "reconstruct", "mean_field")} == {
+        # and stream 3 the mean-field phases
+        assert {name: derived_seed(DEFAULT_SEED, name) for name in ("simulate", "reconstruct")} == {
             "simulate": 11546529591295108226,
             "reconstruct": 14271767551585722364,
-            "mean_field": 2900638110982953645,
         }
 
 

@@ -164,12 +164,6 @@ class TestMeanField:
         )
         assert mass == pytest.approx(0.25, abs=1e-3)
 
-    def test_single_shot_is_normalised_multinomial(self):
-        probs = mean_field_distribution(qft_matrix(4), (1, 0, 1, 0), "monte_carlo", 1, seed=0)
-        assert sum(probs.probabilities.values()) == pytest.approx(1.0, abs=1e-12)
-        again = mean_field_distribution(qft_matrix(4), (1, 0, 1, 0), "monte_carlo", 1, seed=0)
-        assert probs == again
-
     def test_matches_dense_grid_oracle(self):
         u = qft_matrix(8)
         dist = mean_field_distribution(u, (0, 1, 0, 0, 0, 1, 0, 0))
@@ -181,17 +175,8 @@ class TestMeanField:
             ref = mean_field_pair_grid(u, [1, 5], pair, grid=64)
             assert dist.probabilities[out] == pytest.approx(ref, abs=1e-9)
 
-    def test_monte_carlo_agrees_with_quadrature(self):
-        u = qft_matrix(4)
-        quad = mean_field_distribution(u, (1, 0, 1, 0))
-        mc = mean_field_distribution(u, (1, 0, 1, 0), method="monte_carlo", samples=4000, seed=7)
-        assert mc.stderr is not None
-        for out, p in quad.probabilities.items():
-            err = max(mc.stderr[out], 1e-6)
-            assert abs(mc.probabilities[out] - p) < 3 * err, out
-
     def test_three_photon_quadrature(self):
-        # p = 1 cyclic state on three modes exercises the 2-D quadrature grid
+        # the p = 1 cyclic state on three modes: every mode of the input occupied
         dist = mean_field_distribution(qft_matrix(3), (1, 1, 1))
         assert dist.total() == pytest.approx(1.0, abs=1e-10)
         assert all(p >= 0 for p in dist.probabilities.values())
@@ -200,25 +185,39 @@ class TestMeanField:
         with pytest.raises(DomainError):
             mean_field_distribution(qft_matrix(4), (1, 1, 0, 0))
 
-    def test_samples_cap_at_its_boundary(self, monkeypatch):
-        for samples in (0, models.MAX_SAMPLES + 1, 10**12):
-            with pytest.raises(DomainError, match="samples"):
-                mean_field_distribution(qft_matrix(4), (1, 0, 1, 0), "monte_carlo", samples, seed=0)
-        monkeypatch.setattr(models, "MAX_SAMPLES", 5)
-        with pytest.raises(DomainError, match=r"samples must be in \[1, 5\], got 6"):
-            mean_field_distribution(qft_matrix(4), (1, 0, 1, 0), "monte_carlo", 6, seed=0)
-        dist = mean_field_distribution(qft_matrix(4), (1, 0, 1, 0), "monte_carlo", 5, seed=0)
-        assert dist.total() == pytest.approx(1.0, abs=1e-12)
-
-    def test_quadrature_grid_cap_at_its_boundary(self, monkeypatch):
-        # two photons average over a grid of (2 + 1)^1 = 3 phase draws
-        monkeypatch.setattr(models, "MAX_SAMPLES", 2)
-        refused = "needs 3 phase draws, above the cap 2; use method='monte_carlo'"
-        with pytest.raises(DomainError, match=refused):
-            mean_field_distribution(qft_matrix(4), (1, 0, 1, 0))
-        monkeypatch.setattr(models, "MAX_SAMPLES", 3)
+    def test_coefficient_cap_at_its_boundary(self, monkeypatch):
+        # two photons on four modes: 10 outputs x C(3, 2) = 3 phase monomials
+        monkeypatch.setattr(models, "MAX_MEAN_FIELD_COEFFICIENTS", 29)
+        with monkeypatch.context() as patch:
+            patch.setattr(models, "product_expansion", None)  # refused before any is expanded
+            with pytest.raises(DomainError, match="needs 30 expansion coefficients, above the cap 29"):
+                mean_field_distribution(qft_matrix(4), (1, 0, 1, 0))
+        monkeypatch.setattr(models, "MAX_MEAN_FIELD_COEFFICIENTS", 30)
         dist = mean_field_distribution(qft_matrix(4), (1, 0, 1, 0))
         assert dist.total() == pytest.approx(1.0, abs=1e-12)
+
+    def test_cap_admits_eight_photons_on_eight_modes(self):
+        # N = C(m + n - 1, n) outputs x K = C(2n - 1, n) monomials
+        cap = models.MAX_MEAN_FIELD_COEFFICIENTS
+        assert math.comb(15, 8) * math.comb(15, 8) <= cap < math.comb(17, 9) * math.comb(17, 9)
+        assert math.comb(17, 6) * math.comb(11, 6) <= cap  # six photons on twelve modes
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(2, 5),
+        period=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        picks=st.lists(st.integers(0, 2**31), min_size=1, max_size=4),
+    )
+    def test_matches_permanent_sum_oracle(self, n, period, seed, picks):
+        m = n * period
+        u = haar_random_unitary(m, np.random.default_rng(seed))
+        state = cyclic_state(n, m)
+        probs = mean_field_distribution(u, state).probabilities
+        outs = sorted(probs)
+        for k in picks:  # the oracle costs ~50 ms an output at n = 5
+            out = outs[k % len(outs)]
+            assert abs(probs[out] - mean_field_probability(u, state, out)) <= 1e-14, out
 
     def test_cyclic_detection(self):
         assert is_cyclic_state((1, 0, 1, 0))
@@ -273,6 +272,22 @@ class TestProductExpansion:
                 ref = permanent_definition(mat[np.ix_(row, modes)]) / t
                 assert abs(c - ref) <= 1e-13 * max(1.0, abs(ref)), (row, mat.dtype)
 
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        m=st.integers(1, 6),
+        n=st.integers(1, 4),
+        batch=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batch_axis_gives_separate_expansions(self, m, n, batch, seed):
+        rng = np.random.default_rng(seed)
+        rows = enumerate_outputs(n, m)
+        cols = rng.normal(size=(batch, m, n)) + 1j * rng.normal(size=(batch, m, n))
+        for mat in (cols, cols.real.copy()):
+            whole = product_expansion(mat, rows)
+            assert whole.shape == (batch, len(rows))
+            assert np.array_equal(whole, [product_expansion(one, rows) for one in mat])
+
     @pytest.mark.parametrize("state", [(2, 0, 1, 0), (0, 3, 0), (1, 1, 0, 2, 0)])
     def test_bunched_input_distribution(self, state):
         u = haar_random_unitary(len(state), np.random.default_rng(len(state)))
@@ -294,7 +309,7 @@ class TestPermanentCap:
 
 
 class TestQuadratureExactness:
-    """n + 1 nodes per relative phase give the 64-node grid's average."""
+    """The expansion gives the average over a 64-node grid per relative phase."""
 
     @pytest.mark.parametrize("seed", range(2))
     def test_two_photons(self, seed):
@@ -315,15 +330,16 @@ class TestQuadratureExactness:
         for out, p in zip(outs, ref):
             assert abs(dist.probabilities[out] - p) <= 1e-12, out
 
-    def test_blocks_of_draws_add_up(self, monkeypatch):
-        u = haar_random_unitary(8, np.random.default_rng(12))
-        state = cyclic_state(2, 8)
-        whole = mean_field_distribution(u, state, method="monte_carlo", samples=300, seed=5)
-        monkeypatch.setattr(models, "BLOCK_ENTRIES", 500)  # 6 of the 300 draws per block
-        blocks = mean_field_distribution(u, state, method="monte_carlo", samples=300, seed=5)
-        for out, p in whole.probabilities.items():
-            assert abs(blocks.probabilities[out] - p) <= 1e-15
-            assert abs(blocks.stderr[out] - whole.stderr[out]) <= 1e-15
+    def test_blocks_of_outputs_add_up(self, monkeypatch):
+        # three photons on nine modes: 165 outputs x 10 monomials x 3 photons
+        u = haar_random_unitary(9, np.random.default_rng(12))
+        state = cyclic_state(3, 9)
+        monkeypatch.setattr(models, "BLOCK_ENTRIES", 165 * 10 * 3)  # one block
+        whole = mean_field_distribution(u, state).probabilities
+        monkeypatch.setattr(models, "BLOCK_ENTRIES", 100)  # 3 of the 165 outputs per block
+        blocks = mean_field_distribution(u, state).probabilities
+        assert list(blocks) == list(whole)
+        assert np.array_equal(list(blocks.values()), list(whole.values()))
 
 
 class TestEnumerationCap:
