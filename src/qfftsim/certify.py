@@ -17,7 +17,6 @@ is deterministic and draws nothing.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -53,11 +52,6 @@ SERIES_FROM = 1e3
 #: exactly, so the series never subtracts two close floats.
 _MEAN_SERIES = (5040.0, 720.0, 120.0, 24.0, 6.0, 2.0, 1.0, 1.0)
 _VARIANCE_SERIES = (97296.0, 11256.0, 1452.0, 210.0, 34.0, 6.0, 1.0)
-
-#: Coincidence CSV records the column-wise reader converts at a time. Only
-#: one block's text is held at once, which bounds that reader's memory on a
-#: large file; results do not depend on it. Plain files do not use it.
-CSV_BLOCK_RECORDS = 2**14
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,13 +288,6 @@ def write_coincidence_csv(table: CoincidenceTable, stream) -> None:
     stream.write("\n".join([",".join(CSV_COLUMNS), *map(str.__add__, rows, counts)]) + "\n")
 
 
-def _int_array(values) -> np.ndarray:
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
-
-
 def read_coincidence_csv(stream, source: str = "<csv>"):
     """Parse a coincidence CSV (1-based mode labels) from a seekable text stream.
 
@@ -310,18 +297,17 @@ def read_coincidence_csv(stream, source: str = "<csv>"):
 
     A file of plain records, such as ``qfft simulate`` writes (see
     :func:`_read_plain`), is read in one ``np.loadtxt`` pass. Any other file
-    is read again from the stream's starting position by the column-wise
-    reader, which alone names faults: the first malformed record raises
+    is read again from the stream's starting position by :func:`_read_rows`,
+    which alone names faults: the first malformed record raises
     :class:`ParseError` naming its line and first fault: field count, then
     each field's syntax, a finite delay, 1-based labels and non-negative
-    counts. That reader converts ``CSV_BLOCK_RECORDS`` records at a time, so
-    it holds only one block's text.
+    counts.
     """
     start = stream.tell()
     columns = _read_plain(stream)
     if columns is None:
         stream.seek(start)
-        columns = _read_column_wise(stream, source)
+        columns = _read_rows(stream, source)
     *labels, delta_x, counts = columns
     # mode pairs are unordered; store them ascending
     inputs, outputs = (
@@ -345,8 +331,8 @@ def _read_plain(stream) -> list[np.ndarray] | None:
     Plain records follow a header of the bare column names and have at least
     one record, only ``_PLAIN`` characters, no line longer than
     ``csv.field_size_limit()``, six fields that ``np.loadtxt`` converts, finite
-    delays, 1-based labels and non-negative counts. The column-wise reader
-    reads such a file to the same values.
+    delays, 1-based labels and non-negative counts. :func:`_read_rows` reads
+    such a file to the same values.
     """
     if [h.strip(" ") for h in stream.readline().removesuffix("\n").split(",")] != list(CSV_COLUMNS):
         return None
@@ -386,75 +372,48 @@ def _plain_lines(stream) -> bool:
     return seen
 
 
-def _read_column_wise(stream, source: str) -> list[np.ndarray]:
-    """The six columns of any coincidence CSV; its first fault raises :class:`ParseError`."""
+def _read_rows(stream, source: str) -> list[np.ndarray]:
+    """The six columns of any coincidence CSV, converted and checked one record
+    at a time; the first fault raises :class:`ParseError`, naming the record's
+    position counted from the header or, for a :class:`csv.Error`, the reader's
+    line. Values go straight into typed arrays, no Python object per record; an
+    integer column becomes a list of Python ints at its first value beyond int64.
+    """
+    from array import array  # here, not at the top: a process that loads it peaks ~0.3 MB higher
+
     reader = csv.reader(stream)
+    columns = [array("q"), array("q"), array("q"), array("q"), array("d"), array("q")]
     try:
         header = next(reader, None)
+        if header is None:
+            raise ParseError(f"{source}: empty file, expected header {','.join(CSV_COLUMNS)}")
+        if [h.strip() for h in header] != list(CSV_COLUMNS):
+            raise ParseError(f"{source}:1: expected header {','.join(CSV_COLUMNS)}, got {','.join(header)}")
+        for line, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(CSV_COLUMNS):
+                raise ParseError(f"{source}:{line}: expected {len(CSV_COLUMNS)} fields, got {len(row)}")
+            try:
+                values = (int(row[0]), int(row[1]), int(row[2]), int(row[3]), float(row[4]), int(row[5]))
+            except ValueError:
+                for name, cell in zip(CSV_COLUMNS, row):
+                    try:
+                        float(cell) if name == "delta_x_um" else int(cell)
+                    except ValueError:
+                        raise ParseError(f"{source}:{line}: field {name!r} has invalid value {cell!r}") from None
+            if not math.isfinite(values[4]):
+                raise ParseError(f"{source}:{line}: field 'delta_x_um' must be finite, got {row[4]!r}")
+            if min(values[:4]) < 1:
+                name = next(name for name, label in zip(CSV_COLUMNS, values) if label < 1)
+                raise ParseError(f"{source}:{line}: field {name!r} must be a 1-based mode label")
+            if values[5] < 0:
+                raise ParseError(f"{source}:{line}: field 'counts' must be non-negative")
+            for k, value in enumerate(values):
+                try:
+                    columns[k].append(value)
+                except OverflowError:
+                    columns[k] = [*columns[k], value]
     except csv.Error as exc:
         raise ParseError(f"{source}:{reader.line_num}: {exc}") from None
-    if header is None:
-        raise ParseError(f"{source}: empty file, expected header {','.join(CSV_COLUMNS)}")
-    if [h.strip() for h in header] != list(CSV_COLUMNS):
-        raise ParseError(f"{source}:1: expected header {','.join(CSV_COLUMNS)}, got {','.join(header)}")
-    blocks = []
-    for first in itertools.count(2, CSV_BLOCK_RECORDS):  # file line of the block's first record
-        rows, broken = [], None
-        try:
-            # appends as it reads: the records before a csv.Error stay
-            rows.extend(itertools.islice(reader, CSV_BLOCK_RECORDS))
-        except csv.Error as exc:  # raised after the faults of the records before it
-            broken = ParseError(f"{source}:{reader.line_num}: {exc}")
-        blocks.append(_convert_block(rows, range(first, first + len(rows)), source))
-        if broken:
-            raise broken
-        if len(rows) < CSV_BLOCK_RECORDS:
-            break
-    return list(map(np.concatenate, zip(*blocks)))
-
-
-def _convert_block(rows, lines, source: str) -> list[np.ndarray]:
-    """The six columns of one block of records; the block's first fault raises :class:`ParseError`."""
-    if not all(rows):
-        lines = [line for line, row in zip(lines, rows) if row]
-        rows = list(filter(None, rows))
-    faults = []  # (row, rank within the row, message); the first is raised
-    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-    wrong = np.flatnonzero(lengths != len(CSV_COLUMNS))
-    if wrong.size:
-        faults.append((wrong[0], -1, f"expected {len(CSV_COLUMNS)} fields, got {lengths[wrong[0]]}"))
-        rows = rows[: wrong[0]]
-    columns = []
-    # each column's text is dropped once converted, which bounds the peak memory
-    texts, rows = list(zip(*rows)) or [()] * len(CSV_COLUMNS), None
-    for rank, name in enumerate(CSV_COLUMNS):
-        cells, texts[rank] = texts[rank], None
-        kind = float if name == "delta_x_um" else int
-        try:
-            values = list(map(kind, cells))
-        except ValueError:  # keep the values before the first refused cell
-            values = []
-            for cell in cells:
-                try:
-                    values.append(kind(cell))
-                except ValueError:
-                    faults.append((len(values), rank, f"field {name!r} has invalid value {cell!r}"))
-                    break
-        if kind is int:
-            columns.append(_int_array(values))
-            continue
-        columns.append(np.array(values, dtype=float))
-        bad = np.flatnonzero(~np.isfinite(columns[-1]))
-        if bad.size:
-            faults.append((bad[0], 6, f"field 'delta_x_um' must be finite, got {cells[bad[0]]!r}"))
-    for rank, (name, column) in enumerate(zip(CSV_COLUMNS, columns[:4]), start=7):
-        bad = np.flatnonzero(column < 1)
-        if bad.size:
-            faults.append((bad[0], rank, f"field {name!r} must be a 1-based mode label"))
-    bad = np.flatnonzero(columns[5] < 0)
-    if bad.size:
-        faults.append((bad[0], 11, "field 'counts' must be non-negative"))
-    if faults:
-        k, _, message = min(faults)
-        raise ParseError(f"{source}:{lines[k]}: {message}")
-    return columns
+    return [np.array(column, dtype=object) if isinstance(column, list) else np.asarray(column) for column in columns]

@@ -36,6 +36,7 @@ from __future__ import annotations
 import argparse
 import functools
 import io
+import itertools
 import json
 import os
 import sys
@@ -114,9 +115,10 @@ def simulate_experiment(
     return CoincidenceTable(tuple(sorted(curves.input)), curves.delta_x[order], curves.pairs, counts[order])
 
 
-def _write_text(out: str | None, text: str) -> None:
+def _write_text(out: str | None, pieces) -> None:
+    """Write the strings of ``pieces`` to ``out``, or to stdout if ``out`` is None."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     directory = os.path.dirname(os.path.abspath(out))
     fd, tmp = tempfile.mkstemp(prefix=".qfft-", dir=directory)
@@ -126,7 +128,7 @@ def _write_text(out: str | None, text: str) -> None:
             umask = os.umask(0)
             os.umask(umask)
             os.fchmod(handle.fileno(), 0o666 & ~umask)
-            handle.write(text)
+            handle.writelines(pieces)
         os.replace(tmp, out)
     except BaseException:
         if os.path.exists(tmp):
@@ -135,7 +137,11 @@ def _write_text(out: str | None, text: str) -> None:
 
 
 def _write_json(out: str | None, obj) -> None:
-    _write_text(out, json.dumps(obj, indent=2) + "\n")
+    """Write ``json.dumps(obj, indent=2)`` and a newline, encoded as it is written."""
+    chunks = json.JSONEncoder(indent=2).iterencode(obj)  # never an empty chunk
+    # 2^16 chunks per write: neither one write per token nor the whole text at once
+    batches = iter(lambda: "".join(itertools.islice(chunks, 1 << 16)), "")
+    _write_text(out, itertools.chain(batches, ["\n"]))
 
 
 def _read_text(path: str) -> str:
@@ -268,14 +274,14 @@ def _simulate(args) -> None:
     table = simulate_experiment(u, pair, model, grid, args.expected_counts, rng, tol=args.tol)
     buffer = io.StringIO()
     write_coincidence_csv(table, buffer)
-    _write_text(args.out, buffer.getvalue())
+    _write_text(args.out, [buffer.getvalue()])
 
 
 def _curve(args) -> None:
     curve, _, _ = _analyzed_curve(args)
     lines = ["delta_x,d_obs,sigma"]
     lines += [f"{dx!r},{d!r},{s!r}" for dx, d, s in curve]
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_text(args.out, ["\n".join(lines) + "\n"])
 
 
 def _certify(args) -> None:

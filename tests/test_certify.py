@@ -486,7 +486,7 @@ class TestCsv:
     @given(text=coincidence_csvs())
     @example(text="input_i,input_j,output_i,output_j,delta_x_um,counts\n1,3,2,4,0.0,-1\n")
     @example(text="input_i,input_j,output_i,output_j,delta_x_um,counts\n1,3,0,4,nan,-1\n1,x,2,4,0.0,5\n")
-    # files the np.loadtxt pass must leave to the column-wise reader, and plain cells it reads
+    # files the np.loadtxt pass must leave to the row-by-row reader, and plain cells it reads
     @example(text="input_i,input_j,output_i,output_j,delta_x_um,counts\n")
     @example(text="input_i,input_j,output_i,output_j,delta_x_um,counts\n\n\n")
     @example(text="input_i,input_j,output_i,output_j,delta_x_um,counts\n1,3,2,4,0.0,5\n   \n")
@@ -518,18 +518,19 @@ class TestCsv:
         assert [(*pair, dx, n) for pair, dx, n in zip(pairs, delta_x.tolist(), counts.tolist())] == expected
         assert np.signbit(delta_x).tolist() == [math.copysign(1.0, record[2]) < 0 for record in expected]
 
-    @settings(max_examples=100, deadline=None, derandomize=True, phases=(Phase.explicit, Phase.generate))
-    @given(text=coincidence_csvs(), block=st.sampled_from([1, 2]))
-    @example(text="input_i,input_j,output_i,output_j,delta_x_um,counts\n1,3,0,4,nan,-1\n\n1,x,2,4,0.0,5\n", block=1)
-    def test_matches_the_row_by_row_oracle_in_small_blocks(self, text, block):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(certify_module, "CSV_BLOCK_RECORDS", block)
-            TestCsv.test_matches_the_row_by_row_oracle.hypothesis.inner_test(self, text)
+    def test_first_fault_before_a_blank_line_matches_the_oracle(self):
+        text = "input_i,input_j,output_i,output_j,delta_x_um,counts\n1,3,0,4,nan,-1\n\n1,x,2,4,0.0,5\n"
+        TestCsv.test_matches_the_row_by_row_oracle.hypothesis.inner_test(self, text)
 
-    @pytest.mark.parametrize("block", [1, 2])
-    def test_field_above_the_csv_size_limit_in_small_blocks(self, block, monkeypatch):
-        monkeypatch.setattr(certify_module, "CSV_BLOCK_RECORDS", block)
-        self.test_field_above_the_csv_size_limit_named_after_earlier_faults()
+    def test_line_numbers_across_a_quoted_newline(self):
+        # field faults count records from the header; a csv.Error names the reader's line
+        header = "input_i,input_j,output_i,output_j,delta_x_um,counts\n"
+        quoted = '1,3,2,4,0.0,"5\n"\n'
+        with pytest.raises(ParseError, match=r"^f\.csv:3: field 'counts' has invalid value 'x'$"):
+            read_coincidence_csv(io.StringIO(header + quoted + "1,3,2,4,0.0,x\n"), source="f.csv")
+        big = "1,3,2,4,1.0,5\n1,3,2,4,2.0," + "1" * 140_000 + "\n"
+        with pytest.raises(ParseError, match=r"^f\.csv:5: field larger than field limit \(131072\)$"):
+            read_coincidence_csv(io.StringIO(header + quoted + big), source="f.csv")
 
     def test_round_trip(self):
         table = make_table(
@@ -590,9 +591,9 @@ class TestCsv:
 
     def test_simulated_file_is_read_in_one_pass(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("a simulated file reached the column-wise reader")
+            raise AssertionError("a simulated file reached the row-by-row reader")
 
-        monkeypatch.setattr(certify_module, "_convert_block", refuse)
+        monkeypatch.setattr(certify_module, "_read_rows", refuse)
         delays = np.linspace(-300.0, 300.0, 41)
         table = simulate_experiment(qft_matrix(8), (0, 4), DelayModel(), delays, 1e5, np.random.default_rng(3))
         buffer = io.StringIO()

@@ -721,6 +721,21 @@ class TestOutputFiles:
             os.umask(previous)
         assert out.stat().st_mode & 0o777 == mode
 
+    # 70,000 list items are more tokens than one batch of the JSON writer
+    _JSON = {"a": [1.5, float("nan"), None, "\u00e9"], "b": {"c": list(range(70_000)), "d": {}}, "e": []}
+
+    def test_json_file_and_stdout_match_json_dumps(self, tmp_path, capsys):
+        expected = (json.dumps(self._JSON, indent=2) + "\n").encode()
+        cli._write_json(str(tmp_path / "artifact"), self._JSON)
+        assert (tmp_path / "artifact").read_bytes() == expected
+        cli._write_json(None, self._JSON)
+        assert capsys.readouterr().out.encode() == expected
+
+    def test_failed_json_write_leaves_no_file(self, tmp_path):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            cli._write_json(str(tmp_path / "artifact"), {**self._JSON, "f": object()})
+        assert os.listdir(tmp_path) == []
+
 
 _FORBIDDEN_8 = sorted(
     tuple(occupied_modes(s)) for s in partition_outputs(2, 8, collision_free_only=True).forbidden
