@@ -86,7 +86,11 @@ class CoincidenceTable:
         delta_x = np.asarray(delta_x, dtype=float)[keep]
         # return_index sorts stably: of equal delays (0.0 and -0.0) the first row's is kept
         delays, _, row = np.unique(delta_x, return_index=True, return_inverse=True)
-        counts = np.asarray(counts, dtype=object)[keep]
+        # an int64 column is checked as it is; anything else, such as a
+        # reader's column of Python ints beyond int64, as Python objects
+        if not (isinstance(counts, np.ndarray) and counts.dtype == np.int64):
+            counts = np.asarray(counts, dtype=object)
+        counts = counts[keep]
         pairs = list(map(tuple, pairs.tolist()))
         cell = row * len(pairs) + col
         repeats = np.setdiff1d(np.arange(len(cell)), np.unique(cell, return_index=True)[1], assume_unique=True)

@@ -9,6 +9,7 @@ material; conversion happens at the function boundary.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import chain, combinations, combinations_with_replacement
@@ -102,7 +103,9 @@ def enumerate_outputs(n: int, m: int, collision_free_only: bool = False) -> np.n
 
     Each row lists one output's occupied modes with multiplicity, ascending;
     the rows are in lexicographic order. This is the one place that refuses
-    n < 1, m < 1 and more than :data:`ENUMERATION_CAP` outputs.
+    n < 1, m < 1 and more than :data:`ENUMERATION_CAP` outputs, checked on
+    every call. The array is shared between calls with the same arguments
+    and is read-only.
     """
     if n < 1:
         raise DomainError(f"photon number must be >= 1, got {n}")
@@ -113,14 +116,25 @@ def enumerate_outputs(n: int, m: int, collision_free_only: bool = False) -> np.n
         raise CapacityError(
             f"{count} outputs of {n} photons on {m} modes exceed enumeration cap {ENUMERATION_CAP}"
         )
+    return _outputs(n, m, collision_free_only)
+
+
+@functools.lru_cache(maxsize=4)
+def _outputs(n: int, m: int, collision_free_only: bool) -> np.ndarray:
     combos = combinations if collision_free_only else combinations_with_replacement
+    count = output_count(n, m, collision_free_only)
     modes = np.fromiter(chain.from_iterable(combos(range(m), n)), dtype=np.intp, count=count * n)
+    modes.flags.writeable = False
     return modes.reshape(count, n)
 
 
 def check_outcome_entries(rows: np.ndarray, n: int, m: int, cap: int) -> None:
-    """Refuse the (N, n) outputs ``rows`` if their (N, m) occupations hold more than ``cap`` entries."""
+    """Refuse the (N, n) outputs ``rows`` if their (N, m) occupations hold more than ``cap`` entries.
+
+    A refusal also drops the shared output arrays, so that the refused rows,
+    up to :data:`ENUMERATION_CAP` of them, are not kept for later calls."""
     if len(rows) * m > cap:
+        _outputs.cache_clear()
         raise CapacityError(
             f"{len(rows)} outputs of {n} photons on {m} modes make {len(rows) * m} occupation "
             f"entries, above the cap {cap}"
@@ -175,10 +189,19 @@ def partition_outputs(
 ) -> OutputPartition:
     """Enumerate the n-photon, m-mode outputs and split them by the rule of
     :func:`is_suppressed`, applied to all outputs at once: the 1-based label
-    sum is the 0-based sum of the occupied modes plus n. Refuses more than
-    :data:`MAX_OUTCOME_ENTRIES` occupation entries before building any."""
+    sum is the 0-based sum of the occupied modes plus n.
+
+    The enumeration cap and :data:`MAX_OUTCOME_ENTRIES` are checked on every
+    call, before any occupation is built; the partition is shared between
+    calls with the same arguments, and its sets are frozen."""
     rows = enumerate_outputs(n, m, collision_free_only)
     check_outcome_entries(rows, n, m, MAX_OUTCOME_ENTRIES)
+    return _partition(n, m, collision_free_only)
+
+
+@functools.lru_cache(maxsize=4)
+def _partition(n: int, m: int, collision_free_only: bool) -> OutputPartition:
+    rows = _outputs(n, m, collision_free_only)
     occ = occupations(rows, m)
     suppressed = rows.sum(axis=1) % n != 0
     return OutputPartition(

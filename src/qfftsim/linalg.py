@@ -34,31 +34,35 @@ def as_complex_matrix(entries) -> np.ndarray:
     return a
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=16)
 def _glynn_signs(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """All 2^k sign rows over k matrix rows, as a (2^k, k) table, and each row's product.
+    """Glynn's 2^k sign vectors over k + 1 matrix rows with d_0 = +1, as the
+    columns of a (k + 1, 2^k) table, and each vector's sign product over 2^k.
 
-    Row ``j`` carries -1 in column ``i`` when bit ``i`` of ``j`` is set. The
-    arrays are read-only because every caller shares them.
+    Column ``j`` carries -1 in row ``i + 1`` when bit ``i`` of ``j`` is set.
+    The arrays are read-only because every caller shares them.
     """
-    bits = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
-    table = (1 - 2 * bits).astype(complex)
-    parity = (1 - 2 * (bits.sum(axis=1) & 1)).astype(float)
+    bits = (np.arange(1 << k) >> np.arange(k)[:, None]) & 1
+    table = np.ones((k + 1, 1 << k), dtype=complex)
+    table[1:] -= 2 * bits
+    weights = ((1 - 2 * (bits.sum(axis=0) & 1)) / (1 << k)).astype(complex)
     table.flags.writeable = False
-    parity.flags.writeable = False
-    return table, parity
+    weights.flags.writeable = False
+    return table, weights
 
 
 def permanent(a, cap: int = PERMANENT_CAP) -> complex:
     """Permanent of a square complex matrix via Glynn's formula.
 
     perm(A) = 2^(1-n) * sum_d (prod_i d_i) * prod_j (sum_i d_i a_ij) over the
-    sign vectors d in {+1, -1}^n with d_0 = +1. One matrix product gives the
-    column sums for every sign pattern of rows 1..k, k = min(n - 1,
-    GLYNN_BLOCK); a Python loop runs only over the 2^(n-1-k) patterns of the
-    rows above them, so not at all when n <= GLYNN_BLOCK + 1. The work is
-    O(2^n * n). Matrices larger than ``cap`` are refused rather than silently
-    taking hours.
+    sign vectors d in {+1, -1}^n with d_0 = +1. One matrix product with the
+    sign table of :func:`_glynn_signs`, which holds d_0 and whose weights hold
+    the 2^(1-n) scale, gives the column sums for every sign pattern of rows
+    0..k, k = min(n - 1, GLYNN_BLOCK), as an (n, 2^k) array; one reduction
+    across its rows and one dot finish the sum. A Python loop runs only over
+    the 2^(n-1-k) patterns of the rows above them, so not at all when
+    n <= GLYNN_BLOCK + 1. The work is O(2^n * n). Matrices larger than
+    ``cap`` are refused rather than silently taking hours.
     """
     a = as_complex_matrix(a)
     n, n2 = a.shape
@@ -70,15 +74,15 @@ def permanent(a, cap: int = PERMANENT_CAP) -> complex:
         return complex(1.0)
 
     k = min(n - 1, GLYNN_BLOCK)
-    table, parity = _glynn_signs(k)
-    low_sums = a[0] + table @ a[1 : k + 1]
+    table, weights = _glynn_signs(k)
+    low_sums = np.dot(a[: k + 1].T, table)
     if k == n - 1:
-        return complex(parity @ low_sums.prod(axis=1)) / (1 << k)
-    high_table, high_parity = _glynn_signs(n - 1 - k)
+        return complex(np.dot(weights, np.multiply.reduce(low_sums, axis=0)))
+    high_table, high_weights = _glynn_signs(n - 1 - k)
     total = 0.0 + 0.0j
-    for offset, sign in zip(high_table @ a[k + 1 :], high_parity):
-        total += sign * (parity @ (low_sums + offset).prod(axis=1))
-    return complex(total) / (1 << (n - 1))
+    for offset, weight in zip(np.dot(high_table[1:].T, a[k + 1 :]), high_weights):
+        total += weight * np.dot(weights, np.multiply.reduce(low_sums + offset[:, None], axis=0))
+    return complex(total)
 
 
 def fidelity(u, v) -> float:

@@ -16,6 +16,7 @@ distinguishable and Fock limits as a function of the relative path delay.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -25,6 +26,7 @@ from .errors import DomainError, NumericalError, ShapeError
 from .fourier import (
     MAX_OUTCOME_ENTRIES,
     FockState,
+    _outputs,
     check_outcome_entries,
     enumerate_outputs,
     occupations,
@@ -126,17 +128,26 @@ def _check_input(u: np.ndarray, input_state) -> tuple[FockState, int]:
     return state, n
 
 
-def _outcomes(n: int, m: int) -> tuple[list[FockState], np.ndarray, np.ndarray]:
+def _outcomes(n: int, m: int) -> tuple[tuple[FockState, ...], np.ndarray, np.ndarray]:
     """The n-photon outputs on m modes as occupation tuples, their occupied
     modes with multiplicity as an (N, n) array, and each output's prod_k t_k!.
 
-    Refuses more than :data:`MAX_OUTCOME_ENTRIES` occupation entries before
-    building any of them."""
+    Refuses more than :data:`MAX_OUTCOME_ENTRIES` occupation entries on every
+    call, before building any of them; the tables are shared between calls
+    with the same (n, m) and read-only."""
     rows = enumerate_outputs(n, m)
     check_outcome_entries(rows, n, m, MAX_OUTCOME_ENTRIES)
-    occ = occupations(rows, m)
+    outs, t_fact = _outcome_table(n, m)
+    return outs, rows, t_fact
+
+
+@functools.lru_cache(maxsize=4)
+def _outcome_table(n: int, m: int) -> tuple[tuple[FockState, ...], np.ndarray]:
+    occ = occupations(_outputs(n, m, False), m)
     factorials = np.array([math.factorial(k) for k in range(n + 1)], dtype=float)
-    return list(map(tuple, occ.tolist())), rows, factorials[occ].prod(axis=1)
+    t_fact = factorials[occ].prod(axis=1)
+    t_fact.flags.writeable = False
+    return tuple(map(tuple, occ.tolist())), t_fact
 
 
 def _check_permanent_size(n: int) -> None:

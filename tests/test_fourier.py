@@ -195,6 +195,50 @@ class TestEnumerateOutputs:
             enumerate_outputs(n, m)
 
 
+class TestSharedTables:
+    """Outputs and partitions are built once per key; the caps still hold on every call."""
+
+    def test_outputs_are_shared_and_read_only(self):
+        rows = enumerate_outputs(3, 5)
+        with pytest.raises(ValueError):
+            rows[0, 0] = 4
+        assert enumerate_outputs(3, 5) is rows
+        assert rows.tolist() == [list(c) for c in combinations_with_replacement(range(5), 3)]
+
+    def test_enumeration_cap_holds_after_a_cached_call(self, monkeypatch):
+        enumerate_outputs(2, 4)
+        partition_outputs(2, 4)
+        monkeypatch.setattr(fourier, "ENUMERATION_CAP", 9)
+        for call in (enumerate_outputs, partition_outputs):
+            with pytest.raises(CapacityError, match="10 outputs of 2 photons on 4 modes exceed"):
+                call(2, 4)
+
+    def test_entry_cap_holds_after_a_cached_call(self, monkeypatch):
+        partition_outputs(2, 4)
+        monkeypatch.setattr(fourier, "MAX_OUTCOME_ENTRIES", 39)
+        with pytest.raises(CapacityError, match="on 4 modes make 40 occupation entries"):
+            partition_outputs(2, 4)
+
+    def test_refused_rows_are_not_kept(self):
+        enumerate_outputs(2, 4)
+        with pytest.raises(CapacityError, match="make 536346624 occupation entries"):
+            partition_outputs(2, 1024, collision_free_only=True)
+        assert fourier._outputs.cache_info().currsize == 0
+        assert enumerate_outputs(2, 4).tolist() == [list(c) for c in combinations_with_replacement(range(4), 2)]
+
+    def test_more_keys_than_the_cache_holds(self):
+        fourier._outputs.cache_clear()
+        fourier._partition.cache_clear()
+        size = max(fourier._outputs.cache_info().maxsize, fourier._partition.cache_info().maxsize)
+        keys = [(n, m, free) for n, m in [(2, 5), (3, 4), (2, 6), (3, 5)] for free in (False, True)]
+        assert len(keys) > size
+        cold = {key: (enumerate_outputs(*key).copy(), partition_outputs(*key)) for key in keys}
+        for key in [*keys[::-1], *keys[::2], *keys[1::2], *keys]:
+            rows, part = cold[key]
+            assert np.array_equal(enumerate_outputs(*key), rows)
+            assert partition_outputs(*key) == part
+
+
 class TestSuppressionLaw:
     """Forbidden outputs of the exact Fourier matrix carry no Fock probability."""
 

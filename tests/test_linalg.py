@@ -9,6 +9,7 @@ from qfftsim.errors import CapacityError, ShapeError, ValidationError
 from qfftsim.fourier import qft_matrix
 from qfftsim.linalg import (
     DEFAULT_TOL,
+    GLYNN_BLOCK,
     assert_unitary,
     fidelity,
     haar_random_unitary,
@@ -67,6 +68,13 @@ class TestPermanent:
         rng = np.random.default_rng(14)
         a = rng.standard_normal((14, 14)) + 1j * rng.standard_normal((14, 14))
         expansion = sum(a[0, j] * permanent(np.delete(a[1:], j, axis=1)) for j in range(14))
+        assert abs(permanent(a) - expansion) <= 1e-12 * abs(expansion)
+
+    def test_row_expansion_at_the_largest_single_block(self):
+        n = GLYNN_BLOCK + 1  # 13, the largest permanent of one matrix product
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        expansion = sum(a[0, j] * permanent(np.delete(a[1:], j, axis=1)) for j in range(n))
         assert abs(permanent(a) - expansion) <= 1e-12 * abs(expansion)
 
     def test_repeated_row(self):

@@ -388,6 +388,37 @@ class TestEnumerationCap:
             enumerate_()
 
 
+class TestSharedTables:
+    """Outcome tables are built once per (n, m); the caps still hold on every call."""
+
+    makers = (fock_distribution, distinguishable_distribution, mean_field_distribution)
+
+    @pytest.mark.parametrize("make", makers)
+    def test_caps_hold_after_a_cached_call(self, make, monkeypatch):
+        u, state = qft_matrix(4), (1, 0, 1, 0)
+        assert len(make(u, state).probabilities) == 10
+        monkeypatch.setattr(fourier, "ENUMERATION_CAP", 9)
+        with pytest.raises(CapacityError, match="10 outputs of 2 photons on 4 modes exceed"):
+            make(u, state)
+        monkeypatch.setattr(fourier, "ENUMERATION_CAP", 10)
+        monkeypatch.setattr(models, "MAX_OUTCOME_ENTRIES", 39)
+        with pytest.raises(CapacityError, match="10 outputs of 2 photons on 4 modes make 40 "):
+            make(u, state)
+
+    def test_more_keys_than_the_cache_holds(self):
+        models._outcome_table.cache_clear()
+        shapes = [(2, 4), (2, 6), (3, 6), (2, 8), (3, 9), (4, 8)]
+        assert len(shapes) > models._outcome_table.cache_info().maxsize
+        cases = {
+            (n, m): (haar_random_unitary(m, np.random.default_rng(m + n)), cyclic_state(n, m))
+            for n, m in shapes
+        }
+        cold = {key: [make(u, state) for make in self.makers] for key, (u, state) in cases.items()}
+        for key in [*shapes[::-1], *shapes[::2], *shapes[1::2], *shapes]:
+            u, state = cases[key]
+            assert [make(u, state) for make in self.makers] == cold[key]
+
+
 class TestCoincidenceCurves:
     def test_large_delay_gives_classical(self):
         curves = two_photon_coincidences(
