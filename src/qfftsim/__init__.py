@@ -10,7 +10,7 @@ layout       planar hypercube waveguide placement for the butterfly circuit
 models       Fock / distinguishable / mean-field output statistics, delay curves
 certify      count tables and CSV, visibilities, violation curves with exact error bars, verdicts
 reconstruct  chi-squared phase reconstruction from singles and visibilities, by a
-             multi-start BFGS of its own
+             multi-start Levenberg-Marquardt of its own
 cli          the ``qfft`` command-line tool
 """
 

@@ -144,19 +144,21 @@ def _write_json(out: str | None, obj) -> None:
     _write_text(out, itertools.chain(batches, ["\n"]))
 
 
-def _read_text(path: str) -> str:
+def _read_utf8(path: str) -> bytes:
+    """The bytes of the file, checked to be UTF-8 text."""
     with open(path, "rb") as handle:
         raw = handle.read()
     try:
-        return raw.decode("utf-8")
+        raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         byte = raw[exc.start]
         raise ParseError(f"{path}: not UTF-8 text: byte {byte:#04x} at offset {exc.start}") from None
+    return raw
 
 
 def _load_json(path: str):
     try:
-        return json.loads(_read_text(path))
+        return json.loads(_read_utf8(path).decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
 
@@ -224,8 +226,9 @@ def _analyzed_curve(args):
             f"--input {modes} is not a cyclic input on {m} modes: "
             "the suppression law needs two modes m/2 apart"
         )
-    # newline=None reads \r and \r\n line ends as open() does
-    stream = io.StringIO(_read_text(args.data_path), newline=None)
+    # newline=None reads \r and \r\n line ends as open() does; decoding as it
+    # reads keeps the text at one byte per ASCII character, not io.StringIO's four
+    stream = io.TextIOWrapper(io.BytesIO(_read_utf8(args.data_path)), encoding="utf-8", newline=None)
     inputs, outputs, delta_x, counts = read_coincidence_csv(stream, source=args.data_path)
     mine = np.all(inputs == pair, axis=1)
     outputs = outputs[mine]

@@ -3,8 +3,8 @@
 Element moduli come from single-photon transmission probabilities; the
 circuit's free phase shifters are then fitted to the measured two-photon
 visibilities by chi-squared minimisation over the phase torus, multi-start
-BFGS with the analytic gradient. The solver is in this module and needs
-only numpy.
+Levenberg-Marquardt on the analytic residual Jacobian. The solver is in this
+module and needs only numpy.
 
 Identifiability caveats, both handled here:
 
@@ -91,7 +91,7 @@ class ReconstructionProblem:
 
 @dataclass(frozen=True)
 class RestartRecord:
-    """Outcome of one local minimisation: final chi-squared, objective evaluations, success flag."""
+    """Outcome of one local minimisation: final chi-squared, (r, J) evaluations, success flag."""
 
     chi2: float
     nfev: int
@@ -131,17 +131,13 @@ GAUGE_TOL = 1e-8
 class _Visibilities:
     """The template compiled once, and the measured visibilities as gather arrays.
 
-    Row n of ``modes`` is visibility n's (a, b, i, j); ``flat`` holds the
-    row-major positions of U_ia, U_jb, U_ib and U_ja in that order, and
-    ``parts`` the positions of their real and imaginary parts in U viewed
-    as floats, visibility by visibility: n's four amplitudes, each real part
-    before its imaginary part.
+    Row n of ``modes`` is visibility n's (a, b, i, j); column n of ``flat``
+    holds the row-major positions of U_ia, U_jb, U_ib and U_ja in that order.
     """
 
     circuit: CompiledCircuit
     modes: np.ndarray
     flat: np.ndarray
-    parts: np.ndarray
     v_meas: np.ndarray
     sigmas: np.ndarray
 
@@ -153,13 +149,12 @@ def _compile(problem: ReconstructionProblem) -> _Visibilities:
     a, b, i, j = modes.T
     m = problem.template.m
     flat = np.stack([i * m + a, j * m + b, i * m + b, j * m + a])
-    parts = (2 * flat.T[:, :, None] + np.arange(2)).ravel()
     circuit = compile_circuit(problem.template, problem.free_phases)
-    return _Visibilities(circuit, modes, flat, parts, *values.T)
+    return _Visibilities(circuit, modes, flat, *values.T)
 
 
-def _model(data: _Visibilities, u: np.ndarray, weight=None):
-    """Residuals (v_model - v_meas)/sigma at U and, with ``weight``, weighted amplitude coefficients.
+def _residuals(data: _Visibilities, phases, jacobian: bool = False):
+    """Residuals (v_model - v_meas)/sigma at the given phases and, on request, their Jacobian (N, k).
 
     With the pair products T_1 = U_ia U_jb and T_2 = U_ib U_ja, the
     amplitude is A = T_1 + T_2, the classical rate C = |T_1|^2 + |T_2|^2 and
@@ -167,11 +162,15 @@ def _model(data: _Visibilities, u: np.ndarray, weight=None):
     in the ratio). Each of the four amplitudes X enters only through its
     pair's product T with its partner P (U_ia with U_jb, U_ib with U_ja),
     so dv = 2 Re sum_X dX coeff_X with
-    coeff_X = (|A|^2 |P|^2 conj(X) - C conj(A) P) / C^2 = P conj(|A|^2 T - C A) / C^2.
-    ``weight(r)`` gives one real factor w per visibility, folded with 1/C^2
-    into the pair factor conj(...), so that w coeff_X takes one complex
-    product; it is returned as a (4, N) array in the order of ``data.flat``.
+    coeff_X = (|A|^2 |P|^2 conj(X) - C conj(A) P) / C^2 = P conj(|A|^2 T - C A) / C^2,
+    one complex product per amplitude once 2/(sigma C^2) is folded into the
+    pair factor conj(...). With dU_k = i outer(left_k, right_k) gathered at
+    each amplitude's position, dr/dphi_k = (2/sigma) Re sum_X dU_k[X] coeff_X.
     """
+    if jacobian:
+        u, left, right = data.circuit.unitary(phases, derivatives=True)
+    else:
+        u = data.circuit.unitary(phases)
     pairs = u.ravel()[data.flat].reshape(2, 2, -1)  # (U_ia, U_jb) and (U_ib, U_ja)
     products = pairs[:, 0] * pairs[:, 1]
     amp = products[0] + products[1]
@@ -185,43 +184,15 @@ def _model(data: _Visibilities, u: np.ndarray, weight=None):
             f"model visibility undefined: zero classical rate for input ({a},{b}) output ({i},{j})"
         )
     r = (1.0 - pq / pc - data.v_meas) / data.sigmas
-    if weight is None:
-        return r
-    scale = weight(r) / pc
-    factor = np.conj((scale * pq / pc) * products - scale * amp)
-    # each pair reversed holds the partners
-    return r, (pairs[:, ::-1] * factor[:, None]).reshape(4, -1)
-
-
-def _residuals(data: _Visibilities, phases, jacobian: bool = False):
-    """Residuals at the given phases and, on request, their Jacobian (N, k).
-
-    dr/dphi_k = (2/sigma) Re sum_X dU_k[X] coeff_X, with dU_k = i outer(left_k, right_k)
-    taken at each amplitude's row and column.
-    """
     if not jacobian:
-        return _model(data, data.circuit.unitary(phases))
-    u, left, right = data.circuit.unitary(phases, derivatives=True)
-    r, coeff = _model(data, u, weight=lambda _: 2.0 / data.sigmas)
-    rows, cols = np.divmod(data.flat, len(u))
-    d_r = sum(left[:, i] * right[:, a] * c for i, a, c in zip(rows, cols, coeff))
-    return r, -np.imag(d_r).T
-
-
-def _chi2_and_gradient(data: _Visibilities, phases) -> tuple[float, np.ndarray]:
-    """chi2 = r.r and its gradient 2 J^T r by one adjoint contraction, without building J.
-
-    2 J^T r = 2 Re sum_X dX (2 r coeff_X / sigma): the weighted coefficients
-    are scattered, visibility by visibility, into one m x m matrix G at
-    their amplitudes' positions (one bincount over their real and imaginary
-    parts), so with dU_k = i outer(left_k, right_k) the gradient is
-    -2 Im(left_k G right_k).
-    """
-    u, left, right = data.circuit.unitary(phases, derivatives=True)
-    r, coeff = _model(data, u, weight=lambda r: 2.0 * r / data.sigmas)
-    scaled = np.ascontiguousarray(coeff.T).view(float).ravel()
-    g = np.bincount(data.parts, scaled, 2 * u.size).view(complex).reshape(u.shape)
-    return float(r @ r), -2.0 * np.imag(np.sum(left.dot(g) * right, axis=1))
+        return r
+    scale = 2.0 / (data.sigmas * pc)
+    factor = np.conj((scale * pq / pc) * products - scale * amp)
+    coeff = (pairs[:, ::-1] * factor[:, None]).reshape(4, -1)  # each pair reversed holds the partners
+    outer = (left[:, :, None] * right[:, None, :]).reshape(len(left), u.size)
+    d_r = np.take(outer, data.flat, axis=1)  # (k, 4, N)
+    d_r *= coeff
+    return r, -np.imag(d_r.sum(axis=1)).T
 
 
 def _singular_values(jac: np.ndarray) -> tuple[np.ndarray, float]:
@@ -251,26 +222,22 @@ def chi2_objective(problem: ReconstructionProblem, phases) -> float:
     return float(r @ r)
 
 
-#: Stopping tests and budget of :func:`minimize`, L-BFGS-B's as scipy sets
-#: them (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput. 16, 1190 (1995)):
-#: converged when max |gradient| <= GRADIENT_TOL (``pgtol``) or when a step
-#: lowers f by at most DECREASE_TOL * max(|f_old|, |f|, 1) (``factr`` = 1e7
-#: times the machine epsilon); failed after MAX_EVALS evaluations (``maxfun``).
+#: Stopping tests and budget of :func:`minimize`: converged when the gradient
+#: 2 J^T r of r.r has max |component| <= GRADIENT_TOL, or when an accepted
+#: step lowers r.r by at most DECREASE_TOL * max(f_old, 1) (L-BFGS-B's
+#: ``pgtol`` and ``factr`` = 1e7 times the machine epsilon, as scipy sets
+#: them); failed after MAX_EVALS evaluations or MAX_REJECTED rejected steps in
+#: a row.
 GRADIENT_TOL = 1e-5
 DECREASE_TOL = 2.220446049250313e-09
 MAX_EVALS = 15000
-
-#: Strong-Wolfe constants of L-BFGS-B's line search ``dcsrch``: sufficient
-#: decrease and curvature; and its most evaluations per search (``maxls``).
-WOLFE_DECREASE = 1e-3
-WOLFE_CURVATURE = 0.9
-MAX_LINE_EVALS = 20
+MAX_REJECTED = 20
 
 
 @dataclass(frozen=True)
 class LocalFit:
-    """Outcome of :func:`minimize`: the last accepted point, its objective
-    value, the evaluations made, and whether a stopping test was met."""
+    """Outcome of :func:`minimize`: the last accepted point, its r.r, the
+    evaluations made, and whether a stopping test was met."""
 
     x: np.ndarray
     fun: float
@@ -279,64 +246,18 @@ class LocalFit:
     message: str
 
 
-def _cubic_step(a, fa, da, b, fb, db) -> float:
-    """Minimiser of the cubic through (a, fa) and (b, fb) with slopes da and db
-    (Nocedal & Wright, eq. 3.59); NaN when it has none."""
-    try:
-        d1 = da + db - 3.0 * (fa - fb) / (a - b)
-        d2 = math.copysign(math.sqrt(d1 * d1 - da * db), b - a)
-        return b - (b - a) * (db + d2 - d1) / (db - da + 2.0 * d2)
-    except (ValueError, ZeroDivisionError):  # no real minimiser, or no cubic term
-        return math.nan
-
-
-def _wolfe_step(evaluate, x, f0, g0, p, step, budget):
-    """A step along p meeting the strong Wolfe conditions, as (step, f, g),
-    or None when ``budget`` evaluations find none.
-
-    Nocedal & Wright, Alg. 3.5 and 3.6 as one loop: extrapolate until a
-    trial step brackets an acceptable one, then shrink the bracket [lo, hi]
-    by safeguarded cubic interpolation. ``lo`` is always the lowest point
-    met that satisfies sufficient decrease; a trial point whose value or
-    gradient is not finite fails that test.
-    """
-    slope0 = float(g0 @ p)
-    lo = (0.0, f0, slope0)
-    hi = None
-    for _ in range(budget):
-        f, g = evaluate(x + step * p)
-        slope = float(g @ p)
-        if f > f0 + WOLFE_DECREASE * step * slope0 or f >= lo[1]:
-            hi = (step, f, slope)
-        elif abs(slope) <= -WOLFE_CURVATURE * slope0:
-            return step, f, g
-        else:
-            if slope * (hi[0] - lo[0] if hi else 1.0) >= 0.0:
-                hi = lo
-            prev, lo = lo, (step, f, slope)
-        if hi:  # interpolate inside the bracket, away from its ends, else bisect
-            low, high = sorted((lo[0], hi[0]))
-            trial = _cubic_step(*lo, *hi)
-            margin = 0.1 * (high - low)
-            step = trial if low + margin <= trial <= high - margin else 0.5 * (low + high)
-        else:  # extrapolate by 1.1 to 4 times the last stride, as dcsrch does
-            stride = step - prev[0]
-            trial = _cubic_step(*prev, *lo) - step
-            step += 4.0 * stride if math.isnan(trial) else min(max(trial, 1.1 * stride), 4.0 * stride)
-    return None
-
-
 def minimize(fun, x0) -> LocalFit:
-    """Dense BFGS from ``x0`` on ``fun(x) -> (f, gradient)``.
+    """Levenberg-Marquardt from ``x0`` on ``fun(x) -> (r, J)``, minimising r.r.
 
-    The inverse Hessian starts as the identity, is rescaled by y.s / y.y
-    (Shanno) before its first update and takes the BFGS update after every
-    step (Nocedal & Wright, *Numerical Optimization*, section 6.1). Each step
-    meets the strong Wolfe conditions; the first trial step is
-    min(1, 1/|p|) along p = -g, every later one 1. The method and every
-    constant above follow L-BFGS-B; with a handful of variables the dense
-    update costs less than the objective. A fit that runs out of
-    evaluations, or whose line search finds no acceptable step, stops at its
+    Each step solves (J^T J + lam s I) d = -J^T r with s = max(max diag J^T J, 1),
+    so a zero column of J or a loss of rank stays solvable. lam starts at
+    1e-3 and follows the ratio of the actual decrease of r.r to the one the
+    linearised residuals predict: it is multiplied by 4 below 1/4 and divided
+    by 4 above 3/4 (the trust-region rule of Nocedal & Wright, *Numerical
+    Optimization*, Alg. 4.1; LM is section 10.3). A step that does not raise
+    r.r is accepted. r and J are evaluated together at each trial point, and
+    one whose r or J is not finite is rejected. A fit that runs out of
+    evaluations, or is rejected MAX_REJECTED times in a row, stops at its
     last accepted point with ``success=False``.
     """
     nfev = 0
@@ -344,33 +265,35 @@ def minimize(fun, x0) -> LocalFit:
     def evaluate(point):
         nonlocal nfev
         nfev += 1
-        f, g = fun(point)
-        f = float(f)
-        return (f, g) if math.isfinite(f) and np.all(np.isfinite(g)) else (math.inf, g)
+        r, jac = fun(point)
+        f = float(r @ r)
+        return (f, r, jac) if math.isfinite(f) and np.all(np.isfinite(jac)) else (math.inf, r, jac)
 
     x = np.array(x0, dtype=float)
-    f, g = evaluate(x)
+    f, r, jac = evaluate(x)
     if f == math.inf:
-        return LocalFit(x, f, nfev, False, "objective or gradient not finite at the start")
-    h = None  # inverse Hessian; None is the unscaled identity
-    while np.max(np.abs(g)) > GRADIENT_TOL:
-        p = -g if h is None else -(h @ g)
-        step = min(1.0, 1.0 / float(np.linalg.norm(p))) if h is None else 1.0
-        found = _wolfe_step(evaluate, x, f, g, p, step, min(MAX_LINE_EVALS, MAX_EVALS - nfev))
-        if found is None:
-            reason = "evaluation limit reached" if nfev >= MAX_EVALS else "line search failed"
-            return LocalFit(x, f, nfev, False, reason)
-        step, f_new, g_new = found
-        s, y = step * p, g_new - g
-        ys = float(y @ s)
-        if ys > 0.0:
-            if h is None:
-                h = (ys / float(y @ y)) * np.eye(len(x))
-            hy = h @ y
-            h += (((ys + y @ hy) / ys) * np.outer(s, s) - np.outer(hy, s) - np.outer(s, hy)) / ys
-        x, g = x + s, g_new
+        return LocalFit(x, f, nfev, False, "residuals or Jacobian not finite at the start")
+    lam, rejected = 1e-3, 0
+    while 2.0 * np.max(np.abs(grad := jac.T @ r)) > GRADIENT_TOL:
+        if nfev >= MAX_EVALS:
+            return LocalFit(x, f, nfev, False, "evaluation limit reached")
+        if rejected >= MAX_REJECTED:
+            return LocalFit(x, f, nfev, False, f"no decrease in {rejected} damped steps")
+        hess = jac.T @ jac
+        damping = lam * max(np.max(np.diag(hess)), 1.0)
+        step = -np.linalg.solve(hess + damping * np.eye(len(x)), grad)
+        f_new, r_new, jac_new = evaluate(x + step)
+        actual, predicted = f - f_new, float(damping * (step @ step) - grad @ step)
+        if actual < 0.25 * predicted:
+            lam *= 4.0
+        elif actual > 0.75 * predicted:
+            lam /= 4.0
+        if f_new > f:
+            rejected += 1
+            continue
+        x, r, jac, rejected = x + step, r_new, jac_new, 0
         f, f_old = f_new, f
-        if f_old - f <= DECREASE_TOL * max(abs(f_old), abs(f), 1.0):
+        if f_old - f <= DECREASE_TOL * max(f_old, 1.0):
             return LocalFit(x, f, nfev, True, "relative decrease below tolerance")
     return LocalFit(x, f, nfev, True, "gradient below tolerance")
 
@@ -384,12 +307,11 @@ def fit_phases(
     """Multi-start minimisation of the visibility chi-squared over the phases.
 
     Starts are drawn uniformly on [0, 2*pi)^k from ``seed``; each runs one
-    BFGS local minimisation (:func:`minimize`) of chi2 = r.r with the
-    analytic gradient 2 J^T r, r being the sigma-scaled visibility residuals
-    and J their Jacobian from the compiled template. The gradient is one adjoint
-    contraction; J itself is built once, at the fitted phases, for its
-    condition number. The lowest chi-squared wins, ties broken by restart
-    index, so the result is deterministic for a fixed seed and restart
+    Levenberg-Marquardt minimisation (:func:`minimize`) of chi2 = r.r, r
+    being the sigma-scaled visibility residuals and J their Jacobian, both
+    from :func:`_residuals` on the compiled template; J at the fitted phases
+    gives the condition number. The lowest chi-squared wins, ties broken by
+    restart index, so the result is deterministic for a fixed seed and restart
     count. When ``target`` is given, it must be an m x m unitary, and the
     fidelity of the reconstruction against it is computed in the canonical
     gauge.
@@ -415,7 +337,7 @@ def fit_phases(
         return ReconstructionResult({}, unitary, float(r @ r), fid)
 
     def objective(x):
-        return _chi2_and_gradient(data, x)
+        return _residuals(data, x, jacobian=True)
 
     rng = np.random.default_rng(seed)
     starts = rng.uniform(0.0, TWO_PI, size=(restarts, k))

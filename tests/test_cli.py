@@ -385,6 +385,25 @@ class TestCurveAndCertify:
             sigmas = [json.loads(text)["sigma"]]
         assert all(np.isfinite(sigmas)) and min(sigmas) > 0
 
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_crlf_and_bare_cr_line_ends_read_as_lf(self, end, tmp_path, capsys):
+        data = tmp_path / "counts.csv"
+        assert run_cli("simulate", "--modes", "8", "--input", "1,5", "--points", "41",
+                       "--out", str(data)) == EXIT_OK
+        lines = data.read_text().splitlines()
+        args = ["curve", "--modes", "8", "--input", "1,5", "--data", str(data)]
+        assert run_cli(*args, "--out", str(tmp_path / "lf.csv")) == EXIT_OK
+        data.write_bytes((end.join(lines) + end).encode())
+        assert run_cli(*args, "--out", str(tmp_path / "other.csv")) == EXIT_OK
+        assert (tmp_path / "other.csv").read_bytes() == (tmp_path / "lf.csv").read_bytes()
+        lines[7] = lines[7].replace(",", ";", 1)
+        errors = []
+        for sep in ("\n", end):
+            data.write_bytes((sep.join(lines) + sep).encode())
+            assert run_cli(*args, "--out", str(tmp_path / "bad.csv")) == EXIT_IO
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] and f"{data}:8:" in errors[0]
+
     def test_certify_missing_input_records(self, dataset, tmp_path, capsys):
         code = run_cli("certify", "--data", str(dataset), "--modes", "4",
                        "--input", "1,3", "--out", str(tmp_path / "r.json"))
