@@ -16,7 +16,7 @@ phase shifters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -142,15 +142,14 @@ class CompiledCircuit:
     i-th free layer; a circuit with no free phase is one segment.
     ``diagonals[i]`` is D_i at the circuit's own values, ``slots[k]`` the
     position of free phase k in ``diagonals`` flattened (free layer times m
-    plus mode), ``nominal[k]`` its value in the circuit, and ``circuit`` the
-    circuit itself. Build it with :func:`compile_circuit`.
+    plus mode), and ``nominal[k]`` its value in the circuit. Build it with
+    :func:`compile_circuit`.
     """
 
     segments: tuple[np.ndarray, ...]
     diagonals: np.ndarray
     slots: np.ndarray
     nominal: np.ndarray
-    circuit: QfftCircuit
 
     def unitary(self, values=None, derivatives: bool = False):
         """U with the free phases set to ``values`` (default: the nominal ones).
@@ -161,14 +160,7 @@ class CompiledCircuit:
         row t of D_i S_(i-1) ... D_1 S_0, the product up to and including
         that phase, and left[k] is column t of the product after it, which is
         U conj(right[k]) because that prefix is unitary.
-
-        Without ``values`` or ``derivatives`` it is :func:`circuit_to_unitary`
-        bit for bit: a circuit with free phases is then folded again, whole.
         """
-        if values is None and not derivatives:
-            if len(self.segments) > 1:
-                return circuit_to_unitary(self.circuit)
-            return self.segments[0].copy()
         diagonals = self.diagonals.copy()
         if values is not None:
             diagonals.reshape(-1)[self.slots] = np.exp(1j * np.asarray(values, dtype=float))
@@ -238,21 +230,12 @@ def compile_circuit(circuit: QfftCircuit, free_phases=()) -> CompiledCircuit:
     nominal = phases[free_layers].ravel()[slots]
     segments = _fold(circuit, phases, free_layers)
     diagonals = np.exp(1j * phases[free_layers])
-    return CompiledCircuit(tuple(segments), diagonals, slots, nominal, circuit)
+    return CompiledCircuit(tuple(segments), diagonals, slots, nominal)
 
 
 def circuit_to_unitary(circuit: QfftCircuit) -> np.ndarray:
     """Compose phase layers, coupler layers and the output relabeling."""
     return compile_circuit(circuit).unitary()
-
-
-def _with_phase_map(circuit: QfftCircuit, update) -> QfftCircuit:
-    layers = []
-    for layer in circuit.layers:
-        layers.append(Layer(step=layer.step, couplers=layer.couplers, phases=update(layer)))
-    return QfftCircuit(
-        p=circuit.p, m=circuit.m, layers=tuple(layers), output_relabeling=circuit.output_relabeling
-    )
 
 
 def _check_positions(circuit: QfftCircuit, positions) -> None:
@@ -268,31 +251,23 @@ def _check_positions(circuit: QfftCircuit, positions) -> None:
 
 
 def perturb_circuit(circuit: QfftCircuit, phase_errors: dict[tuple[int, int], float]) -> QfftCircuit:
-    """Add ``phase_errors[(step, mode)]`` radians to the nominal phases."""
-    _check_positions(circuit, phase_errors)
-
-    def update(layer: Layer) -> dict[int, float]:
-        phases = dict(layer.phases)
-        for (step, mode), delta in phase_errors.items():
-            if step == layer.step:
-                phases[mode] = (phases.get(mode, 0.0) + delta) % TWO_PI
-        return phases
-
-    return _with_phase_map(circuit, update)
+    """Add ``phase_errors[(step, mode)]`` radians to the nominal phases: :func:`set_phases`
+    at nominal plus error, a position without a phase counting as 0."""
+    nominal = {(layer.step, t): angle for layer in circuit.layers for t, angle in layer.phases.items()}
+    return set_phases(circuit, {pos: nominal.get(pos, 0.0) + delta for pos, delta in phase_errors.items()})
 
 
 def set_phases(circuit: QfftCircuit, assignments: dict[tuple[int, int], float]) -> QfftCircuit:
-    """Replace the phases at ``(step, mode)`` positions with absolute values."""
+    """Replace the phases at ``(step, mode)`` positions with absolute values, taken mod 2*pi."""
     _check_positions(circuit, assignments)
-
-    def update(layer: Layer) -> dict[int, float]:
+    layers = []
+    for layer in circuit.layers:
         phases = dict(layer.phases)
         for (step, mode), value in assignments.items():
             if step == layer.step:
                 phases[mode] = value % TWO_PI
-        return phases
-
-    return _with_phase_map(circuit, update)
+        layers.append(replace(layer, phases=phases))
+    return replace(circuit, layers=tuple(layers))
 
 
 def nontrivial_phase_positions(circuit: QfftCircuit) -> list[tuple[int, int]]:

@@ -28,7 +28,8 @@ Exit codes: 0 success, 2 invalid inputs or domain errors, 3 numerical
 failures, 4 I/O or parse errors. ``curve`` and ``certify`` accept only
 cyclic two-photon inputs, the modes m/2 apart that the suppression law
 covers, and refuse a record of that input whose output mode exceeds m;
-``simulate`` takes any pair.
+``simulate`` takes any pair. Every command that takes ``--unitary`` refuses
+a matrix that is not unitary within ``--tol``.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from .circuit import SYNTH_CAP, circuit_to_json, synthesize_qfft
 from .errors import DomainError, NumericalError, ParseError, QfftError
 from .fourier import enumerate_outputs, occupation_from_modes, qft_matrix
 from .layout import hypercube_layout
-from .linalg import DEFAULT_TOL, matrix_from_json
+from .linalg import DEFAULT_TOL, assert_unitary, matrix_from_json
 from .models import (
     DelayModel,
     distinguishable_distribution,
@@ -219,6 +220,7 @@ def _analyzed_curve(args):
     """The violation curve of the ``--data`` file."""
     modes = _parse_input(args.input)
     u, source = _load_unitary(args)
+    u = assert_unitary(u, tol=args.tol, what="evolution matrix")
     m = u.shape[0]
     pair = _input_pair(modes, m)
     if not is_cyclic_state(occupation_from_modes(pair, m)):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .circuit import synthesize_qfft
 from .errors import DomainError, ValidationError
 
 #: Largest hypercube dimension with a default projection basis.
@@ -52,7 +53,8 @@ class HypercubeLayout:
 
 
 def hypercube_layout(p: int) -> HypercubeLayout:
-    """Project the p-cube vertices to the plane and list the per-step edges.
+    """Project the p-cube vertices to the plane; the per-step edges are the
+    couplers of the layers of :func:`~qfftsim.circuit.synthesize_qfft`.
 
     Dimension k (from the least significant bit) contributes the offset
     vector ``2^(k//2) * (cos a_k, sin a_k)``, with a_k from
@@ -69,12 +71,8 @@ def hypercube_layout(p: int) -> HypercubeLayout:
         for k in range(p):
             if mode & (1 << k):
                 vertices[mode] += offsets[k]
-
-    steps = []
-    for j in range(1, p + 1):  # step j couples modes differing in bit j (MSB first)
-        half = 1 << (p - j)
-        steps.append(tuple((t, t + half) for t in range(m) if not t & half))
-    layout = HypercubeLayout(p=p, vertices=vertices, steps=tuple(steps))
+    steps = tuple(layer.couplers for layer in synthesize_qfft(p).layers)
+    layout = HypercubeLayout(p=p, vertices=vertices, steps=steps)
     validate_layout(layout)
     return layout
 

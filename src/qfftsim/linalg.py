@@ -17,7 +17,7 @@ from .errors import CapacityError, ShapeError, ValidationError
 #: Absolute tolerance used by default for unitarity and matrix equality checks.
 DEFAULT_TOL = 1e-10
 
-#: Largest permanent computed by default; Glynn's formula is O(2^n * n).
+#: Largest permanent computed; Glynn's formula is O(2^n * n).
 PERMANENT_CAP = 20
 
 #: Rows whose 2^k sign patterns one matrix product covers in a permanent. At
@@ -51,7 +51,7 @@ def _glynn_signs(k: int) -> tuple[np.ndarray, np.ndarray]:
     return table, weights
 
 
-def permanent(a, cap: int = PERMANENT_CAP) -> complex:
+def permanent(a) -> complex:
     """Permanent of a square complex matrix via Glynn's formula.
 
     perm(A) = 2^(1-n) * sum_d (prod_i d_i) * prod_j (sum_i d_i a_ij) over the
@@ -62,14 +62,14 @@ def permanent(a, cap: int = PERMANENT_CAP) -> complex:
     across its rows and one dot finish the sum. A Python loop runs only over
     the 2^(n-1-k) patterns of the rows above them, so not at all when
     n <= GLYNN_BLOCK + 1. The work is O(2^n * n). Matrices larger than
-    ``cap`` are refused rather than silently taking hours.
+    :data:`PERMANENT_CAP` are refused rather than silently taking hours.
     """
     a = as_complex_matrix(a)
     n, n2 = a.shape
     if n != n2:
         raise ShapeError(f"permanent needs a square matrix, got {a.shape}")
-    if n > cap:
-        raise CapacityError(f"permanent of size {n} exceeds cap {cap}")
+    if n > PERMANENT_CAP:
+        raise CapacityError(f"permanent of size {n} exceeds cap {PERMANENT_CAP}")
     if n == 0:
         return complex(1.0)
 

@@ -10,6 +10,9 @@
   the exact phase average of each outcome is the sum of the squared
   coefficients of one such product per output, taken over the input phases.
 
+Each table is a sum of squared moduli or of products of ``|U|^2`` entries,
+so it is never negative and is returned as computed, without clamping.
+
 A two-photon partial-distinguishability model interpolates between the
 distinguishable and Fock limits as a function of the relative path delay.
 """
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, ShapeError
+from .errors import DomainError, ShapeError
 from .fourier import (
     MAX_OUTCOME_ENTRIES,
     FockState,
@@ -49,21 +52,11 @@ MEAN_FIELD = "mean_field"
 #: ``--model dist`` does. 7 photons on 14 modes (133,024,320) are refused.
 MAX_MEAN_FIELD_COEFFICIENTS = 1 << 26
 
-#: Probabilities more negative than this raise instead of being clamped.
-CLAMP_FLOOR = -1e-12
-
 #: Most array entries the Fock stack or the mean-field expansion holds at
 #: once: outcomes x n x n submatrix entries for the Fock permanents, outcomes
 #: x C(2n - 1, n) phase monomials x n for the mean-field expansion. Keeps
 #: memory flat up to the enumeration cap.
 BLOCK_ENTRIES = 1 << 20
-
-
-def _clamp(p: np.ndarray) -> np.ndarray:
-    low = float(p.min())
-    if low < CLAMP_FLOOR:
-        raise NumericalError(f"probability {low} below clamping floor {CLAMP_FLOOR}")
-    return np.maximum(p, 0.0)
 
 
 @dataclass(frozen=True)
@@ -204,7 +197,7 @@ def fock_distribution(u, input_state, *, unitary_id=None, tol=DEFAULT_TOL) -> Ou
         stack = u[rows[start : start + step, :, None], cols]
         perms[start : start + step] = [permanent(block) for block in stack]
     s_fact = math.prod(math.factorial(k) for k in state)
-    probs = _clamp(np.abs(perms) ** 2 / (s_fact * t_fact))
+    probs = np.abs(perms) ** 2 / (s_fact * t_fact)
     return OutcomeDistribution(FOCK, state, dict(zip(outs, probs.tolist())), unitary_id=unitary_id)
 
 
@@ -220,7 +213,7 @@ def distinguishable_distribution(u, input_state, *, unitary_id=None, tol=DEFAULT
     state, n = _check_input(u, input_state)
     _check_permanent_size(n)
     outs, rows, _ = _outcomes(n, u.shape[0])
-    probs = _clamp(product_expansion(np.abs(u[:, occupied_modes(state)]) ** 2, rows))
+    probs = product_expansion(np.abs(u[:, occupied_modes(state)]) ** 2, rows)
     return OutcomeDistribution(DISTINGUISHABLE, state, dict(zip(outs, probs.tolist())), unitary_id=unitary_id)
 
 

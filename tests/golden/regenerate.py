@@ -33,7 +33,9 @@ COMMANDS = {
         for model in ("dist", "fock", "mf")
     },
     "simulate_m8_1-5.csv": ["simulate", "--modes", "8", "--input", "1,5"],
-    "curve_m8_1-5.csv": ["curve", "--data", str(GOLDEN / "simulate_m8_1-5.csv"), "--modes", "8", "--input", "1,5"],
+    "curve_m8_1-5.csv": [
+        "curve", "--data", str(GOLDEN / "simulate_m8_1-5.csv"), "--modes", "8", "--input", "1,5"
+    ],
     "certify_m8_1-5.json": [
         "certify", "--data", str(GOLDEN / "simulate_m8_1-5.csv"), "--modes", "8", "--input", "1,5"
     ],

@@ -12,7 +12,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from qfftsim import cli, models, reconstruct
-from qfftsim.certify import CoincidenceTable, read_coincidence_csv
+from qfftsim.certify import CoincidenceTable, read_coincidence_csv, write_coincidence_csv
 from qfftsim.circuit import (
     SYNTH_CAP,
     circuit_to_unitary,
@@ -409,6 +409,42 @@ class TestCurveAndCertify:
                        "--input", "1,3", "--out", str(tmp_path / "r.json"))
         assert code == EXIT_VALIDATION
         assert "no records" in capsys.readouterr().err
+
+
+class TestCurveAndCertifyUnitaryCheck:
+    @pytest.fixture()
+    def counts4(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        assert run_cli("simulate", "--modes", "4", "--input", "1,3", "--out", str(path)) == EXIT_OK
+        return path
+
+    @pytest.mark.parametrize("command", ["curve", "certify"])
+    @pytest.mark.parametrize(
+        "matrix",
+        [np.where(np.eye(4, dtype=bool), 0.9, 0.3), np.full((4, 2), 0.5), np.full((4, 4), np.nan)],
+        ids=["defect-0.72", "4x2", "nan"],
+    )
+    def test_bad_unitary_exits_2(self, command, matrix, counts4, tmp_path, capsys):
+        u_path = tmp_path / "u.json"
+        u_path.write_text(json.dumps(matrix_to_json(matrix)))
+        out = tmp_path / "out"
+        code = run_cli(command, "--data", str(counts4), "--unitary", str(u_path), "--input", "1,3",
+                       "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert err.count("\n") == 1 and err.startswith("qfft: invalid input:")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["curve", "certify"])
+    def test_tolerance_applies(self, command, counts4, tmp_path):
+        u = qft_matrix(4) + 1e-6 * np.random.default_rng(13).standard_normal((4, 4))
+        u_path = tmp_path / "noisy.json"
+        u_path.write_text(json.dumps(matrix_to_json(u)))
+        args = [command, "--data", str(counts4), "--unitary", str(u_path), "--input", "1,3",
+                "--out", str(tmp_path / "out")]
+        assert run_cli(*args) == EXIT_VALIDATION
+        assert run_cli(*args, "--tol", "1e-4") == EXIT_OK
 
 
 @pytest.fixture()
@@ -832,6 +868,19 @@ _PROBLEM = problem_to_json(
     )
 )
 _MATRIX = matrix_to_json(qft_matrix(4))
+_ANY_MATRIX = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+    lambda shape: st.lists(
+        st.lists(_ANY_FLOAT, min_size=2, max_size=2), min_size=shape[0] * shape[1],
+        max_size=shape[0] * shape[1],
+    ).map(lambda entries: {"rows": shape[0], "cols": shape[1], "entries": entries})
+)
+_COUNTS_4 = io.StringIO()
+write_coincidence_csv(
+    simulate_experiment(
+        qft_matrix(4), (0, 2), DelayModel(), [-300.0, 0.0, 300.0], 1e5, np.random.default_rng(0)
+    ),
+    _COUNTS_4,
+)
 _MODE_LABELS = st.one_of(
     st.sampled_from(["1,3", "2,4", "1,2", "1,1,3"]),
     st.lists(st.integers(-1, 10), min_size=1, max_size=4).map(lambda ks: ",".join(map(str, ks))),
@@ -887,6 +936,20 @@ class TestFuzz:
                                "--out", os.path.join(tmp, "out"))
         assert code in (0, 2, 3, 4)
         assert "Traceback" not in err.getvalue()
+
+    @settings(max_examples=80, deadline=None, derandomize=True, phases=(Phase.explicit, Phase.generate))
+    @given(
+        command=st.sampled_from(["curve", "certify"]),
+        source=st.one_of(mutated(_MATRIX), _ANY_MATRIX, non_utf8(mutated(_MATRIX).map(json.dumps))),
+    )
+    def test_curve_and_certify_with_a_unitary_end_with_a_documented_exit_code(self, command, source):
+        files = {"--data": _COUNTS_4.getvalue().encode(), "--unitary": source}
+        code, err, text = _run_with_files([command, "--input=1,3"], files)
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err
+        if code == EXIT_OK and command == "curve":
+            values = [float(v) for line in text.splitlines()[1:] for v in line.split(",")]
+            assert np.all(np.isfinite(values))
 
     @settings(max_examples=80, deadline=None, derandomize=True, phases=(Phase.explicit, Phase.generate))
     @given(

@@ -10,6 +10,7 @@ from qfftsim.fourier import qft_matrix
 from qfftsim.linalg import (
     DEFAULT_TOL,
     GLYNN_BLOCK,
+    PERMANENT_CAP,
     assert_unitary,
     fidelity,
     haar_random_unitary,
@@ -93,7 +94,7 @@ class TestPermanent:
 
     def test_cap(self):
         with pytest.raises(CapacityError):
-            permanent(np.eye(5), cap=4)
+            permanent(np.eye(PERMANENT_CAP + 1))
 
 
 class TestFidelity:

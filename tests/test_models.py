@@ -146,6 +146,38 @@ class TestNormalization:
         assert dist.total() == pytest.approx(1.0, abs=1e-10)
 
 
+@st.composite
+def haar_and_input(draw, model):
+    """A Haar unitary on 2-8 modes and an input of 1-4 photons: any input,
+    bunched ones included, for the Fock and distinguishable models, and a
+    cyclic one for the mean field."""
+    cyclic = model is mean_field_distribution
+    m = draw(st.sampled_from([2, 3, 4, 6, 8]) if cyclic else st.integers(2, 8))
+    u = haar_random_unitary(m, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    if cyclic:
+        n = draw(st.sampled_from([n for n in (2, 3, 4) if m % n == 0]))
+        first = draw(st.integers(0, m // n - 1))
+        return u, occupation_from_modes(range(first, m, m // n), m)
+    modes = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=4))
+    return u, tuple(modes.count(k) for k in range(m))
+
+
+class TestNonNegativeTables:
+    # every table is |perm|^2, a sum of products of |U|^2 entries or a sum of
+    # squared moduli, so no probability is negative and none needs clamping
+    @pytest.mark.parametrize(
+        "model", [fock_distribution, distinguishable_distribution, mean_field_distribution]
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_probabilities_are_non_negative_and_sum_to_one(self, model, data):
+        u, state = data.draw(haar_and_input(model))
+        p = np.array(list(model(u, state).probabilities.values()))
+        assert np.all(np.isfinite(p))
+        assert p.min() >= 0.0
+        assert abs(p.sum() - 1.0) <= 1e-12
+
+
 class TestMeanField:
     def test_forbidden_mass_quarter_m4(self):
         dist = mean_field_distribution(qft_matrix(4), (1, 0, 1, 0))
