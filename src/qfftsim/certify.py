@@ -284,12 +284,12 @@ CSV_COLUMNS = ("input_i", "input_j", "output_i", "output_j", "delta_x_um", "coun
 
 def write_coincidence_csv(table: CoincidenceTable, stream) -> None:
     """Write a table with 1-based mode labels and a header row, one record per
-    cell in (delay, pair) order."""
+    cell in (delay, pair) order: one ``write`` per delay."""
     a, b = (k + 1 for k in table.input)
     heads = [f"{a},{b},{i + 1},{j + 1}," for i, j in table.pairs]
-    rows = [head + dx for dx in map("{!r},".format, table.delays.tolist()) for head in heads]
-    counts = map(str, table.counts.ravel().tolist())
-    stream.write("\n".join([",".join(CSV_COLUMNS), *map(str.__add__, rows, counts)]) + "\n")
+    stream.write(",".join(CSV_COLUMNS) + "\n")
+    for dx, counts in zip(map("{!r},".format, table.delays.tolist()), table.counts):
+        stream.write("".join([f"{head}{dx}{n}\n" for head, n in zip(heads, counts.tolist())]))
 
 
 def read_coincidence_csv(stream, source: str = "<csv>"):

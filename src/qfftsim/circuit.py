@@ -49,8 +49,8 @@ class QfftCircuit:
     """Layered coupler/phase description plus the final output relabeling.
 
     ``output_relabeling[k]`` is the logical output index assigned to physical
-    port k after the last layer; for the nominal circuit this is the
-    bit-reversal permutation (an involution).
+    port k after the last layer: an involution, as the JSON format stores it
+    as swaps. For the nominal circuit it is the bit-reversal permutation.
     """
 
     p: int
@@ -114,6 +114,8 @@ def validate_circuit(circuit: QfftCircuit) -> None:
         raise ValidationError(f"expected layers with steps 1..{circuit.p} in order")
     if sorted(circuit.output_relabeling) != list(range(m)):
         raise ValidationError("output relabeling is not a permutation of the modes")
+    if any(circuit.output_relabeling[v] != k for k, v in enumerate(circuit.output_relabeling)):
+        raise ValidationError("output relabeling is not an involution")
     for layer in circuit.layers:
         seen: set[int] = set()
         for a, b in layer.couplers:
@@ -285,12 +287,9 @@ def nontrivial_phase_positions(circuit: QfftCircuit) -> list[tuple[int, int]]:
 
 
 def relabeling_swaps(circuit: QfftCircuit) -> list[tuple[int, int]]:
-    """The relabeling as disjoint swaps in 1-based labels (it is an involution)."""
-    perm = circuit.output_relabeling
-    for k, v in enumerate(perm):
-        if perm[v] != k:
-            raise ValidationError("output relabeling is not an involution")
-    return [(k + 1, v + 1) for k, v in enumerate(perm) if v > k]
+    """The relabeling as disjoint swaps in 1-based labels; the circuit is validated first."""
+    validate_circuit(circuit)
+    return [(k + 1, v + 1) for k, v in enumerate(circuit.output_relabeling) if v > k]
 
 
 def circuit_to_json(circuit: QfftCircuit) -> dict:

@@ -23,7 +23,8 @@ random numbers; the other commands accept ``--seed`` and ignore it.
 ``certify`` reports the row of ``curve`` at the smallest |delay|, a tie
 going to the negative delay. ``--trials`` is still accepted and ignored.
 Input files must be UTF-8 text.
-Files are written atomically, with the permissions the umask gives a new file.
+Files are written atomically, with the permissions the umask gives a new file;
+a file already at the temporary name ``.qfft-<pid>`` is left alone (exit 4).
 Exit codes: 0 success, 2 invalid inputs or domain errors, 3 numerical
 failures, 4 I/O or parse errors. ``curve`` and ``certify`` accept only
 cyclic two-photon inputs, the modes m/2 apart that the suppression law
@@ -41,7 +42,6 @@ import itertools
 import json
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -79,7 +79,7 @@ EXIT_IO = 4
 DEFAULT_SEED = 12345
 
 #: Most delay points ``simulate`` accepts: 10^4 points on 8 modes are 360,000
-#: records and raise peak RSS by ~110 MB.
+#: records and raise peak RSS by ~18 MB over the 29 MB of the imported package.
 MAX_POINTS = 10**4
 
 #: Most records ``simulate`` writes, points x m(m+1)/2 output pairs: the
@@ -116,20 +116,18 @@ def simulate_experiment(
     return CoincidenceTable(tuple(sorted(curves.input)), curves.delta_x[order], curves.pairs, counts[order])
 
 
-def _write_text(out: str | None, pieces) -> None:
-    """Write the strings of ``pieces`` to ``out``, or to stdout if ``out`` is None."""
+def _write_text(out: str | None, write) -> None:
+    """Call ``write`` on a text handle: stdout if ``out`` is None, else a new
+    file in the target directory that replaces ``out`` once ``write`` returns."""
     if out is None:
-        sys.stdout.writelines(pieces)
+        write(sys.stdout)
         return
-    directory = os.path.dirname(os.path.abspath(out))
-    fd, tmp = tempfile.mkstemp(prefix=".qfft-", dir=directory)
+    tmp = os.path.join(os.path.dirname(os.path.abspath(out)), f".qfft-{os.getpid()}")
+    # O_EXCL never opens a file that is already there; the kernel applies the umask to 0o666
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
-            # mkstemp creates the file 0600; os.replace would keep that mode
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(handle.fileno(), 0o666 & ~umask)
-            handle.writelines(pieces)
+            write(handle)
         os.replace(tmp, out)
     except BaseException:
         if os.path.exists(tmp):
@@ -142,7 +140,7 @@ def _write_json(out: str | None, obj) -> None:
     chunks = json.JSONEncoder(indent=2).iterencode(obj)  # never an empty chunk
     # 2^16 chunks per write: neither one write per token nor the whole text at once
     batches = iter(lambda: "".join(itertools.islice(chunks, 1 << 16)), "")
-    _write_text(out, itertools.chain(batches, ["\n"]))
+    _write_text(out, lambda handle: handle.writelines(itertools.chain(batches, ["\n"])))
 
 
 def _read_utf8(path: str) -> bytes:
@@ -277,16 +275,13 @@ def _simulate(args) -> None:
     if size > MAX_RECORDS:
         raise DomainError(f"--points {args.points} on {m} modes make {size} records, over {MAX_RECORDS}")
     table = simulate_experiment(u, pair, model, grid, args.expected_counts, rng, tol=args.tol)
-    buffer = io.StringIO()
-    write_coincidence_csv(table, buffer)
-    _write_text(args.out, [buffer.getvalue()])
+    _write_text(args.out, functools.partial(write_coincidence_csv, table))
 
 
 def _curve(args) -> None:
     curve, _, _ = _analyzed_curve(args)
-    lines = ["delta_x,d_obs,sigma"]
-    lines += [f"{dx!r},{d!r},{s!r}" for dx, d, s in curve]
-    _write_text(args.out, ["\n".join(lines) + "\n"])
+    rows = [f"{dx!r},{d!r},{s!r}\n" for dx, d, s in curve]
+    _write_text(args.out, lambda handle: handle.writelines(["delta_x,d_obs,sigma\n", *rows]))
 
 
 def _certify(args) -> None:

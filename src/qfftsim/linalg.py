@@ -105,7 +105,9 @@ def unitarity_defect(u) -> float:
     if u.shape[0] != u.shape[1]:
         raise ShapeError(f"unitarity check needs a square matrix, got {u.shape}")
     eye = np.eye(u.shape[0])
-    return float(np.max(np.abs(u.conj().T @ u - eye)))
+    # a huge or infinite entry gives an inf or NaN defect, which the caller refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(np.abs(u.conj().T @ u - eye)))
 
 
 def assert_unitary(u, tol: float = DEFAULT_TOL, what: str = "matrix") -> np.ndarray:

@@ -11,7 +11,8 @@ summed term by term), the exact error bar is summed term by term, the
 inverse moments of a zero-truncated Poisson count come from closed forms and
 quadrature in 50-digit ``mpmath``, the reference counts of a violation curve
 come from a scan over the table's cells for each pair, a coincidence CSV
-is parsed one record at a time, and local fits are scipy's L-BFGS-B.
+is parsed one record at a time and formatted as one string, and local fits
+are scipy's L-BFGS-B.
 """
 
 import csv
@@ -315,6 +316,16 @@ def simulated_counts_loop(curves, expected_counts, rng) -> list[tuple[float, tup
 
 
 CSV_COLUMNS = ("input_i", "input_j", "output_i", "output_j", "delta_x_um", "counts")
+
+
+def coincidence_csv_text(table) -> str:
+    """A coincidence table as one CSV string: every record is built, then all are
+    joined under the header, with 1-based labels in (delay, pair) order."""
+    a, b = (k + 1 for k in table.input)
+    heads = [f"{a},{b},{i + 1},{j + 1}," for i, j in table.pairs]
+    rows = [head + dx for dx in map("{!r},".format, table.delays.tolist()) for head in heads]
+    counts = map(str, table.counts.ravel().tolist())
+    return "\n".join([",".join(CSV_COLUMNS), *map(str.__add__, rows, counts)]) + "\n"
 
 
 def read_coincidence_csv_rows(stream, source: str = "<csv>") -> list[tuple]:

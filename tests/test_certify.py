@@ -3,6 +3,8 @@ import importlib
 import io
 import math
 import re
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -37,6 +39,7 @@ from qfftsim.models import (
 )
 
 from oracles import (
+    coincidence_csv_text,
     plateau_reference,
     read_coincidence_csv_rows,
     truncated_poisson_inverse_moments,
@@ -60,6 +63,30 @@ cached_oracle = functools.cache(truncated_poisson_inverse_moments)
 def forbidden_pairs(m):
     part = partition_outputs(2, m, collision_free_only=True)
     return sorted(tuple(occupied_modes(s)) for s in part.forbidden)
+
+
+_CSV_DELAYS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308, 1e300, -1e300]),
+)
+
+
+@st.composite
+def coincidence_tables(draw):
+    """A table on 1-16 modes with any finite delays, including signed zeros,
+    denormals and +-1e300, counts in [0, 10^18], and possibly no delays or no pairs."""
+    m = draw(st.integers(1, 16))
+    cells = [(i, j) for i in range(m) for j in range(i, m)]
+    pairs = sorted(draw(st.lists(st.sampled_from(cells), unique=True)))
+    delays = draw(st.lists(_CSV_DELAYS, max_size=5))
+    size = len(delays) * len(pairs)
+    counts = draw(st.lists(st.integers(0, 10**18), min_size=size, max_size=size))
+    return CoincidenceTable(
+        draw(st.sampled_from(cells)),
+        np.array(delays, dtype=float),
+        tuple(pairs),
+        np.array(counts, dtype=np.int64).reshape(len(delays), len(pairs)),
+    )
 
 
 def make_cells(pair_counts_by_delay):
@@ -545,6 +572,28 @@ class TestCsv:
         assert again.input == table.input and again.pairs == table.pairs
         assert again.delays.tolist() == table.delays.tolist()
         assert again.counts.tolist() == table.counts.tolist()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, phases=(Phase.explicit, Phase.generate))
+    @given(table=coincidence_tables())
+    def test_writer_matches_the_one_string_oracle(self, table):
+        buffer = io.StringIO()
+        write_coincidence_csv(table, buffer)
+        assert buffer.getvalue() == coincidence_csv_text(table)
+
+    def test_writer_holds_one_delay_at_a_time(self):
+        # 10^4 delays x 36 pairs, the most records simulate writes on 8 modes; a
+        # writer that builds all 360,000 record strings first needs tens of MB
+        pairs = tuple((i, j) for i in range(8) for j in range(i, 8))
+        counts = np.random.default_rng(0).integers(0, 10**6, (10**4, len(pairs)))
+        table = CoincidenceTable((0, 4), np.linspace(-300.0, 300.0, 10**4), pairs, counts)
+        sink = types.SimpleNamespace(write=lambda text: None)
+        tracemalloc.start()
+        try:
+            write_coincidence_csv(table, sink)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_header_is_one_based(self):
         buffer = io.StringIO()

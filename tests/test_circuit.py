@@ -118,6 +118,14 @@ class TestComposition:
         with pytest.raises(ValidationError):
             circuit_to_unitary(swapped)
 
+    def test_relabeling_must_be_an_involution(self):
+        # a 3-cycle is a permutation, but the JSON format cannot store it as swaps
+        c = synthesize_qfft(2)
+        cycled = QfftCircuit(p=2, m=4, layers=c.layers, output_relabeling=(1, 2, 0, 3))
+        for refuse in (validate_circuit, compile_circuit, circuit_to_json):
+            with pytest.raises(ValidationError, match="output relabeling is not an involution"):
+                refuse(cycled)
+
 
 def random_positions(circuit, rng):
     """A random nonempty subset of all (step, mode) phase positions."""

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -135,6 +136,21 @@ class TestEvolveCommand:
         err = capsys.readouterr().err
         assert code == EXIT_VALIDATION
         assert "is not unitary" in err
+        assert not (tmp_path / "d.json").exists()
+
+    @pytest.mark.parametrize("entry", [1e300, float("inf")])
+    def test_huge_unitary_entry_exits_2_with_one_line(self, entry, tmp_path, capsys):
+        u = matrix_to_json(qft_matrix(4))
+        u["entries"][0] = [entry, 0.0]
+        u_path = tmp_path / "huge.json"
+        u_path.write_text(json.dumps(u))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run_cli("evolve", "--unitary", str(u_path), "--input", "1,3",
+                           "--out", str(tmp_path / "d.json"))
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert err.count("\n") == 1 and "is not unitary" in err
         assert not (tmp_path / "d.json").exists()
 
     def test_mean_field_model(self, tmp_path):
@@ -776,6 +792,40 @@ class TestOutputFiles:
             os.umask(previous)
         assert out.stat().st_mode & 0o777 == mode
 
+    def test_umask_is_read_by_the_kernel_not_set(self, tmp_path, monkeypatch):
+        def refuse(mask):
+            raise AssertionError("os.umask called")
+
+        out = tmp_path / "artifact"
+        previous = os.umask(0o027)
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "umask", refuse)
+                assert run_cli("simulate", "--modes", "4", "--input", "1,3", "--out", str(out)) == EXIT_OK
+        finally:
+            os.umask(previous)
+        assert out.stat().st_mode & 0o777 == 0o640
+
+    def test_failed_writer_leaves_no_temp_file(self, tmp_path):
+        def write(handle):
+            handle.write("partial")
+            raise RuntimeError("writer failed")
+
+        out = tmp_path / "artifact"
+        out.write_text("before\n")
+        with pytest.raises(RuntimeError, match="writer failed"):
+            cli._write_text(str(out), write)
+        assert os.listdir(tmp_path) == ["artifact"]
+        assert out.read_text() == "before\n"
+
+    def test_file_at_the_temp_name_is_kept(self, tmp_path, capsys):
+        squatter = tmp_path / f".qfft-{os.getpid()}"
+        squatter.write_text("not ours\n")
+        assert run_cli("synth", "--modes", "4", "--out", str(tmp_path / "artifact")) == EXIT_IO
+        assert "File exists" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == [squatter.name]
+        assert squatter.read_text() == "not ours\n"
+
     # 70,000 list items are more tokens than one batch of the JSON writer
     _JSON = {"a": [1.5, float("nan"), None, "\u00e9"], "b": {"c": list(range(70_000)), "d": {}}, "e": []}
 
@@ -937,6 +987,7 @@ class TestFuzz:
         assert code in (0, 2, 3, 4)
         assert "Traceback" not in err.getvalue()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=80, deadline=None, derandomize=True, phases=(Phase.explicit, Phase.generate))
     @given(
         command=st.sampled_from(["curve", "certify"]),
@@ -982,6 +1033,7 @@ class TestFuzz:
         assert code in (0, 2, 3, 4)
         assert "Traceback" not in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=80, deadline=None, derandomize=True, phases=(Phase.explicit, Phase.generate))
     @given(
         source=st.one_of(st.integers(-2, 9), mutated(_MATRIX), non_utf8(mutated(_MATRIX).map(json.dumps))),
@@ -999,6 +1051,7 @@ class TestFuzz:
         assert code in (0, 2, 3, 4)
         assert "Traceback" not in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=80, deadline=None, derandomize=True, phases=(Phase.explicit, Phase.generate))
     @given(
         problem=st.one_of(mutated(_PROBLEM), non_utf8(mutated(_PROBLEM).map(json.dumps))),
