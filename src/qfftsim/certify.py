@@ -191,17 +191,15 @@ def inverse_moments(lam) -> tuple[np.ndarray, np.ndarray]:
     return mean, var
 
 
-def violation_curve(
-    table: CoincidenceTable, pc, n_d=None, *, trials: int = 0
-) -> list[tuple[float, float, float]]:
+def violation_curve(table: CoincidenceTable, pc, *, trials: int = 0) -> list[tuple[float, float, float]]:
     """Observed violation degree versus delay, with exact Poisson error bars.
 
     ``D(dx) = sum over forbidden pairs of pc * N(dx) / N_ref``, from the
     table's columns of the pairs in ``pc``, which it must all hold. The
-    reference counts default to the plateau rule: the mean of the counts at
-    the two delays of largest magnitude (the single delay, if only one was
-    measured), a tie in magnitude going to the negative delay. Explicit
-    ``n_d`` values are treated as measured counts like the rest. Returns
+    reference counts N_ref follow the plateau rule: the mean of the counts
+    at the two delays of largest magnitude (the single delay, if only one
+    was measured), a tie in magnitude going to the negative delay. Each
+    must be positive and at most ``MAX_EXPECTED_COUNTS``. Returns
     ``(delta_x, d_obs, sigma)`` triples sorted by delay.
 
     ``sigma`` is the spread of D when every count is redrawn from a Poisson
@@ -226,15 +224,8 @@ def violation_curve(
     # the last row holds the reference counts
     lam = np.empty((len(delays) + 1, len(pairs)))
     lam[:-1] = table.counts[:, [column[pair] for pair in pairs]]
-
-    if n_d is None:
-        extremes = sorted(range(len(delays)), key=lambda i: (-abs(delays[i]), delays[i]))[:2]
-        lam[-1] = lam[extremes].mean(axis=0)
-    else:
-        missing = [pair for pair in pairs if pair not in n_d]
-        if missing:
-            raise DomainError(f"missing reference counts for pairs {missing}")
-        lam[-1] = [float(n_d[pair]) for pair in pairs]
+    extremes = sorted(range(len(delays)), key=lambda i: (-abs(delays[i]), delays[i]))[:2]
+    lam[-1] = lam[extremes].mean(axis=0)
     bad = [pair for pair, ref in zip(pairs, lam[-1]) if not ref > 0]
     if bad:
         raise DomainError(f"reference counts must be positive, not for pairs {bad}")

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
-from itertools import chain, combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement, compress
 
 import numpy as np
 
@@ -42,14 +43,20 @@ def qft_matrix(m: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(idx, idx) / m) / np.sqrt(m)
 
 
+def check_state(state) -> FockState:
+    """``state`` as an occupation tuple of ints. Every entry must be a
+    non-negative integer: 2.0 and numpy integers pass, 2.7, -1 and NaN are
+    refused rather than truncated."""
+    state = tuple(state)
+    for k, occ in enumerate(state):
+        if not (occ >= 0 and (isinstance(occ, numbers.Integral) or float(occ).is_integer())):
+            raise DomainError(f"occupation {occ!r} in mode {k} is not a non-negative integer")
+    return tuple(map(int, state))
+
+
 def occupied_modes(state) -> list[int]:
     """Occupied mode indices with multiplicity, ascending. (2,0,1) -> [0, 0, 2]."""
-    modes: list[int] = []
-    for k, occ in enumerate(state):
-        if occ < 0:
-            raise DomainError(f"negative occupation {occ} in mode {k}")
-        modes.extend([k] * int(occ))
-    return modes
+    return [k for k, occ in enumerate(check_state(state)) for _ in range(occ)]
 
 
 def occupation_from_modes(modes, m: int) -> FockState:
@@ -63,7 +70,7 @@ def occupation_from_modes(modes, m: int) -> FockState:
 
 
 def photon_number(state) -> int:
-    return int(sum(state))
+    return sum(check_state(state))
 
 
 def cyclic_inputs(n: int, p: int) -> list[FockState]:
@@ -91,11 +98,19 @@ def cyclic_inputs(n: int, p: int) -> list[FockState]:
 def is_suppressed(output, n: int) -> bool:
     """True iff the multiplicity-weighted sum of 1-based occupied mode labels
     of ``output`` is not divisible by the photon number ``n``."""
+    output = check_state(output)
     total = photon_number(output)
     if total != n:
         raise DomainError(f"output has {total} photons, expected n={n}")
-    label_sum = sum((k + 1) * int(occ) for k, occ in enumerate(output))
+    label_sum = sum((k + 1) * occ for k, occ in enumerate(output))
     return label_sum % n != 0
+
+
+def suppressed(rows: np.ndarray) -> np.ndarray:
+    """Which (N, n) occupied-mode rows of n-photon outputs the rule of
+    :func:`is_suppressed` forbids, all at once: the 1-based label sum is the
+    0-based sum of the occupied modes plus n."""
+    return rows.sum(axis=1) % rows.shape[1] != 0
 
 
 def enumerate_outputs(n: int, m: int, collision_free_only: bool = False) -> np.ndarray:
@@ -128,17 +143,32 @@ def _outputs(n: int, m: int, collision_free_only: bool) -> np.ndarray:
     return modes.reshape(count, n)
 
 
-def check_outcome_entries(rows: np.ndarray, n: int, m: int, cap: int) -> None:
-    """Refuse the (N, n) outputs ``rows`` if their (N, m) occupations hold more than ``cap`` entries.
+def _output_states(n: int, m: int, collision_free_only: bool) -> tuple[tuple[FockState, ...], OutputPartition]:
+    """The outputs of :func:`enumerate_outputs` as occupation tuples, in its
+    order, and their partition, whose sets hold the same tuple objects; both
+    built once per key and shared.
 
-    A refusal also drops the shared output arrays, so that the refused rows,
-    up to :data:`ENUMERATION_CAP` of them, are not kept for later calls."""
-    if len(rows) * m > cap:
+    This is the one check of :data:`MAX_OUTCOME_ENTRIES`, made on every call
+    before any tuple is built. A refusal also drops the shared output arrays,
+    so that the refused rows, up to :data:`ENUMERATION_CAP` of them, are not
+    kept for later calls."""
+    count = output_count(n, m, collision_free_only)
+    if count * m > MAX_OUTCOME_ENTRIES:
         _outputs.cache_clear()
         raise CapacityError(
-            f"{len(rows)} outputs of {n} photons on {m} modes make {len(rows) * m} occupation "
-            f"entries, above the cap {cap}"
+            f"{count} outputs of {n} photons on {m} modes make {count * m} occupation "
+            f"entries, above the cap {MAX_OUTCOME_ENTRIES}"
         )
+    return _output_set(n, m, collision_free_only)
+
+
+@functools.lru_cache(maxsize=4)
+def _output_set(n: int, m: int, collision_free_only: bool) -> tuple[tuple[FockState, ...], OutputPartition]:
+    rows = _outputs(n, m, collision_free_only)
+    states = tuple(map(tuple, occupations(rows, m).tolist()))
+    mask = suppressed(rows)
+    allowed, forbidden = (frozenset(compress(states, keep.tolist())) for keep in (~mask, mask))
+    return states, OutputPartition(n, m, collision_free_only, allowed, forbidden)
 
 
 def occupations(rows: np.ndarray, m: int) -> np.ndarray:
@@ -188,26 +218,11 @@ def partition_outputs(
     collision_free_only: bool = False,
 ) -> OutputPartition:
     """Enumerate the n-photon, m-mode outputs and split them by the rule of
-    :func:`is_suppressed`, applied to all outputs at once: the 1-based label
-    sum is the 0-based sum of the occupied modes plus n.
+    :func:`is_suppressed`, applied to all outputs at once by :func:`suppressed`.
 
     The enumeration cap and :data:`MAX_OUTCOME_ENTRIES` are checked on every
     call, before any occupation is built; the partition is shared between
-    calls with the same arguments, and its sets are frozen."""
-    rows = enumerate_outputs(n, m, collision_free_only)
-    check_outcome_entries(rows, n, m, MAX_OUTCOME_ENTRIES)
-    return _partition(n, m, collision_free_only)
-
-
-@functools.lru_cache(maxsize=4)
-def _partition(n: int, m: int, collision_free_only: bool) -> OutputPartition:
-    rows = _outputs(n, m, collision_free_only)
-    occ = occupations(rows, m)
-    suppressed = rows.sum(axis=1) % n != 0
-    return OutputPartition(
-        n=n,
-        m=m,
-        collision_free_only=collision_free_only,
-        allowed=frozenset(map(tuple, occ[~suppressed].tolist())),
-        forbidden=frozenset(map(tuple, occ[suppressed].tolist())),
-    )
+    calls with the same arguments, and its sets are frozen and hold the
+    occupation tuples that key the outcome tables of :mod:`qfftsim.models`."""
+    enumerate_outputs(n, m, collision_free_only)
+    return _output_states(n, m, collision_free_only)[1]

@@ -19,7 +19,6 @@ distinguishable and Fock limits as a function of the relative path delay.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -27,12 +26,10 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .fourier import (
-    MAX_OUTCOME_ENTRIES,
     FockState,
-    _outputs,
-    check_outcome_entries,
+    _output_states,
+    check_state,
     enumerate_outputs,
-    occupations,
     occupied_modes,
     output_count,
     output_rank,
@@ -112,7 +109,7 @@ class DelayModel:
 
 
 def _check_input(u: np.ndarray, input_state) -> tuple[FockState, int]:
-    state = tuple(int(x) for x in input_state)
+    state = check_state(input_state)
     if len(state) != u.shape[0]:
         raise ShapeError(f"input has {len(state)} modes but the unitary is {u.shape[0]}x{u.shape[0]}")
     n = photon_number(state)
@@ -121,26 +118,22 @@ def _check_input(u: np.ndarray, input_state) -> tuple[FockState, int]:
     return state, n
 
 
-def _outcomes(n: int, m: int) -> tuple[tuple[FockState, ...], np.ndarray, np.ndarray]:
-    """The n-photon outputs on m modes as occupation tuples, their occupied
-    modes with multiplicity as an (N, n) array, and each output's prod_k t_k!.
-
-    Refuses more than :data:`MAX_OUTCOME_ENTRIES` occupation entries on every
-    call, before building any of them; the tables are shared between calls
-    with the same (n, m) and read-only."""
+def _outcomes(n: int, m: int) -> tuple[tuple[FockState, ...], np.ndarray]:
+    """The n-photon outputs on m modes as the shared occupation tuples of
+    :mod:`qfftsim.fourier`, which also key :func:`partition_outputs`'s sets,
+    and as the (N, n) occupied-mode rows of :func:`enumerate_outputs`."""
     rows = enumerate_outputs(n, m)
-    check_outcome_entries(rows, n, m, MAX_OUTCOME_ENTRIES)
-    outs, t_fact = _outcome_table(n, m)
-    return outs, rows, t_fact
+    outs, _ = _output_states(n, m, False)
+    return outs, rows
 
 
-@functools.lru_cache(maxsize=4)
-def _outcome_table(n: int, m: int) -> tuple[tuple[FockState, ...], np.ndarray]:
-    occ = occupations(_outputs(n, m, False), m)
-    factorials = np.array([math.factorial(k) for k in range(n + 1)], dtype=float)
-    t_fact = factorials[occ].prod(axis=1)
-    t_fact.flags.writeable = False
-    return tuple(map(tuple, occ.tolist())), t_fact
+def _t_factorials(rows: np.ndarray) -> np.ndarray:
+    """prod_k t_k! of each (N, n) occupied-mode row, exact: the integer
+    product of each entry's running multiplicity within its ascending row."""
+    run = np.ones(rows.shape, dtype=np.int64)
+    for j in range(1, rows.shape[1]):
+        run[:, j] += (rows[:, j] == rows[:, j - 1]) * run[:, j - 1]
+    return run.prod(axis=1).astype(float)
 
 
 def _check_permanent_size(n: int) -> None:
@@ -189,7 +182,7 @@ def fock_distribution(u, input_state, *, unitary_id=None, tol=DEFAULT_TOL) -> Ou
     u = assert_unitary(u, tol=tol, what="evolution matrix")
     state, n = _check_input(u, input_state)
     _check_permanent_size(n)
-    outs, rows, t_fact = _outcomes(n, u.shape[0])
+    outs, rows = _outcomes(n, u.shape[0])
     cols = np.array(occupied_modes(state))
     perms = np.empty(len(outs), dtype=complex)
     step = max(1, BLOCK_ENTRIES // (n * n))
@@ -197,7 +190,7 @@ def fock_distribution(u, input_state, *, unitary_id=None, tol=DEFAULT_TOL) -> Ou
         stack = u[rows[start : start + step, :, None], cols]
         perms[start : start + step] = [permanent(block) for block in stack]
     s_fact = math.prod(math.factorial(k) for k in state)
-    probs = np.abs(perms) ** 2 / (s_fact * t_fact)
+    probs = np.abs(perms) ** 2 / (s_fact * _t_factorials(rows))
     return OutcomeDistribution(FOCK, state, dict(zip(outs, probs.tolist())), unitary_id=unitary_id)
 
 
@@ -212,7 +205,7 @@ def distinguishable_distribution(u, input_state, *, unitary_id=None, tol=DEFAULT
     u = assert_unitary(u, tol=tol, what="evolution matrix")
     state, n = _check_input(u, input_state)
     _check_permanent_size(n)
-    outs, rows, _ = _outcomes(n, u.shape[0])
+    outs, rows = _outcomes(n, u.shape[0])
     probs = product_expansion(np.abs(u[:, occupied_modes(state)]) ** 2, rows)
     return OutcomeDistribution(DISTINGUISHABLE, state, dict(zip(outs, probs.tolist())), unitary_id=unitary_id)
 
@@ -220,8 +213,8 @@ def distinguishable_distribution(u, input_state, *, unitary_id=None, tol=DEFAULT
 def is_cyclic_state(state) -> bool:
     """True for collision-free states whose occupied modes are equally spaced
     with period m/n (the cyclic inputs of an n-photon, m-mode Fourier test)."""
-    state = tuple(int(x) for x in state)
-    if any(occ not in (0, 1) for occ in state):
+    state = check_state(state)
+    if any(occ > 1 for occ in state):
         return False
     modes = occupied_modes(state)
     n = len(modes)
@@ -257,7 +250,7 @@ def mean_field_distribution(u, input_state, *, unitary_id=None, tol=DEFAULT_TOL)
     u = assert_unitary(u, tol=tol, what="evolution matrix")
     state, n = _check_input(u, input_state)
     modes = _require_cyclic(state)
-    outs, rows, t_fact = _outcomes(n, u.shape[0])
+    outs, rows = _outcomes(n, u.shape[0])
     count = len(rows) * output_count(n, n)
     if count > MAX_MEAN_FIELD_COEFFICIENTS:
         raise DomainError(
@@ -270,7 +263,7 @@ def mean_field_distribution(u, input_state, *, unitary_id=None, tol=DEFAULT_TOL)
     for start in range(0, len(rows), step):
         cols = u[rows[start : start + step, :, None], modes].transpose(0, 2, 1)
         weight[start : start + step] = (np.abs(product_expansion(cols, monomials)) ** 2).sum(axis=1)
-    probs = math.factorial(n) / n**n * weight / t_fact
+    probs = math.factorial(n) / n**n * weight / _t_factorials(rows)
     return OutcomeDistribution(MEAN_FIELD, state, dict(zip(outs, probs.tolist())), unitary_id=unitary_id)
 
 

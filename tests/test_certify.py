@@ -152,23 +152,14 @@ class TestViolationCurve:
         for (_, da, _), (_, db, _) in zip(curve_a, curve_b):
             assert da == pytest.approx(db, abs=1e-12)
 
-    def test_explicit_reference_counts(self):
-        table = make_table({0.0: {pair: 100 for pair in self.pairs}})
-        n_d = {pair: 200.0 for pair in self.pairs}
-        curve = violation_curve(table, self.pc, n_d)
-        assert curve[0][1] == pytest.approx(0.25)
-
-    def test_missing_reference_rejected(self):
-        table = make_table({0.0: {pair: 100 for pair in self.pairs}})
-        n_d = {self.pairs[0]: 100.0}
-        with pytest.raises(DomainError):
-            violation_curve(table, self.pc, n_d)
+    def plateau_table(self, ref, dtype=np.int64):
+        """100 counts at zero delay, between two plateau rows of ``ref`` counts in every pair but the first."""
+        counts = np.array([[200] + [ref] * 3, [100] * 4, [200] + [ref] * 3], dtype=dtype)
+        return CoincidenceTable((0, 2), np.array([-200.0, 0.0, 200.0]), tuple(self.pairs), counts)
 
     def test_zero_reference_rejected(self):
-        table = make_table({0.0: {pair: 100 for pair in self.pairs}})
-        n_d = {pair: 0.0 for pair in self.pairs}
-        with pytest.raises(DomainError):
-            violation_curve(table, self.pc, n_d)
+        with pytest.raises(DomainError, match=re.escape(f"must be positive, not for pairs {self.pairs[1:]}")):
+            violation_curve(self.plateau_table(0), self.pc)
 
     def test_missing_grid_point_rejected(self):
         delays, outputs, counts = make_cells(
@@ -212,11 +203,9 @@ class TestViolationCurve:
 
     @pytest.mark.parametrize("ref", [1e19, float("inf"), float("nan")])
     def test_reference_counts_outside_the_sampler_range_rejected(self, ref):
-        table = make_table({0.0: {pair: 100 for pair in self.pairs}})
-        n_d = {pair: 200.0 for pair in self.pairs}
-        n_d[self.pairs[2]] = ref
-        with pytest.raises(DomainError):
-            violation_curve(table, self.pc, n_d)
+        # from_cells refuses such counts, so the table is built directly
+        with pytest.raises(DomainError, match="must be positive|Poisson sampler"):
+            violation_curve(self.plateau_table(ref, dtype=float), self.pc)
 
     @pytest.mark.parametrize(
         "counts, ref",
@@ -235,13 +224,16 @@ class TestViolationCurve:
         pc = classical_pair_probabilities(u, (0, 2), self.pairs)
         rng = np.random.default_rng(17)
         table = simulate_experiment(u, (0, 2), DelayModel(alpha=0.9), [-300.0, 0.0, 300.0], counts, rng)
-        n_d = plateau_reference(table, sorted(pc)) if ref is None else {pair: ref for pair in pc}
+        if ref is not None:  # plateau rows of floor(ref) and ceil(ref) counts, whose mean is ref
+            plateau = table.counts.copy()
+            plateau[[0, -1]] = [[math.floor(ref)], [math.ceil(ref)]]
+            table = CoincidenceTable(table.input, table.delays, table.pairs, plateau)
+        n_d = plateau_reference(table, sorted(pc))
+        assert ref is None or set(n_d.values()) == {ref}
         expected = violation_curve_conditional_loop(table, pc, n_d, 20000, seed=23)
-        curve = violation_curve(table, pc, n_d)
+        curve = violation_curve(table, pc)
         assert [(dx, d) for dx, d, _ in curve] == [(dx, d) for dx, d, _ in expected]
         assert [s for _, _, s in curve] == pytest.approx([s for _, _, s in expected], rel=0.03)
-        if ref is None:
-            assert violation_curve(table, pc) == curve
 
     def test_sigma_agrees_with_full_resampling(self):
         # Over 20 seeds, against the exact sigma of zero-truncated Poisson
@@ -295,19 +287,21 @@ class TestViolationCurve:
 
 @st.composite
 def small_tables(draw):
-    """A table of up to 4 delays by 4 pairs, its pc and reference counts.
+    """A table of up to 4 delays by 4 pairs and its pc.
 
-    Cells are often zero. The reference counts are the plateau rule's
-    (``None``, up to 2000, so both sides of ``SERIES_FROM``) or explicit,
-    down to means at which a zero count is the likeliest.
+    Cells are often zero, so the plateau rule's reference counts run from
+    zero up to 2000, both sides of ``SERIES_FROM``. Half of the tables add
+    two outermost rows of 0-40 counts, whose means, in steps of 0.5, reach
+    down to those at which a zero count is the likeliest.
     """
     pairs = [(0, j) for j in range(1, draw(st.integers(1, 4)) + 1)]
     pc = {pair: draw(st.floats(0.01, 1.0)) for pair in pairs}
     delays = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=4, unique=True))
     cell = st.one_of(st.integers(0, 3), st.integers(0, 2000))
-    table = make_table({50.0 * dx: {pair: draw(cell) for pair in pairs} for dx in delays})
-    n_d = draw(st.one_of(st.none(), st.fixed_dictionaries({pair: st.floats(0.3, 40.0) for pair in pairs})))
-    return table, pc, n_d
+    rows = {50.0 * dx: {pair: draw(cell) for pair in pairs} for dx in delays}
+    if draw(st.booleans()):
+        rows.update({dx: {pair: draw(st.integers(0, 40)) for pair in pairs} for dx in (-350.0, 350.0)})
+    return make_table(rows), pc
 
 
 class TestExactSigma:
@@ -316,14 +310,14 @@ class TestExactSigma:
     @settings(max_examples=150, deadline=None, derandomize=True, phases=(Phase.explicit, Phase.generate))
     @given(table=small_tables())
     def test_matches_the_term_by_term_oracle(self, table):
-        table, pc, n_d = table
-        reference = plateau_reference(table, sorted(pc)) if n_d is None else n_d
+        table, pc = table
+        reference = plateau_reference(table, sorted(pc))
         if min(reference.values()) <= 0:
             with pytest.raises(DomainError, match="must be positive"):
-                violation_curve(table, pc, n_d)
+                violation_curve(table, pc)
             return
         expected = violation_curve_exact_loop(table, pc, reference, library_moments)
-        curve = violation_curve(table, pc, n_d)
+        curve = violation_curve(table, pc)
         assert [(dx, d) for dx, d, _ in curve] == [(dx, d) for dx, d, _ in expected]
         assert [s for _, _, s in curve] == pytest.approx([s for _, _, s in expected], rel=1e-12, abs=0)
 
@@ -408,7 +402,7 @@ class TestCertify:
 
 
 class TestReferenceCounts:
-    """The plateau rule ``violation_curve`` applies when no reference counts are given."""
+    """The plateau rule that gives ``violation_curve`` its reference counts."""
 
     def test_plateau_rule_uses_two_extremes(self):
         pairs = forbidden_pairs(4)
@@ -440,8 +434,8 @@ class TestReferenceCounts:
         )
         by_dx = {dx: d for dx, d, _ in violation_curve(table, pc)}
         assert by_dx[250.0] == pytest.approx(0.5 * 80 / 110.0)
-        explicit = violation_curve(table, pc, plateau_reference(table, pairs))
-        assert violation_curve(table, pc) == explicit
+        expected = violation_curve_exact_loop(table, pc, plateau_reference(table, pairs), library_moments)
+        assert [(dx, d) for dx, d, _ in violation_curve(table, pc)] == [(dx, d) for dx, d, _ in expected]
 
 
 class TestClassicalPairProbabilities:

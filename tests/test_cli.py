@@ -33,7 +33,7 @@ from qfftsim.cli import (
     simulate_experiment,
 )
 from qfftsim.errors import DomainError
-from qfftsim.fourier import occupied_modes, partition_outputs, qft_matrix
+from qfftsim.fourier import MAX_OUTCOME_ENTRIES, occupied_modes, partition_outputs, qft_matrix
 from qfftsim.linalg import matrix_to_json
 from qfftsim.models import DelayModel, fock_distribution, two_photon_coincidences
 from qfftsim.reconstruct import (
@@ -704,7 +704,7 @@ class TestSizeCaps:
         err = capsys.readouterr().err
         assert code == EXIT_VALIDATION
         assert err.startswith("qfft: invalid input:")
-        assert f"make 8421376 occupation entries, above the cap {models.MAX_OUTCOME_ENTRIES}" in err
+        assert f"make 8421376 occupation entries, above the cap {MAX_OUTCOME_ENTRIES}" in err
         assert not (tmp_path / "dist.json").exists()
 
     def test_mean_field_coefficient_cap_at_its_boundary(self, monkeypatch, tmp_path, capsys):

@@ -228,8 +228,8 @@ class TestSharedTables:
 
     def test_more_keys_than_the_cache_holds(self):
         fourier._outputs.cache_clear()
-        fourier._partition.cache_clear()
-        size = max(fourier._outputs.cache_info().maxsize, fourier._partition.cache_info().maxsize)
+        fourier._output_set.cache_clear()
+        size = max(fourier._outputs.cache_info().maxsize, fourier._output_set.cache_info().maxsize)
         keys = [(n, m, free) for n, m in [(2, 5), (3, 4), (2, 6), (3, 5)] for free in (False, True)]
         assert len(keys) > size
         cold = {key: (enumerate_outputs(*key).copy(), partition_outputs(*key)) for key in keys}

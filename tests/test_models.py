@@ -9,10 +9,12 @@ from qfftsim import fourier, models
 from qfftsim.errors import CapacityError, DomainError, ValidationError
 from qfftsim.fourier import (
     enumerate_outputs,
+    is_suppressed,
     occupation_from_modes,
     occupations,
     occupied_modes,
     partition_outputs,
+    photon_number,
     qft_matrix,
 )
 from qfftsim.linalg import haar_random_unitary
@@ -395,12 +397,12 @@ class TestEnumerationCap:
     )
     def test_outcome_entry_cap_boundary(self, make, monkeypatch):
         # two photons on four modes: 10 outputs x 4 modes = 40 occupation entries
-        monkeypatch.setattr(models, "MAX_OUTCOME_ENTRIES", 39)
+        monkeypatch.setattr(fourier, "MAX_OUTCOME_ENTRIES", 39)
         with monkeypatch.context() as patch:
-            patch.setattr(models, "occupations", None)  # refused before any is built
+            patch.setattr(fourier, "occupations", None)  # refused before any is built
             with pytest.raises(CapacityError, match="10 outputs of 2 photons on 4 modes make 40 "):
                 make(qft_matrix(4), (1, 0, 1, 0))
-        monkeypatch.setattr(models, "MAX_OUTCOME_ENTRIES", 40)
+        monkeypatch.setattr(fourier, "MAX_OUTCOME_ENTRIES", 40)
         assert len(make(qft_matrix(4), (1, 0, 1, 0)).probabilities) == 10
 
     @pytest.mark.parametrize(
@@ -433,14 +435,14 @@ class TestSharedTables:
         with pytest.raises(CapacityError, match="10 outputs of 2 photons on 4 modes exceed"):
             make(u, state)
         monkeypatch.setattr(fourier, "ENUMERATION_CAP", 10)
-        monkeypatch.setattr(models, "MAX_OUTCOME_ENTRIES", 39)
+        monkeypatch.setattr(fourier, "MAX_OUTCOME_ENTRIES", 39)
         with pytest.raises(CapacityError, match="10 outputs of 2 photons on 4 modes make 40 "):
             make(u, state)
 
     def test_more_keys_than_the_cache_holds(self):
-        models._outcome_table.cache_clear()
+        fourier._output_set.cache_clear()
         shapes = [(2, 4), (2, 6), (3, 6), (2, 8), (3, 9), (4, 8)]
-        assert len(shapes) > models._outcome_table.cache_info().maxsize
+        assert len(shapes) > fourier._output_set.cache_info().maxsize
         cases = {
             (n, m): (haar_random_unitary(m, np.random.default_rng(m + n)), cyclic_state(n, m))
             for n, m in shapes
@@ -449,6 +451,47 @@ class TestSharedTables:
         for key in [*shapes[::-1], *shapes[::2], *shapes[1::2], *shapes]:
             u, state = cases[key]
             assert [make(u, state) for make in self.makers] == cold[key]
+        assert fourier._output_set.cache_info().currsize == fourier._output_set.cache_info().maxsize
+
+    @pytest.mark.parametrize("n,m", [(2, 8), (3, 9), (4, 16)])
+    def test_tables_are_keyed_by_the_partition_tuples(self, n, m):
+        part = partition_outputs(n, m)
+        u, state = haar_random_unitary(m, np.random.default_rng(m)), cyclic_state(n, m)
+        for make in self.makers:
+            keys = {id(out): out for out in make(u, state).probabilities}
+            assert all(keys.get(id(out)) is out for out in part.forbidden | part.allowed), make.__name__
+
+
+class TestStateEntries:
+    """Occupations must be non-negative integers; none is truncated."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: fock_distribution(qft_matrix(2), (2.7, 0)),
+            lambda: distinguishable_distribution(qft_matrix(2), (1, 0.5)),
+            lambda: fock_distribution(qft_matrix(2), (float("nan"), 2)),
+            lambda: is_suppressed((1.5, 0.5), 2),
+            lambda: is_suppressed((3, -1), 2),
+            lambda: is_suppressed((float("nan"), 2), 2),
+            lambda: is_cyclic_state((1.5, 0, 0.5, 0)),
+            lambda: is_cyclic_state((float("nan"), 0)),
+            lambda: photon_number((2.7, 0)),
+        ],
+        ids=["fock-2.7", "dist-0.5", "fock-nan", "suppressed-1.5", "suppressed-negative", "suppressed-nan",
+             "cyclic-1.5", "cyclic-nan", "photons-2.7"],
+    )
+    def test_refused(self, call):
+        with pytest.raises(DomainError, match="is not a non-negative integer"):
+            call()
+
+    def test_integral_floats_and_numpy_ints_give_identical_tables(self):
+        u = haar_random_unitary(4, np.random.default_rng(4))
+        for make in TestSharedTables.makers:
+            table = make(u, (1, 0, 1, 0))
+            for state in ((1.0, 0.0, 1.0, 0.0), np.array([1, 0, 1, 0]), tuple(np.array([1, 0, 1, 0], dtype=np.uint8))):
+                same = make(u, state)
+                assert same == table and all(type(k) is int for k in same.input), make.__name__
 
 
 class TestCoincidenceCurves:
