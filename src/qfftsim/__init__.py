@@ -9,8 +9,8 @@ circuit      butterfly synthesis of the Fourier transform and circuit compositio
 layout       planar hypercube waveguide placement for the butterfly circuit
 models       Fock / distinguishable / mean-field output statistics, delay curves
 certify      count tables and CSV, visibilities, violation curves with exact error bars, verdicts
-reconstruct  chi-squared phase reconstruction from singles and visibilities, by a
-             multi-start Levenberg-Marquardt of its own
+reconstruct  chi-squared phase reconstruction from two-photon visibilities, by a
+             multi-start Levenberg-Marquardt of its own; moduli from singles
 cli          the ``qfft`` command-line tool
 """
 

@@ -78,13 +78,10 @@ EXIT_IO = 4
 
 DEFAULT_SEED = 12345
 
-#: Most delay points ``simulate`` accepts: 10^4 points on 8 modes are 360,000
-#: records and raise peak RSS by ~18 MB over the 29 MB of the imported package.
-MAX_POINTS = 10**4
-
-#: Most records ``simulate`` writes, points x m(m+1)/2 output pairs: the
-#: budget of ``MAX_POINTS`` on 8 modes, so memory is bounded for any m.
-MAX_RECORDS = 36 * MAX_POINTS
+#: Most records ``simulate`` writes, points x m(m+1)/2 output pairs, refused
+#: before the delay grid is built: 10^4 points on 8 modes raise peak RSS by
+#: ~18 MB over the 29 MB of the imported package.
+MAX_RECORDS = 360_000
 
 # fixed indices, 1 and 3 unused: a stream's seed never depends on which others exist
 _SEED_STREAMS = {"simulate": 0, "reconstruct": 2}
@@ -111,7 +108,7 @@ def simulate_experiment(
             f"expected counts must be in (0, {MAX_EXPECTED_COUNTS:g}], got {expected_counts}"
         )
     curves = two_photon_coincidences(u, input_pair, delay_model, delta_x, tol=tol)
-    counts = rng.poisson(expected_counts * np.maximum(curves.quantum, 0.0))
+    counts = rng.poisson(expected_counts * curves.quantum)
     order = np.argsort(curves.delta_x, kind="stable")
     return CoincidenceTable(tuple(sorted(curves.input)), curves.delta_x[order], curves.pairs, counts[order])
 
@@ -187,13 +184,17 @@ def _power_of_two(m: int) -> int:
     return m.bit_length() - 1
 
 
+def _zero_based(modes: tuple[int, ...], m: int) -> list[int]:
+    """The 0-based modes of the 1-based ``--input`` labels, each at most m."""
+    if any(k > m for k in modes):
+        raise DomainError(f"--input {modes} out of range for m={m}")
+    return [k - 1 for k in modes]
+
+
 def _input_pair(modes: tuple[int, ...], m: int) -> tuple[int, int]:
     if len(modes) != 2 or modes[0] == modes[1]:
         raise DomainError(f"--input must name two distinct modes, got {modes}")
-    if any(k > m for k in modes):
-        raise DomainError(f"--input {modes} out of range for m={m}")
-    a, b = sorted(k - 1 for k in modes)
-    return a, b
+    return tuple(sorted(_zero_based(modes, m)))
 
 
 def _forbidden_pairs(m: int) -> list[tuple[int, int]]:
@@ -203,8 +204,8 @@ def _forbidden_pairs(m: int) -> list[tuple[int, int]]:
 
 
 def _delay_grid(span: float, points: int) -> np.ndarray:
-    if not 2 <= points <= MAX_POINTS:
-        raise DomainError(f"--points must be in [2, {MAX_POINTS}], got {points}")
+    if points < 2:
+        raise DomainError(f"--points must be at least 2, got {points}")
     if not 0 < span < float("inf"):
         raise DomainError(f"--span must be positive and finite, got {span}")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -257,7 +258,7 @@ def _layout(args) -> None:
 def _evolve(args) -> None:
     modes = _parse_input(args.input)
     u, source = _load_unitary(args)
-    state = occupation_from_modes([k - 1 for k in modes], u.shape[0])
+    state = occupation_from_modes(_zero_based(modes, u.shape[0]), u.shape[0])
     model = {"dist": distinguishable_distribution, "fock": fock_distribution, "mf": mean_field_distribution}
     dist = model[args.model](u, state, unitary_id=source, tol=args.tol)
     _write_json(args.out, dist.to_json())
@@ -270,10 +271,10 @@ def _simulate(args) -> None:
     pair = _input_pair(modes, m)
     model = DelayModel(alpha=args.alpha, coherence_length=args.coherence_length)
     rng = np.random.default_rng(derived_seed(args.seed, "simulate"))
-    grid = _delay_grid(args.span, args.points)
     size = args.points * m * (m + 1) // 2
     if size > MAX_RECORDS:
         raise DomainError(f"--points {args.points} on {m} modes make {size} records, over {MAX_RECORDS}")
+    grid = _delay_grid(args.span, args.points)
     table = simulate_experiment(u, pair, model, grid, args.expected_counts, rng, tol=args.tol)
     _write_text(args.out, functools.partial(write_coincidence_csv, table))
 

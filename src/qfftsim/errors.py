@@ -20,7 +20,7 @@ class DomainError(QfftError, ValueError):
 
 
 class CapacityError(QfftError, ValueError):
-    """The request exceeds a configured size cap (permanent size, enumeration count)."""
+    """The request exceeds a configured size cap (permanent size, entries to build)."""
 
 
 class ValidationError(QfftError, ValueError):
@@ -32,7 +32,7 @@ class UndefinedVisibilityError(DomainError):
 
 
 class NumericalError(QfftError, ArithmeticError):
-    """A numerical consistency check failed (e.g. significantly negative probability)."""
+    """A numerical computation failed (e.g. no restart of a phase fit converged)."""
 
 
 class ConvergenceError(NumericalError):

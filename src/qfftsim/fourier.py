@@ -19,12 +19,11 @@ import numpy as np
 
 from .errors import CapacityError, DomainError
 
-#: Refuse to enumerate more output states than this.
-ENUMERATION_CAP = 10**7
-
-#: Most occupation entries, outputs x modes, of one outcome table or output
-#: partition, refused after the enumeration and before any occupation is
-#: built. An entry costs ~110 bytes from the occupation tuples to the JSON
+#: Most entries one enumeration builds, refused before any is built: outputs
+#: x photons for the rows of :func:`enumerate_outputs`, outputs x max(photons,
+#: modes) for an output partition or outcome table, which hold both the rows
+#: and the occupations, and inputs x modes for :func:`cyclic_inputs`. An
+#: occupation entry costs ~110 bytes from the occupation tuples to the JSON
 #: text of a ``qfft evolve`` table. Just below the cap,
 #: ``qfft evolve --modes 202 --input 1,102`` (4,141,606 entries) peaked at
 #: 444-450 MB RSS and took 2.9-3.7 s under each of the three models; 256
@@ -84,10 +83,14 @@ def cyclic_inputs(n: int, p: int) -> list[FockState]:
         raise DomainError(f"cyclic inputs need n >= 2 photons, got {n}")
     if p < 1:
         raise DomainError(f"exponent p must be >= 1, got {p}")
+    # n^(2p - 1) >= 2^(2p - 1): a large p is refused before any power of it is taken
+    if 2 * p - 1 > MAX_OUTCOME_ENTRIES.bit_length() or n ** (2 * p - 1) > MAX_OUTCOME_ENTRIES:
+        raise CapacityError(
+            f"{n}^{p - 1} cyclic inputs of {n} photons on {n}^{p} modes make {n}^{2 * p - 1} "
+            f"occupation entries, above the cap {MAX_OUTCOME_ENTRIES}"
+        )
     m = n**p
-    if m > ENUMERATION_CAP:
-        raise CapacityError(f"m = {n}^{p} = {m} exceeds enumeration cap {ENUMERATION_CAP}")
-    period = n ** (p - 1)
+    period = m // n
     states = []
     for s in range(period):
         modes = [s + r * period for r in range(n)]
@@ -117,21 +120,27 @@ def enumerate_outputs(n: int, m: int, collision_free_only: bool = False) -> np.n
     """All n-photon outputs on m modes, as an (N, n) array of occupied modes.
 
     Each row lists one output's occupied modes with multiplicity, ascending;
-    the rows are in lexicographic order. This is the one place that refuses
-    n < 1, m < 1 and more than :data:`ENUMERATION_CAP` outputs, checked on
-    every call. The array is shared between calls with the same arguments
-    and is read-only.
+    the rows are in lexicographic order. More than :data:`MAX_OUTCOME_ENTRIES`
+    row entries, N x n, are refused on every call, before any is built. The
+    array is shared between calls with the same arguments and is read-only.
     """
+    _check_entries(n, m, collision_free_only, n, "row")
+    return _outputs(n, m, collision_free_only)
+
+
+def _check_entries(n: int, m: int, collision_free_only: bool, width: int, what: str) -> None:
+    """Refuse n < 1, m < 1 and more than :data:`MAX_OUTCOME_ENTRIES` entries,
+    ``width`` per n-photon output on m modes."""
     if n < 1:
         raise DomainError(f"photon number must be >= 1, got {n}")
     if m < 1:
         raise DomainError(f"mode count must be >= 1, got {m}")
     count = output_count(n, m, collision_free_only)
-    if count > ENUMERATION_CAP:
+    if count * width > MAX_OUTCOME_ENTRIES:
         raise CapacityError(
-            f"{count} outputs of {n} photons on {m} modes exceed enumeration cap {ENUMERATION_CAP}"
+            f"{count} outputs of {n} photons on {m} modes make {count * width} {what} "
+            f"entries, above the cap {MAX_OUTCOME_ENTRIES}"
         )
-    return _outputs(n, m, collision_free_only)
 
 
 @functools.lru_cache(maxsize=4)
@@ -148,17 +157,10 @@ def _output_states(n: int, m: int, collision_free_only: bool) -> tuple[tuple[Foc
     order, and their partition, whose sets hold the same tuple objects; both
     built once per key and shared.
 
-    This is the one check of :data:`MAX_OUTCOME_ENTRIES`, made on every call
-    before any tuple is built. A refusal also drops the shared output arrays,
-    so that the refused rows, up to :data:`ENUMERATION_CAP` of them, are not
-    kept for later calls."""
-    count = output_count(n, m, collision_free_only)
-    if count * m > MAX_OUTCOME_ENTRIES:
-        _outputs.cache_clear()
-        raise CapacityError(
-            f"{count} outputs of {n} photons on {m} modes make {count * m} occupation "
-            f"entries, above the cap {MAX_OUTCOME_ENTRIES}"
-        )
+    More than :data:`MAX_OUTCOME_ENTRIES` entries, outputs x max(n, m) for
+    the rows and the occupations, are refused on every call, before either is
+    built."""
+    _check_entries(n, m, collision_free_only, max(n, m), "occupation" if m >= n else "row")
     return _output_set(n, m, collision_free_only)
 
 
@@ -190,7 +192,7 @@ def output_rank(rows: np.ndarray, m: int) -> np.ndarray:
     lexicographic rank in the combinatorial number system is
     C(m + r - 1, r) - 1 - sum_j C(m + r - 2 - b_j, r - j). Every binomial
     that can occur is at most the output count, so nothing overflows int64
-    while the enumeration cap holds.
+    while :data:`MAX_OUTCOME_ENTRIES` holds.
     """
     r = rows.shape[1]
     rank = np.full(len(rows), output_count(r, m) - 1, dtype=np.int64)
@@ -220,9 +222,8 @@ def partition_outputs(
     """Enumerate the n-photon, m-mode outputs and split them by the rule of
     :func:`is_suppressed`, applied to all outputs at once by :func:`suppressed`.
 
-    The enumeration cap and :data:`MAX_OUTCOME_ENTRIES` are checked on every
-    call, before any occupation is built; the partition is shared between
-    calls with the same arguments, and its sets are frozen and hold the
-    occupation tuples that key the outcome tables of :mod:`qfftsim.models`."""
-    enumerate_outputs(n, m, collision_free_only)
+    :data:`MAX_OUTCOME_ENTRIES` is checked on every call, before any output
+    is built; the partition is shared between calls with the same arguments,
+    and its sets are frozen and hold the occupation tuples that key the
+    outcome tables of :mod:`qfftsim.models`."""
     return _output_states(n, m, collision_free_only)[1]

@@ -51,6 +51,12 @@ def _glynn_signs(k: int) -> tuple[np.ndarray, np.ndarray]:
     return table, weights
 
 
+def check_permanent_cap(n: int) -> None:
+    """Refuse a permanent of size n above :data:`PERMANENT_CAP`; callers check first."""
+    if n > PERMANENT_CAP:
+        raise CapacityError(f"permanent of size {n} exceeds cap {PERMANENT_CAP}")
+
+
 def permanent(a) -> complex:
     """Permanent of a square complex matrix via Glynn's formula.
 
@@ -68,8 +74,7 @@ def permanent(a) -> complex:
     n, n2 = a.shape
     if n != n2:
         raise ShapeError(f"permanent needs a square matrix, got {a.shape}")
-    if n > PERMANENT_CAP:
-        raise CapacityError(f"permanent of size {n} exceeds cap {PERMANENT_CAP}")
+    check_permanent_cap(n)
     if n == 0:
         return complex(1.0)
 
@@ -105,9 +110,10 @@ def unitarity_defect(u) -> float:
     if u.shape[0] != u.shape[1]:
         raise ShapeError(f"unitarity check needs a square matrix, got {u.shape}")
     eye = np.eye(u.shape[0])
-    # a huge or infinite entry gives an inf or NaN defect, which the caller refuses
+    # a huge or infinite entry gives an inf or NaN defect, which the caller
+    # refuses; the 0 x 0 matrix has no entries and no defect
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.max(np.abs(u.conj().T @ u - eye)))
+        return float(np.max(np.abs(u.conj().T @ u - eye), initial=0.0))
 
 
 def assert_unitary(u, tol: float = DEFAULT_TOL, what: str = "matrix") -> np.ndarray:

@@ -35,7 +35,7 @@ from .fourier import (
     output_rank,
     photon_number,
 )
-from .linalg import DEFAULT_TOL, PERMANENT_CAP, assert_unitary, permanent
+from .linalg import DEFAULT_TOL, assert_unitary, check_permanent_cap, permanent
 
 FOCK = "fock"
 DISTINGUISHABLE = "distinguishable"
@@ -52,7 +52,7 @@ MAX_MEAN_FIELD_COEFFICIENTS = 1 << 26
 #: Most array entries the Fock stack or the mean-field expansion holds at
 #: once: outcomes x n x n submatrix entries for the Fock permanents, outcomes
 #: x C(2n - 1, n) phase monomials x n for the mean-field expansion. Keeps
-#: memory flat up to the enumeration cap.
+#: memory flat up to the entry cap of :mod:`qfftsim.fourier`.
 BLOCK_ENTRIES = 1 << 20
 
 
@@ -105,7 +105,8 @@ class DelayModel:
 
     def overlap(self, delta_x):
         dx = np.asarray(delta_x, dtype=float)
-        return self.alpha * np.exp(-((dx / self.coherence_length) ** 2))
+        with np.errstate(over="ignore"):  # a delay past ~1e154 lengths has overlap 0
+            return self.alpha * np.exp(-((dx / self.coherence_length) ** 2))
 
 
 def _check_input(u: np.ndarray, input_state) -> tuple[FockState, int]:
@@ -121,24 +122,20 @@ def _check_input(u: np.ndarray, input_state) -> tuple[FockState, int]:
 def _outcomes(n: int, m: int) -> tuple[tuple[FockState, ...], np.ndarray]:
     """The n-photon outputs on m modes as the shared occupation tuples of
     :mod:`qfftsim.fourier`, which also key :func:`partition_outputs`'s sets,
-    and as the (N, n) occupied-mode rows of :func:`enumerate_outputs`."""
-    rows = enumerate_outputs(n, m)
+    and as the (N, n) occupied-mode rows of :func:`enumerate_outputs`. The
+    tuples come first, so that their entry cap refuses before any row is built."""
     outs, _ = _output_states(n, m, False)
-    return outs, rows
+    return outs, enumerate_outputs(n, m)
 
 
 def _t_factorials(rows: np.ndarray) -> np.ndarray:
     """prod_k t_k! of each (N, n) occupied-mode row, exact: the integer
-    product of each entry's running multiplicity within its ascending row."""
+    product of each entry's running multiplicity within its ascending row, in
+    int64 up to n = 20: the permanent cap and the mean field's cap refuse more."""
     run = np.ones(rows.shape, dtype=np.int64)
     for j in range(1, rows.shape[1]):
         run[:, j] += (rows[:, j] == rows[:, j - 1]) * run[:, j - 1]
     return run.prod(axis=1).astype(float)
-
-
-def _check_permanent_size(n: int) -> None:
-    if n > PERMANENT_CAP:
-        raise DomainError(f"{n} photons exceed the permanent cap {PERMANENT_CAP}")
 
 
 def product_expansion(cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -181,7 +178,7 @@ def fock_distribution(u, input_state, *, unitary_id=None, tol=DEFAULT_TOL) -> Ou
     """
     u = assert_unitary(u, tol=tol, what="evolution matrix")
     state, n = _check_input(u, input_state)
-    _check_permanent_size(n)
+    check_permanent_cap(n)
     outs, rows = _outcomes(n, u.shape[0])
     cols = np.array(occupied_modes(state))
     perms = np.empty(len(outs), dtype=complex)
@@ -200,11 +197,13 @@ def distinguishable_distribution(u, input_state, *, unitary_id=None, tol=DEFAULT
     Classical mixing: P(T | S) = perm(W[T, S]) / prod_k t_k! with
     W = |U|^2 elementwise, the coefficient of x^T in
     prod_j (sum_k W[k, s_j] x_k), all taken at once by
-    :func:`product_expansion`. No interference between particle paths.
+    :func:`product_expansion`. No interference between particle paths. The
+    expansion takes ~n^3/6 Python-level steps whatever the output count, so n
+    is capped as for any permanent, before any output is built.
     """
     u = assert_unitary(u, tol=tol, what="evolution matrix")
     state, n = _check_input(u, input_state)
-    _check_permanent_size(n)
+    check_permanent_cap(n)
     outs, rows = _outcomes(n, u.shape[0])
     probs = product_expansion(np.abs(u[:, occupied_modes(state)]) ** 2, rows)
     return OutcomeDistribution(DISTINGUISHABLE, state, dict(zip(outs, probs.tolist())), unitary_id=unitary_id)

@@ -1,10 +1,11 @@
 """Recovery of the implemented unitary from measurement data.
 
-Element moduli come from single-photon transmission probabilities; the
-circuit's free phase shifters are then fitted to the measured two-photon
+The circuit's free phase shifters are fitted to the measured two-photon
 visibilities by chi-squared minimisation over the phase torus, multi-start
-Levenberg-Marquardt on the analytic residual Jacobian. The solver is in this
-module and needs only numpy.
+Levenberg-Marquardt on the analytic residual Jacobian; the solver is in this
+module and needs only numpy. The fit does not read the singles, the
+single-photon transmission probabilities: they give the element moduli
+(:func:`moduli_from_singles`).
 
 Identifiability caveats, both handled here:
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from qfftsim import cli, models, reconstruct
+from qfftsim import cli, fourier, models, reconstruct
 from qfftsim.certify import CoincidenceTable, read_coincidence_csv, write_coincidence_csv
 from qfftsim.circuit import (
     SYNTH_CAP,
@@ -26,16 +26,28 @@ from qfftsim.cli import (
     EXIT_OK,
     EXIT_VALIDATION,
     DEFAULT_SEED,
-    MAX_POINTS,
     MAX_RECORDS,
     derived_seed,
     main,
     simulate_experiment,
 )
-from qfftsim.errors import DomainError
-from qfftsim.fourier import MAX_OUTCOME_ENTRIES, occupied_modes, partition_outputs, qft_matrix
+from qfftsim.errors import DomainError, QfftError
+from qfftsim.fourier import (
+    MAX_OUTCOME_ENTRIES,
+    cyclic_inputs,
+    enumerate_outputs,
+    occupied_modes,
+    partition_outputs,
+    qft_matrix,
+)
 from qfftsim.linalg import matrix_to_json
-from qfftsim.models import DelayModel, fock_distribution, two_photon_coincidences
+from qfftsim.models import (
+    DelayModel,
+    distinguishable_distribution,
+    fock_distribution,
+    mean_field_distribution,
+    two_photon_coincidences,
+)
 from qfftsim.reconstruct import (
     ReconstructionProblem,
     problem_to_json,
@@ -437,8 +449,9 @@ class TestCurveAndCertifyUnitaryCheck:
     @pytest.mark.parametrize("command", ["curve", "certify"])
     @pytest.mark.parametrize(
         "matrix",
-        [np.where(np.eye(4, dtype=bool), 0.9, 0.3), np.full((4, 2), 0.5), np.full((4, 4), np.nan)],
-        ids=["defect-0.72", "4x2", "nan"],
+        [np.where(np.eye(4, dtype=bool), 0.9, 0.3), np.full((4, 2), 0.5), np.full((4, 4), np.nan),
+         np.empty((0, 0))],
+        ids=["defect-0.72", "4x2", "nan", "0x0"],
     )
     def test_bad_unitary_exits_2(self, command, matrix, counts4, tmp_path, capsys):
         u_path = tmp_path / "u.json"
@@ -525,6 +538,17 @@ class TestReconstructCommand:
         assert "target matrix is not unitary" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_empty_target_exits_2(self, problem4, tmp_path, capsys):
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps(matrix_to_json(np.empty((0, 0)))))
+        out = tmp_path / "r.json"
+        code = run_cli("reconstruct", "--problem", str(problem4), "--target", str(target),
+                       "--restarts", "2", "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert err == "qfft: invalid input: target matrix is (0, 0), expected (4, 4)\n"
+        assert not out.exists()
+
     def test_non_finite_template_phase_exits_2(self, problem4, tmp_path, capsys):
         obj = json.loads(problem4.read_text())
         obj["template"]["layers"][1]["phases"]["1"] = float("nan")  # not a free phase
@@ -592,6 +616,20 @@ class TestErrorPaths:
     def test_bad_input_flag(self, capsys):
         assert run_cli("evolve", "--modes", "4", "--input", "1;3") == EXIT_VALIDATION
 
+    @pytest.mark.parametrize(
+        "argv, labels",
+        [
+            (("evolve", "--input", "5"), "(5,)"),
+            (("simulate", "--input", "1,5"), "(1, 5)"),
+            (("curve", "--data", "counts.csv", "--input", "1,5"), "(1, 5)"),
+            (("certify", "--data", "counts.csv", "--input", "1,5"), "(1, 5)"),
+        ],
+    )
+    def test_input_above_m_is_named_1_based(self, argv, labels, tmp_path, capsys):
+        code = run_cli(*argv, "--modes", "4", "--out", str(tmp_path / "out"))
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"qfft: invalid input: --input {labels} out of range for m=4\n"
+
     def test_bunched_input_for_simulate(self, tmp_path):
         code = run_cli("simulate", "--modes", "4", "--input", "2,2",
                        "--out", str(tmp_path / "x.csv"))
@@ -608,7 +646,7 @@ class TestErrorPaths:
             ("simulate", "--modes", "8", "--input", "1,5", "--counts", "inf"),
             ("simulate", "--modes", "8", "--input", "1,5", "--span", "inf"),
             ("simulate", "--modes", "8", "--input", "1,5", "--points", "100000000000"),
-            ("simulate", "--modes", "8", "--input", "1,5", "--points", str(MAX_POINTS + 1)),
+            ("simulate", "--modes", "8", "--input", "1,5", "--points", str(MAX_RECORDS // 36 + 1)),
             ("simulate", "--modes", "8", "--input", "1,5", "--coherence-length", "nan"),
             ("simulate", "--modes", "8", "--input", "1,5", "--coherence-length", "inf"),
             ("simulate", "--modes", "8", "--input", "1,5", "--span", "1e308", "--points", "3"),
@@ -624,10 +662,12 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("model", ["fock", "dist", "mf"])
     def test_enumeration_cap_exits_2_at_once(self, model, capsys):
+        # C(259, 4) = 183,181,376 outputs
         code = run_cli("evolve", "--modes", "256", "--input", "1,65,129,193", "--model", model)
         err = capsys.readouterr().err
         assert code == EXIT_VALIDATION
-        assert err.startswith("qfft: invalid input:") and "enumeration cap" in err
+        assert err.startswith("qfft: invalid input:")
+        assert f"make {183181376 * 256} occupation entries, above the cap {MAX_OUTCOME_ENTRIES}" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
@@ -678,7 +718,8 @@ class TestSizeCaps:
 
     @pytest.mark.parametrize(
         "modes, points, allowed",
-        [(15, 3000, True), (15, 3001, False), (128, 43, True), (128, 44, False), (1024, 41, False)],
+        [(4, 36000, True), (4, 36001, False), (15, 3000, True), (15, 3001, False), (128, 43, True),
+         (128, 44, False), (1024, 41, False)],
     )
     def test_record_cap_at_its_boundary(self, modes, points, allowed, monkeypatch, tmp_path, capsys):
         size = points * modes * (modes + 1) // 2
@@ -695,6 +736,43 @@ class TestSizeCaps:
         else:
             assert code == EXIT_VALIDATION
             assert f"make {size} records, over {MAX_RECORDS}" in err
+
+    @pytest.mark.parametrize(
+        "call, module, budget, builders, built",
+        [
+            (lambda out: enumerate_outputs(2, 4), fourier, 20, ["_outputs"], "20 row entries"),
+            (lambda out: partition_outputs(2, 4), fourier, 40, ["_outputs", "_output_set"],
+             "40 occupation entries"),
+            (lambda out: fock_distribution(qft_matrix(4), (1, 0, 1, 0)), fourier, 40,
+             ["_outputs", "_output_set"], "40 occupation entries"),
+            (lambda out: distinguishable_distribution(qft_matrix(4), (1, 0, 1, 0)), fourier, 40,
+             ["_outputs", "_output_set"], "40 occupation entries"),
+            (lambda out: mean_field_distribution(qft_matrix(4), (1, 0, 1, 0)), fourier, 40,
+             ["_outputs", "_output_set"], "40 occupation entries"),
+            (lambda out: cyclic_inputs(2, 2), fourier, 8, ["occupation_from_modes"], "2\\^3 occupation entries"),
+            # 3 points x 10 output pairs
+            (lambda out: cli._simulate(cli._build_parser().parse_args(
+                ["simulate", "--modes", "4", "--input", "1,3", "--points", "3", "--out", out])),
+             cli, 30, ["_delay_grid"], "30 records"),
+        ],
+        ids=["enumerate_outputs", "partition_outputs", "fock", "dist", "mf", "cyclic_inputs", "simulate"],
+    )
+    def test_one_over_the_budget_is_refused_before_building(self, call, module, budget, builders, built,
+                                                            monkeypatch, tmp_path):
+        cap = "MAX_RECORDS" if module is cli else "MAX_OUTCOME_ENTRIES"
+        out = str(tmp_path / "out")
+
+        def unbuildable(*args, **kwargs):
+            raise AssertionError("built before the cap was checked")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(module, cap, budget - 1)
+            for name in builders:
+                patch.setattr(module, name, unbuildable)
+            with pytest.raises(QfftError, match=f"make {built}, "):
+                call(out)
+        monkeypatch.setattr(module, cap, budget)
+        call(out)
 
     @pytest.mark.parametrize("model", ["fock", "dist", "mf"])
     def test_outcome_table_above_the_cap_exits_2(self, model, tmp_path, capsys):
@@ -1004,7 +1082,7 @@ class TestFuzz:
 
     @settings(max_examples=80, deadline=None, derandomize=True, phases=(Phase.explicit, Phase.generate))
     @given(
-        points=st.one_of(st.integers(-2, 40), st.sampled_from([MAX_POINTS + 1, 10**11])),
+        points=st.one_of(st.integers(-2, 40), st.sampled_from([MAX_RECORDS // 10 + 1, 10**11])),
         span=st.one_of(st.floats(1, 1000), _ANY_FLOAT),
         alpha=st.one_of(st.floats(0, 1), _ANY_FLOAT),
         coherence=st.one_of(st.floats(1, 1000), _ANY_FLOAT),

@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import combinations, combinations_with_replacement
 
 import numpy as np
@@ -68,6 +69,16 @@ class TestCyclicInputs:
     def test_rejects_single_photon(self):
         with pytest.raises(DomainError):
             cyclic_inputs(1, 3)
+
+    def test_at_the_entry_cap(self):
+        # 4^5 inputs x 4^6 modes = 2^22 occupation entries
+        assert len(cyclic_inputs(4, 6)) == 4**5
+
+    @pytest.mark.parametrize("n,p,entries", [(2, 12, "2^23"), (3, 8, "3^15"), (2, 10**9, "2^1999999999")])
+    def test_refused_above_the_entry_cap(self, n, p, entries):
+        # no power of a huge p is taken
+        with pytest.raises(CapacityError, match=rf"on {n}\^{p} modes make {re.escape(entries)} occupation entries"):
+            cyclic_inputs(n, p)
 
 
 class TestIsSuppressed:
@@ -206,12 +217,16 @@ class TestSharedTables:
         assert rows.tolist() == [list(c) for c in combinations_with_replacement(range(5), 3)]
 
     def test_enumeration_cap_holds_after_a_cached_call(self, monkeypatch):
+        # 10 outputs: 20 row entries, 40 with their occupations over 4 modes
         enumerate_outputs(2, 4)
         partition_outputs(2, 4)
-        monkeypatch.setattr(fourier, "ENUMERATION_CAP", 9)
-        for call in (enumerate_outputs, partition_outputs):
-            with pytest.raises(CapacityError, match="10 outputs of 2 photons on 4 modes exceed"):
-                call(2, 4)
+        monkeypatch.setattr(fourier, "MAX_OUTCOME_ENTRIES", 19)
+        with pytest.raises(CapacityError, match="10 outputs of 2 photons on 4 modes make 20 row entries"):
+            enumerate_outputs(2, 4)
+        monkeypatch.setattr(fourier, "MAX_OUTCOME_ENTRIES", 20)
+        assert len(enumerate_outputs(2, 4)) == 10
+        with pytest.raises(CapacityError, match="10 outputs of 2 photons on 4 modes make 40 occupation entries"):
+            partition_outputs(2, 4)
 
     def test_entry_cap_holds_after_a_cached_call(self, monkeypatch):
         partition_outputs(2, 4)
@@ -221,9 +236,10 @@ class TestSharedTables:
 
     def test_refused_rows_are_not_kept(self):
         enumerate_outputs(2, 4)
+        before = fourier._outputs.cache_info(), fourier._output_set.cache_info()
         with pytest.raises(CapacityError, match="make 536346624 occupation entries"):
             partition_outputs(2, 1024, collision_free_only=True)
-        assert fourier._outputs.cache_info().currsize == 0
+        assert (fourier._outputs.cache_info(), fourier._output_set.cache_info()) == before
         assert enumerate_outputs(2, 4).tolist() == [list(c) for c in combinations_with_replacement(range(4), 2)]
 
     def test_more_keys_than_the_cache_holds(self):

@@ -332,8 +332,11 @@ class TestProductExpansion:
 class TestPermanentCap:
     @pytest.mark.parametrize("make", [fock_distribution, distinguishable_distribution])
     def test_refused_above_the_cap(self, make):
-        with pytest.raises(DomainError, match="21 photons exceed the permanent cap 20"):
+        # refused before any output is built or looked up
+        before = fourier._outputs.cache_info(), fourier._output_set.cache_info()
+        with pytest.raises(CapacityError, match="^permanent of size 21 exceeds cap 20$"):
             make(qft_matrix(2), (21, 0))
+        assert (fourier._outputs.cache_info(), fourier._output_set.cache_info()) == before
 
     def test_distinguishable_at_the_cap(self):
         # each photon leaves a balanced coupler by either port: Binomial(20, 1/2)
@@ -386,11 +389,12 @@ class TestEnumerationCap:
             make(qft_matrix(256), occupation_from_modes([0, 64, 128, 192], 256))
 
     def test_boundary(self, monkeypatch):
-        monkeypatch.setattr(fourier, "ENUMERATION_CAP", 9)
-        with pytest.raises(CapacityError):
-            fock_distribution(qft_matrix(4), (1, 0, 1, 0))
-        monkeypatch.setattr(fourier, "ENUMERATION_CAP", 10)
-        assert len(fock_distribution(qft_matrix(4), (1, 0, 1, 0)).probabilities) == 10
+        # more photons than modes: 4 outputs x 3 photons, the rows outgrow the occupations
+        monkeypatch.setattr(fourier, "MAX_OUTCOME_ENTRIES", 11)
+        with pytest.raises(CapacityError, match="4 outputs of 3 photons on 2 modes make 12 row entries"):
+            fock_distribution(qft_matrix(2), (3, 0))
+        monkeypatch.setattr(fourier, "MAX_OUTCOME_ENTRIES", 12)
+        assert len(fock_distribution(qft_matrix(2), (3, 0)).probabilities) == 4
 
     @pytest.mark.parametrize(
         "make", [fock_distribution, distinguishable_distribution, mean_field_distribution]
@@ -417,8 +421,8 @@ class TestEnumerationCap:
     )
     def test_one_cap_check_in_fourier(self, enumerate_, monkeypatch):
         # two photons on four modes have N = 10 outputs
-        monkeypatch.setattr(fourier, "ENUMERATION_CAP", 9)
-        with pytest.raises(CapacityError, match="10 outputs of 2 photons on 4 modes"):
+        monkeypatch.setattr(fourier, "MAX_OUTCOME_ENTRIES", 39)
+        with pytest.raises(CapacityError, match="^10 outputs of 2 photons on 4 modes make 40 occupation entries, above the cap 39$"):
             enumerate_()
 
 
@@ -431,13 +435,11 @@ class TestSharedTables:
     def test_caps_hold_after_a_cached_call(self, make, monkeypatch):
         u, state = qft_matrix(4), (1, 0, 1, 0)
         assert len(make(u, state).probabilities) == 10
-        monkeypatch.setattr(fourier, "ENUMERATION_CAP", 9)
-        with pytest.raises(CapacityError, match="10 outputs of 2 photons on 4 modes exceed"):
-            make(u, state)
-        monkeypatch.setattr(fourier, "ENUMERATION_CAP", 10)
         monkeypatch.setattr(fourier, "MAX_OUTCOME_ENTRIES", 39)
         with pytest.raises(CapacityError, match="10 outputs of 2 photons on 4 modes make 40 "):
             make(u, state)
+        monkeypatch.setattr(fourier, "MAX_OUTCOME_ENTRIES", 40)
+        assert len(make(u, state).probabilities) == 10
 
     def test_more_keys_than_the_cache_holds(self):
         fourier._output_set.cache_clear()
@@ -588,6 +590,11 @@ class TestDelayModel:
         assert np.all(ov >= 0) and np.all(ov <= 0.9)
         assert model.overlap(0.0) == pytest.approx(0.9)
         assert model.overlap(1e6) == pytest.approx(0.0, abs=1e-300)
+
+    def test_delay_that_overflows_the_ratio_has_no_overlap(self):
+        # (dx / length)^2 overflows to inf; RuntimeWarnings are errors in this suite
+        model = DelayModel(alpha=0.5, coherence_length=1e-250)
+        assert model.overlap([-1e305, 0.0, 1e305]).tolist() == [0.0, 0.5, 0.0]
 
     def test_validation(self):
         with pytest.raises(DomainError):
