@@ -93,13 +93,13 @@ class CoincidenceTable:
         counts = counts[keep]
         pairs = list(map(tuple, pairs.tolist()))
         cell = row * len(pairs) + col
-        repeats = np.setdiff1d(np.arange(len(cell)), np.unique(cell, return_index=True)[1], assume_unique=True)
-        outside = np.flatnonzero((counts < 0) | (counts > int(MAX_EXPECTED_COUNTS)))
-        faulty = np.union1d(repeats[:1], outside[:1])
+        repeat = np.ones(len(cell), dtype=bool)
+        repeat[np.unique(cell, return_index=True)[1]] = False
+        faulty = np.flatnonzero(repeat | (counts < 0) | (counts > int(MAX_EXPECTED_COUNTS)))
         if faulty.size:
             k = faulty[0]
             where = f"delay {delta_x[k]} and output pair {pairs[col[k]]}"
-            if k in repeats:
+            if repeat[k]:
                 raise DomainError(f"duplicate counts for {where}")
             if counts[k] < 0:
                 raise DomainError(f"counts must be non-negative, got {counts[k]}")

@@ -22,13 +22,10 @@ from .errors import CapacityError, DomainError
 #: Most entries one enumeration builds, refused before any is built: outputs
 #: x photons for the rows of :func:`enumerate_outputs`, outputs x max(photons,
 #: modes) for an output partition or outcome table, which hold both the rows
-#: and the occupations, and inputs x modes for :func:`cyclic_inputs`. An
-#: occupation entry costs ~110 bytes from the occupation tuples to the JSON
-#: text of a ``qfft evolve`` table. Just below the cap,
-#: ``qfft evolve --modes 202 --input 1,102`` (4,141,606 entries) peaked at
-#: 444-450 MB RSS and took 2.9-3.7 s under each of the three models; 256
-#: modes (8.4 million entries) peaked at 913 MB before this cap existed, in
-#: a process that also held scipy.optimize (~48 MB); no command loads scipy now.
+#: and the occupations, and inputs x modes for :func:`cyclic_inputs`. Just
+#: below the cap, ``qfft evolve --modes 202 --input 1,102`` (20,503 outputs,
+#: 4,141,606 occupation entries) peaked at 105-106 MB RSS and took 2.9-4.3 s
+#: under each of the three models on a 2-core x86 host.
 MAX_OUTCOME_ENTRIES = 1 << 22
 
 FockState = tuple[int, ...]
@@ -99,20 +96,20 @@ def cyclic_inputs(n: int, p: int) -> list[FockState]:
 
 
 def is_suppressed(output, n: int) -> bool:
-    """True iff the multiplicity-weighted sum of 1-based occupied mode labels
-    of ``output`` is not divisible by the photon number ``n``."""
+    """Whether :func:`suppressed` forbids the n-photon occupation tuple ``output``."""
+    if n < 1:
+        raise DomainError(f"photon number must be >= 1, got {n}")
     output = check_state(output)
     total = photon_number(output)
     if total != n:
         raise DomainError(f"output has {total} photons, expected n={n}")
-    label_sum = sum((k + 1) * occ for k, occ in enumerate(output))
-    return label_sum % n != 0
+    return bool(suppressed(np.array([occupied_modes(output)]))[0])
 
 
 def suppressed(rows: np.ndarray) -> np.ndarray:
-    """Which (N, n) occupied-mode rows of n-photon outputs the rule of
-    :func:`is_suppressed` forbids, all at once: the 1-based label sum is the
-    0-based sum of the occupied modes plus n."""
+    """Which (N, n) occupied-mode rows of n-photon outputs the suppression law
+    forbids: those whose multiplicity-weighted sum of 1-based mode labels is
+    not divisible by n. That sum is the 0-based sum of a row plus n."""
     return rows.sum(axis=1) % rows.shape[1] != 0
 
 
@@ -220,7 +217,7 @@ def partition_outputs(
     collision_free_only: bool = False,
 ) -> OutputPartition:
     """Enumerate the n-photon, m-mode outputs and split them by the rule of
-    :func:`is_suppressed`, applied to all outputs at once by :func:`suppressed`.
+    :func:`suppressed`, applied to all outputs at once.
 
     :data:`MAX_OUTCOME_ENTRIES` is checked on every call, before any output
     is built; the partition is shared between calls with the same arguments,

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import CapacityError, DomainError, ShapeError
 from .fourier import (
     FockState,
     _output_states,
@@ -42,11 +42,11 @@ DISTINGUISHABLE = "distinguishable"
 MEAN_FIELD = "mean_field"
 
 #: Most coefficients of a mean-field table: N outputs x C(2n - 1, n) phase
-#: monomials each, refused before the expansion starts. On a 2-core x86 host,
-#: ``qfft evolve --model mf`` took 10.5 s at 46 MB peak RSS for 8 photons on
-#: 8 modes (41,409,225 coefficients) and 7.2 s for 6 photons on 18 modes
-#: (46,637,514), whose 100,947-output JSON artifact peaks at 326 MB, as
-#: ``--model dist`` does. 7 photons on 14 modes (133,024,320) are refused.
+#: monomials each, refused before any output is built. On a 2-core x86 host,
+#: ``qfft evolve --model mf`` took 10.9 s at 46 MB peak RSS for 8 photons on
+#: 8 modes (41,409,225 coefficients) and 6.7 s at 108 MB for 6 photons on 18
+#: modes (46,637,514, 100,947 outputs). 7 photons on 14 modes (133,024,320)
+#: are refused in under a millisecond.
 MAX_MEAN_FIELD_COEFFICIENTS = 1 << 26
 
 #: Most array entries the Fock stack or the mean-field expansion holds at
@@ -73,7 +73,7 @@ class OutcomeDistribution:
             "model": self.model,
             "input": list(self.input),
             "probabilities": [
-                {"output": list(state), "p": prob}
+                {"output": state, "p": prob}
                 for state, prob in sorted(self.probabilities.items())
             ],
         }
@@ -109,14 +109,16 @@ class DelayModel:
             return self.alpha * np.exp(-((dx / self.coherence_length) ** 2))
 
 
-def _check_input(u: np.ndarray, input_state) -> tuple[FockState, int]:
+def _check_input(u, input_state, tol: float) -> tuple[np.ndarray, FockState, int]:
+    """The checked unitary, input occupation tuple and photon number."""
+    u = assert_unitary(u, tol=tol, what="evolution matrix")
     state = check_state(input_state)
     if len(state) != u.shape[0]:
         raise ShapeError(f"input has {len(state)} modes but the unitary is {u.shape[0]}x{u.shape[0]}")
     n = photon_number(state)
     if n < 1:
         raise DomainError("input must carry at least one photon")
-    return state, n
+    return u, state, n
 
 
 def _outcomes(n: int, m: int) -> tuple[tuple[FockState, ...], np.ndarray]:
@@ -176,8 +178,7 @@ def fock_distribution(u, input_state, *, unitary_id=None, tol=DEFAULT_TOL) -> Ou
     submatrix repeats rows (columns) according to the output (input)
     occupations; one :func:`permanent` call per output T.
     """
-    u = assert_unitary(u, tol=tol, what="evolution matrix")
-    state, n = _check_input(u, input_state)
+    u, state, n = _check_input(u, input_state, tol)
     check_permanent_cap(n)
     outs, rows = _outcomes(n, u.shape[0])
     cols = np.array(occupied_modes(state))
@@ -201,8 +202,7 @@ def distinguishable_distribution(u, input_state, *, unitary_id=None, tol=DEFAULT
     expansion takes ~n^3/6 Python-level steps whatever the output count, so n
     is capped as for any permanent, before any output is built.
     """
-    u = assert_unitary(u, tol=tol, what="evolution matrix")
-    state, n = _check_input(u, input_state)
+    u, state, n = _check_input(u, input_state, tol)
     check_permanent_cap(n)
     outs, rows = _outcomes(n, u.shape[0])
     probs = product_expansion(np.abs(u[:, occupied_modes(state)]) ** 2, rows)
@@ -224,12 +224,6 @@ def is_cyclic_state(state) -> bool:
     return all(modes[r] == modes[0] + r * period for r in range(n))
 
 
-def _require_cyclic(state) -> list[int]:
-    if not is_cyclic_state(state):
-        raise DomainError(f"input {tuple(state)} is not a collision-free cyclic state")
-    return occupied_modes(state)
-
-
 def mean_field_distribution(u, input_state, *, unitary_id=None, tol=DEFAULT_TOL) -> OutcomeDistribution:
     """Phase-averaged mean-field outcome distribution for a cyclic input.
 
@@ -244,18 +238,20 @@ def mean_field_distribution(u, input_state, *, unitary_id=None, tol=DEFAULT_TOL)
     exact for any n (Tichy, Mayer, Buchleitner & Molmer, PRL 113, 020502
     (2014)). :func:`product_expansion` gives the C(2n - 1, n) coefficients of
     every output, a block of outputs at a time; more than
-    :data:`MAX_MEAN_FIELD_COEFFICIENTS` in all are refused before the first.
+    :data:`MAX_MEAN_FIELD_COEFFICIENTS` in all are refused before any output
+    is built.
     """
-    u = assert_unitary(u, tol=tol, what="evolution matrix")
-    state, n = _check_input(u, input_state)
-    modes = _require_cyclic(state)
-    outs, rows = _outcomes(n, u.shape[0])
-    count = len(rows) * output_count(n, n)
+    u, state, n = _check_input(u, input_state, tol)
+    if not is_cyclic_state(state):
+        raise DomainError(f"input {state} is not a collision-free cyclic state")
+    count = output_count(n, u.shape[0]) * output_count(n, n)
     if count > MAX_MEAN_FIELD_COEFFICIENTS:
-        raise DomainError(
+        raise CapacityError(
             f"the mean field of {n} photons on {u.shape[0]} modes needs {count} expansion "
             f"coefficients, above the cap {MAX_MEAN_FIELD_COEFFICIENTS}"
         )
+    outs, rows = _outcomes(n, u.shape[0])
+    modes = occupied_modes(state)
     monomials = enumerate_outputs(n, n)
     weight = np.empty(len(rows))
     step = max(1, BLOCK_ENTRIES // (len(monomials) * n))

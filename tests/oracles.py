@@ -5,7 +5,8 @@ literal permutation sum, a circuit is a dense product of one full matrix per
 phase layer, coupler layer and the output permutation, outcome probabilities
 are evaluated one outcome at a time, the mean-field average is a dense phase
 grid, or a sum of permanents over the ways to hand the photons to the input
-modes, Monte Carlo trials run one per loop iteration (redrawing every count,
+modes, the first two moments of a table come from closed forms summed
+over pairs of photons, Monte Carlo trials run one per loop iteration (redrawing every count,
 or only the reference counts with each row's conditional mean and variance
 summed term by term), the exact error bar is summed term by term, the
 inverse moments of a zero-truncated Poisson count come from closed forms and
@@ -134,6 +135,40 @@ def mean_field_probability(u, input_state, output_state) -> float:
         total += abs(perm) ** 2 / math.prod(math.factorial(c) for c in counts) ** 2
     norm = n**n * math.prod(math.factorial(t) for t in output_state)
     return math.factorial(n) * total / norm
+
+
+def mean_occupations(u, modes) -> np.ndarray:
+    """<n_i> = sum_a |U[i, s_a]|^2 for single photons in the distinct input
+    ``modes`` s_a: the same under every model."""
+    return (np.abs(np.asarray(u, dtype=complex)[:, modes]) ** 2).sum(axis=1)
+
+
+def pair_moments(u, modes, model: str) -> np.ndarray:
+    """<n_i n_k> at i != k, and <n_i (n_i - 1)> at i = k, for single photons in
+    the distinct input ``modes``, in closed form (Walschaers et al., NJP 18,
+    032001 (2016)). With V = U[:, modes] and W = |V|^2, summed over ordered
+    pairs a != b of photons:
+
+    * ``distinguishable``: sum W[i, a] W[k, b];
+    * ``fock``: that sum plus sum V[i, a] V*[k, a] V[k, b] V*[i, b];
+    * ``mean_field``: (n - 1)/n (<n_i><n_k> + |(V V^dagger)[i, k]|^2 - (W W^T)[i, k]),
+      the phase average of n(n - 1) pi_i pi_k for pi = |V y|^2 / n.
+    """
+    v = np.asarray(u, dtype=complex)[:, modes]
+    w = np.abs(v) ** 2
+    n = len(modes)
+    if model == "mean_field":
+        mean = w.sum(axis=1)
+        return (n - 1) / n * (np.outer(mean, mean) + np.abs(v @ v.conj().T) ** 2 - w @ w.T)
+    total = np.zeros((len(v), len(v)))
+    for a in range(n):
+        for b in range(n):
+            if a == b:
+                continue
+            total += np.outer(w[:, a], w[:, b])
+            if model == "fock":
+                total += (np.outer(v[:, a], v[:, a].conj()) * np.outer(v[:, b], v[:, b].conj()).T).real
+    return total
 
 
 def mean_field_grid(u, modes, outputs, grid: int = 64) -> list[float]:

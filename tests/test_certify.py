@@ -178,6 +178,21 @@ class TestViolationCurve:
                 (0, 2), delays + [0.0], outputs + [self.pairs[1]], counts + [900000], self.pairs
             )
 
+    @pytest.mark.parametrize("duplicate_first", [True, False], ids=["duplicate-first", "count-first"])
+    def test_earlier_of_two_faulty_rows_is_named(self, duplicate_first):
+        delays, outputs, counts = make_cells({0.0: {pair: 100 for pair in self.pairs}})
+        first, second = self.pairs[:2]
+        if duplicate_first:  # row 1 repeats row 0's cell, row 2 holds a count out of range
+            rows = [(first, 100), (first, 100), (second, 10**19)]
+            message = f"duplicate counts for delay 0.0 and output pair {first}"
+        else:  # row 0 holds a count out of range, row 2 repeats row 1's cell
+            rows = [(first, 10**19), (second, 100), (second, 100)]
+            message = f"counts {10**19} at delay 0.0 and output pair {first} exceed the Poisson sampler's limit"
+        outputs = [pair for pair, _ in rows] + outputs[2:]
+        counts = [n for _, n in rows] + counts[2:]
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
+            CoincidenceTable.from_cells((0, 2), [0.0] * len(outputs), outputs, counts, self.pairs)
+
     def test_repeated_simulated_delay_rejected(self):
         u = qft_matrix(4)
         table = simulate_experiment(u, (0, 2), DelayModel(), [0.0, 0.0, 300.0], 1e4, np.random.default_rng(1))

@@ -660,14 +660,23 @@ class TestErrorPaths:
         assert "Traceback" not in err
 
 
-    @pytest.mark.parametrize("model", ["fock", "dist", "mf"])
-    def test_enumeration_cap_exits_2_at_once(self, model, capsys):
+    @pytest.mark.parametrize(
+        "model, message",
+        [
+            ("fock", f"make {183181376 * 256} occupation entries, above the cap {MAX_OUTCOME_ENTRIES}"),
+            ("dist", f"make {183181376 * 256} occupation entries, above the cap {MAX_OUTCOME_ENTRIES}"),
+            # the mean field's coefficient budget, C(7, 4) = 35 per output, is checked first
+            ("mf", f"needs {183181376 * 35} expansion coefficients, above the cap {models.MAX_MEAN_FIELD_COEFFICIENTS}"),
+        ],
+        ids=["fock", "dist", "mf"],
+    )
+    def test_enumeration_cap_exits_2_at_once(self, model, message, capsys):
         # C(259, 4) = 183,181,376 outputs
         code = run_cli("evolve", "--modes", "256", "--input", "1,65,129,193", "--model", model)
         err = capsys.readouterr().err
         assert code == EXIT_VALIDATION
         assert err.startswith("qfft: invalid input:")
-        assert f"make {183181376 * 256} occupation entries, above the cap {MAX_OUTCOME_ENTRIES}" in err
+        assert message in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(

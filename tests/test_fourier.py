@@ -103,6 +103,10 @@ class TestIsSuppressed:
         with pytest.raises(DomainError):
             is_suppressed((1, 0, 1, 0), 3)
 
+    def test_zero_photons_refused(self):
+        with pytest.raises(DomainError, match="^photon number must be >= 1, got 0$"):
+            is_suppressed((0, 0, 0, 0), 0)
+
 
 class TestPartitionOutputs:
     def test_m4_collision_free(self):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfftsim import fourier, models
@@ -38,6 +38,8 @@ from oracles import (
     mean_field_grid,
     mean_field_pair_grid,
     mean_field_probability,
+    mean_occupations,
+    pair_moments,
     permanent_definition,
 )
 
@@ -223,12 +225,23 @@ class TestMeanField:
         # two photons on four modes: 10 outputs x C(3, 2) = 3 phase monomials
         monkeypatch.setattr(models, "MAX_MEAN_FIELD_COEFFICIENTS", 29)
         with monkeypatch.context() as patch:
-            patch.setattr(models, "product_expansion", None)  # refused before any is expanded
-            with pytest.raises(DomainError, match="needs 30 expansion coefficients, above the cap 29"):
+            patch.setattr(models, "_outcomes", None)  # refused before any output is built
+            with pytest.raises(CapacityError, match="needs 30 expansion coefficients, above the cap 29"):
                 mean_field_distribution(qft_matrix(4), (1, 0, 1, 0))
         monkeypatch.setattr(models, "MAX_MEAN_FIELD_COEFFICIENTS", 30)
         dist = mean_field_distribution(qft_matrix(4), (1, 0, 1, 0))
         assert dist.total() == pytest.approx(1.0, abs=1e-12)
+
+    def test_refused_before_any_output_is_built(self, monkeypatch):
+        # 7 photons on 14 modes: C(20, 7) = 77,520 outputs x C(13, 7) = 1716 monomials
+        monkeypatch.setattr(fourier, "occupations", None)
+        before = fourier._outputs.cache_info(), fourier._output_set.cache_info()
+        with pytest.raises(CapacityError, match=(
+            "^the mean field of 7 photons on 14 modes needs 133024320 expansion coefficients, "
+            f"above the cap {models.MAX_MEAN_FIELD_COEFFICIENTS}$"
+        )):
+            mean_field_distribution(qft_matrix(14), (1, 0) * 7)
+        assert (fourier._outputs.cache_info(), fourier._output_set.cache_info()) == before
 
     def test_cap_admits_eight_photons_on_eight_modes(self):
         # N = C(m + n - 1, n) outputs x K = C(2n - 1, n) monomials
@@ -282,6 +295,68 @@ class TestPerOutcomeOracles:
         whole = fock_distribution(u, state).probabilities
         monkeypatch.setattr(models, "BLOCK_ENTRIES", 100)  # 6 of the 330 outcomes per block
         assert fock_distribution(u, state).probabilities == whole
+
+
+MODELS = [fock_distribution, distinguishable_distribution, mean_field_distribution]
+
+#: (n, m / n) of every cyclic input of 2-6 photons on at most 12 modes
+CYCLIC_SHAPES = [(n, period) for n in range(2, 7) for period in range(1, 12 // n + 1)]
+
+
+def table_moments(dist):
+    """<n_i> and <n_i n_k - delta_ik n_i> of an outcome table."""
+    outs = np.array(list(dist.probabilities), dtype=float)
+    p = np.array(list(dist.probabilities.values()))
+    first = p @ outs
+    return first, (outs.T * p) @ outs - np.diag(first)
+
+
+class TestMomentOracles:
+    """Whole tables of cyclic inputs on Haar unitaries against closed-form
+    moments, at sizes the per-outcome oracles cannot reach."""
+
+    @pytest.mark.parametrize("model", MODELS)
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(shape=st.sampled_from(CYCLIC_SHAPES), first=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+    @example(shape=(6, 2), first=1, seed=0)
+    def test_mean_occupations(self, model, shape, first, seed):
+        u, modes = self.haar_and_cyclic_modes(shape, first, seed)
+        means, _ = table_moments(model(u, occupation_from_modes(modes, len(u))))
+        assert np.abs(means - mean_occupations(u, modes)).max() <= 1e-13
+
+    @pytest.mark.parametrize("model", MODELS)
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(shape=st.sampled_from(CYCLIC_SHAPES), first=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+    @example(shape=(6, 2), first=1, seed=0)
+    def test_pair_moments(self, model, shape, first, seed):
+        u, modes = self.haar_and_cyclic_modes(shape, first, seed)
+        dist = model(u, occupation_from_modes(modes, len(u)))
+        _, pairs = table_moments(dist)
+        assert np.abs(pairs - pair_moments(u, modes, dist.model)).max() <= 1e-13
+
+    @staticmethod
+    def haar_and_cyclic_modes(shape, first, seed):
+        n, period = shape
+        u = haar_random_unitary(n * period, np.random.default_rng(seed))
+        return u, list(range(first % period, n * period, period))
+
+
+class TestOutputTranslation:
+    # a row shift of the Fourier matrix puts a phase on each column, so every
+    # table, of any input, is invariant under the output translation T -> T + 1 mod m
+    @pytest.mark.parametrize("model", MODELS)
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(shape=st.sampled_from(CYCLIC_SHAPES), picks=st.lists(st.integers(0, 2**31), min_size=1, max_size=4))
+    def test_fourier_tables(self, model, shape, picks):
+        n, period = shape
+        m = n * period
+        if model is mean_field_distribution:
+            modes = range(picks[0] % period, m, period)
+        else:
+            modes = [k % m for k in picks]
+        probs = model(qft_matrix(m), occupation_from_modes(modes, m)).probabilities
+        for out, p in probs.items():
+            assert abs(probs[out[-1:] + out[:-1]] - p) <= 1e-15, out
 
 
 class TestProductExpansion:
