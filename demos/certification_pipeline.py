@@ -13,7 +13,6 @@ import numpy as np
 from qfftsim import DelayModel, certify, qft_matrix, violation_curve
 from qfftsim.certify import classical_pair_probabilities
 from qfftsim.cli import simulate_experiment
-from qfftsim.fourier import occupied_modes, partition_outputs
 
 
 def main():
@@ -28,9 +27,7 @@ def main():
     print(f"simulated {table.counts.size} coincidence counts "
           f"({len(table.delays)} delays x {len(table.pairs)} output pairs)")
 
-    partition = partition_outputs(2, m, collision_free_only=True)
-    pairs = sorted(tuple(occupied_modes(s)) for s in partition.forbidden)
-    pc = classical_pair_probabilities(u, input_pair, pairs)
+    pc = classical_pair_probabilities(u, input_pair)
 
     curve = violation_curve(table, pc)
     print("\nviolation degree versus delay (expected: 0.5 plateau, 0.025 floor):")

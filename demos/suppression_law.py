@@ -31,12 +31,13 @@ def main():
         n = 2
         m = n**p
         u = qft_matrix(m)
-        partition = partition_outputs(n, m, collision_free_only=True)
+        partition = partition_outputs(n, m)
         print(f"\n=== m = {m} modes, n = {n} photons ===")
-        print(f"collision-free outputs: {len(partition.forbidden)} forbidden, "
-              f"{len(partition.allowed)} allowed")
+        forbidden, allowed = (
+            [s for s in sorted(part) if max(s) == 1] for part in (partition.forbidden, partition.allowed)
+        )
+        print(f"collision-free outputs: {len(forbidden)} forbidden, {len(allowed)} allowed")
 
-        forbidden = sorted(partition.forbidden)
         for state in cyclic_inputs(n, p):
             fock = forbidden_mass(fock_distribution(u, state), forbidden)
             dist = forbidden_mass(distinguishable_distribution(u, state), forbidden)

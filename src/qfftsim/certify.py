@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParseError, UndefinedVisibilityError
+from .fourier import enumerate_outputs, suppressed
 from .models import two_photon_probabilities
 
 #: Reference violation degrees for two-photon inputs.
@@ -126,8 +127,9 @@ class ViolationReport:
     d_distinguishable: float = D_DISTINGUISHABLE
     d_mean_field: float = D_MEAN_FIELD
 
-    def to_json(self, pc_source: str | None = None, **extra) -> dict:
-        obj = {
+    def to_json(self) -> dict:
+        """The report's fields; no provenance."""
+        return {
             "d_obs": self.d_obs,
             "sigma": self.sigma,
             "d_distinguishable": self.d_distinguishable,
@@ -136,10 +138,6 @@ class ViolationReport:
             "sigmas_vs_mean_field": self.sigmas_vs_mean_field,
             "verdict": self.verdict,
         }
-        if pc_source is not None:
-            obj["pc_source"] = pc_source
-        obj.update(extra)
-        return obj
 
 
 def visibility(c: float, q: float) -> float:
@@ -149,10 +147,14 @@ def visibility(c: float, q: float) -> float:
     return (c - q) / c
 
 
-def classical_pair_probabilities(u, input_pair, pairs) -> dict[tuple[int, int], float]:
-    """Distinguishable-particle probability of each requested output pair."""
+def classical_pair_probabilities(u, input_pair) -> dict[tuple[int, int], float]:
+    """Distinguishable-particle probability of each forbidden output pair
+    (i, j), ascending: the collision-free pairs :func:`suppressed` forbids, as
+    no bunched pair (k, k) is forbidden (2k is even). The entry cap of
+    :func:`enumerate_outputs` refuses before any probability is built."""
+    rows = enumerate_outputs(2, len(u), collision_free_only=True)
     _, pc = two_photon_probabilities(u, input_pair)
-    return {(i, j): float(pc[i, j]) for (i, j) in pairs}
+    return {(i, j): float(pc[i, j]) for i, j in rows[suppressed(rows)].tolist()}
 
 
 def inverse_moments(lam) -> tuple[np.ndarray, np.ndarray]:

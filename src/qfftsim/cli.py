@@ -12,7 +12,8 @@ reconstruct  fit circuit phases to a measurement problem file
 
 Each command has one handler: it reads the parsed arguments, calls the
 library and writes the artifact. A default the library also has is read
-from the library's constant. The parser is built once per process.
+from the library's constant. The parser is built once per process. Only
+the handlers stamp provenance, after the keys of the library's ``to_json``.
 
 Conventions: mode labels in flags and files are 1-based; all randomness
 derives from one master seed (``--seed``) through fixed per-subsystem
@@ -30,7 +31,8 @@ failures, 4 I/O or parse errors. ``curve`` and ``certify`` accept only
 cyclic two-photon inputs, the modes m/2 apart that the suppression law
 covers, and refuse a record of that input whose output mode exceeds m;
 ``simulate`` takes any pair. Every command that takes ``--unitary`` refuses
-a matrix that is not unitary within ``--tol``.
+a matrix that is not unitary within ``--tol`` (non-negative); the exact
+Fourier matrix of ``--modes`` is checked at the library's default.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from .certify import (
 )
 from .circuit import SYNTH_CAP, circuit_to_json, synthesize_qfft
 from .errors import DomainError, NumericalError, ParseError, QfftError
-from .fourier import enumerate_outputs, occupation_from_modes, qft_matrix, suppressed
+from .fourier import occupation_from_modes, qft_matrix
 from .layout import hypercube_layout
 from .linalg import DEFAULT_TOL, assert_unitary, matrix_from_json
 from .models import (
@@ -169,13 +171,17 @@ def _parse_input(text: str) -> tuple[int, ...]:
     return modes
 
 
-def _load_unitary(args) -> tuple[np.ndarray, str]:
+def _load_unitary(args) -> tuple[np.ndarray, str, float]:
+    """The matrix, its provenance and the unitarity tolerance it is checked
+    with: ``--tol`` for a ``--unitary`` file, else the library's default."""
+    if not args.tol >= 0:  # NaN too
+        raise DomainError(f"--tol must be non-negative, got {args.tol}")
     if args.unitary_path is not None:
         u = matrix_from_json(_load_json(args.unitary_path))
-        return u, f"unitary:{args.unitary_path}"
+        return u, f"unitary:{args.unitary_path}", args.tol
     if args.modes > 2**SYNTH_CAP:
         raise DomainError(f"--modes must be at most {2**SYNTH_CAP}, got {args.modes}")
-    return qft_matrix(args.modes), f"qft-model:m={args.modes}"
+    return qft_matrix(args.modes), f"qft-model:m={args.modes}", DEFAULT_TOL
 
 
 def _power_of_two(m: int) -> int:
@@ -197,12 +203,6 @@ def _input_pair(modes: tuple[int, ...], m: int) -> tuple[int, int]:
     return tuple(sorted(_zero_based(modes, m)))
 
 
-def _forbidden_pairs(m: int) -> list[tuple[int, int]]:
-    """The suppressed collision-free output pairs (i, j), i < j, ascending."""
-    rows = enumerate_outputs(2, m, collision_free_only=True)
-    return list(map(tuple, rows[suppressed(rows)].tolist()))
-
-
 def _delay_grid(span: float, points: int) -> np.ndarray:
     if points < 2:
         raise DomainError(f"--points must be at least 2, got {points}")
@@ -218,8 +218,8 @@ def _delay_grid(span: float, points: int) -> np.ndarray:
 def _analyzed_curve(args):
     """The violation curve of the ``--data`` file."""
     modes = _parse_input(args.input)
-    u, source = _load_unitary(args)
-    u = assert_unitary(u, tol=args.tol, what="evolution matrix")
+    u, source, tol = _load_unitary(args)
+    u = assert_unitary(u, tol=tol, what="evolution matrix")
     m = u.shape[0]
     pair = _input_pair(modes, m)
     if not is_cyclic_state(occupation_from_modes(pair, m)):
@@ -242,7 +242,7 @@ def _analyzed_curve(args):
             f"{args.data_path} has output pair {tuple(int(k) + 1 for k in beyond[0])} for input pair "
             f"{labels}, beyond the {m} modes of the unitary"
         )
-    pc = classical_pair_probabilities(u, pair, _forbidden_pairs(m))
+    pc = classical_pair_probabilities(u, pair)
     table = CoincidenceTable.from_cells(pair, delta_x[mine], outputs, counts[mine], sorted(pc))
     return violation_curve(table, pc), source, pair
 
@@ -257,16 +257,16 @@ def _layout(args) -> None:
 
 def _evolve(args) -> None:
     modes = _parse_input(args.input)
-    u, source = _load_unitary(args)
+    u, source, tol = _load_unitary(args)
     state = occupation_from_modes(_zero_based(modes, u.shape[0]), u.shape[0])
     model = {"dist": distinguishable_distribution, "fock": fock_distribution, "mf": mean_field_distribution}
-    dist = model[args.model](u, state, unitary_id=source, tol=args.tol)
-    _write_json(args.out, dist.to_json())
+    dist = model[args.model](u, state, tol=tol)
+    _write_json(args.out, {**dist.to_json(), "unitary_id": source})
 
 
 def _simulate(args) -> None:
     modes = _parse_input(args.input)
-    u, _ = _load_unitary(args)
+    u, _, tol = _load_unitary(args)
     m = u.shape[0]
     pair = _input_pair(modes, m)
     model = DelayModel(alpha=args.alpha, coherence_length=args.coherence_length)
@@ -275,7 +275,7 @@ def _simulate(args) -> None:
     if size > MAX_RECORDS:
         raise DomainError(f"--points {args.points} on {m} modes make {size} records, over {MAX_RECORDS}")
     grid = _delay_grid(args.span, args.points)
-    table = simulate_experiment(u, pair, model, grid, args.expected_counts, rng, tol=args.tol)
+    table = simulate_experiment(u, pair, model, grid, args.expected_counts, rng, tol=tol)
     _write_text(args.out, functools.partial(write_coincidence_csv, table))
 
 
@@ -291,12 +291,13 @@ def _certify(args) -> None:
     report = certify(d_obs, sigma, threshold_sigmas=args.threshold)
     _write_json(
         args.out,
-        report.to_json(
-            pc_source=source,
-            delta_x=dx0,
-            input=[k + 1 for k in pair],
-            threshold_sigmas=args.threshold,
-        ),
+        {
+            **report.to_json(),
+            "pc_source": source,
+            "delta_x": dx0,
+            "input": [k + 1 for k in pair],
+            "threshold_sigmas": args.threshold,
+        },
     )
 
 
@@ -336,7 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
         group.add_argument("--unitary", dest="unitary_path", help="matrix JSON file")
         group.add_argument("--modes", type=int, help="use the exact Fourier matrix on this many modes")
         p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                       help="unitarity tolerance for supplied matrices (default %(default)s)")
+                       help="unitarity tolerance for a --unitary matrix (default %(default)s)")
 
     p = sub.add_parser("synth", help="butterfly circuit JSON for m = 2^p modes")
     p.add_argument("--modes", type=int, required=True)

@@ -149,25 +149,25 @@ def _outputs(n: int, m: int, collision_free_only: bool) -> np.ndarray:
     return modes.reshape(count, n)
 
 
-def _output_states(n: int, m: int, collision_free_only: bool) -> tuple[tuple[FockState, ...], OutputPartition]:
-    """The outputs of :func:`enumerate_outputs` as occupation tuples, in its
-    order, and their partition, whose sets hold the same tuple objects; both
-    built once per key and shared.
+def _output_states(n: int, m: int) -> tuple[tuple[FockState, ...], OutputPartition]:
+    """All n-photon outputs on m modes as occupation tuples, in the order of
+    :func:`enumerate_outputs`, and their partition, whose sets hold the same
+    tuple objects; both built once per (n, m) and shared.
 
     More than :data:`MAX_OUTCOME_ENTRIES` entries, outputs x max(n, m) for
     the rows and the occupations, are refused on every call, before either is
     built."""
-    _check_entries(n, m, collision_free_only, max(n, m), "occupation" if m >= n else "row")
-    return _output_set(n, m, collision_free_only)
+    _check_entries(n, m, False, max(n, m), "occupation" if m >= n else "row")
+    return _output_set(n, m)
 
 
 @functools.lru_cache(maxsize=4)
-def _output_set(n: int, m: int, collision_free_only: bool) -> tuple[tuple[FockState, ...], OutputPartition]:
-    rows = _outputs(n, m, collision_free_only)
+def _output_set(n: int, m: int) -> tuple[tuple[FockState, ...], OutputPartition]:
+    rows = _outputs(n, m, False)
     states = tuple(map(tuple, occupations(rows, m).tolist()))
     mask = suppressed(rows)
     allowed, forbidden = (frozenset(compress(states, keep.tolist())) for keep in (~mask, mask))
-    return states, OutputPartition(n, m, collision_free_only, allowed, forbidden)
+    return states, OutputPartition(n, m, allowed, forbidden)
 
 
 def occupations(rows: np.ndarray, m: int) -> np.ndarray:
@@ -206,21 +206,16 @@ class OutputPartition:
 
     n: int
     m: int
-    collision_free_only: bool
     allowed: frozenset[FockState]
     forbidden: frozenset[FockState]
 
 
-def partition_outputs(
-    n: int,
-    m: int,
-    collision_free_only: bool = False,
-) -> OutputPartition:
-    """Enumerate the n-photon, m-mode outputs and split them by the rule of
+def partition_outputs(n: int, m: int) -> OutputPartition:
+    """Enumerate all n-photon, m-mode outputs and split them by the rule of
     :func:`suppressed`, applied to all outputs at once.
 
     :data:`MAX_OUTCOME_ENTRIES` is checked on every call, before any output
     is built; the partition is shared between calls with the same arguments,
     and its sets are frozen and hold the occupation tuples that key the
     outcome tables of :mod:`qfftsim.models`."""
-    return _output_states(n, m, collision_free_only)[1]
+    return _output_states(n, m)[1]

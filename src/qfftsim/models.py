@@ -63,13 +63,13 @@ class OutcomeDistribution:
     model: str
     input: FockState
     probabilities: dict[FockState, float]
-    unitary_id: str | None = None
 
     def total(self) -> float:
         return float(sum(self.probabilities.values()))
 
     def to_json(self) -> dict:
-        obj = {
+        """The model, the input and each output's ``p``, outputs ascending; no provenance."""
+        return {
             "model": self.model,
             "input": list(self.input),
             "probabilities": [
@@ -77,9 +77,6 @@ class OutcomeDistribution:
                 for state, prob in sorted(self.probabilities.items())
             ],
         }
-        if self.unitary_id is not None:
-            obj["unitary_id"] = self.unitary_id
-        return obj
 
 
 @dataclass(frozen=True)
@@ -126,7 +123,7 @@ def _outcomes(n: int, m: int) -> tuple[tuple[FockState, ...], np.ndarray]:
     :mod:`qfftsim.fourier`, which also key :func:`partition_outputs`'s sets,
     and as the (N, n) occupied-mode rows of :func:`enumerate_outputs`. The
     tuples come first, so that their entry cap refuses before any row is built."""
-    outs, _ = _output_states(n, m, False)
+    outs, _ = _output_states(n, m)
     return outs, enumerate_outputs(n, m)
 
 
@@ -171,7 +168,7 @@ def product_expansion(cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return coeff
 
 
-def fock_distribution(u, input_state, *, unitary_id=None, tol=DEFAULT_TOL) -> OutcomeDistribution:
+def fock_distribution(u, input_state, *, tol=DEFAULT_TOL) -> OutcomeDistribution:
     """Outcome distribution for indistinguishable photons.
 
     P(T | S) = |perm(U[T, S])|^2 / (prod_k s_k! * prod_k t_k!) where the
@@ -189,10 +186,10 @@ def fock_distribution(u, input_state, *, unitary_id=None, tol=DEFAULT_TOL) -> Ou
         perms[start : start + step] = [permanent(block) for block in stack]
     s_fact = math.prod(math.factorial(k) for k in state)
     probs = np.abs(perms) ** 2 / (s_fact * _t_factorials(rows))
-    return OutcomeDistribution(FOCK, state, dict(zip(outs, probs.tolist())), unitary_id=unitary_id)
+    return OutcomeDistribution(FOCK, state, dict(zip(outs, probs.tolist())))
 
 
-def distinguishable_distribution(u, input_state, *, unitary_id=None, tol=DEFAULT_TOL) -> OutcomeDistribution:
+def distinguishable_distribution(u, input_state, *, tol=DEFAULT_TOL) -> OutcomeDistribution:
     """Outcome distribution for fully distinguishable particles.
 
     Classical mixing: P(T | S) = perm(W[T, S]) / prod_k t_k! with
@@ -206,7 +203,7 @@ def distinguishable_distribution(u, input_state, *, unitary_id=None, tol=DEFAULT
     check_permanent_cap(n)
     outs, rows = _outcomes(n, u.shape[0])
     probs = product_expansion(np.abs(u[:, occupied_modes(state)]) ** 2, rows)
-    return OutcomeDistribution(DISTINGUISHABLE, state, dict(zip(outs, probs.tolist())), unitary_id=unitary_id)
+    return OutcomeDistribution(DISTINGUISHABLE, state, dict(zip(outs, probs.tolist())))
 
 
 def is_cyclic_state(state) -> bool:
@@ -224,7 +221,7 @@ def is_cyclic_state(state) -> bool:
     return all(modes[r] == modes[0] + r * period for r in range(n))
 
 
-def mean_field_distribution(u, input_state, *, unitary_id=None, tol=DEFAULT_TOL) -> OutcomeDistribution:
+def mean_field_distribution(u, input_state, *, tol=DEFAULT_TOL) -> OutcomeDistribution:
     """Phase-averaged mean-field outcome distribution for a cyclic input.
 
     Every photon occupies n^(-1/2) sum_j y_j a_(s_j)^dagger with independent
@@ -259,7 +256,7 @@ def mean_field_distribution(u, input_state, *, unitary_id=None, tol=DEFAULT_TOL)
         cols = u[rows[start : start + step, :, None], modes].transpose(0, 2, 1)
         weight[start : start + step] = (np.abs(product_expansion(cols, monomials)) ** 2).sum(axis=1)
     probs = math.factorial(n) / n**n * weight / _t_factorials(rows)
-    return OutcomeDistribution(MEAN_FIELD, state, dict(zip(outs, probs.tolist())), unitary_id=unitary_id)
+    return OutcomeDistribution(MEAN_FIELD, state, dict(zip(outs, probs.tolist())))
 
 
 def _check_pair(u: np.ndarray, input_pair) -> tuple[int, int]:

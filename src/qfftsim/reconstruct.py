@@ -38,7 +38,7 @@ from .circuit import (
     compile_circuit,
 )
 from .errors import ConvergenceError, DomainError, ValidationError
-from .linalg import as_complex_matrix, assert_unitary, fidelity
+from .linalg import as_complex_matrix, assert_unitary, fidelity, matrix_to_json
 from .models import two_photon_probabilities
 
 TWO_PI = 2.0 * math.pi
@@ -513,8 +513,6 @@ def problem_from_json(obj) -> ReconstructionProblem:
 
 
 def result_to_json(result: ReconstructionResult) -> dict:
-    from .linalg import matrix_to_json
-
     return {
         "fitted_phases": [
             {"step": step, "mode": mode + 1, "value": value}

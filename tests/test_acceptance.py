@@ -62,12 +62,12 @@ def budget(number, limit_s, detail_parts):
 
 
 def forbidden_pairs(m):
-    part = partition_outputs(2, m, collision_free_only=True)
+    part = partition_outputs(2, m)
     return sorted(tuple(occupied_modes(s)) for s in part.forbidden)
 
 
 def forbidden_states(m):
-    return sorted(partition_outputs(2, m, collision_free_only=True).forbidden)
+    return sorted(partition_outputs(2, m).forbidden)
 
 
 def test_criterion_1_suppression_exactness():
@@ -161,7 +161,8 @@ def test_criterion_6_violation_curve_end_to_end():
         model = DelayModel(alpha=0.95, coherence_length=100.0)
         rng = np.random.default_rng(20250808)
         records = simulate_experiment(u, input_pair, model, delays, 1e5, rng)
-        pc = classical_pair_probabilities(u, input_pair, forbidden_pairs(m))
+        pc = classical_pair_probabilities(u, input_pair)
+        assert list(pc) == forbidden_pairs(m)
         curve = violation_curve(records, pc)
         by_dx = {dx: (d, s) for dx, d, s in curve}
 

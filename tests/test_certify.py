@@ -11,6 +11,7 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
+from qfftsim import fourier
 from qfftsim.certify import (
     CoincidenceTable,
     D_DISTINGUISHABLE,
@@ -29,7 +30,7 @@ from qfftsim.certify import (
 )
 from qfftsim.circuit import circuit_to_unitary, set_phases, synthesize_qfft
 from qfftsim.cli import simulate_experiment
-from qfftsim.errors import DomainError, ParseError, UndefinedVisibilityError
+from qfftsim.errors import CapacityError, DomainError, ParseError, UndefinedVisibilityError
 from qfftsim.fourier import cyclic_inputs, occupied_modes, partition_outputs, qft_matrix
 from qfftsim.models import (
     DelayModel,
@@ -61,7 +62,7 @@ cached_oracle = functools.cache(truncated_poisson_inverse_moments)
 
 
 def forbidden_pairs(m):
-    part = partition_outputs(2, m, collision_free_only=True)
+    part = partition_outputs(2, m)
     return sorted(tuple(occupied_modes(s)) for s in part.forbidden)
 
 
@@ -196,7 +197,7 @@ class TestViolationCurve:
     def test_repeated_simulated_delay_rejected(self):
         u = qft_matrix(4)
         table = simulate_experiment(u, (0, 2), DelayModel(), [0.0, 0.0, 300.0], 1e4, np.random.default_rng(1))
-        pc = classical_pair_probabilities(u, (0, 2), self.pairs)
+        pc = classical_pair_probabilities(u, (0, 2))
         with pytest.raises(DomainError, match=re.escape("duplicate counts for delay 0.0 and output pair (0, 1)")):
             violation_curve(table, pc)
 
@@ -236,7 +237,7 @@ class TestViolationCurve:
         # of at most 0.6 % per row (at most 1.3 % in 180 rows) and a mean
         # within 0.1 %: the 3 % bound is over five of its rms
         u = qft_matrix(4)
-        pc = classical_pair_probabilities(u, (0, 2), self.pairs)
+        pc = classical_pair_probabilities(u, (0, 2))
         rng = np.random.default_rng(17)
         table = simulate_experiment(u, (0, 2), DelayModel(alpha=0.9), [-300.0, 0.0, 300.0], counts, rng)
         if ref is not None:  # plateau rows of floor(ref) and ceil(ref) counts, whose mean is ref
@@ -457,9 +458,19 @@ class TestClassicalPairProbabilities:
     def test_exact_qft_model_values(self):
         for m in (4, 8):
             pairs = forbidden_pairs(m)
-            pc = classical_pair_probabilities(qft_matrix(m), (0, m // 2), pairs)
+            pc = classical_pair_probabilities(qft_matrix(m), (0, m // 2))
             for pair in pairs:
                 assert pc[pair] == pytest.approx(2 / m**2, abs=1e-12)
+
+    def test_entry_cap_refuses_before_the_probabilities(self, monkeypatch):
+        # 6 collision-free pairs on 4 modes: 12 row entries
+        monkeypatch.setattr(fourier, "MAX_OUTCOME_ENTRIES", 11)
+        with monkeypatch.context() as patch:
+            patch.setattr(certify_module, "two_photon_probabilities", None)
+            with pytest.raises(CapacityError, match="^6 outputs of 2 photons on 4 modes make 12 row entries"):
+                classical_pair_probabilities(qft_matrix(4), (0, 2))
+        monkeypatch.setattr(fourier, "MAX_OUTCOME_ENTRIES", 12)
+        assert list(classical_pair_probabilities(qft_matrix(4), (0, 2))) == [(0, 1), (0, 3), (1, 2), (2, 3)]
 
 
 class TestButterflyReferenceMasses:

@@ -13,7 +13,12 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from qfftsim import cli, fourier, models, reconstruct
-from qfftsim.certify import CoincidenceTable, read_coincidence_csv, write_coincidence_csv
+from qfftsim.certify import (
+    CoincidenceTable,
+    classical_pair_probabilities,
+    read_coincidence_csv,
+    write_coincidence_csv,
+)
 from qfftsim.circuit import (
     SYNTH_CAP,
     circuit_to_unitary,
@@ -476,6 +481,38 @@ class TestCurveAndCertifyUnitaryCheck:
         assert run_cli(*args, "--tol", "1e-4") == EXIT_OK
 
 
+class TestTolFlag:
+    """``--tol`` checks a ``--unitary`` file only, and must be a non-negative number."""
+
+    COMMANDS = ["evolve", "simulate", "curve", "certify"]
+
+    @pytest.fixture(scope="class")
+    def counts8(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("tol") / "counts.csv"
+        assert run_cli("simulate", "--modes", "8", "--input", "1,5", "--out", str(path)) == EXIT_OK
+        return path
+
+    def argv(self, command, counts8, out):
+        data = ["--data", str(counts8)] if command in ("curve", "certify") else []
+        return [command, *data, "--modes", "8", "--input", "1,5", "--out", str(out)]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_zero_tol_leaves_the_fourier_matrix_alone(self, command, counts8, tmp_path):
+        # the exact 8-mode Fourier matrix has a unitarity defect of ~7e-16
+        default, zero = tmp_path / "default", tmp_path / "zero"
+        assert run_cli(*self.argv(command, counts8, default)) == EXIT_OK
+        assert run_cli(*self.argv(command, counts8, zero), "--tol", "0") == EXIT_OK
+        assert zero.read_bytes() == default.read_bytes()
+
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_negative_or_nan_tol_exits_2(self, command, tol, counts8, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli(*self.argv(command, counts8, out), "--tol", tol) == EXIT_VALIDATION
+        assert f"--tol must be non-negative, got {float(tol)}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 @pytest.fixture()
 def problem4(tmp_path):
     """A 4-mode problem file whose one free phase is 2.2."""
@@ -861,8 +898,10 @@ class TestSizeCaps:
 
 @pytest.mark.parametrize("m", [2, 8, 64])
 def test_forbidden_pairs_match_the_partition(m):
-    forbidden = partition_outputs(2, m, collision_free_only=True).forbidden
-    assert cli._forbidden_pairs(m) == sorted(tuple(occupied_modes(s)) for s in forbidden)
+    # curve and certify read the columns of the pairs that key the classical probabilities
+    forbidden = partition_outputs(2, m).forbidden
+    pc = classical_pair_probabilities(qft_matrix(m), (0, m // 2))
+    assert list(pc) == sorted(tuple(occupied_modes(s)) for s in forbidden)
 
 
 class TestOutputFiles:
@@ -930,7 +969,7 @@ class TestOutputFiles:
 
 
 _FORBIDDEN_8 = sorted(
-    tuple(occupied_modes(s)) for s in partition_outputs(2, 8, collision_free_only=True).forbidden
+    tuple(occupied_modes(s)) for s in partition_outputs(2, 8).forbidden
 )
 _ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
 _ANY_COUNT = st.one_of(st.integers(0, 10**6), st.integers(10**17, 10**25), st.just(10**400))

@@ -19,6 +19,7 @@ from qfftsim.fourier import (
     output_rank,
     partition_outputs,
     qft_matrix,
+    suppressed,
 )
 from qfftsim.linalg import DEFAULT_TOL, unitarity_defect
 from qfftsim.models import fock_distribution
@@ -108,52 +109,56 @@ class TestIsSuppressed:
             is_suppressed((0, 0, 0, 0), 0)
 
 
+def collision_free(states):
+    return {s for s in states if max(s) == 1}
+
+
 class TestPartitionOutputs:
     def test_m4_collision_free(self):
-        part = partition_outputs(2, 4, collision_free_only=True)
-        forbidden_pairs = {tuple(occupied_modes(s)) for s in part.forbidden}
-        allowed_pairs = {tuple(occupied_modes(s)) for s in part.allowed}
+        part = partition_outputs(2, 4)
+        forbidden_pairs = {tuple(occupied_modes(s)) for s in collision_free(part.forbidden)}
+        allowed_pairs = {tuple(occupied_modes(s)) for s in collision_free(part.allowed)}
         assert forbidden_pairs == {(0, 1), (0, 3), (1, 2), (2, 3)}
         assert allowed_pairs == {(0, 2), (1, 3)}
 
     def test_m8_collision_free_counts(self):
-        part = partition_outputs(2, 8, collision_free_only=True)
-        assert len(part.forbidden) == 16
-        assert len(part.allowed) == 12
+        part = partition_outputs(2, 8)
+        assert len(collision_free(part.forbidden)) == 16
+        assert len(collision_free(part.allowed)) == 12
 
-    def test_m4_all_outputs_adds_allowed_bunched(self):
-        free = partition_outputs(2, 4, collision_free_only=True)
-        full = partition_outputs(2, 4, collision_free_only=False)
-        bunched = full.allowed - free.allowed
-        assert len(bunched) == 4
-        assert all(max(s) == 2 for s in bunched)
-        assert full.forbidden == free.forbidden
+    def test_two_photon_forbidden_set_is_collision_free(self):
+        # a bunched output (k, k) has the even label sum 2k, so the law never forbids it
+        for m in range(2, 65):
+            forbidden = partition_outputs(2, m).forbidden
+            assert collision_free(forbidden) == forbidden, m
+            rows = enumerate_outputs(2, m, collision_free_only=True)
+            assert forbidden == {occupation_from_modes(row, m) for row in rows[suppressed(rows)].tolist()}, m
 
     @pytest.mark.parametrize("m", [2, 4, 6, 8])
     def test_collision_free_total_is_binomial(self, m):
-        part = partition_outputs(2, m, collision_free_only=True)
-        assert len(part.forbidden) + len(part.allowed) == math.comb(m, 2)
+        part = partition_outputs(2, m)
+        assert len(collision_free(part.forbidden | part.allowed)) == math.comb(m, 2)
+        assert len(part.forbidden | part.allowed) == math.comb(m + 1, 2)
 
     def test_enumeration_cap(self):
         with pytest.raises(CapacityError):
-            partition_outputs(2, 100_000, collision_free_only=True)
+            partition_outputs(2, 100_000)
 
     def test_occupation_entry_cap(self):
-        # C(1024, 2) = 523,776 outputs x 1024 modes = 536 million occupation entries
-        with pytest.raises(CapacityError, match="make 536346624 occupation entries"):
-            partition_outputs(2, 1024, collision_free_only=True)
+        # C(1025, 2) = 524,800 outputs x 1024 modes = 537 million occupation entries
+        with pytest.raises(CapacityError, match="make 537395200 occupation entries"):
+            partition_outputs(2, 1024)
 
-    @pytest.mark.parametrize("collision_free_only, entries", [(True, 24), (False, 40)])
-    def test_occupation_entry_cap_boundary(self, collision_free_only, entries, monkeypatch):
-        # two photons on four modes: 6 or 10 outputs x 4 modes
-        monkeypatch.setattr(fourier, "MAX_OUTCOME_ENTRIES", entries - 1)
+    def test_occupation_entry_cap_boundary(self, monkeypatch):
+        # two photons on four modes: 10 outputs x 4 modes
+        monkeypatch.setattr(fourier, "MAX_OUTCOME_ENTRIES", 39)
         with monkeypatch.context() as patch:
             patch.setattr(fourier, "occupations", None)  # refused before any is built
-            with pytest.raises(CapacityError, match=f"on 4 modes make {entries} occupation entries"):
-                partition_outputs(2, 4, collision_free_only)
-        monkeypatch.setattr(fourier, "MAX_OUTCOME_ENTRIES", entries)
-        part = partition_outputs(2, 4, collision_free_only)
-        assert len(part.allowed) + len(part.forbidden) == entries // 4
+            with pytest.raises(CapacityError, match="on 4 modes make 40 occupation entries"):
+                partition_outputs(2, 4)
+        monkeypatch.setattr(fourier, "MAX_OUTCOME_ENTRIES", 40)
+        part = partition_outputs(2, 4)
+        assert len(part.allowed) + len(part.forbidden) == 10
 
 
 class TestEnumerateOutputs:
@@ -181,11 +186,10 @@ class TestEnumerateOutputs:
             assert occupied_modes(state) == row
 
     @settings(max_examples=80, deadline=None, derandomize=True)
-    @given(**shapes)
-    def test_partition_agrees_with_scalar_rule(self, n, m, collision_free_only):
-        combos = combinations if collision_free_only else combinations_with_replacement
-        states = [occupation_from_modes(c, m) for c in combos(range(m), n)]
-        part = partition_outputs(n, m, collision_free_only)
+    @given(n=st.integers(1, 5), m=st.integers(1, 8))
+    def test_partition_agrees_with_scalar_rule(self, n, m):
+        states = [occupation_from_modes(c, m) for c in combinations_with_replacement(range(m), n)]
+        part = partition_outputs(n, m)
         assert part.allowed | part.forbidden == set(states)
         assert not part.allowed & part.forbidden
         for state in states:
@@ -241,8 +245,8 @@ class TestSharedTables:
     def test_refused_rows_are_not_kept(self):
         enumerate_outputs(2, 4)
         before = fourier._outputs.cache_info(), fourier._output_set.cache_info()
-        with pytest.raises(CapacityError, match="make 536346624 occupation entries"):
-            partition_outputs(2, 1024, collision_free_only=True)
+        with pytest.raises(CapacityError, match="make 537395200 occupation entries"):
+            partition_outputs(2, 1024)
         assert (fourier._outputs.cache_info(), fourier._output_set.cache_info()) == before
         assert enumerate_outputs(2, 4).tolist() == [list(c) for c in combinations_with_replacement(range(4), 2)]
 
@@ -250,13 +254,13 @@ class TestSharedTables:
         fourier._outputs.cache_clear()
         fourier._output_set.cache_clear()
         size = max(fourier._outputs.cache_info().maxsize, fourier._output_set.cache_info().maxsize)
-        keys = [(n, m, free) for n, m in [(2, 5), (3, 4), (2, 6), (3, 5)] for free in (False, True)]
-        assert len(keys) > size
-        cold = {key: (enumerate_outputs(*key).copy(), partition_outputs(*key)) for key in keys}
+        keys = [(n, m, free) for n, m in [(2, 5), (3, 4), (2, 6), (3, 5), (2, 7)] for free in (False, True)]
+        assert len(keys) // 2 > size
+        cold = {key: (enumerate_outputs(*key).copy(), partition_outputs(*key[:2])) for key in keys}
         for key in [*keys[::-1], *keys[::2], *keys[1::2], *keys]:
             rows, part = cold[key]
             assert np.array_equal(enumerate_outputs(*key), rows)
-            assert partition_outputs(*key) == part
+            assert partition_outputs(*key[:2]) == part
 
 
 class TestSuppressionLaw:

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfftsim import fourier, models
+from qfftsim.circuit import circuit_to_unitary, synthesize_qfft
 from qfftsim.errors import CapacityError, DomainError, ValidationError
 from qfftsim.fourier import (
     enumerate_outputs,
@@ -49,7 +50,7 @@ def cyclic_state(n, m):
 
 
 def forbidden_pairs(m):
-    part = partition_outputs(2, m, collision_free_only=True)
+    part = partition_outputs(2, m)
     return [tuple(occupied_modes(s)) for s in sorted(part.forbidden)]
 
 
@@ -354,7 +355,20 @@ class TestOutputTranslation:
             modes = range(picks[0] % period, m, period)
         else:
             modes = [k % m for k in picks]
-        probs = model(qft_matrix(m), occupation_from_modes(modes, m)).probabilities
+        self.assert_translation_invariant(model(qft_matrix(m), occupation_from_modes(modes, m)).probabilities)
+
+    # the synthesized butterfly composes to the Fourier matrix within ~2e-15
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("n, p", [(2, 2), (2, 3), (2, 4), (4, 4)])
+    def test_synthesized_chip(self, model, n, p):
+        u = circuit_to_unitary(synthesize_qfft(p))
+        period = 2**p // n
+        for first in range(period):
+            state = occupation_from_modes(range(first, 2**p, period), 2**p)
+            self.assert_translation_invariant(model(u, state).probabilities)
+
+    @staticmethod
+    def assert_translation_invariant(probs):
         for out, p in probs.items():
             assert abs(probs[out[-1:] + out[:-1]] - p) <= 1e-15, out
 
