@@ -213,19 +213,19 @@ def violation_curve(table: CoincidenceTable, pc, *, trials: int = 0) -> list[tup
     of counts N. ``trials`` is deprecated and ignored: nothing is drawn.
     """
     pairs = sorted(pc)
-    column = {pair: p for p, pair in enumerate(table.pairs)}
-    if not len(table.delays) or not any(pair in column for pair in pairs):
+    columns = list(map({pair: p for p, pair in enumerate(table.pairs)}.get, pairs))
+    if not len(table.delays) or all(col is None for col in columns):
         raise DomainError("no records for any forbidden output pair")
     delays = table.delays.tolist()
-    holes = [(dx, pair) for dx in delays for pair in pairs if pair not in column]
-    if holes:
+    if None in columns:
+        holes = [(dx, pair) for dx in delays for pair, col in zip(pairs, columns) if col is None]
         raise DomainError(f"missing counts for (delay, pair) combinations {holes[:5]}")
     repeats = np.flatnonzero(np.diff(table.delays) == 0)
     if repeats.size:
         raise DomainError(f"duplicate counts for delay {delays[repeats[0] + 1]} and output pair {pairs[0]}")
     # the last row holds the reference counts
     lam = np.empty((len(delays) + 1, len(pairs)))
-    lam[:-1] = table.counts[:, [column[pair] for pair in pairs]]
+    lam[:-1] = table.counts[:, columns]
     extremes = sorted(range(len(delays)), key=lambda i: (-abs(delays[i]), delays[i]))[:2]
     lam[-1] = lam[extremes].mean(axis=0)
     bad = [pair for pair, ref in zip(pairs, lam[-1]) if not ref > 0]

@@ -31,7 +31,7 @@ failures, 4 I/O or parse errors. ``curve`` and ``certify`` accept only
 cyclic two-photon inputs, the modes m/2 apart that the suppression law
 covers, and refuse a record of that input whose output mode exceeds m;
 ``simulate`` takes any pair. Every command that takes ``--unitary`` refuses
-a matrix that is not unitary within ``--tol`` (non-negative); the exact
+a matrix that is not unitary within ``--tol``, which must lie in [0, 1); the exact
 Fourier matrix of ``--modes`` is checked at the library's default.
 """
 
@@ -174,8 +174,8 @@ def _parse_input(text: str) -> tuple[int, ...]:
 def _load_unitary(args) -> tuple[np.ndarray, str, float]:
     """The matrix, its provenance and the unitarity tolerance it is checked
     with: ``--tol`` for a ``--unitary`` file, else the library's default."""
-    if not args.tol >= 0:  # NaN too
-        raise DomainError(f"--tol must be non-negative, got {args.tol}")
+    if not 0 <= args.tol < 1:  # NaN too; no rounding error reaches a defect of 1
+        raise DomainError(f"--tol must lie in [0, 1), got {args.tol}")
     if args.unitary_path is not None:
         u = matrix_from_json(_load_json(args.unitary_path))
         return u, f"unitary:{args.unitary_path}", args.tol

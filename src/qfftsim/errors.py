@@ -20,7 +20,7 @@ class DomainError(QfftError, ValueError):
 
 
 class CapacityError(QfftError, ValueError):
-    """The request exceeds a configured size cap (permanent size, entries to build, mean-field coefficients)."""
+    """The request exceeds a configured size cap (permanent size, entries to build, expansion work)."""
 
 
 class ValidationError(QfftError, ValueError):

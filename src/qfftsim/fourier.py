@@ -182,22 +182,36 @@ def output_count(n: int, m: int, collision_free_only: bool = False) -> int:
     return math.comb(m + n - 1, n)
 
 
-def output_rank(rows: np.ndarray, m: int) -> np.ndarray:
-    """Position of each (N, r) row of ascending modes in ``enumerate_outputs(r, m)``.
-
-    Row a maps to the r-subset b_j = a_j + j of m + r - 1 elements, whose
-    lexicographic rank in the combinatorial number system is
-    C(m + r - 1, r) - 1 - sum_j C(m + r - 2 - b_j, r - j). Every binomial
-    that can occur is at most the output count, so nothing overflows int64
-    while :data:`MAX_OUTCOME_ENTRIES` holds.
+@functools.lru_cache(maxsize=4)
+def _expansion_plan(n: int, m: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Levels 2..n of an n-factor product expansion over m variables, shared
+    and read-only: for each distinct mode k of each output T of
+    ``enumerate_outputs(r, m)``, k and the rank of T - e_k among the
+    (r - 1)-photon outputs, T's last term first (``np.add.reduceat`` adds a
+    run's first entry to the sum of the rest, so up to four terms add up in
+    position order), and where each T's terms start. With w[d, a] =
+    C(m - 2 - a + d, d), a row b ranks C(m + r - 1, r) - 1 - sum_j w[r - j, b_j],
+    and the parent without position i C(m + r - 2, r - 1) - 1 less the
+    level-(r - 1) weights before i and the level-r weights after it, in int64.
     """
-    r = rows.shape[1]
-    rank = np.full(len(rows), output_count(r, m) - 1, dtype=np.int64)
-    for j in range(r):
-        top = m + r - 2 - j
-        weights = np.array([math.comb(top - a, r - j) for a in range(m)], dtype=np.int64)
-        rank -= weights[rows[:, j]]
-    return rank
+    weight = np.array([[math.comb(m - 2 - a + d, d) for a in range(m)] for d in range(1, n)], dtype=np.int64)
+    rows, levels = _outputs(n, m, False), []
+    for r in range(n, 1, -1):
+        depth = np.arange(r - 2, -1, -1)
+        drop = np.zeros(rows.shape, dtype=np.int64)
+        drop[:, 1:] = weight[depth, rows[:, :-1]].cumsum(axis=1)
+        drop[:, :-1] += weight[depth, rows[:, 1:]][:, ::-1].cumsum(axis=1)[:, ::-1]
+        first = np.ones(rows.shape, dtype=bool)
+        first[:, 1:] = rows[:, 1:] != rows[:, :-1]
+        count = first.sum(axis=1)
+        starts = np.concatenate([[0], count.cumsum()[:-1]])
+        take = np.arange(count.sum()) - 1
+        take[starts] += count
+        levels.insert(0, (rows[first][take], (output_count(r - 1, m) - 1 - drop[first])[take], starts))
+        for array in levels[0]:
+            array.flags.writeable = False
+        rows = rows[rows[:, -1] == rows[:, -2], :-1]  # the first output of each (r - 1)-prefix ends in a repeat
+    return tuple(levels)
 
 
 @dataclass(frozen=True)

@@ -27,12 +27,12 @@ import numpy as np
 from .errors import CapacityError, DomainError, ShapeError
 from .fourier import (
     FockState,
+    _expansion_plan,
     _output_states,
     check_state,
     enumerate_outputs,
     occupied_modes,
     output_count,
-    output_rank,
     photon_number,
 )
 from .linalg import DEFAULT_TOL, assert_unitary, check_permanent_cap, permanent
@@ -41,13 +41,12 @@ FOCK = "fock"
 DISTINGUISHABLE = "distinguishable"
 MEAN_FIELD = "mean_field"
 
-#: Most coefficients of a mean-field table: N outputs x C(2n - 1, n) phase
-#: monomials each, refused before any output is built. On a 2-core x86 host,
-#: ``qfft evolve --model mf`` took 10.9 s at 46 MB peak RSS for 8 photons on
-#: 8 modes (41,409,225 coefficients) and 6.7 s at 108 MB for 6 photons on 18
-#: modes (46,637,514, 100,947 outputs). 7 photons on 14 modes (133,024,320)
-#: are refused in under a millisecond.
-MAX_MEAN_FIELD_COEFFICIENTS = 1 << 26
+#: Most steps of an expansion table, refused before any output is built: the
+#: m' C(m' + n, n - 1) positions the plan of n factors over m' variables visits
+#: plus n C(m' + n - 1, n) terms per expansion. At ~20 ns a step on a 2-core
+#: x86 host, the slowest tables admitted took 10.5-10.8 s at 109 MB peak RSS
+#: (1170 distinguishable photons on 2 modes) and 4.8-8.9 s (8 mean-field on 8).
+MAX_EXPANSION_WORK = 1 << 29
 
 #: Most array entries the Fock stack or the mean-field expansion holds at
 #: once: outcomes x n x n submatrix entries for the Fock permanents, outcomes
@@ -118,6 +117,16 @@ def _check_input(u, input_state, tol: float) -> tuple[np.ndarray, FockState, int
     return u, state, n
 
 
+def _check_work(model: str, n: int, m: int, variables: int, batch: int) -> None:
+    """Refuse ``batch`` expansions over ``variables`` above :data:`MAX_EXPANSION_WORK`."""
+    work = variables * math.comb(variables + n, n - 1) + batch * n * output_count(n, variables)
+    if work > MAX_EXPANSION_WORK:
+        raise CapacityError(
+            f"the {model} table of {n} photons on {m} modes needs {work} expansion steps, "
+            f"above the budget {MAX_EXPANSION_WORK}"
+        )
+
+
 def _outcomes(n: int, m: int) -> tuple[tuple[FockState, ...], np.ndarray]:
     """The n-photon outputs on m modes as the shared occupation tuples of
     :mod:`qfftsim.fourier`, which also key :func:`partition_outputs`'s sets,
@@ -130,41 +139,27 @@ def _outcomes(n: int, m: int) -> tuple[tuple[FockState, ...], np.ndarray]:
 def _t_factorials(rows: np.ndarray) -> np.ndarray:
     """prod_k t_k! of each (N, n) occupied-mode row, exact: the integer
     product of each entry's running multiplicity within its ascending row, in
-    int64 up to n = 20: the permanent cap and the mean field's cap refuse more."""
+    int64 up to n = 20: the permanent cap and the work budget refuse more."""
     run = np.ones(rows.shape, dtype=np.int64)
     for j in range(1, rows.shape[1]):
         run[:, j] += (rows[:, j] == rows[:, j - 1]) * run[:, j - 1]
     return run.prod(axis=1).astype(float)
 
 
-def product_expansion(cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Coefficient of x^T in prod_j (sum_k cols[..., k, j] x_k) for each output T.
-
-    ``cols`` is (..., m, n), one column per photon, with any leading batch
-    axes; ``rows`` is ``enumerate_outputs(n, m)``. The coefficient is
-    perm(A[T, S]) / prod_k t_k! for the matrix A whose input columns S are
-    ``cols``. Level r holds the coefficients of the first r factors over the
-    r-photon outputs, the distinct length-r prefixes of ``rows`` in
-    :func:`enumerate_outputs` order: c_r(T) = sum over distinct k in T of
-    cols[..., k, r - 1] * c_(r-1)(T - e_k), each parent found by
-    :func:`output_rank`. Every level holds at most N x n entries per batch
-    element.
+def product_expansion(cols: np.ndarray) -> np.ndarray:
+    """Coefficient of x^T in prod_j (sum_k cols[..., k, j] x_k) for each output
+    T of ``enumerate_outputs(n, m)``, for (..., m, n) ``cols`` with any leading
+    batch axes: perm(A[T, S]) / prod_k t_k! for the matrix A whose input
+    columns S are ``cols``. Level r holds the coefficients of the first r
+    factors over the r-photon outputs, c_r(T) = sum over distinct k in T of
+    cols[..., k, r - 1] * c_(r-1)(T - e_k): one gather, one multiply and one
+    ``np.add.reduceat`` over the terms of the plan that :mod:`qfftsim.fourier`
+    builds once per (n, m).
     """
     m, n = cols.shape[-2:]
     coeff = cols[..., :, 0]
-    for r in range(2, n + 1):
-        level = rows[:, :r]
-        if r < n:
-            fresh = np.ones(len(rows), dtype=bool)
-            fresh[1:] = (level[1:] != level[:-1]).any(axis=1)
-            level = level[fresh]
-        acc = np.zeros((*cols.shape[:-2], len(level)), dtype=coeff.dtype)
-        for i in range(r):
-            term = cols[..., level[:, i], r - 1] * coeff[..., output_rank(np.delete(level, i, axis=1), m)]
-            if i:  # a repeated mode was counted at its first position
-                term[..., level[:, i] == level[:, i - 1]] = 0.0
-            acc += term
-        coeff = acc
+    for r, (modes, parents, starts) in enumerate(_expansion_plan(n, m), start=2):
+        coeff = np.add.reduceat(cols[..., modes, r - 1] * coeff[..., parents], starts, axis=-1)
     return coeff
 
 
@@ -192,17 +187,15 @@ def fock_distribution(u, input_state, *, tol=DEFAULT_TOL) -> OutcomeDistribution
 def distinguishable_distribution(u, input_state, *, tol=DEFAULT_TOL) -> OutcomeDistribution:
     """Outcome distribution for fully distinguishable particles.
 
-    Classical mixing: P(T | S) = perm(W[T, S]) / prod_k t_k! with
-    W = |U|^2 elementwise, the coefficient of x^T in
-    prod_j (sum_k W[k, s_j] x_k), all taken at once by
-    :func:`product_expansion`. No interference between particle paths. The
-    expansion takes ~n^3/6 Python-level steps whatever the output count, so n
-    is capped as for any permanent, before any output is built.
+    Classical mixing: P(T | S) = perm(W[T, S]) / prod_k t_k! with W = |U|^2
+    elementwise, the coefficient of x^T in prod_j (sum_k W[k, s_j] x_k), all
+    taken at once by :func:`product_expansion`, whose work is checked against
+    :data:`MAX_EXPANSION_WORK` before any output is built. No interference.
     """
     u, state, n = _check_input(u, input_state, tol)
-    check_permanent_cap(n)
-    outs, rows = _outcomes(n, u.shape[0])
-    probs = product_expansion(np.abs(u[:, occupied_modes(state)]) ** 2, rows)
+    _check_work(DISTINGUISHABLE, n, u.shape[0], u.shape[0], 1)
+    outs, _ = _outcomes(n, u.shape[0])
+    probs = product_expansion(np.abs(u[:, occupied_modes(state)]) ** 2)
     return OutcomeDistribution(DISTINGUISHABLE, state, dict(zip(outs, probs.tolist())))
 
 
@@ -234,27 +227,20 @@ def mean_field_distribution(u, input_state, *, tol=DEFAULT_TOL) -> OutcomeDistri
 
     exact for any n (Tichy, Mayer, Buchleitner & Molmer, PRL 113, 020502
     (2014)). :func:`product_expansion` gives the C(2n - 1, n) coefficients of
-    every output, a block of outputs at a time; more than
-    :data:`MAX_MEAN_FIELD_COEFFICIENTS` in all are refused before any output
-    is built.
+    every output, a block of outputs at a time; the expansion's work is
+    checked against :data:`MAX_EXPANSION_WORK` before any output is built.
     """
     u, state, n = _check_input(u, input_state, tol)
     if not is_cyclic_state(state):
         raise DomainError(f"input {state} is not a collision-free cyclic state")
-    count = output_count(n, u.shape[0]) * output_count(n, n)
-    if count > MAX_MEAN_FIELD_COEFFICIENTS:
-        raise CapacityError(
-            f"the mean field of {n} photons on {u.shape[0]} modes needs {count} expansion "
-            f"coefficients, above the cap {MAX_MEAN_FIELD_COEFFICIENTS}"
-        )
+    _check_work(MEAN_FIELD, n, u.shape[0], n, output_count(n, u.shape[0]))
     outs, rows = _outcomes(n, u.shape[0])
     modes = occupied_modes(state)
-    monomials = enumerate_outputs(n, n)
     weight = np.empty(len(rows))
-    step = max(1, BLOCK_ENTRIES // (len(monomials) * n))
+    step = max(1, BLOCK_ENTRIES // (output_count(n, n) * n))
     for start in range(0, len(rows), step):
         cols = u[rows[start : start + step, :, None], modes].transpose(0, 2, 1)
-        weight[start : start + step] = (np.abs(product_expansion(cols, monomials)) ** 2).sum(axis=1)
+        weight[start : start + step] = (np.abs(product_expansion(cols)) ** 2).sum(axis=1)
     probs = math.factorial(n) / n**n * weight / _t_factorials(rows)
     return OutcomeDistribution(MEAN_FIELD, state, dict(zip(outs, probs.tolist())))
 

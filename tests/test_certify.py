@@ -162,6 +162,14 @@ class TestViolationCurve:
         with pytest.raises(DomainError, match=re.escape(f"must be positive, not for pairs {self.pairs[1:]}")):
             violation_curve(self.plateau_table(0), self.pc)
 
+    def test_missing_pairs_named_delay_by_delay(self):
+        # the table holds the first forbidden pair only: the first five of 3 delays x 3 holes are named
+        table = CoincidenceTable((0, 2), np.array([-200.0, 0.0, 200.0]), tuple(self.pairs[:1]),
+                                 np.full((3, 1), 4000, dtype=np.int64))
+        holes = [(dx, pair) for dx in (-200.0, 0.0) for pair in self.pairs[1:]][:5]
+        with pytest.raises(DomainError, match=f"^{re.escape(f'missing counts for (delay, pair) combinations {holes}')}$"):
+            violation_curve(table, self.pc)
+
     def test_missing_grid_point_rejected(self):
         delays, outputs, counts = make_cells(
             {

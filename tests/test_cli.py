@@ -482,7 +482,7 @@ class TestCurveAndCertifyUnitaryCheck:
 
 
 class TestTolFlag:
-    """``--tol`` checks a ``--unitary`` file only, and must be a non-negative number."""
+    """``--tol`` checks a ``--unitary`` file only, and must lie in [0, 1)."""
 
     COMMANDS = ["evolve", "simulate", "curve", "certify"]
 
@@ -492,9 +492,10 @@ class TestTolFlag:
         assert run_cli("simulate", "--modes", "8", "--input", "1,5", "--out", str(path)) == EXIT_OK
         return path
 
-    def argv(self, command, counts8, out):
+    def argv(self, command, counts8, out, unitary=None):
         data = ["--data", str(counts8)] if command in ("curve", "certify") else []
-        return [command, *data, "--modes", "8", "--input", "1,5", "--out", str(out)]
+        matrix = ["--modes", "8"] if unitary is None else ["--unitary", str(unitary)]
+        return [command, *data, *matrix, "--input", "1,5", "--out", str(out)]
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_zero_tol_leaves_the_fourier_matrix_alone(self, command, counts8, tmp_path):
@@ -509,8 +510,27 @@ class TestTolFlag:
     def test_negative_or_nan_tol_exits_2(self, command, tol, counts8, tmp_path, capsys):
         out = tmp_path / "out"
         assert run_cli(*self.argv(command, counts8, out), "--tol", tol) == EXIT_VALIDATION
-        assert f"--tol must be non-negative, got {float(tol)}" in capsys.readouterr().err
+        assert f"--tol must lie in [0, 1), got {float(tol)}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("tol", ["1", "inf"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_tol_of_one_or_more_exits_2(self, command, tol, counts8, tmp_path, capsys):
+        # twice the Fourier matrix has a unitarity defect of 3, which an infinite --tol let through
+        twice = tmp_path / "twice.json"
+        twice.write_text(json.dumps(matrix_to_json(2 * qft_matrix(8))))
+        out = tmp_path / "out"
+        assert run_cli(*self.argv(command, counts8, out, unitary=twice), "--tol", tol) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("qfft: invalid input:")
+        assert f"--tol must lie in [0, 1), got {float(tol)}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_tol_below_one_checks_a_unitary_file(self, command, counts8, tmp_path):
+        fourier8 = tmp_path / "fourier.json"
+        fourier8.write_text(json.dumps(matrix_to_json(qft_matrix(8))))
+        assert run_cli(*self.argv(command, counts8, tmp_path / "out", unitary=fourier8), "--tol", "0.5") == EXIT_OK
 
 
 @pytest.fixture()
@@ -701,9 +721,12 @@ class TestErrorPaths:
         "model, message",
         [
             ("fock", f"make {183181376 * 256} occupation entries, above the cap {MAX_OUTCOME_ENTRIES}"),
-            ("dist", f"make {183181376 * 256} occupation entries, above the cap {MAX_OUTCOME_ENTRIES}"),
-            # the mean field's coefficient budget, C(7, 4) = 35 per output, is checked first
-            ("mf", f"needs {183181376 * 35} expansion coefficients, above the cap {models.MAX_MEAN_FIELD_COEFFICIENTS}"),
+            # the expansion budget is checked first: the plan over the 256 modes visits
+            # 256 C(260, 3) positions, then multiplies 4 terms per output
+            ("dist", f"needs {256 * 2895620 + 4 * 183181376} expansion steps, "
+                     f"above the budget {models.MAX_EXPANSION_WORK}"),
+            # the plan over the 4 phases visits 4 C(8, 3) positions, then 4 C(7, 4) terms per output
+            ("mf", f"needs {4 * 56 + 183181376 * 4 * 35} expansion steps, above the budget {models.MAX_EXPANSION_WORK}"),
         ],
         ids=["fock", "dist", "mf"],
     )
@@ -832,13 +855,13 @@ class TestSizeCaps:
         assert not (tmp_path / "dist.json").exists()
 
     def test_mean_field_coefficient_cap_at_its_boundary(self, monkeypatch, tmp_path, capsys):
-        # two photons on four modes: 10 outputs x C(3, 2) = 3 phase monomials
+        # two photons on four modes: 2 C(4, 1) = 8 plan positions + 10 outputs x 2 C(3, 2) = 6 terms
         argv = ("evolve", "--modes", "4", "--input", "1,3", "--model", "mf", "--out", str(tmp_path / "mf.json"))
-        monkeypatch.setattr(models, "MAX_MEAN_FIELD_COEFFICIENTS", 29)
+        monkeypatch.setattr(models, "MAX_EXPANSION_WORK", 67)
         assert run_cli(*argv) == EXIT_VALIDATION
-        assert "needs 30 expansion coefficients, above the cap 29" in capsys.readouterr().err
+        assert "needs 68 expansion steps, above the budget 67" in capsys.readouterr().err
         assert not (tmp_path / "mf.json").exists()
-        monkeypatch.setattr(models, "MAX_MEAN_FIELD_COEFFICIENTS", 30)
+        monkeypatch.setattr(models, "MAX_EXPANSION_WORK", 68)
         assert run_cli(*argv) == EXIT_OK
 
     def test_eight_mean_field_photons_on_eight_modes_pass(self, tmp_path):
@@ -849,13 +872,13 @@ class TestSizeCaps:
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_mean_field_coefficients_above_the_cap_exit_2(self, tmp_path, capsys):
-        # ten cyclic photons on ten modes: C(19, 10)^2 = 92378^2 coefficients
+        # ten cyclic photons on ten modes: 10 C(20, 9) plan positions + C(19, 10) outputs x 10 C(19, 10) terms
         code = run_cli("evolve", "--modes", "10", "--input", "1,2,3,4,5,6,7,8,9,10", "--model", "mf",
                        "--out", str(tmp_path / "mf.json"))
         err = capsys.readouterr().err
         assert code == EXIT_VALIDATION
         assert err.startswith("qfft: invalid input:")
-        assert f"needs {92378**2} expansion coefficients, above the cap {models.MAX_MEAN_FIELD_COEFFICIENTS}" in err
+        assert f"needs {10 * 167960 + 92378 * 10 * 92378} expansion steps, above the budget {models.MAX_EXPANSION_WORK}" in err
         assert "Traceback" not in err
         assert not (tmp_path / "mf.json").exists()
 

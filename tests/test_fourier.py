@@ -16,7 +16,6 @@ from qfftsim.fourier import (
     occupation_from_modes,
     occupations,
     occupied_modes,
-    output_rank,
     partition_outputs,
     qft_matrix,
     suppressed,
@@ -195,18 +194,23 @@ class TestEnumerateOutputs:
         for state in states:
             assert (state in part.forbidden) == is_suppressed(state, n), state
 
-    @settings(max_examples=80, deadline=None, derandomize=True)
-    @given(n=st.integers(1, 5), m=st.integers(1, 8))
-    def test_rank_inverts_the_order(self, n, m):
-        rows = enumerate_outputs(n, m)
-        assert output_rank(rows, m).tolist() == list(range(len(rows)))
-
-    @pytest.mark.parametrize("n,m", [(2, 64), (4, 28)])
-    def test_rank_where_a_positional_key_overflows(self, n, m):
-        # a key sum_j a_j (n + 1)^j would not fit in int64 here
-        assert (n + 1) ** m > np.iinfo(np.int64).max
-        rows = enumerate_outputs(n, m)
-        assert (output_rank(rows, m) == np.arange(len(rows))).all()
+    @pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 6) for m in range(1, 9)] + [(2, 64), (4, 28)])
+    def test_expansion_plan_parents(self, n, m):
+        # at (2, 64) and (4, 28) a positional key sum_j a_j (n + 1)^j would not fit in int64
+        plan = fourier._expansion_plan(n, m)
+        assert len(plan) == n - 1
+        for r, (modes, parents, starts) in enumerate(plan, start=2):
+            rank = {tuple(row): i for i, row in enumerate(enumerate_outputs(r - 1, m).tolist())}
+            outputs = enumerate_outputs(r, m).tolist()
+            assert len(starts) == len(outputs)
+            ends = [*starts[1:].tolist(), len(modes)]
+            for out, lo, hi in zip(outputs, starts.tolist(), ends):
+                distinct = sorted(set(out))
+                assert modes[lo:hi].tolist() == distinct[-1:] + distinct[:-1], out  # the last term first
+                for k, parent in zip(modes[lo:hi].tolist(), parents[lo:hi].tolist()):
+                    less = list(out)
+                    less.remove(k)
+                    assert parent == rank[tuple(less)], (out, k)
 
     @pytest.mark.parametrize("n,m", [(0, 4), (2, 0)])
     def test_rejects_empty_shapes(self, n, m):

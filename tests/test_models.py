@@ -49,6 +49,10 @@ def cyclic_state(n, m):
     return tuple(int(k % (m // n) == 0) for k in range(m))
 
 
+def expansion_caches():
+    return fourier._outputs.cache_info(), fourier._output_set.cache_info(), fourier._expansion_plan.cache_info()
+
+
 def forbidden_pairs(m):
     part = partition_outputs(2, m)
     return [tuple(occupied_modes(s)) for s in sorted(part.forbidden)]
@@ -223,32 +227,36 @@ class TestMeanField:
             mean_field_distribution(qft_matrix(4), (1, 1, 0, 0))
 
     def test_coefficient_cap_at_its_boundary(self, monkeypatch):
-        # two photons on four modes: 10 outputs x C(3, 2) = 3 phase monomials
-        monkeypatch.setattr(models, "MAX_MEAN_FIELD_COEFFICIENTS", 29)
+        # two photons on four modes: the plan over the 2 phases visits 2 C(4, 1) = 8
+        # positions, and each of the 10 outputs multiplies 2 C(3, 2) = 6 terms
+        monkeypatch.setattr(models, "MAX_EXPANSION_WORK", 67)
         with monkeypatch.context() as patch:
             patch.setattr(models, "_outcomes", None)  # refused before any output is built
-            with pytest.raises(CapacityError, match="needs 30 expansion coefficients, above the cap 29"):
+            with pytest.raises(CapacityError, match="needs 68 expansion steps, above the budget 67"):
                 mean_field_distribution(qft_matrix(4), (1, 0, 1, 0))
-        monkeypatch.setattr(models, "MAX_MEAN_FIELD_COEFFICIENTS", 30)
+        monkeypatch.setattr(models, "MAX_EXPANSION_WORK", 68)
         dist = mean_field_distribution(qft_matrix(4), (1, 0, 1, 0))
         assert dist.total() == pytest.approx(1.0, abs=1e-12)
 
     def test_refused_before_any_output_is_built(self, monkeypatch):
-        # 7 photons on 14 modes: C(20, 7) = 77,520 outputs x C(13, 7) = 1716 monomials
+        # 7 photons on 14 modes: C(20, 7) = 77,520 outputs x 7 C(13, 7) = 7 x 1716 terms
         monkeypatch.setattr(fourier, "occupations", None)
-        before = fourier._outputs.cache_info(), fourier._output_set.cache_info()
+        before = expansion_caches()
         with pytest.raises(CapacityError, match=(
-            "^the mean field of 7 photons on 14 modes needs 133024320 expansion coefficients, "
-            f"above the cap {models.MAX_MEAN_FIELD_COEFFICIENTS}$"
+            f"^the mean_field table of 7 photons on 14 modes needs {7 * 3003 + 77520 * 7 * 1716} "
+            f"expansion steps, above the budget {models.MAX_EXPANSION_WORK}$"
         )):
             mean_field_distribution(qft_matrix(14), (1, 0) * 7)
-        assert (fourier._outputs.cache_info(), fourier._output_set.cache_info()) == before
+        assert expansion_caches() == before
 
     def test_cap_admits_eight_photons_on_eight_modes(self):
-        # N = C(m + n - 1, n) outputs x K = C(2n - 1, n) monomials
-        cap = models.MAX_MEAN_FIELD_COEFFICIENTS
-        assert math.comb(15, 8) * math.comb(15, 8) <= cap < math.comb(17, 9) * math.comb(17, 9)
-        assert math.comb(17, 6) * math.comb(11, 6) <= cap  # six photons on twelve modes
+        # n C(2n, n - 1) plan positions + N = C(m + n - 1, n) outputs x n C(2n - 1, n) terms
+        def work(n, m):
+            return n * math.comb(2 * n, n - 1) + math.comb(m + n - 1, n) * n * math.comb(2 * n - 1, n)
+
+        budget = models.MAX_EXPANSION_WORK
+        assert work(8, 8) <= budget < min(work(9, 9), work(7, 14))
+        assert work(6, 12) <= budget
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -389,7 +397,7 @@ class TestProductExpansion:
         rows = enumerate_outputs(len(modes), m)
         t_fact = [math.prod(map(math.factorial, occ)) for occ in occupations(rows, m).tolist()]
         for mat in (rng.uniform(0.0, 1.0, (m, m)), np.abs(u) ** 2, u):
-            coeff = product_expansion(mat[:, modes], rows)
+            coeff = product_expansion(mat[:, modes])
             assert coeff.dtype == mat.dtype
             for row, c, t in zip(rows, coeff, t_fact):
                 ref = permanent_definition(mat[np.ix_(row, modes)]) / t
@@ -404,12 +412,11 @@ class TestProductExpansion:
     )
     def test_batch_axis_gives_separate_expansions(self, m, n, batch, seed):
         rng = np.random.default_rng(seed)
-        rows = enumerate_outputs(n, m)
         cols = rng.normal(size=(batch, m, n)) + 1j * rng.normal(size=(batch, m, n))
         for mat in (cols, cols.real.copy()):
-            whole = product_expansion(mat, rows)
-            assert whole.shape == (batch, len(rows))
-            assert np.array_equal(whole, [product_expansion(one, rows) for one in mat])
+            whole = product_expansion(mat)
+            assert whole.shape == (batch, math.comb(m + n - 1, n))
+            assert np.array_equal(whole, [product_expansion(one) for one in mat])
 
     @pytest.mark.parametrize("state", [(2, 0, 1, 0), (0, 3, 0), (1, 1, 0, 2, 0)])
     def test_bunched_input_distribution(self, state):
@@ -419,7 +426,7 @@ class TestProductExpansion:
 
 
 class TestPermanentCap:
-    @pytest.mark.parametrize("make", [fock_distribution, distinguishable_distribution])
+    @pytest.mark.parametrize("make", [fock_distribution])
     def test_refused_above_the_cap(self, make):
         # refused before any output is built or looked up
         before = fourier._outputs.cache_info(), fourier._output_set.cache_info()
@@ -427,11 +434,64 @@ class TestPermanentCap:
             make(qft_matrix(2), (21, 0))
         assert (fourier._outputs.cache_info(), fourier._output_set.cache_info()) == before
 
-    def test_distinguishable_at_the_cap(self):
-        # each photon leaves a balanced coupler by either port: Binomial(20, 1/2)
-        probs = distinguishable_distribution(qft_matrix(2), (20, 0)).probabilities
-        for k in range(21):
-            assert probs[(k, 20 - k)] == pytest.approx(math.comb(20, k) / 2**20, rel=1e-13, abs=0.0)
+
+class TestExpansionBudget:
+    """The distinguishable table is bounded by its expansion work, not by a permanent size."""
+
+    @pytest.mark.parametrize("n", [20, 21, 64, 161])
+    def test_binomial_beyond_the_permanent_cap(self, n):
+        # each photon leaves a balanced coupler by either port: Binomial(n, 1/2)
+        probs = distinguishable_distribution(qft_matrix(2), (n, 0)).probabilities
+        for k in range(n + 1):
+            assert probs[(k, n - k)] == pytest.approx(math.comb(n, k) / 2**n, rel=1e-13, abs=0.0)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 200), first=st.integers(0, 200), seed=st.integers(0, 2**32 - 1))
+    @example(n=200, first=200, seed=0)
+    @example(n=200, first=100, seed=1)
+    def test_poisson_binomial_on_two_modes(self, n, first, seed):
+        # photon j leaves by mode 0 with probability |U_0j|^2, independently of the others
+        state = (first % (n + 1), n - first % (n + 1))
+        u = haar_random_unitary(2, np.random.default_rng(seed))
+        w = np.abs(u) ** 2
+        pmf = np.ones(1)  # pmf[k]: k photons in mode 0
+        for j, count in enumerate(state):
+            for _ in range(count):
+                pmf = np.convolve(pmf, [w[1, j], w[0, j]])
+        probs = distinguishable_distribution(u, state).probabilities
+        for k in range(n + 1):
+            # a value that passes through subnormal numbers keeps only an absolute bound
+            assert abs(probs[(k, n - k)] - pmf[k]) <= 1e-13 * pmf[k] + 1e-290, (state, k)
+
+    @pytest.mark.parametrize(
+        "make, state, work",
+        [
+            # 2 C(2049, 2046) plan positions + 2047 x 2048 terms
+            (distinguishable_distribution, (2047, 0), 2 * math.comb(2049, 2046) + 2047 * 2048),
+            # 9 C(18, 8) plan positions + C(17, 9) outputs x 9 C(17, 9) terms
+            (mean_field_distribution, (1,) * 9, 9 * math.comb(18, 8) + 24310 * 9 * 24310),
+        ],
+        ids=["distinguishable", "mean_field"],
+    )
+    def test_refused_at_once(self, make, state, work, monkeypatch):
+        monkeypatch.setattr(fourier, "occupations", None)
+        before = expansion_caches()
+        with pytest.raises(CapacityError, match=(
+            f"^the {make.__name__.removesuffix('_distribution')} table of {sum(state)} photons on {len(state)} modes "
+            f"needs {work} expansion steps, above the budget {models.MAX_EXPANSION_WORK}$"
+        )):
+            make(qft_matrix(len(state)), state)
+        assert expansion_caches() == before
+
+    def test_distinguishable_budget_at_its_boundary(self, monkeypatch):
+        # three photons on two modes: the plan visits 2 C(5, 2) = 20 positions, then 3 C(4, 3) = 12 terms
+        monkeypatch.setattr(models, "MAX_EXPANSION_WORK", 31)
+        with monkeypatch.context() as patch:
+            patch.setattr(models, "_outcomes", None)  # refused before any output is built
+            with pytest.raises(CapacityError, match="needs 32 expansion steps, above the budget 31"):
+                distinguishable_distribution(qft_matrix(2), (2, 1))
+        monkeypatch.setattr(models, "MAX_EXPANSION_WORK", 32)
+        assert distinguishable_distribution(qft_matrix(2), (2, 1)).total() == pytest.approx(1.0, abs=1e-15)
 
 
 class TestQuadratureExactness:
