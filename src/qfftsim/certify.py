@@ -149,10 +149,10 @@ def visibility(c: float, q: float) -> float:
 
 def classical_pair_probabilities(u, input_pair) -> dict[tuple[int, int], float]:
     """Distinguishable-particle probability of each forbidden output pair
-    (i, j), ascending: the collision-free pairs :func:`suppressed` forbids, as
-    no bunched pair (k, k) is forbidden (2k is even). The entry cap of
+    (i, j), ascending: the pairs :func:`suppressed` forbids, all collision-free,
+    as no bunched pair (k, k) is forbidden (2k is even). The entry cap of
     :func:`enumerate_outputs` refuses before any probability is built."""
-    rows = enumerate_outputs(2, len(u), collision_free_only=True)
+    rows = enumerate_outputs(2, len(u))
     _, pc = two_photon_probabilities(u, input_pair)
     return {(i, j): float(pc[i, j]) for i, j in rows[suppressed(rows)].tolist()}
 

@@ -13,7 +13,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
-from itertools import chain, combinations, combinations_with_replacement, compress
+from itertools import chain, combinations_with_replacement, compress
 
 import numpy as np
 
@@ -113,7 +113,7 @@ def suppressed(rows: np.ndarray) -> np.ndarray:
     return rows.sum(axis=1) % rows.shape[1] != 0
 
 
-def enumerate_outputs(n: int, m: int, collision_free_only: bool = False) -> np.ndarray:
+def enumerate_outputs(n: int, m: int) -> np.ndarray:
     """All n-photon outputs on m modes, as an (N, n) array of occupied modes.
 
     Each row lists one output's occupied modes with multiplicity, ascending;
@@ -121,18 +121,18 @@ def enumerate_outputs(n: int, m: int, collision_free_only: bool = False) -> np.n
     row entries, N x n, are refused on every call, before any is built. The
     array is shared between calls with the same arguments and is read-only.
     """
-    _check_entries(n, m, collision_free_only, n, "row")
-    return _outputs(n, m, collision_free_only)
+    _check_entries(n, m, n, "row")
+    return _outputs(n, m)
 
 
-def _check_entries(n: int, m: int, collision_free_only: bool, width: int, what: str) -> None:
+def _check_entries(n: int, m: int, width: int, what: str) -> None:
     """Refuse n < 1, m < 1 and more than :data:`MAX_OUTCOME_ENTRIES` entries,
     ``width`` per n-photon output on m modes."""
     if n < 1:
         raise DomainError(f"photon number must be >= 1, got {n}")
     if m < 1:
         raise DomainError(f"mode count must be >= 1, got {m}")
-    count = output_count(n, m, collision_free_only)
+    count = output_count(n, m)
     if count * width > MAX_OUTCOME_ENTRIES:
         raise CapacityError(
             f"{count} outputs of {n} photons on {m} modes make {count * width} {what} "
@@ -141,10 +141,10 @@ def _check_entries(n: int, m: int, collision_free_only: bool, width: int, what: 
 
 
 @functools.lru_cache(maxsize=4)
-def _outputs(n: int, m: int, collision_free_only: bool) -> np.ndarray:
-    combos = combinations if collision_free_only else combinations_with_replacement
-    count = output_count(n, m, collision_free_only)
-    modes = np.fromiter(chain.from_iterable(combos(range(m), n)), dtype=np.intp, count=count * n)
+def _outputs(n: int, m: int) -> np.ndarray:
+    count = output_count(n, m)
+    combos = combinations_with_replacement(range(m), n)
+    modes = np.fromiter(chain.from_iterable(combos), dtype=np.intp, count=count * n)
     modes.flags.writeable = False
     return modes.reshape(count, n)
 
@@ -157,13 +157,13 @@ def _output_states(n: int, m: int) -> tuple[tuple[FockState, ...], OutputPartiti
     More than :data:`MAX_OUTCOME_ENTRIES` entries, outputs x max(n, m) for
     the rows and the occupations, are refused on every call, before either is
     built."""
-    _check_entries(n, m, False, max(n, m), "occupation" if m >= n else "row")
+    _check_entries(n, m, max(n, m), "occupation" if m >= n else "row")
     return _output_set(n, m)
 
 
 @functools.lru_cache(maxsize=4)
 def _output_set(n: int, m: int) -> tuple[tuple[FockState, ...], OutputPartition]:
-    rows = _outputs(n, m, False)
+    rows = _outputs(n, m)
     states = tuple(map(tuple, occupations(rows, m).tolist()))
     mask = suppressed(rows)
     allowed, forbidden = (frozenset(compress(states, keep.tolist())) for keep in (~mask, mask))
@@ -176,9 +176,7 @@ def occupations(rows: np.ndarray, m: int) -> np.ndarray:
     return np.bincount(flat.ravel(), minlength=len(rows) * m).reshape(len(rows), m)
 
 
-def output_count(n: int, m: int, collision_free_only: bool = False) -> int:
-    if collision_free_only:
-        return math.comb(m, n)
+def output_count(n: int, m: int) -> int:
     return math.comb(m + n - 1, n)
 
 
@@ -189,28 +187,37 @@ def _expansion_plan(n: int, m: int) -> tuple[tuple[np.ndarray, np.ndarray, np.nd
     ``enumerate_outputs(r, m)``, k and the rank of T - e_k among the
     (r - 1)-photon outputs, T's last term first (``np.add.reduceat`` adds a
     run's first entry to the sum of the rest, so up to four terms add up in
-    position order), and where each T's terms start. With w[d, a] =
-    C(m - 2 - a + d, d), a row b ranks C(m + r - 1, r) - 1 - sum_j w[r - j, b_j],
-    and the parent without position i C(m + r - 2, r - 1) - 1 less the
-    level-(r - 1) weights before i and the level-r weights after it, in int64.
+    position order), and where each T's terms start.
+
+    Each level follows from the one before, one step per term. Level r lists
+    each (r - 1)-photon output P in order, then each c >= last(P), giving
+    T = P + e_c: the order of :func:`enumerate_outputs`, in which P's child c
+    ranks first_child(P) - last(P) + c. T's first term is (c, rank P). For
+    each distinct mode k < c of P, T - e_k is the child c of Q = P - e_k,
+    whose rank is the parent of P's term k. These terms are P's terms after
+    its first, ascending, then P's first if c > last(P).
     """
-    weight = np.array([[math.comb(m - 2 - a + d, d) for a in range(m)] for d in range(1, n)], dtype=np.int64)
-    rows, levels = _outputs(n, m, False), []
-    for r in range(n, 1, -1):
-        depth = np.arange(r - 2, -1, -1)
-        drop = np.zeros(rows.shape, dtype=np.int64)
-        drop[:, 1:] = weight[depth, rows[:, :-1]].cumsum(axis=1)
-        drop[:, :-1] += weight[depth, rows[:, 1:]][:, ::-1].cumsum(axis=1)[:, ::-1]
-        first = np.ones(rows.shape, dtype=bool)
-        first[:, 1:] = rows[:, 1:] != rows[:, :-1]
-        count = first.sum(axis=1)
-        starts = np.concatenate([[0], count.cumsum()[:-1]])
-        take = np.arange(count.sum()) - 1
-        take[starts] += count
-        levels.insert(0, (rows[first][take], (output_count(r - 1, m) - 1 - drop[first])[take], starts))
-        for array in levels[0]:
+    base = np.zeros(1, dtype=np.int64)  # first_child(Q) - last(Q) of the empty output Q
+    last = np.arange(m)
+    modes, parents, starts, count = last, np.zeros(m, dtype=np.int64), last, np.ones(m, dtype=np.int64)
+    levels = []
+    for _ in range(n - 1):
+        children = m - last
+        shift = base[parents]  # rank of T - e_k less c, for each term of P
+        base = np.cumsum(children) - children - last
+        up = np.repeat(np.arange(len(last)), children)
+        c = np.arange(len(up)) - np.repeat(base, children)
+        wrap = c > last[up]
+        terms = count[up] + wrap
+        begin = np.cumsum(terms) - terms
+        take = np.arange(terms.sum()) + np.repeat(starts[up] - begin, terms)
+        take[(begin + count[up])[wrap]] = starts[up[wrap]]
+        modes, parents = modes[take], shift[take] + np.repeat(c, terms)
+        modes[begin], parents[begin] = c, up
+        last, starts, count = c, begin, terms
+        for array in (modes, parents, starts):
             array.flags.writeable = False
-        rows = rows[rows[:, -1] == rows[:, -2], :-1]  # the first output of each (r - 1)-prefix ends in a repeat
+        levels.append((modes, parents, starts))
     return tuple(levels)
 
 

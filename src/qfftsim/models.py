@@ -41,12 +41,20 @@ FOCK = "fock"
 DISTINGUISHABLE = "distinguishable"
 MEAN_FIELD = "mean_field"
 
-#: Most steps of an expansion table, refused before any output is built: the
-#: m' C(m' + n, n - 1) positions the plan of n factors over m' variables visits
-#: plus n C(m' + n - 1, n) terms per expansion. At ~20 ns a step on a 2-core
-#: x86 host, the slowest tables admitted took 10.5-10.8 s at 109 MB peak RSS
-#: (1170 distinguishable photons on 2 modes) and 4.8-8.9 s (8 mean-field on 8).
+#: Most steps of an expansion table, refused before any output is built: n
+#: C(m' + n - 1, n) terms, at most, for each expansion of n factors over m'
+#: variables, its plan counting as one more, plus :data:`LEVEL_STEPS` for each
+#: of the n levels. At ~20 ns a term on a 2-core x86 host, the slowest tables
+#: admitted took 3.3-5.9 s at 102 MB peak RSS (131,000 distinguishable photons
+#: on 1 mode, where the levels are all the work) and 5.6-8.2 s at 62 MB (8
+#: mean-field photons on 8 modes). On 2 or more modes the entry cap of
+#: :mod:`qfftsim.fourier` refuses a distinguishable table first: 2047 photons
+#: on 2 modes took 0.39-0.40 s at 169 MB.
 MAX_EXPANSION_WORK = 1 << 29
+
+#: Steps charged for each level of an expansion, the fixed cost of its numpy
+#: calls: a level of the 1-mode table above, one term, took 25-45 us.
+LEVEL_STEPS = 1 << 12
 
 #: Most array entries the Fock stack or the mean-field expansion holds at
 #: once: outcomes x n x n submatrix entries for the Fock permanents, outcomes
@@ -118,8 +126,8 @@ def _check_input(u, input_state, tol: float) -> tuple[np.ndarray, FockState, int
 
 
 def _check_work(model: str, n: int, m: int, variables: int, batch: int) -> None:
-    """Refuse ``batch`` expansions over ``variables`` above :data:`MAX_EXPANSION_WORK`."""
-    work = variables * math.comb(variables + n, n - 1) + batch * n * output_count(n, variables)
+    """Refuse ``batch`` expansions over ``variables`` and their plan above :data:`MAX_EXPANSION_WORK`."""
+    work = (batch + 1) * n * output_count(n, variables) + n * LEVEL_STEPS
     if work > MAX_EXPANSION_WORK:
         raise CapacityError(
             f"the {model} table of {n} photons on {m} modes needs {work} expansion steps, "

@@ -471,13 +471,13 @@ class TestClassicalPairProbabilities:
                 assert pc[pair] == pytest.approx(2 / m**2, abs=1e-12)
 
     def test_entry_cap_refuses_before_the_probabilities(self, monkeypatch):
-        # 6 collision-free pairs on 4 modes: 12 row entries
-        monkeypatch.setattr(fourier, "MAX_OUTCOME_ENTRIES", 11)
+        # 10 two-photon outputs on 4 modes: 20 row entries
+        monkeypatch.setattr(fourier, "MAX_OUTCOME_ENTRIES", 19)
         with monkeypatch.context() as patch:
             patch.setattr(certify_module, "two_photon_probabilities", None)
-            with pytest.raises(CapacityError, match="^6 outputs of 2 photons on 4 modes make 12 row entries"):
+            with pytest.raises(CapacityError, match="^10 outputs of 2 photons on 4 modes make 20 row entries"):
                 classical_pair_probabilities(qft_matrix(4), (0, 2))
-        monkeypatch.setattr(fourier, "MAX_OUTCOME_ENTRIES", 12)
+        monkeypatch.setattr(fourier, "MAX_OUTCOME_ENTRIES", 20)
         assert list(classical_pair_probabilities(qft_matrix(4), (0, 2))) == [(0, 1), (0, 3), (1, 2), (2, 3)]
 
 

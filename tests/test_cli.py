@@ -721,12 +721,13 @@ class TestErrorPaths:
         "model, message",
         [
             ("fock", f"make {183181376 * 256} occupation entries, above the cap {MAX_OUTCOME_ENTRIES}"),
-            # the expansion budget is checked first: the plan over the 256 modes visits
-            # 256 C(260, 3) positions, then multiplies 4 terms per output
-            ("dist", f"needs {256 * 2895620 + 4 * 183181376} expansion steps, "
+            # the expansion budget is checked first: the plan over the 256 modes and the
+            # table, 4 terms per output each, + 4 levels x 4096 steps
+            ("dist", f"needs {2 * 4 * 183181376 + 4 * 4096} expansion steps, "
                      f"above the budget {models.MAX_EXPANSION_WORK}"),
-            # the plan over the 4 phases visits 4 C(8, 3) positions, then 4 C(7, 4) terms per output
-            ("mf", f"needs {4 * 56 + 183181376 * 4 * 35} expansion steps, above the budget {models.MAX_EXPANSION_WORK}"),
+            # the plan over the 4 phases and each output, 4 C(7, 4) terms each, + 4 levels x 4096 steps
+            ("mf", f"needs {(1 + 183181376) * 4 * 35 + 4 * 4096} expansion steps, "
+                   f"above the budget {models.MAX_EXPANSION_WORK}"),
         ],
         ids=["fock", "dist", "mf"],
     )
@@ -855,13 +856,13 @@ class TestSizeCaps:
         assert not (tmp_path / "dist.json").exists()
 
     def test_mean_field_coefficient_cap_at_its_boundary(self, monkeypatch, tmp_path, capsys):
-        # two photons on four modes: 2 C(4, 1) = 8 plan positions + 10 outputs x 2 C(3, 2) = 6 terms
+        # two photons on four modes: the plan + 10 outputs, 2 C(3, 2) = 6 terms each, + 2 levels x 4096
         argv = ("evolve", "--modes", "4", "--input", "1,3", "--model", "mf", "--out", str(tmp_path / "mf.json"))
-        monkeypatch.setattr(models, "MAX_EXPANSION_WORK", 67)
+        monkeypatch.setattr(models, "MAX_EXPANSION_WORK", 8257)
         assert run_cli(*argv) == EXIT_VALIDATION
-        assert "needs 68 expansion steps, above the budget 67" in capsys.readouterr().err
+        assert "needs 8258 expansion steps, above the budget 8257" in capsys.readouterr().err
         assert not (tmp_path / "mf.json").exists()
-        monkeypatch.setattr(models, "MAX_EXPANSION_WORK", 68)
+        monkeypatch.setattr(models, "MAX_EXPANSION_WORK", 8258)
         assert run_cli(*argv) == EXIT_OK
 
     def test_eight_mean_field_photons_on_eight_modes_pass(self, tmp_path):
@@ -872,13 +873,14 @@ class TestSizeCaps:
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_mean_field_coefficients_above_the_cap_exit_2(self, tmp_path, capsys):
-        # ten cyclic photons on ten modes: 10 C(20, 9) plan positions + C(19, 10) outputs x 10 C(19, 10) terms
+        # ten cyclic photons on ten modes: the plan + C(19, 10) outputs, 10 C(19, 10) terms each,
+        # + 10 levels x 4096 steps
         code = run_cli("evolve", "--modes", "10", "--input", "1,2,3,4,5,6,7,8,9,10", "--model", "mf",
                        "--out", str(tmp_path / "mf.json"))
         err = capsys.readouterr().err
         assert code == EXIT_VALIDATION
         assert err.startswith("qfft: invalid input:")
-        assert f"needs {10 * 167960 + 92378 * 10 * 92378} expansion steps, above the budget {models.MAX_EXPANSION_WORK}" in err
+        assert f"needs {(1 + 92378) * 10 * 92378 + 10 * 4096} expansion steps, above the budget {models.MAX_EXPANSION_WORK}" in err
         assert "Traceback" not in err
         assert not (tmp_path / "mf.json").exists()
 

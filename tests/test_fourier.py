@@ -1,6 +1,6 @@
 import math
 import re
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -130,8 +130,10 @@ class TestPartitionOutputs:
         for m in range(2, 65):
             forbidden = partition_outputs(2, m).forbidden
             assert collision_free(forbidden) == forbidden, m
-            rows = enumerate_outputs(2, m, collision_free_only=True)
-            assert forbidden == {occupation_from_modes(row, m) for row in rows[suppressed(rows)].tolist()}, m
+            rows = enumerate_outputs(2, m)
+            picked = rows[suppressed(rows)]
+            assert (picked[:, 0] < picked[:, 1]).all(), m
+            assert forbidden == {occupation_from_modes(row, m) for row in picked.tolist()}, m
 
     @pytest.mark.parametrize("m", [2, 4, 6, 8])
     def test_collision_free_total_is_binomial(self, m):
@@ -163,21 +165,21 @@ class TestPartitionOutputs:
 class TestEnumerateOutputs:
     """The (N, n) occupied-mode array against itertools and the scalar rule."""
 
-    shapes = dict(n=st.integers(1, 5), m=st.integers(1, 8), collision_free_only=st.booleans())
+    shapes = dict(n=st.integers(1, 5), m=st.integers(1, 8))
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(**shapes)
-    def test_rows_are_itertools_combinations_in_order(self, n, m, collision_free_only):
-        combos = combinations if collision_free_only else combinations_with_replacement
-        rows = enumerate_outputs(n, m, collision_free_only)
+    def test_rows_are_itertools_combinations_in_order(self, n, m):
+        combos = list(combinations_with_replacement(range(m), n))
+        rows = enumerate_outputs(n, m)
         assert rows.dtype == np.intp
-        assert rows.shape == (len(list(combos(range(m), n))), n)
-        assert rows.tolist() == [list(c) for c in combos(range(m), n)]
+        assert rows.shape == (len(combos), n)
+        assert rows.tolist() == [list(c) for c in combos]
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(**shapes)
-    def test_occupations_round_trip(self, n, m, collision_free_only):
-        rows = enumerate_outputs(n, m, collision_free_only)
+    def test_occupations_round_trip(self, n, m):
+        rows = enumerate_outputs(n, m)
         occ = occupations(rows, m)
         assert occ.shape == (len(rows), m)
         assert (occ.sum(axis=1) == n).all()
@@ -185,7 +187,7 @@ class TestEnumerateOutputs:
             assert occupied_modes(state) == row
 
     @settings(max_examples=80, deadline=None, derandomize=True)
-    @given(n=st.integers(1, 5), m=st.integers(1, 8))
+    @given(**shapes)
     def test_partition_agrees_with_scalar_rule(self, n, m):
         states = [occupation_from_modes(c, m) for c in combinations_with_replacement(range(m), n)]
         part = partition_outputs(n, m)
@@ -194,9 +196,12 @@ class TestEnumerateOutputs:
         for state in states:
             assert (state in part.forbidden) == is_suppressed(state, n), state
 
-    @pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 6) for m in range(1, 9)] + [(2, 64), (4, 28)])
+    @pytest.mark.parametrize(
+        "n,m", [(n, m) for n in range(1, 6) for m in range(1, 9)] + [(2, 64), (4, 28), (40, 2), (25, 1), (12, 3)]
+    )
     def test_expansion_plan_parents(self, n, m):
-        # at (2, 64) and (4, 28) a positional key sum_j a_j (n + 1)^j would not fit in int64
+        # at (2, 64) and (4, 28) a positional key sum_j a_j (n + 1)^j would not fit in int64; at
+        # (40, 2), (25, 1) and (12, 3) most terms inherit their parent through a long chain of levels
         plan = fourier._expansion_plan(n, m)
         assert len(plan) == n - 1
         for r, (modes, parents, starts) in enumerate(plan, start=2):
@@ -258,13 +263,13 @@ class TestSharedTables:
         fourier._outputs.cache_clear()
         fourier._output_set.cache_clear()
         size = max(fourier._outputs.cache_info().maxsize, fourier._output_set.cache_info().maxsize)
-        keys = [(n, m, free) for n, m in [(2, 5), (3, 4), (2, 6), (3, 5), (2, 7)] for free in (False, True)]
-        assert len(keys) // 2 > size
-        cold = {key: (enumerate_outputs(*key).copy(), partition_outputs(*key[:2])) for key in keys}
+        keys = [(2, 5), (3, 4), (2, 6), (3, 5), (2, 7)]
+        assert len(keys) > size
+        cold = {key: (enumerate_outputs(*key).copy(), partition_outputs(*key)) for key in keys}
         for key in [*keys[::-1], *keys[::2], *keys[1::2], *keys]:
             rows, part = cold[key]
             assert np.array_equal(enumerate_outputs(*key), rows)
-            assert partition_outputs(*key[:2]) == part
+            assert partition_outputs(*key) == part
 
 
 class TestSuppressionLaw:

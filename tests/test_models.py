@@ -227,32 +227,33 @@ class TestMeanField:
             mean_field_distribution(qft_matrix(4), (1, 1, 0, 0))
 
     def test_coefficient_cap_at_its_boundary(self, monkeypatch):
-        # two photons on four modes: the plan over the 2 phases visits 2 C(4, 1) = 8
-        # positions, and each of the 10 outputs multiplies 2 C(3, 2) = 6 terms
-        monkeypatch.setattr(models, "MAX_EXPANSION_WORK", 67)
+        # two photons on four modes: the plan over the 2 phases and each of the 10 outputs
+        # multiply 2 C(3, 2) = 6 terms, 66 in all, + 2 levels x 4096 steps
+        monkeypatch.setattr(models, "MAX_EXPANSION_WORK", 8257)
         with monkeypatch.context() as patch:
             patch.setattr(models, "_outcomes", None)  # refused before any output is built
-            with pytest.raises(CapacityError, match="needs 68 expansion steps, above the budget 67"):
+            with pytest.raises(CapacityError, match="needs 8258 expansion steps, above the budget 8257"):
                 mean_field_distribution(qft_matrix(4), (1, 0, 1, 0))
-        monkeypatch.setattr(models, "MAX_EXPANSION_WORK", 68)
+        monkeypatch.setattr(models, "MAX_EXPANSION_WORK", 8258)
         dist = mean_field_distribution(qft_matrix(4), (1, 0, 1, 0))
         assert dist.total() == pytest.approx(1.0, abs=1e-12)
 
     def test_refused_before_any_output_is_built(self, monkeypatch):
-        # 7 photons on 14 modes: C(20, 7) = 77,520 outputs x 7 C(13, 7) = 7 x 1716 terms
+        # 7 photons on 14 modes: the plan and C(20, 7) = 77,520 outputs x 7 C(13, 7) = 7 x 1716
+        # terms, + 7 levels x 4096 steps
         monkeypatch.setattr(fourier, "occupations", None)
         before = expansion_caches()
         with pytest.raises(CapacityError, match=(
-            f"^the mean_field table of 7 photons on 14 modes needs {7 * 3003 + 77520 * 7 * 1716} "
+            f"^the mean_field table of 7 photons on 14 modes needs {(1 + 77520) * 7 * 1716 + 7 * 4096} "
             f"expansion steps, above the budget {models.MAX_EXPANSION_WORK}$"
         )):
             mean_field_distribution(qft_matrix(14), (1, 0) * 7)
         assert expansion_caches() == before
 
     def test_cap_admits_eight_photons_on_eight_modes(self):
-        # n C(2n, n - 1) plan positions + N = C(m + n - 1, n) outputs x n C(2n - 1, n) terms
+        # the plan and N = C(m + n - 1, n) outputs, n C(2n - 1, n) terms each, + n levels x 4096 steps
         def work(n, m):
-            return n * math.comb(2 * n, n - 1) + math.comb(m + n - 1, n) * n * math.comb(2 * n - 1, n)
+            return (1 + math.comb(m + n - 1, n)) * n * math.comb(2 * n - 1, n) + n * 4096
 
         budget = models.MAX_EXPANSION_WORK
         assert work(8, 8) <= budget < min(work(9, 9), work(7, 14))
@@ -438,12 +439,17 @@ class TestPermanentCap:
 class TestExpansionBudget:
     """The distinguishable table is bounded by its expansion work, not by a permanent size."""
 
-    @pytest.mark.parametrize("n", [20, 21, 64, 161])
+    @pytest.mark.parametrize("n", [20, 21, 64, 161, 2047])
     def test_binomial_beyond_the_permanent_cap(self, n):
-        # each photon leaves a balanced coupler by either port: Binomial(n, 1/2)
-        probs = distinguishable_distribution(qft_matrix(2), (n, 0)).probabilities
+        # each photon leaves a balanced coupler by either port: Binomial(n, 1/2), scaled by
+        # (2 w)^n, as every |F_jk|^2 rounds to w = 1/2 - 2^-53; 2047 photons fill the entry cap
+        u = qft_matrix(2)
+        scale = (2 * np.abs(u[0, 0]) ** 2) ** n
+        probs = distinguishable_distribution(u, (n, 0)).probabilities
         for k in range(n + 1):
-            assert probs[(k, n - k)] == pytest.approx(math.comb(n, k) / 2**n, rel=1e-13, abs=0.0)
+            exact = math.comb(n, k) / 2**n * scale
+            # a value that passes through subnormal numbers keeps only an absolute bound
+            assert abs(probs[(k, n - k)] - exact) <= 1e-13 * exact + 1e-290, k
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(n=st.integers(1, 200), first=st.integers(0, 200), seed=st.integers(0, 2**32 - 1))
@@ -466,10 +472,10 @@ class TestExpansionBudget:
     @pytest.mark.parametrize(
         "make, state, work",
         [
-            # 2 C(2049, 2046) plan positions + 2047 x 2048 terms
-            (distinguishable_distribution, (2047, 0), 2 * math.comb(2049, 2046) + 2047 * 2048),
-            # 9 C(18, 8) plan positions + C(17, 9) outputs x 9 C(17, 9) terms
-            (mean_field_distribution, (1,) * 9, 9 * math.comb(18, 8) + 24310 * 9 * 24310),
+            # one table and its plan, 131,009 terms each, + 131,009 levels x 4096 steps
+            (distinguishable_distribution, (131009,), 2 * 131009 + 131009 * 4096),
+            # the plan and C(17, 9) outputs, 9 C(17, 9) terms each, + 9 levels x 4096 steps
+            (mean_field_distribution, (1,) * 9, (1 + 24310) * 9 * 24310 + 9 * 4096),
         ],
         ids=["distinguishable", "mean_field"],
     )
@@ -484,13 +490,13 @@ class TestExpansionBudget:
         assert expansion_caches() == before
 
     def test_distinguishable_budget_at_its_boundary(self, monkeypatch):
-        # three photons on two modes: the plan visits 2 C(5, 2) = 20 positions, then 3 C(4, 3) = 12 terms
-        monkeypatch.setattr(models, "MAX_EXPANSION_WORK", 31)
+        # three photons on two modes: the plan and the table, 3 C(4, 3) = 12 terms each, + 3 levels x 4096
+        monkeypatch.setattr(models, "MAX_EXPANSION_WORK", 12311)
         with monkeypatch.context() as patch:
             patch.setattr(models, "_outcomes", None)  # refused before any output is built
-            with pytest.raises(CapacityError, match="needs 32 expansion steps, above the budget 31"):
+            with pytest.raises(CapacityError, match="needs 12312 expansion steps, above the budget 12311"):
                 distinguishable_distribution(qft_matrix(2), (2, 1))
-        monkeypatch.setattr(models, "MAX_EXPANSION_WORK", 32)
+        monkeypatch.setattr(models, "MAX_EXPANSION_WORK", 12312)
         assert distinguishable_distribution(qft_matrix(2), (2, 1)).total() == pytest.approx(1.0, abs=1e-15)
 
 
