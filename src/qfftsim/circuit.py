@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DomainError, ValidationError
+from .fourier import check_nonnegative_int
 
 #: Largest supported layer count for synthesis (m = 2^cap modes).
 SYNTH_CAP = 10
@@ -85,6 +86,7 @@ def synthesize_qfft(p: int) -> QfftCircuit:
     whose bit j-1 is set, q being the mode's offset within the lower half of
     its step-(j-1) block. Layer 1 carries no phases.
     """
+    p = check_nonnegative_int(p, "layer count p")
     if not 1 <= p <= SYNTH_CAP:
         raise DomainError(f"layer count p must be in 1..{SYNTH_CAP}, got {p}")
     m = 1 << p

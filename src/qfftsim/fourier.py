@@ -33,21 +33,30 @@ FockState = tuple[int, ...]
 
 def qft_matrix(m: int) -> np.ndarray:
     """m x m Fourier matrix, entry (l, q) = exp(2i*pi*l*q/m)/sqrt(m), l,q = 0..m-1."""
+    m = check_nonnegative_int(m, "mode count")
     if m < 1:
         raise DomainError(f"mode count must be >= 1, got {m}")
     idx = np.arange(m)
     return np.exp(2j * np.pi * np.outer(idx, idx) / m) / np.sqrt(m)
 
 
+def check_nonnegative_int(value, what: str) -> int:
+    """``value`` as an int if it is a non-negative integer: 2.0 and numpy
+    integers pass; 2.5, -1, NaN and non-numbers raise :class:`DomainError`
+    rather than being truncated. The rule of every count, size, occupation
+    and mode label that comes from a caller."""
+    try:
+        integral = value >= 0 and (isinstance(value, numbers.Integral) or float(value).is_integer())
+    except (TypeError, ValueError):  # not a number, or not one number
+        integral = False
+    if not integral:
+        raise DomainError(f"{what} {value!r} is not a non-negative integer")
+    return int(value)
+
+
 def check_state(state) -> FockState:
-    """``state`` as an occupation tuple of ints. Every entry must be a
-    non-negative integer: 2.0 and numpy integers pass, 2.7, -1 and NaN are
-    refused rather than truncated."""
-    state = tuple(state)
-    for k, occ in enumerate(state):
-        if not (occ >= 0 and (isinstance(occ, numbers.Integral) or float(occ).is_integer())):
-            raise DomainError(f"occupation {occ!r} in mode {k} is not a non-negative integer")
-    return tuple(map(int, state))
+    """``state`` as an occupation tuple of ints, each checked by :func:`check_nonnegative_int`."""
+    return tuple(check_nonnegative_int(occ, "occupation") for occ in state)
 
 
 def occupied_modes(state) -> list[int]:
@@ -76,6 +85,7 @@ def cyclic_inputs(n: int, p: int) -> list[FockState]:
     ``s + (r-1) * n^(p-1)`` for r = 1..n; the states are mode-index
     translations of one another.
     """
+    n, p = check_nonnegative_int(n, "photon number"), check_nonnegative_int(p, "exponent p")
     if n < 2:
         raise DomainError(f"cyclic inputs need n >= 2 photons, got {n}")
     if p < 1:
@@ -180,14 +190,14 @@ def output_count(n: int, m: int) -> int:
     return math.comb(m + n - 1, n)
 
 
-@functools.lru_cache(maxsize=4)
-def _expansion_plan(n: int, m: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """Levels 2..n of an n-factor product expansion over m variables, shared
-    and read-only: for each distinct mode k of each output T of
+def _expansion_plan(n: int, m: int):
+    """Yield levels 2..n of an n-factor product expansion over m variables,
+    each as it is built: for each distinct mode k of each output T of
     ``enumerate_outputs(r, m)``, k and the rank of T - e_k among the
     (r - 1)-photon outputs, T's last term first (``np.add.reduceat`` adds a
     run's first entry to the sum of the rest, so up to four terms add up in
-    position order), and where each T's terms start.
+    position order), and where each T's terms start. Nothing is kept: a
+    caller that takes the levels in order holds two at a time.
 
     Each level follows from the one before, one step per term. Level r lists
     each (r - 1)-photon output P in order, then each c >= last(P), giving
@@ -200,7 +210,6 @@ def _expansion_plan(n: int, m: int) -> tuple[tuple[np.ndarray, np.ndarray, np.nd
     base = np.zeros(1, dtype=np.int64)  # first_child(Q) - last(Q) of the empty output Q
     last = np.arange(m)
     modes, parents, starts, count = last, np.zeros(m, dtype=np.int64), last, np.ones(m, dtype=np.int64)
-    levels = []
     for _ in range(n - 1):
         children = m - last
         shift = base[parents]  # rank of T - e_k less c, for each term of P
@@ -215,10 +224,7 @@ def _expansion_plan(n: int, m: int) -> tuple[tuple[np.ndarray, np.ndarray, np.nd
         modes, parents = modes[take], shift[take] + np.repeat(c, terms)
         modes[begin], parents[begin] = c, up
         last, starts, count = c, begin, terms
-        for array in (modes, parents, starts):
-            array.flags.writeable = False
-        levels.append((modes, parents, starts))
-    return tuple(levels)
+        yield modes, parents, starts
 
 
 @dataclass(frozen=True)

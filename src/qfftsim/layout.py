@@ -16,6 +16,7 @@ import numpy as np
 
 from .circuit import synthesize_qfft
 from .errors import DomainError, ValidationError
+from .fourier import check_nonnegative_int
 
 #: Largest hypercube dimension with a default projection basis.
 LAYOUT_CAP = 6
@@ -61,6 +62,7 @@ def hypercube_layout(p: int) -> HypercubeLayout:
     :data:`DEFAULT_ANGLES`; the scale ladder makes more significant bits
     separate sub-cubes more widely.
     """
+    p = check_nonnegative_int(p, "layout dimension")
     if not 1 <= p <= LAYOUT_CAP:
         raise DomainError(f"layout dimension must be in 1..{LAYOUT_CAP}, got {p}")
     m = 1 << p

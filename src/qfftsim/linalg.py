@@ -13,6 +13,7 @@ import functools
 import numpy as np
 
 from .errors import CapacityError, ShapeError, ValidationError
+from .fourier import check_nonnegative_int
 
 #: Absolute tolerance used by default for unitarity and matrix equality checks.
 DEFAULT_TOL = 1e-10
@@ -131,6 +132,7 @@ def haar_random_unitary(m: int, rng: np.random.Generator) -> np.ndarray:
     The R diagonal is phase-normalised so the distribution is exactly Haar
     rather than QR-convention dependent.
     """
+    m = check_nonnegative_int(m, "mode count")
     z = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.diag(r)

@@ -29,13 +29,14 @@ from .fourier import (
     FockState,
     _expansion_plan,
     _output_states,
+    check_nonnegative_int,
     check_state,
     enumerate_outputs,
     occupied_modes,
     output_count,
     photon_number,
 )
-from .linalg import DEFAULT_TOL, assert_unitary, check_permanent_cap, permanent
+from .linalg import DEFAULT_TOL, as_complex_matrix, assert_unitary, check_permanent_cap, permanent
 
 FOCK = "fock"
 DISTINGUISHABLE = "distinguishable"
@@ -45,11 +46,11 @@ MEAN_FIELD = "mean_field"
 #: C(m' + n - 1, n) terms, at most, for each expansion of n factors over m'
 #: variables, its plan counting as one more, plus :data:`LEVEL_STEPS` for each
 #: of the n levels. At ~20 ns a term on a 2-core x86 host, the slowest tables
-#: admitted took 3.3-5.9 s at 102 MB peak RSS (131,000 distinguishable photons
-#: on 1 mode, where the levels are all the work) and 5.6-8.2 s at 62 MB (8
+#: admitted took 2.8-5.9 s at 35 MB peak RSS (131,000 distinguishable photons
+#: on 1 mode, where the levels are all the work) and 4.7-8.2 s at 62 MB (8
 #: mean-field photons on 8 modes). On 2 or more modes the entry cap of
 #: :mod:`qfftsim.fourier` refuses a distinguishable table first: 2047 photons
-#: on 2 modes took 0.39-0.40 s at 169 MB.
+#: on 2 modes took 0.27-0.31 s at 95 MB.
 MAX_EXPANSION_WORK = 1 << 29
 
 #: Steps charged for each level of an expansion, the fixed cost of its numpy
@@ -154,19 +155,19 @@ def _t_factorials(rows: np.ndarray) -> np.ndarray:
     return run.prod(axis=1).astype(float)
 
 
-def product_expansion(cols: np.ndarray) -> np.ndarray:
+def product_expansion(cols: np.ndarray, plan) -> np.ndarray:
     """Coefficient of x^T in prod_j (sum_k cols[..., k, j] x_k) for each output
     T of ``enumerate_outputs(n, m)``, for (..., m, n) ``cols`` with any leading
     batch axes: perm(A[T, S]) / prod_k t_k! for the matrix A whose input
     columns S are ``cols``. Level r holds the coefficients of the first r
     factors over the r-photon outputs, c_r(T) = sum over distinct k in T of
     cols[..., k, r - 1] * c_(r-1)(T - e_k): one gather, one multiply and one
-    ``np.add.reduceat`` over the terms of the plan that :mod:`qfftsim.fourier`
-    builds once per (n, m).
+    ``np.add.reduceat`` over the terms of each level of ``plan``, the levels
+    2..n of ``fourier._expansion_plan(n, m)`` taken in order, so a plan
+    streamed from the generator is never held whole.
     """
-    m, n = cols.shape[-2:]
     coeff = cols[..., :, 0]
-    for r, (modes, parents, starts) in enumerate(_expansion_plan(n, m), start=2):
+    for r, (modes, parents, starts) in enumerate(plan, start=2):
         coeff = np.add.reduceat(cols[..., modes, r - 1] * coeff[..., parents], starts, axis=-1)
     return coeff
 
@@ -203,7 +204,7 @@ def distinguishable_distribution(u, input_state, *, tol=DEFAULT_TOL) -> OutcomeD
     u, state, n = _check_input(u, input_state, tol)
     _check_work(DISTINGUISHABLE, n, u.shape[0], u.shape[0], 1)
     outs, _ = _outcomes(n, u.shape[0])
-    probs = product_expansion(np.abs(u[:, occupied_modes(state)]) ** 2)
+    probs = product_expansion(np.abs(u[:, occupied_modes(state)]) ** 2, _expansion_plan(n, u.shape[0]))
     return OutcomeDistribution(DISTINGUISHABLE, state, dict(zip(outs, probs.tolist())))
 
 
@@ -235,8 +236,9 @@ def mean_field_distribution(u, input_state, *, tol=DEFAULT_TOL) -> OutcomeDistri
 
     exact for any n (Tichy, Mayer, Buchleitner & Molmer, PRL 113, 020502
     (2014)). :func:`product_expansion` gives the C(2n - 1, n) coefficients of
-    every output, a block of outputs at a time; the expansion's work is
-    checked against :data:`MAX_EXPANSION_WORK` before any output is built.
+    every output, a block of outputs at a time, over one (n, n) plan built
+    per call; the expansion's work is checked against
+    :data:`MAX_EXPANSION_WORK` before any output is built.
     """
     u, state, n = _check_input(u, input_state, tol)
     if not is_cyclic_state(state):
@@ -244,17 +246,18 @@ def mean_field_distribution(u, input_state, *, tol=DEFAULT_TOL) -> OutcomeDistri
     _check_work(MEAN_FIELD, n, u.shape[0], n, output_count(n, u.shape[0]))
     outs, rows = _outcomes(n, u.shape[0])
     modes = occupied_modes(state)
+    plan = tuple(_expansion_plan(n, n))
     weight = np.empty(len(rows))
     step = max(1, BLOCK_ENTRIES // (output_count(n, n) * n))
     for start in range(0, len(rows), step):
         cols = u[rows[start : start + step, :, None], modes].transpose(0, 2, 1)
-        weight[start : start + step] = (np.abs(product_expansion(cols)) ** 2).sum(axis=1)
+        weight[start : start + step] = (np.abs(product_expansion(cols, plan)) ** 2).sum(axis=1)
     probs = math.factorial(n) / n**n * weight / _t_factorials(rows)
     return OutcomeDistribution(MEAN_FIELD, state, dict(zip(outs, probs.tolist())))
 
 
 def _check_pair(u: np.ndarray, input_pair) -> tuple[int, int]:
-    a, b = (int(x) for x in input_pair)
+    a, b = (check_nonnegative_int(x, "input mode") for x in input_pair)
     m = u.shape[0]
     if not (0 <= a < m and 0 <= b < m):
         raise DomainError(f"input pair {(a, b)} out of range for m={m}")
@@ -269,9 +272,12 @@ def two_photon_probabilities(u, input_pair) -> tuple[np.ndarray, np.ndarray]:
     Returns symmetric matrices ``(pq, pc)``; entry [i, j] with i != j is the
     probability of one photon in each of modes i and j, the diagonal holds
     the bunched (both photons in the same mode) probabilities. Each matrix's
-    upper triangle including the diagonal sums to 1.
+    upper triangle including the diagonal sums to 1. A non-square ``u``
+    raises :class:`ShapeError`; its unitarity is the callers' check.
     """
-    u = np.asarray(u, dtype=complex)
+    u = as_complex_matrix(u)
+    if u.shape[0] != u.shape[1]:
+        raise ShapeError(f"two-photon probabilities need a square matrix, got {u.shape}")
     a, b = _check_pair(u, input_pair)
     amp = np.outer(u[:, a], u[:, b])
     sym = amp + amp.T

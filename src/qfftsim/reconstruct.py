@@ -39,7 +39,7 @@ from .circuit import (
 )
 from .errors import ConvergenceError, DomainError, ValidationError
 from .linalg import as_complex_matrix, assert_unitary, fidelity, matrix_to_json
-from .models import two_photon_probabilities
+from .models import _check_pair, two_photon_probabilities
 
 TWO_PI = 2.0 * math.pi
 
@@ -384,8 +384,8 @@ def moduli_from_singles(singles) -> np.ndarray:
     m = max(max(i, o) for i, o in singles) + 1
     table = np.full((m, m), np.nan)
     for (i, o), p in singles.items():
-        if p < 0:
-            raise DomainError(f"negative singles probability {p} for ({i},{o})")
+        if not 0 <= p < math.inf:
+            raise DomainError(f"singles probability {p} for ({i},{o}) is not finite and non-negative")
         table[o, i] = p
     if np.any(np.isnan(table)):
         missing = int(np.sum(np.isnan(table)))
@@ -412,7 +412,7 @@ def visibilities_from_unitary(u, input_pairs, sigma: float) -> dict:
     m = u.shape[0]
     table = {}
     for inp in input_pairs:
-        a, b = int(inp[0]), int(inp[1])
+        a, b = _check_pair(u, inp)
         pq, pc = two_photon_probabilities(u, (a, b))
         for i in range(m):
             for j in range(i + 1, m):

@@ -77,6 +77,12 @@ class TestSynthesis:
         with pytest.raises(DomainError):
             synthesize_qfft(11)
 
+    @pytest.mark.parametrize("p", [2.5, float("nan"), -1, "a"])
+    def test_non_integral_layer_count_refused(self, p):
+        with pytest.raises(DomainError, match="^layer count p .* is not a non-negative integer$"):
+            synthesize_qfft(p)
+        assert synthesize_qfft(3.0) == synthesize_qfft(np.int64(3)) == synthesize_qfft(3)
+
 
 class TestComposition:
     def test_mode_reuse_rejected(self):

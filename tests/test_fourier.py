@@ -43,6 +43,13 @@ class TestQftMatrix:
         with pytest.raises(DomainError):
             qft_matrix(0)
 
+    @pytest.mark.parametrize("m", [2.5, float("nan"), -1, "a"])
+    def test_non_integral_size_refused(self, m):
+        with pytest.raises(DomainError, match=f"^mode count {re.escape(repr(m))} is not a non-negative integer$"):
+            qft_matrix(m)
+        assert np.array_equal(qft_matrix(4.0), qft_matrix(4))
+        assert np.array_equal(qft_matrix(np.int64(4)), qft_matrix(4))
+
 
 class TestCyclicInputs:
     def test_two_photons_four_modes(self):
@@ -69,6 +76,12 @@ class TestCyclicInputs:
     def test_rejects_single_photon(self):
         with pytest.raises(DomainError):
             cyclic_inputs(1, 3)
+
+    @pytest.mark.parametrize("n,p", [(2.5, 2), (2, 1.5), (float("nan"), 2), (-1, 2), (2, "a")])
+    def test_non_integral_arguments_refused(self, n, p):
+        with pytest.raises(DomainError, match="is not a non-negative integer"):
+            cyclic_inputs(n, p)
+        assert cyclic_inputs(2.0, np.int64(2)) == cyclic_inputs(2, 2)
 
     def test_at_the_entry_cap(self):
         # 4^5 inputs x 4^6 modes = 2^22 occupation entries
@@ -202,7 +215,7 @@ class TestEnumerateOutputs:
     def test_expansion_plan_parents(self, n, m):
         # at (2, 64) and (4, 28) a positional key sum_j a_j (n + 1)^j would not fit in int64; at
         # (40, 2), (25, 1) and (12, 3) most terms inherit their parent through a long chain of levels
-        plan = fourier._expansion_plan(n, m)
+        plan = tuple(fourier._expansion_plan(n, m))
         assert len(plan) == n - 1
         for r, (modes, parents, starts) in enumerate(plan, start=2):
             rank = {tuple(row): i for i, row in enumerate(enumerate_outputs(r - 1, m).tolist())}

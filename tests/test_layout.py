@@ -46,7 +46,7 @@ def test_invariants_all_supported_dimensions(p):
         assert len(lay.steps[s]) == 2 ** (p - 1)
 
 
-@pytest.mark.parametrize("p", [0, 7])
+@pytest.mark.parametrize("p", [0, 7, 2.5, float("nan"), "a"])
 def test_dimension_cap(p):
     with pytest.raises(DomainError):
         hypercube_layout(p)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfftsim.errors import CapacityError, ShapeError, ValidationError
+from qfftsim.errors import CapacityError, DomainError, ShapeError, ValidationError
 from qfftsim.fourier import qft_matrix
 from qfftsim.linalg import (
     DEFAULT_TOL,
@@ -140,6 +140,13 @@ class TestUnitarity:
             assert_unitary(np.full((2, 2), np.nan))
         with pytest.raises(ValidationError):
             assert_unitary(np.eye(2), tol=float("nan"))
+
+    @pytest.mark.parametrize("m", [2.5, float("nan"), -1, "a"])
+    def test_haar_size_refused(self, m):
+        with pytest.raises(DomainError, match="^mode count .* is not a non-negative integer$"):
+            haar_random_unitary(m, np.random.default_rng(0))
+        u = haar_random_unitary(3, np.random.default_rng(5))
+        assert np.array_equal(haar_random_unitary(3.0, np.random.default_rng(5)), u)
 
     def test_haar_seeding_is_reproducible(self):
         a = haar_random_unitary(4, np.random.default_rng(77))

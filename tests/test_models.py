@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from qfftsim import fourier, models
 from qfftsim.circuit import circuit_to_unitary, synthesize_qfft
-from qfftsim.errors import CapacityError, DomainError, ValidationError
+from qfftsim.errors import CapacityError, DomainError, ShapeError, ValidationError
 from qfftsim.fourier import (
     enumerate_outputs,
     is_suppressed,
@@ -50,7 +51,19 @@ def cyclic_state(n, m):
 
 
 def expansion_caches():
-    return fourier._outputs.cache_info(), fourier._output_set.cache_info(), fourier._expansion_plan.cache_info()
+    return fourier._outputs.cache_info(), fourier._output_set.cache_info()
+
+
+def plan_recorder(monkeypatch):
+    """The (n, m) of each expansion plan the tables ask :mod:`qfftsim.fourier` for, in order."""
+    calls = []
+
+    def record(n, m):
+        calls.append((n, m))
+        return fourier._expansion_plan(n, m)
+
+    monkeypatch.setattr(models, "_expansion_plan", record)
+    return calls
 
 
 def forbidden_pairs(m):
@@ -242,13 +255,14 @@ class TestMeanField:
         # 7 photons on 14 modes: the plan and C(20, 7) = 77,520 outputs x 7 C(13, 7) = 7 x 1716
         # terms, + 7 levels x 4096 steps
         monkeypatch.setattr(fourier, "occupations", None)
+        plans = plan_recorder(monkeypatch)
         before = expansion_caches()
         with pytest.raises(CapacityError, match=(
             f"^the mean_field table of 7 photons on 14 modes needs {(1 + 77520) * 7 * 1716 + 7 * 4096} "
             f"expansion steps, above the budget {models.MAX_EXPANSION_WORK}$"
         )):
             mean_field_distribution(qft_matrix(14), (1, 0) * 7)
-        assert expansion_caches() == before
+        assert expansion_caches() == before and plans == []
 
     def test_cap_admits_eight_photons_on_eight_modes(self):
         # the plan and N = C(m + n - 1, n) outputs, n C(2n - 1, n) terms each, + n levels x 4096 steps
@@ -397,8 +411,9 @@ class TestProductExpansion:
         u = haar_random_unitary(m, rng)
         rows = enumerate_outputs(len(modes), m)
         t_fact = [math.prod(map(math.factorial, occ)) for occ in occupations(rows, m).tolist()]
+        plan = tuple(fourier._expansion_plan(len(modes), m))
         for mat in (rng.uniform(0.0, 1.0, (m, m)), np.abs(u) ** 2, u):
-            coeff = product_expansion(mat[:, modes])
+            coeff = product_expansion(mat[:, modes], plan)
             assert coeff.dtype == mat.dtype
             for row, c, t in zip(rows, coeff, t_fact):
                 ref = permanent_definition(mat[np.ix_(row, modes)]) / t
@@ -414,10 +429,11 @@ class TestProductExpansion:
     def test_batch_axis_gives_separate_expansions(self, m, n, batch, seed):
         rng = np.random.default_rng(seed)
         cols = rng.normal(size=(batch, m, n)) + 1j * rng.normal(size=(batch, m, n))
+        plan = tuple(fourier._expansion_plan(n, m))
         for mat in (cols, cols.real.copy()):
-            whole = product_expansion(mat)
+            whole = product_expansion(mat, plan)
             assert whole.shape == (batch, math.comb(m + n - 1, n))
-            assert np.array_equal(whole, [product_expansion(one) for one in mat])
+            assert np.array_equal(whole, [product_expansion(one, plan) for one in mat])
 
     @pytest.mark.parametrize("state", [(2, 0, 1, 0), (0, 3, 0), (1, 1, 0, 2, 0)])
     def test_bunched_input_distribution(self, state):
@@ -481,13 +497,14 @@ class TestExpansionBudget:
     )
     def test_refused_at_once(self, make, state, work, monkeypatch):
         monkeypatch.setattr(fourier, "occupations", None)
+        plans = plan_recorder(monkeypatch)
         before = expansion_caches()
         with pytest.raises(CapacityError, match=(
             f"^the {make.__name__.removesuffix('_distribution')} table of {sum(state)} photons on {len(state)} modes "
             f"needs {work} expansion steps, above the budget {models.MAX_EXPANSION_WORK}$"
         )):
             make(qft_matrix(len(state)), state)
-        assert expansion_caches() == before
+        assert expansion_caches() == before and plans == []
 
     def test_distinguishable_budget_at_its_boundary(self, monkeypatch):
         # three photons on two modes: the plan and the table, 3 C(4, 3) = 12 terms each, + 3 levels x 4096
@@ -529,7 +546,9 @@ class TestQuadratureExactness:
         monkeypatch.setattr(models, "BLOCK_ENTRIES", 165 * 10 * 3)  # one block
         whole = mean_field_distribution(u, state).probabilities
         monkeypatch.setattr(models, "BLOCK_ENTRIES", 100)  # 3 of the 165 outputs per block
+        plans = plan_recorder(monkeypatch)
         blocks = mean_field_distribution(u, state).probabilities
+        assert plans == [(3, 3)]  # one plan, built once for all 55 blocks
         assert list(blocks) == list(whole)
         assert np.array_equal(list(blocks.values()), list(whole.values()))
 
@@ -610,6 +629,18 @@ class TestSharedTables:
             assert [make(u, state) for make in self.makers] == cold[key]
         assert fourier._output_set.cache_info().currsize == fourier._output_set.cache_info().maxsize
 
+    def test_no_plan_outlives_its_table(self):
+        # 500 photons on 2 modes: levels of up to 1,000 terms, a 5 MB plan if one were kept
+        tracemalloc.start()
+        try:
+            distinguishable_distribution(qft_matrix(2), (500, 0))
+            fourier._outputs.cache_clear()
+            fourier._output_set.cache_clear()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 1 << 20
+
     @pytest.mark.parametrize("n,m", [(2, 8), (3, 9), (4, 16)])
     def test_tables_are_keyed_by_the_partition_tuples(self, n, m):
         part = partition_outputs(n, m)
@@ -634,9 +665,10 @@ class TestStateEntries:
             lambda: is_cyclic_state((1.5, 0, 0.5, 0)),
             lambda: is_cyclic_state((float("nan"), 0)),
             lambda: photon_number((2.7, 0)),
+            lambda: fourier.check_state(("a", 1)),
         ],
         ids=["fock-2.7", "dist-0.5", "fock-nan", "suppressed-1.5", "suppressed-negative", "suppressed-nan",
-             "cyclic-1.5", "cyclic-nan", "photons-2.7"],
+             "cyclic-1.5", "cyclic-nan", "photons-2.7", "state-str"],
     )
     def test_refused(self, call):
         with pytest.raises(DomainError, match="is not a non-negative integer"):
@@ -695,6 +727,17 @@ class TestCoincidenceCurves:
         with pytest.raises(DomainError):
             two_photon_coincidences(qft_matrix(4), (1, 1), DelayModel(), [0.0])
 
+    @pytest.mark.parametrize("pair", [(1.7, 3), (float("nan"), 3), (1, -1), ("a", 3)])
+    def test_non_integral_labels_refused(self, pair):
+        # none is truncated: (1.7, 3) used to score input (1, 3)
+        with pytest.raises(DomainError, match="^input mode .* is not a non-negative integer$"):
+            two_photon_coincidences(qft_matrix(4), pair, DelayModel(), [0.0])
+        u = haar_random_unitary(4, np.random.default_rng(4))
+        exact = two_photon_coincidences(u, (1, 3), DelayModel(), [0.0, 50.0])
+        same = two_photon_coincidences(u, (1.0, np.int64(3)), DelayModel(), [0.0, 50.0])
+        assert same.input == (1, 3) and all(type(k) is int for k in same.input)
+        assert np.array_equal(same.quantum, exact.quantum)
+
 
 class TestTwoPhotonProbabilities:
     @pytest.mark.parametrize("seed", range(5))
@@ -710,6 +753,11 @@ class TestTwoPhotonProbabilities:
             i, j = modes[0], modes[-1]
             assert pq[i, j] == pytest.approx(p, abs=1e-12)
             assert pc[i, j] == pytest.approx(dist[out], abs=1e-12)
+
+    @pytest.mark.parametrize("u", [np.full(4, 0.5), np.full((3, 2), 0.5)], ids=["1-d", "3x2"])
+    def test_non_square_matrix_refused(self, u):
+        with pytest.raises(ShapeError):
+            two_photon_probabilities(u, (0, 1))
 
     def test_normalised(self):
         u = haar_random_unitary(6, np.random.default_rng(9))

@@ -533,6 +533,24 @@ class TestModuliFromSingles:
         with pytest.raises(DomainError):
             moduli_from_singles({(0, 0): 0.5, (1, 1): 0.5})
 
+    @pytest.mark.parametrize("p", [float("nan"), float("inf"), -0.1])
+    def test_non_finite_or_negative_probability_named(self, p):
+        # a NaN used to be reported as a missing entry
+        with pytest.raises(DomainError, match=r"^singles probability .* for \(1,0\) is not finite and non-negative$"):
+            moduli_from_singles({(0, 0): 0.5, (0, 1): 0.5, (1, 0): p, (1, 1): 0.5})
+
+
+class TestVisibilitiesFromUnitary:
+    @pytest.mark.parametrize("pair", [(1.7, 3), (float("nan"), 3), (1, -1), ("a", 3)])
+    def test_non_integral_labels_refused(self, pair):
+        # none is truncated: (1.7, 3) used to score input (1, 3)
+        with pytest.raises(DomainError, match="^input mode .* is not a non-negative integer$"):
+            visibilities_from_unitary(qft_matrix(4), [pair], 0.02)
+        u = qft_matrix(8)
+        exact = visibilities_from_unitary(u, [(1, 3)], 0.02)
+        same = visibilities_from_unitary(u, [(1.0, np.int64(3))], 0.02)
+        assert same == exact and all(type(k) is int for (inp, _) in same for k in inp)
+
 
 class TestGauge:
     def test_canonical_first_row_and_column_real(self):
