@@ -36,7 +36,7 @@ def main():
             continue
         vis = visibility(c, q[0])
         out = tuple(2 if i == j and k == i else int(k in (i, j)) for k in range(m))
-        tag = "bunched" if i == j else ("forbidden" if is_suppressed(out, 2) else "allowed")
+        tag = "bunched" if i == j else ("forbidden" if is_suppressed(out) else "allowed")
         row = "".join(f"  {value:7.4f}" for value in q)
         print(f"  ({i + 1},{j + 1}) {tag:9s}{row}   V = {vis:+.3f}")
 

@@ -221,8 +221,7 @@ def compile_circuit(circuit: QfftCircuit, free_phases=()) -> CompiledCircuit:
     product per layer holding a free phase.
     """
     validate_circuit(circuit)
-    free_phases = tuple(free_phases)
-    _check_positions(circuit, free_phases)
+    free_phases = check_positions(circuit, free_phases)
     phases = np.zeros((circuit.p, circuit.m))
     for j, layer in enumerate(circuit.layers):
         for t, angle in layer.phases.items():
@@ -242,16 +241,22 @@ def circuit_to_unitary(circuit: QfftCircuit) -> np.ndarray:
     return compile_circuit(circuit).unitary()
 
 
-def _check_positions(circuit: QfftCircuit, positions) -> None:
-    positions = [tuple(pos) for pos in positions]
+def check_positions(circuit: QfftCircuit, positions) -> list[tuple[int, int]]:
+    """``positions`` as distinct (step, mode) int pairs, each label checked by
+    :func:`~qfftsim.fourier.check_nonnegative_int`, then against the circuit."""
+    positions = [
+        (check_nonnegative_int(step, "step index"), check_nonnegative_int(mode, "mode"))
+        for step, mode in positions
+    ]
     if len(set(positions)) != len(positions):
         raise DomainError(f"duplicate phase positions in {positions}")
     steps = {layer.step for layer in circuit.layers}
     for step, mode in positions:
         if step not in steps:
             raise DomainError(f"no layer with step index {step}")
-        if not 0 <= mode < circuit.m:
+        if mode >= circuit.m:
             raise DomainError(f"mode {mode} out of range for m={circuit.m}")
+    return positions
 
 
 def perturb_circuit(circuit: QfftCircuit, phase_errors: dict[tuple[int, int], float]) -> QfftCircuit:
@@ -263,11 +268,11 @@ def perturb_circuit(circuit: QfftCircuit, phase_errors: dict[tuple[int, int], fl
 
 def set_phases(circuit: QfftCircuit, assignments: dict[tuple[int, int], float]) -> QfftCircuit:
     """Replace the phases at ``(step, mode)`` positions with absolute values, taken mod 2*pi."""
-    _check_positions(circuit, assignments)
+    positions = check_positions(circuit, assignments)
     layers = []
     for layer in circuit.layers:
         phases = dict(layer.phases)
-        for (step, mode), value in assignments.items():
+        for (step, mode), value in zip(positions, assignments.values()):
             if step == layer.step:
                 phases[mode] = value % TWO_PI
         layers.append(replace(layer, phases=phases))
@@ -312,9 +317,12 @@ def circuit_to_json(circuit: QfftCircuit) -> dict:
 
 
 def circuit_from_json(obj) -> QfftCircuit:
+    def mode(label, what):  # 1-based in files
+        return check_nonnegative_int(label, what) - 1
+
     try:
-        p = int(obj["p"])
-        m = int(obj["m"])
+        p = check_nonnegative_int(obj["p"], "layer count p")
+        m = check_nonnegative_int(obj["m"], "mode count")
         raw_layers = obj["layers"]
         raw_swaps = obj["relabeling"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -324,8 +332,8 @@ def circuit_from_json(obj) -> QfftCircuit:
     try:
         layers = [
             Layer(
-                step=int(raw["step"]),
-                couplers=tuple((int(a) - 1, int(b) - 1) for a, b in raw["couplers"]),
+                step=check_nonnegative_int(raw["step"], "step index"),
+                couplers=tuple((mode(a, "coupler mode"), mode(b, "coupler mode")) for a, b in raw["couplers"]),
                 phases={int(t) - 1: float(v) for t, v in raw.get("phases", {}).items()},
             )
             for raw in raw_layers
@@ -333,7 +341,8 @@ def circuit_from_json(obj) -> QfftCircuit:
         # sized by p, not by the unchecked m, which validate_circuit compares with 2^p
         relabeling = list(range(1 << p))
         for a, b in raw_swaps:
-            relabeling[int(a) - 1], relabeling[int(b) - 1] = int(b) - 1, int(a) - 1
+            a, b = mode(a, "relabeling mode"), mode(b, "relabeling mode")
+            relabeling[a], relabeling[b] = b, a
     except (KeyError, TypeError, ValueError, IndexError, AttributeError, OverflowError) as exc:
         raise ValidationError(f"malformed circuit layers or relabeling: {exc}") from exc
     circuit = QfftCircuit(p=p, m=m, layers=tuple(layers), output_relabeling=tuple(relabeling))

@@ -60,14 +60,13 @@ from .certify import (
 )
 from .circuit import SYNTH_CAP, circuit_to_json, synthesize_qfft
 from .errors import DomainError, NumericalError, ParseError, QfftError
-from .fourier import occupation_from_modes, qft_matrix
+from .fourier import is_cyclic_state, occupation_from_modes, qft_matrix
 from .layout import hypercube_layout
 from .linalg import DEFAULT_TOL, assert_unitary, matrix_from_json
 from .models import (
     DelayModel,
     distinguishable_distribution,
     fock_distribution,
-    is_cyclic_state,
     mean_field_distribution,
     two_photon_coincidences,
 )

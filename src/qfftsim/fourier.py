@@ -1,10 +1,14 @@
-"""Discrete Fourier unitaries and the two-photon suppression combinatorics.
+"""Discrete Fourier unitaries and the rules about modes.
 
 Fock states are occupation tuples: ``state[k]`` photons in mode ``k``
 (0-based internally). :func:`enumerate_outputs` lists all outputs at once,
-as an array of occupied modes. The suppression predicate and the
-cyclic-input rule are stated with 1-based mode labels in user-facing
-material; conversion happens at the function boundary.
+as an array of occupied modes. Each rule about modes and photons is stated
+here once: the label rule (:func:`check_nonnegative_int`,
+:func:`check_state`, :func:`check_pair`), the suppression law
+(:func:`suppressed`, :func:`is_suppressed`, :func:`partition_outputs`) and
+the cyclic-input rule (:func:`cyclic_inputs`, :func:`is_cyclic_state`). The
+last two are stated with 1-based mode labels in user-facing material;
+conversion happens at the function boundary.
 """
 
 from __future__ import annotations
@@ -45,6 +49,8 @@ def check_nonnegative_int(value, what: str) -> int:
     integers pass; 2.5, -1, NaN and non-numbers raise :class:`DomainError`
     rather than being truncated. The rule of every count, size, occupation
     and mode label that comes from a caller."""
+    if type(value) is int and value >= 0:  # most labels, without the slower general test
+        return value
     try:
         integral = value >= 0 and (isinstance(value, numbers.Integral) or float(value).is_integer())
     except (TypeError, ValueError):  # not a number, or not one number
@@ -52,6 +58,19 @@ def check_nonnegative_int(value, what: str) -> int:
     if not integral:
         raise DomainError(f"{what} {value!r} is not a non-negative integer")
     return int(value)
+
+
+def check_pair(pair, m: int) -> tuple[int, int]:
+    """``pair`` as two distinct modes below ``m``, each checked by :func:`check_nonnegative_int`."""
+    labels = tuple(check_nonnegative_int(x, "input mode") for x in pair)
+    if len(labels) != 2:
+        raise DomainError(f"input pair {labels} must name two modes")
+    a, b = labels
+    if not (0 <= a < m and 0 <= b < m):
+        raise DomainError(f"input pair {(a, b)} out of range for m={m}")
+    if a == b:
+        raise DomainError("input pair must be collision-free (two distinct modes)")
+    return a, b
 
 
 def check_state(state) -> FockState:
@@ -68,7 +87,8 @@ def occupation_from_modes(modes, m: int) -> FockState:
     """Occupation tuple over ``m`` modes from a (multiset) list of mode indices."""
     occ = [0] * m
     for k in modes:
-        if not 0 <= k < m:
+        k = check_nonnegative_int(k, "mode index")
+        if k >= m:
             raise DomainError(f"mode index {k} out of range for m={m}")
         occ[k] += 1
     return tuple(occ)
@@ -105,15 +125,27 @@ def cyclic_inputs(n: int, p: int) -> list[FockState]:
     return states
 
 
-def is_suppressed(output, n: int) -> bool:
-    """Whether :func:`suppressed` forbids the n-photon occupation tuple ``output``."""
-    if n < 1:
-        raise DomainError(f"photon number must be >= 1, got {n}")
-    output = check_state(output)
-    total = photon_number(output)
-    if total != n:
-        raise DomainError(f"output has {total} photons, expected n={n}")
-    return bool(suppressed(np.array([occupied_modes(output)]))[0])
+def is_cyclic_state(state) -> bool:
+    """True for collision-free states whose occupied modes are equally spaced
+    with period m/n (the cyclic inputs of an n-photon, m-mode Fourier test)."""
+    state = check_state(state)
+    if any(occ > 1 for occ in state):
+        return False
+    modes = occupied_modes(state)
+    n = len(modes)
+    m = len(state)
+    if n < 2 or m % n != 0:
+        return False
+    period = m // n
+    return all(modes[r] == modes[0] + r * period for r in range(n))
+
+
+def is_suppressed(output) -> bool:
+    """Whether :func:`suppressed` forbids the occupation tuple ``output``, of at least one photon."""
+    modes = occupied_modes(output)
+    if not modes:
+        raise DomainError("photon number must be >= 1, got 0")
+    return bool(suppressed(np.array([modes]))[0])
 
 
 def suppressed(rows: np.ndarray) -> np.ndarray:
@@ -177,7 +209,7 @@ def _output_set(n: int, m: int) -> tuple[tuple[FockState, ...], OutputPartition]
     states = tuple(map(tuple, occupations(rows, m).tolist()))
     mask = suppressed(rows)
     allowed, forbidden = (frozenset(compress(states, keep.tolist())) for keep in (~mask, mask))
-    return states, OutputPartition(n, m, allowed, forbidden)
+    return states, OutputPartition(allowed, forbidden)
 
 
 def occupations(rows: np.ndarray, m: int) -> np.ndarray:
@@ -190,49 +222,10 @@ def output_count(n: int, m: int) -> int:
     return math.comb(m + n - 1, n)
 
 
-def _expansion_plan(n: int, m: int):
-    """Yield levels 2..n of an n-factor product expansion over m variables,
-    each as it is built: for each distinct mode k of each output T of
-    ``enumerate_outputs(r, m)``, k and the rank of T - e_k among the
-    (r - 1)-photon outputs, T's last term first (``np.add.reduceat`` adds a
-    run's first entry to the sum of the rest, so up to four terms add up in
-    position order), and where each T's terms start. Nothing is kept: a
-    caller that takes the levels in order holds two at a time.
-
-    Each level follows from the one before, one step per term. Level r lists
-    each (r - 1)-photon output P in order, then each c >= last(P), giving
-    T = P + e_c: the order of :func:`enumerate_outputs`, in which P's child c
-    ranks first_child(P) - last(P) + c. T's first term is (c, rank P). For
-    each distinct mode k < c of P, T - e_k is the child c of Q = P - e_k,
-    whose rank is the parent of P's term k. These terms are P's terms after
-    its first, ascending, then P's first if c > last(P).
-    """
-    base = np.zeros(1, dtype=np.int64)  # first_child(Q) - last(Q) of the empty output Q
-    last = np.arange(m)
-    modes, parents, starts, count = last, np.zeros(m, dtype=np.int64), last, np.ones(m, dtype=np.int64)
-    for _ in range(n - 1):
-        children = m - last
-        shift = base[parents]  # rank of T - e_k less c, for each term of P
-        base = np.cumsum(children) - children - last
-        up = np.repeat(np.arange(len(last)), children)
-        c = np.arange(len(up)) - np.repeat(base, children)
-        wrap = c > last[up]
-        terms = count[up] + wrap
-        begin = np.cumsum(terms) - terms
-        take = np.arange(terms.sum()) + np.repeat(starts[up] - begin, terms)
-        take[(begin + count[up])[wrap]] = starts[up[wrap]]
-        modes, parents = modes[take], shift[take] + np.repeat(c, terms)
-        modes[begin], parents[begin] = c, up
-        last, starts, count = c, begin, terms
-        yield modes, parents, starts
-
-
 @dataclass(frozen=True)
 class OutputPartition:
     """Split of the n-photon outputs into suppressed (forbidden) and allowed sets."""
 
-    n: int
-    m: int
     allowed: frozenset[FockState]
     forbidden: frozenset[FockState]
 

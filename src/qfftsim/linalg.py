@@ -149,13 +149,11 @@ def matrix_to_json(u) -> dict:
 def matrix_from_json(obj) -> np.ndarray:
     """Inverse of :func:`matrix_to_json`, with structural validation."""
     try:
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
+        rows = check_nonnegative_int(obj["rows"], "row count")
+        cols = check_nonnegative_int(obj["cols"], "column count")
         entries = list(obj["entries"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"matrix object needs 'rows', 'cols' and 'entries': {exc}") from exc
-    if rows < 0 or cols < 0:
-        raise ValidationError(f"matrix dimensions must be non-negative, got {rows}x{cols}")
     if len(entries) != rows * cols:
         raise ValidationError(f"expected {rows * cols} entries, got {len(entries)}")
     try:

@@ -11,7 +11,10 @@
   coefficients of one such product per output, taken over the input phases.
 
 Each table is a sum of squared moduli or of products of ``|U|^2`` entries,
-so it is never negative and is returned as computed, without clamping.
+so it is never negative and is returned as computed, without clamping. The
+outputs, and the rules about modes (labels, input pairs, cyclic inputs),
+come from :mod:`qfftsim.fourier`; the expansion kernel, its plan and its
+work budget are here.
 
 A two-photon partial-distinguishability model interpolates between the
 distinguishable and Fock limits as a function of the relative path delay.
@@ -27,11 +30,11 @@ import numpy as np
 from .errors import CapacityError, DomainError, ShapeError
 from .fourier import (
     FockState,
-    _expansion_plan,
     _output_states,
-    check_nonnegative_int,
+    check_pair,
     check_state,
     enumerate_outputs,
+    is_cyclic_state,
     occupied_modes,
     output_count,
     photon_number,
@@ -155,6 +158,43 @@ def _t_factorials(rows: np.ndarray) -> np.ndarray:
     return run.prod(axis=1).astype(float)
 
 
+def _expansion_plan(n: int, m: int):
+    """Yield levels 2..n of an n-factor product expansion over m variables,
+    each as it is built: for each distinct mode k of each output T of
+    ``enumerate_outputs(r, m)``, k and the rank of T - e_k among the
+    (r - 1)-photon outputs, T's last term first (``np.add.reduceat`` adds a
+    run's first entry to the sum of the rest, so up to four terms add up in
+    position order), and where each T's terms start. Nothing is kept: a
+    caller that takes the levels in order holds two at a time.
+
+    Each level follows from the one before, one step per term. Level r lists
+    each (r - 1)-photon output P in order, then each c >= last(P), giving
+    T = P + e_c: the order of :func:`enumerate_outputs`, in which P's child c
+    ranks first_child(P) - last(P) + c. T's first term is (c, rank P). For
+    each distinct mode k < c of P, T - e_k is the child c of Q = P - e_k,
+    whose rank is the parent of P's term k. These terms are P's terms after
+    its first, ascending, then P's first if c > last(P).
+    """
+    base = np.zeros(1, dtype=np.int64)  # first_child(Q) - last(Q) of the empty output Q
+    last = np.arange(m)
+    modes, parents, starts, count = last, np.zeros(m, dtype=np.int64), last, np.ones(m, dtype=np.int64)
+    for _ in range(n - 1):
+        children = m - last
+        shift = base[parents]  # rank of T - e_k less c, for each term of P
+        base = np.cumsum(children) - children - last
+        up = np.repeat(np.arange(len(last)), children)
+        c = np.arange(len(up)) - np.repeat(base, children)
+        wrap = c > last[up]
+        terms = count[up] + wrap
+        begin = np.cumsum(terms) - terms
+        take = np.arange(terms.sum()) + np.repeat(starts[up] - begin, terms)
+        take[(begin + count[up])[wrap]] = starts[up[wrap]]
+        modes, parents = modes[take], shift[take] + np.repeat(c, terms)
+        modes[begin], parents[begin] = c, up
+        last, starts, count = c, begin, terms
+        yield modes, parents, starts
+
+
 def product_expansion(cols: np.ndarray, plan) -> np.ndarray:
     """Coefficient of x^T in prod_j (sum_k cols[..., k, j] x_k) for each output
     T of ``enumerate_outputs(n, m)``, for (..., m, n) ``cols`` with any leading
@@ -163,8 +203,8 @@ def product_expansion(cols: np.ndarray, plan) -> np.ndarray:
     factors over the r-photon outputs, c_r(T) = sum over distinct k in T of
     cols[..., k, r - 1] * c_(r-1)(T - e_k): one gather, one multiply and one
     ``np.add.reduceat`` over the terms of each level of ``plan``, the levels
-    2..n of ``fourier._expansion_plan(n, m)`` taken in order, so a plan
-    streamed from the generator is never held whole.
+    2..n of ``_expansion_plan(n, m)`` taken in order, so a plan streamed
+    from the generator is never held whole.
     """
     coeff = cols[..., :, 0]
     for r, (modes, parents, starts) in enumerate(plan, start=2):
@@ -208,21 +248,6 @@ def distinguishable_distribution(u, input_state, *, tol=DEFAULT_TOL) -> OutcomeD
     return OutcomeDistribution(DISTINGUISHABLE, state, dict(zip(outs, probs.tolist())))
 
 
-def is_cyclic_state(state) -> bool:
-    """True for collision-free states whose occupied modes are equally spaced
-    with period m/n (the cyclic inputs of an n-photon, m-mode Fourier test)."""
-    state = check_state(state)
-    if any(occ > 1 for occ in state):
-        return False
-    modes = occupied_modes(state)
-    n = len(modes)
-    m = len(state)
-    if n < 2 or m % n != 0:
-        return False
-    period = m // n
-    return all(modes[r] == modes[0] + r * period for r in range(n))
-
-
 def mean_field_distribution(u, input_state, *, tol=DEFAULT_TOL) -> OutcomeDistribution:
     """Phase-averaged mean-field outcome distribution for a cyclic input.
 
@@ -256,16 +281,6 @@ def mean_field_distribution(u, input_state, *, tol=DEFAULT_TOL) -> OutcomeDistri
     return OutcomeDistribution(MEAN_FIELD, state, dict(zip(outs, probs.tolist())))
 
 
-def _check_pair(u: np.ndarray, input_pair) -> tuple[int, int]:
-    a, b = (check_nonnegative_int(x, "input mode") for x in input_pair)
-    m = u.shape[0]
-    if not (0 <= a < m and 0 <= b < m):
-        raise DomainError(f"input pair {(a, b)} out of range for m={m}")
-    if a == b:
-        raise DomainError("input pair must be collision-free (two distinct modes)")
-    return a, b
-
-
 def two_photon_probabilities(u, input_pair) -> tuple[np.ndarray, np.ndarray]:
     """Fock and distinguishable two-photon probabilities for every output pair.
 
@@ -278,7 +293,7 @@ def two_photon_probabilities(u, input_pair) -> tuple[np.ndarray, np.ndarray]:
     u = as_complex_matrix(u)
     if u.shape[0] != u.shape[1]:
         raise ShapeError(f"two-photon probabilities need a square matrix, got {u.shape}")
-    a, b = _check_pair(u, input_pair)
+    a, b = check_pair(input_pair, u.shape[0])
     amp = np.outer(u[:, a], u[:, b])
     sym = amp + amp.T
     pq = np.abs(sym) ** 2
@@ -315,7 +330,7 @@ def two_photon_coincidences(
     delay, perfect sources): ``Q = (1 - overlap) * P^C + overlap * P^Q``.
     """
     u = assert_unitary(u, tol=tol, what="evolution matrix")
-    a, b = _check_pair(u, input_pair)
+    a, b = check_pair(input_pair, u.shape[0])
     dx = np.atleast_1d(np.asarray(delta_x, dtype=float))
     pq, pc = two_photon_probabilities(u, (a, b))
     ov = delay_model.overlap(dx)[:, None]

@@ -31,15 +31,16 @@ import numpy as np
 from .circuit import (
     CompiledCircuit,
     QfftCircuit,
-    _check_positions,
+    check_positions,
     circuit_from_json,
     circuit_to_json,
     circuit_to_unitary,
     compile_circuit,
 )
 from .errors import ConvergenceError, DomainError, ValidationError
+from .fourier import check_nonnegative_int, check_pair
 from .linalg import as_complex_matrix, assert_unitary, fidelity, matrix_to_json
-from .models import _check_pair, two_photon_probabilities
+from .models import two_photon_probabilities
 
 TWO_PI = 2.0 * math.pi
 
@@ -67,11 +68,12 @@ class ReconstructionProblem:
     visibilities: dict[tuple[tuple[int, int], tuple[int, int]], tuple[float, float]]
 
     def __post_init__(self):
-        _check_positions(self.template, self.free_phases)
+        check_positions(self.template, self.free_phases)
         m = self.template.m
         col_sums: dict[int, float] = {}
         for (i, o), p in self.singles.items():
-            if not (0 <= i < m and 0 <= o < m):
+            i, o = check_nonnegative_int(i, "singles mode"), check_nonnegative_int(o, "singles mode")
+            if not (i < m and o < m):
                 raise DomainError(f"singles entry ({i},{o}) out of range for m={m}")
             if not -1e-12 <= p <= 1.0 + 1e-9:
                 raise DomainError(f"singles probability {p} for ({i},{o}) outside [0, 1]")
@@ -79,10 +81,12 @@ class ReconstructionProblem:
         for i, total in col_sums.items():
             if total > 1.0 + 1e-6:
                 raise DomainError(f"singles for input {i} sum to {total} > 1")
+        for label in {k for inp, out in self.visibilities for k in (*inp, *out)}:  # each distinct label once
+            check_nonnegative_int(label, "visibility mode")
         for (inp, out), (value, sigma) in self.visibilities.items():
             a, b = inp
             i, j = out
-            if not (0 <= a < b < m and 0 <= i <= j < m):
+            if not (a < b < m and i <= j < m):
                 raise DomainError(f"visibility key ({inp},{out}) out of range or unordered")
             if not math.isfinite(value):
                 raise DomainError(f"visibility for ({inp},{out}) is not finite: {value}")
@@ -381,9 +385,13 @@ def moduli_from_singles(singles) -> np.ndarray:
     """
     if not singles:
         raise DomainError("empty singles table")
-    m = max(max(i, o) for i, o in singles) + 1
+    labels = [
+        (check_nonnegative_int(i, "singles mode"), check_nonnegative_int(o, "singles mode"))
+        for i, o in singles
+    ]
+    m = max(max(i, o) for i, o in labels) + 1
     table = np.full((m, m), np.nan)
-    for (i, o), p in singles.items():
+    for (i, o), p in zip(labels, singles.values()):
         if not 0 <= p < math.inf:
             raise DomainError(f"singles probability {p} for ({i},{o}) is not finite and non-negative")
         table[o, i] = p
@@ -412,7 +420,7 @@ def visibilities_from_unitary(u, input_pairs, sigma: float) -> dict:
     m = u.shape[0]
     table = {}
     for inp in input_pairs:
-        a, b = _check_pair(u, inp)
+        a, b = check_pair(inp, u.shape[0])
         pq, pc = two_photon_probabilities(u, (a, b))
         for i in range(m):
             for j in range(i + 1, m):
@@ -493,17 +501,22 @@ def problem_to_json(problem: ReconstructionProblem) -> dict:
 
 
 def problem_from_json(obj) -> ReconstructionProblem:
+    def mode(label, what):  # 1-based in files
+        return check_nonnegative_int(label, what) - 1
+
     try:
         raw_template = obj["template"]
-        free = tuple((int(step), int(mode) - 1) for step, mode in obj["free_phases"])
+        free = tuple(
+            (check_nonnegative_int(step, "step index"), mode(k, "mode")) for step, k in obj["free_phases"]
+        )
         singles = {
-            (int(e["input"]) - 1, int(e["output"]) - 1): float(e["p"])
+            (mode(e["input"], "singles mode"), mode(e["output"], "singles mode")): float(e["p"])
             for e in obj.get("singles", [])
         }
         visibilities = {
             (
-                (int(e["input"][0]) - 1, int(e["input"][1]) - 1),
-                (int(e["output"][0]) - 1, int(e["output"][1]) - 1),
+                (mode(e["input"][0], "visibility mode"), mode(e["input"][1], "visibility mode")),
+                (mode(e["output"][0], "visibility mode"), mode(e["output"][1], "visibility mode")),
             ): (float(e["v"]), float(e["sigma"]))
             for e in obj.get("visibilities", [])
         }

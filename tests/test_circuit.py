@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from qfftsim.circuit import (
     Layer,
     QfftCircuit,
     bit_reversal,
+    check_positions,
     circuit_from_json,
     circuit_to_json,
     circuit_to_unitary,
@@ -220,10 +223,32 @@ class TestPerturbation:
 
     def test_unknown_positions_rejected(self):
         c = synthesize_qfft(2)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^no layer with step index 3$"):
             perturb_circuit(c, {(3, 0): 0.1})
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^mode 4 out of range for m=4$"):
             perturb_circuit(c, {(1, 4): 0.1})
+
+
+class TestPositions:
+    @pytest.mark.parametrize("pos", [(2, 5.5), (2.5, 3), (2, -1), (2, float("nan")), ("a", 3)])
+    def test_non_integral_labels_refused(self, pos):
+        # set_phases used to store a phase on mode 5.5, and compile_circuit to fit mode 5
+        template = synthesize_qfft(3)
+        for call in (
+            lambda: check_positions(template, [pos]),
+            lambda: set_phases(template, {pos: 0.3}),
+            lambda: compile_circuit(template, [pos]),
+        ):
+            with pytest.raises(DomainError, match="is not a non-negative integer$"):
+                call()
+
+    def test_integral_floats_and_numpy_ints_read_as_ints(self):
+        template = synthesize_qfft(3)
+        assert check_positions(template, [(2.0, np.int64(5))]) == [(2, 5)]
+        same = set_phases(template, {(2.0, 5.0): 0.3})
+        assert same == set_phases(template, {(2, 5): 0.3})
+        assert circuit_to_json(same) == circuit_to_json(set_phases(template, {(2, 5): 0.3}))
+        assert np.array_equal(compile_circuit(template, [(2.0, 5.0)]).slots, compile_circuit(template, [(2, 5)]).slots)
 
 
 class TestBitReversal:
@@ -242,6 +267,10 @@ class TestCircuitJson:
         c = synthesize_qfft(p)
         again = circuit_from_json(circuit_to_json(c))
         assert again == c
+        # integral floats read as the same ints
+        again = circuit_from_json(json.loads(json.dumps(circuit_to_json(c)), parse_int=float))
+        assert circuit_to_json(again) == circuit_to_json(c)
+        assert json.dumps(circuit_to_json(again)) == json.dumps(circuit_to_json(c))
 
     def test_relabeling_serialised_as_swaps(self):
         obj = circuit_to_json(synthesize_qfft(3))
@@ -267,6 +296,12 @@ class TestCircuitJson:
             {"layers": [{"step": 1, "couplers": [[1, 2]], "phases": [1.0]}]},
             {"relabeling": [[1, 99]]},
             {"relabeling": [["a", 2]]},
+            # each used to be truncated: p 1.7 read as 1, the coupler [1.9, 2] as modes (0, 1)
+            {"p": 1.7},
+            {"m": 2.5},
+            {"layers": [{"step": 1.5, "couplers": [[1, 2]]}]},
+            {"layers": [{"step": 1, "couplers": [[1.9, 2]]}]},
+            {"relabeling": [[1.5, 1]]},
         ],
     )
     def test_malformed_values_rejected(self, change):

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfftsim import fourier
+from qfftsim import fourier, models
 from qfftsim.errors import CapacityError, DomainError
 from qfftsim.fourier import (
+    check_pair,
     cyclic_inputs,
     enumerate_outputs,
     is_suppressed,
@@ -94,31 +95,52 @@ class TestCyclicInputs:
             cyclic_inputs(n, p)
 
 
+class TestModeLabels:
+    @pytest.mark.parametrize("modes", [[1.5], [-1], [float("nan")], ["a"], [0, 2.5]])
+    def test_occupation_labels_refused(self, modes):
+        # 1.5 used to raise a bare TypeError, -1 to be reported as out of range
+        with pytest.raises(DomainError, match="^mode index .* is not a non-negative integer$"):
+            occupation_from_modes(modes, 4)
+        same = occupation_from_modes([1.0, np.int64(2), 2], 4)
+        assert same == (0, 1, 2, 0) and all(type(k) is int for k in same)
+
+    def test_occupation_range_message_kept(self):
+        with pytest.raises(DomainError, match=r"^mode index 4 out of range for m=4$"):
+            occupation_from_modes([1, 4], 4)
+
+    @pytest.mark.parametrize(
+        "pair, message",
+        [((0, 4), r"^input pair \(0, 4\) out of range for m=4$"),
+         ((2, 2), r"^input pair must be collision-free \(two distinct modes\)$"),
+         ((0, 1, 2), r"^input pair \(0, 1, 2\) must name two modes$")],
+    )
+    def test_pair_messages(self, pair, message):
+        with pytest.raises(DomainError, match=message):
+            check_pair(pair, 4)
+        assert check_pair((1.0, np.int64(3)), 4) == (1, 3)
+
+
 class TestIsSuppressed:
     def test_cyclic_output_allowed(self):
         # modes 1 and 3 (1-based): even label sum
-        assert not is_suppressed((1, 0, 1, 0), 2)
+        assert not is_suppressed((1, 0, 1, 0))
 
     def test_adjacent_output_suppressed(self):
-        assert is_suppressed((1, 1, 0, 0), 2)
+        assert is_suppressed((1, 1, 0, 0))
 
     def test_bunched_output_allowed(self):
-        assert not is_suppressed((2, 0, 0, 0), 2)
+        assert not is_suppressed((2, 0, 0, 0))
 
     def test_multiplicity_counts(self):
         # both photons in mode 2 (1-based): label sum 4
-        assert not is_suppressed((0, 2, 0), 2)
+        assert not is_suppressed((0, 2, 0))
         # three photons bunched in mode 2 of three modes: label sum 6
-        assert not is_suppressed((0, 3, 0), 3)
-        assert is_suppressed((0, 0, 3), 3) == (9 % 3 != 0)
-
-    def test_photon_count_mismatch(self):
-        with pytest.raises(DomainError):
-            is_suppressed((1, 0, 1, 0), 3)
+        assert not is_suppressed((0, 3, 0))
+        assert is_suppressed((0, 0, 3)) == (9 % 3 != 0)
 
     def test_zero_photons_refused(self):
         with pytest.raises(DomainError, match="^photon number must be >= 1, got 0$"):
-            is_suppressed((0, 0, 0, 0), 0)
+            is_suppressed((0, 0, 0, 0))
 
 
 def collision_free(states):
@@ -207,7 +229,7 @@ class TestEnumerateOutputs:
         assert part.allowed | part.forbidden == set(states)
         assert not part.allowed & part.forbidden
         for state in states:
-            assert (state in part.forbidden) == is_suppressed(state, n), state
+            assert (state in part.forbidden) == is_suppressed(state), state
 
     @pytest.mark.parametrize(
         "n,m", [(n, m) for n in range(1, 6) for m in range(1, 9)] + [(2, 64), (4, 28), (40, 2), (25, 1), (12, 3)]
@@ -215,7 +237,7 @@ class TestEnumerateOutputs:
     def test_expansion_plan_parents(self, n, m):
         # at (2, 64) and (4, 28) a positional key sum_j a_j (n + 1)^j would not fit in int64; at
         # (40, 2), (25, 1) and (12, 3) most terms inherit their parent through a long chain of levels
-        plan = tuple(fourier._expansion_plan(n, m))
+        plan = tuple(models._expansion_plan(n, m))
         assert len(plan) == n - 1
         for r, (modes, parents, starts) in enumerate(plan, start=2):
             rank = {tuple(row): i for i, row in enumerate(enumerate_outputs(r - 1, m).tolist())}

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -159,6 +160,8 @@ class TestMatrixJson:
         u = haar_random_unitary(3, np.random.default_rng(6))
         again = matrix_from_json(matrix_to_json(u))
         assert np.array_equal(u, again)
+        # integral floats read as the same dimensions
+        assert np.array_equal(u, matrix_from_json(json.loads(json.dumps(matrix_to_json(u)), parse_int=float)))
 
     def test_entry_count_validated(self):
         with pytest.raises(ValidationError):
@@ -177,6 +180,9 @@ class TestMatrixJson:
             {"rows": 1, "cols": 1, "entries": [["1", "0"]]},
             {"rows": 1, "cols": 1, "entries": [[1, 0, 0]]},
             {"rows": 1, "cols": 1, "entries": [None]},
+            {"rows": 2.5, "cols": 2, "entries": [[1, 0]] * 4},  # used to read as 2 rows
+            {"rows": 2, "cols": 2.9, "entries": [[1, 0]] * 4},
+            {"rows": "2", "cols": 2, "entries": [[1, 0]] * 4},
         ],
     )
     def test_malformed_values_rejected(self, obj):

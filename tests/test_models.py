@@ -11,6 +11,7 @@ from qfftsim.circuit import circuit_to_unitary, synthesize_qfft
 from qfftsim.errors import CapacityError, DomainError, ShapeError, ValidationError
 from qfftsim.fourier import (
     enumerate_outputs,
+    is_cyclic_state,
     is_suppressed,
     occupation_from_modes,
     occupations,
@@ -25,7 +26,6 @@ from qfftsim.models import (
     distinguishable_distribution,
     fock_distribution,
     full_bunching_visibilities,
-    is_cyclic_state,
     mean_field_distribution,
     product_expansion,
     two_photon_coincidences,
@@ -55,12 +55,13 @@ def expansion_caches():
 
 
 def plan_recorder(monkeypatch):
-    """The (n, m) of each expansion plan the tables ask :mod:`qfftsim.fourier` for, in order."""
+    """The (n, m) of each expansion plan the tables build, in order."""
     calls = []
+    plan = models._expansion_plan
 
     def record(n, m):
         calls.append((n, m))
-        return fourier._expansion_plan(n, m)
+        return plan(n, m)
 
     monkeypatch.setattr(models, "_expansion_plan", record)
     return calls
@@ -411,7 +412,7 @@ class TestProductExpansion:
         u = haar_random_unitary(m, rng)
         rows = enumerate_outputs(len(modes), m)
         t_fact = [math.prod(map(math.factorial, occ)) for occ in occupations(rows, m).tolist()]
-        plan = tuple(fourier._expansion_plan(len(modes), m))
+        plan = tuple(models._expansion_plan(len(modes), m))
         for mat in (rng.uniform(0.0, 1.0, (m, m)), np.abs(u) ** 2, u):
             coeff = product_expansion(mat[:, modes], plan)
             assert coeff.dtype == mat.dtype
@@ -429,7 +430,7 @@ class TestProductExpansion:
     def test_batch_axis_gives_separate_expansions(self, m, n, batch, seed):
         rng = np.random.default_rng(seed)
         cols = rng.normal(size=(batch, m, n)) + 1j * rng.normal(size=(batch, m, n))
-        plan = tuple(fourier._expansion_plan(n, m))
+        plan = tuple(models._expansion_plan(n, m))
         for mat in (cols, cols.real.copy()):
             whole = product_expansion(mat, plan)
             assert whole.shape == (batch, math.comb(m + n - 1, n))
@@ -659,9 +660,9 @@ class TestStateEntries:
             lambda: fock_distribution(qft_matrix(2), (2.7, 0)),
             lambda: distinguishable_distribution(qft_matrix(2), (1, 0.5)),
             lambda: fock_distribution(qft_matrix(2), (float("nan"), 2)),
-            lambda: is_suppressed((1.5, 0.5), 2),
-            lambda: is_suppressed((3, -1), 2),
-            lambda: is_suppressed((float("nan"), 2), 2),
+            lambda: is_suppressed((1.5, 0.5)),
+            lambda: is_suppressed((3, -1)),
+            lambda: is_suppressed((float("nan"), 2)),
             lambda: is_cyclic_state((1.5, 0, 0.5, 0)),
             lambda: is_cyclic_state((float("nan"), 0)),
             lambda: photon_number((2.7, 0)),
@@ -753,6 +754,12 @@ class TestTwoPhotonProbabilities:
             i, j = modes[0], modes[-1]
             assert pq[i, j] == pytest.approx(p, abs=1e-12)
             assert pc[i, j] == pytest.approx(dist[out], abs=1e-12)
+
+    @pytest.mark.parametrize("pair", [(0, 1, 2), (0,)])
+    def test_pair_of_other_than_two_labels_named(self, pair):
+        # (0, 1, 2) used to raise a bare ValueError from unpacking
+        with pytest.raises(DomainError, match=r"^input pair \(0,.*\) must name two modes$"):
+            two_photon_probabilities(qft_matrix(4), pair)
 
     @pytest.mark.parametrize("u", [np.full(4, 0.5), np.full((3, 2), 0.5)], ids=["1-d", "3x2"])
     def test_non_square_matrix_refused(self, u):

@@ -533,6 +533,15 @@ class TestModuliFromSingles:
         with pytest.raises(DomainError):
             moduli_from_singles({(0, 0): 0.5, (1, 1): 0.5})
 
+    @pytest.mark.parametrize("key", [(-1, 0), (0.5, 0), (0, float("nan")), ("a", 0)])
+    def test_non_integral_labels_refused(self, key):
+        # (-1, 0) used to index the last row and overwrite (0, 0); 0.5 raised a bare TypeError
+        with pytest.raises(DomainError, match="^singles mode .* is not a non-negative integer$"):
+            moduli_from_singles({key: 1.0, (0, 0): 1.0})
+        singles = singles_from_unitary(qft_matrix(4))
+        same = {(float(i), np.int64(o)): p for (i, o), p in singles.items()}
+        assert np.array_equal(moduli_from_singles(same), moduli_from_singles(singles))
+
     @pytest.mark.parametrize("p", [float("nan"), float("inf"), -0.1])
     def test_non_finite_or_negative_probability_named(self, p):
         # a NaN used to be reported as a missing entry
@@ -550,6 +559,12 @@ class TestVisibilitiesFromUnitary:
         exact = visibilities_from_unitary(u, [(1, 3)], 0.02)
         same = visibilities_from_unitary(u, [(1.0, np.int64(3))], 0.02)
         assert same == exact and all(type(k) is int for (inp, _) in same for k in inp)
+
+
+    @pytest.mark.parametrize("pair", [(0, 1, 2), (0,)])
+    def test_pair_of_other_than_two_labels_named(self, pair):
+        with pytest.raises(DomainError, match=r"^input pair \(0,.*\) must name two modes$"):
+            visibilities_from_unitary(qft_matrix(4), [pair], 0.02)
 
 
 class TestGauge:
@@ -644,6 +659,35 @@ class TestProblemValidation:
         with pytest.raises(DomainError):
             ReconstructionProblem(template, ((2, 4), (2, 4)), {}, {})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("free_phases", ((2, 5.5),)),
+            ("free_phases", ((2.5, 5),)),
+            ("singles", {(0, 1.5): 0.5}),
+            ("singles", {(-1, 0): 0.5}),
+            ("visibilities", {((0, 1.5), (2, 3)): (0.1, 0.02)}),
+            ("visibilities", {((0, 1), (2, float("nan"))): (0.1, 0.02)}),
+        ],
+        ids=["phase-mode", "phase-step", "singles", "singles-negative", "visibility-input", "visibility-nan"],
+    )
+    def test_non_integral_labels_refused(self, field, value):
+        # (2, 5.5) used to fit mode 5's phase, and ((0, 1.5), (2, 3)) to be fitted as input (0, 1)
+        problem, _, _ = make_problem(3)
+        with pytest.raises(DomainError, match="is not a non-negative integer$"):
+            dataclasses.replace(problem, **{field: value})
+
+    def test_integral_float_labels_give_the_same_objective(self):
+        problem, _, free = make_problem(3, [0.3, 1.1, 2.0, 4.0, 5.5])
+        same = dataclasses.replace(
+            problem,
+            free_phases=tuple((float(s), np.int64(k)) for s, k in free),
+            singles={(float(i), float(o)): p for (i, o), p in problem.singles.items()},
+            visibilities={(tuple(map(float, inp)), out): vs for (inp, out), vs in problem.visibilities.items()},
+        )
+        phases = np.linspace(0.1, 1.0, len(free))
+        assert chi2_objective(same, phases) == chi2_objective(problem, phases)
+
     def test_row_sum_checked(self):
         template = synthesize_qfft(2)
         singles = {(0, o): 0.5 for o in range(4)}
@@ -660,6 +704,9 @@ class TestSerialisation:
         assert again.free_phases == problem.free_phases
         assert again.singles == pytest.approx(problem.singles)
         assert set(again.visibilities) == set(problem.visibilities)
+        # integral floats read as the same ints
+        floats = problem_from_json(json.loads(json.dumps(problem_to_json(problem)), parse_int=float))
+        assert json.dumps(problem_to_json(floats)) == json.dumps(problem_to_json(again))
 
     @pytest.mark.parametrize(
         "path, value",
@@ -670,6 +717,11 @@ class TestSerialisation:
             (("singles", 0), [1, 2]),
             (("free_phases", 0), [2]),
             (("template", "p"), -1),
+            # each used to be truncated: [2, 4.5] read as (2, 3), [3.99, 4] as labels (2, 3)
+            (("free_phases", 0), [2, 4.5]),
+            (("visibilities", 0, "output"), [3.99, 4]),
+            (("singles", 0, "output"), 2.5),
+            (("singles", 0, "input"), "1"),
         ],
     )
     def test_malformed_values_rejected(self, path, value):
