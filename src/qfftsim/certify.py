@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParseError, UndefinedVisibilityError
-from .fourier import enumerate_outputs, suppressed
+from .fourier import check_key, enumerate_outputs, suppressed
 from .models import two_photon_probabilities
 
 #: Reference violation degrees for two-photon inputs.
@@ -74,12 +74,16 @@ class CoincidenceTable:
         """The table of the ascending output ``pairs`` from one count per row:
         ``counts[r]`` of pair ``output[r]`` at ``delta_x[r]``.
 
-        Rows of other pairs are left out. Each cell needs exactly one row and
+        Rows of other pairs are left out. Each output and pair is read by
+        :func:`~qfftsim.fourier.check_key`. Each cell needs exactly one row and
         a count in [0, ``MAX_EXPECTED_COUNTS``], checked before it becomes an
         int64; the first row at fault is named.
         """
-        output = np.asarray(output, dtype=np.int64).reshape(-1, 2)
-        pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        # a CSV reader's (N, 2) int64 array of non-negative labels is taken as it is
+        if not (isinstance(output, np.ndarray) and output.dtype == np.int64 and output.shape[1:] == (2,)
+                and output.min(initial=0) >= 0):
+            output = np.fromiter((check_key(row, "output", "output mode") for row in output), dtype=(np.int64, 2))
+        pairs = np.fromiter((check_key(pair, "output pair", "output mode") for pair in pairs), dtype=(np.int64, 2))
         # (i, j) as i * width + j keeps the order of the pairs
         width = np.array([max(output.max(initial=0), pairs.max(initial=0)) + 1, 1])
         keep = np.isin(output @ width, pairs @ width)

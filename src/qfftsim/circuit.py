@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .fourier import check_nonnegative_int
+from .fourier import check_key, check_nonnegative_int, file_label
 
 #: Largest supported layer count for synthesis (m = 2^cap modes).
 SYNTH_CAP = 10
@@ -242,12 +242,9 @@ def circuit_to_unitary(circuit: QfftCircuit) -> np.ndarray:
 
 
 def check_positions(circuit: QfftCircuit, positions) -> list[tuple[int, int]]:
-    """``positions`` as distinct (step, mode) int pairs, each label checked by
-    :func:`~qfftsim.fourier.check_nonnegative_int`, then against the circuit."""
-    positions = [
-        (check_nonnegative_int(step, "step index"), check_nonnegative_int(mode, "mode"))
-        for step, mode in positions
-    ]
+    """``positions`` as distinct (step, mode) int pairs, each read by
+    :func:`~qfftsim.fourier.check_key`, then checked against the circuit."""
+    positions = [check_key(pos, "phase position", "step index", "mode") for pos in positions]
     if len(set(positions)) != len(positions):
         raise DomainError(f"duplicate phase positions in {positions}")
     steps = {layer.step for layer in circuit.layers}
@@ -317,9 +314,6 @@ def circuit_to_json(circuit: QfftCircuit) -> dict:
 
 
 def circuit_from_json(obj) -> QfftCircuit:
-    def mode(label, what):  # 1-based in files
-        return check_nonnegative_int(label, what) - 1
-
     try:
         p = check_nonnegative_int(obj["p"], "layer count p")
         m = check_nonnegative_int(obj["m"], "mode count")
@@ -333,15 +327,18 @@ def circuit_from_json(obj) -> QfftCircuit:
         layers = [
             Layer(
                 step=check_nonnegative_int(raw["step"], "step index"),
-                couplers=tuple((mode(a, "coupler mode"), mode(b, "coupler mode")) for a, b in raw["couplers"]),
-                phases={int(t) - 1: float(v) for t, v in raw.get("phases", {}).items()},
+                couplers=tuple(
+                    tuple(file_label(k, "coupler mode") for k in check_key(pair, "coupler", "coupler mode"))
+                    for pair in raw["couplers"]
+                ),
+                phases={file_label(int(t), "phase mode"): float(v) for t, v in raw.get("phases", {}).items()},
             )
             for raw in raw_layers
         ]
         # sized by p, not by the unchecked m, which validate_circuit compares with 2^p
         relabeling = list(range(1 << p))
-        for a, b in raw_swaps:
-            a, b = mode(a, "relabeling mode"), mode(b, "relabeling mode")
+        for swap in raw_swaps:
+            a, b = (file_label(k, "relabeling mode") for k in check_key(swap, "relabeling swap", "relabeling mode"))
             relabeling[a], relabeling[b] = b, a
     except (KeyError, TypeError, ValueError, IndexError, AttributeError, OverflowError) as exc:
         raise ValidationError(f"malformed circuit layers or relabeling: {exc}") from exc

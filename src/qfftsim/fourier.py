@@ -3,12 +3,14 @@
 Fock states are occupation tuples: ``state[k]`` photons in mode ``k``
 (0-based internally). :func:`enumerate_outputs` lists all outputs at once,
 as an array of occupied modes. Each rule about modes and photons is stated
-here once: the label rule (:func:`check_nonnegative_int`,
-:func:`check_state`, :func:`check_pair`), the suppression law
-(:func:`suppressed`, :func:`is_suppressed`, :func:`partition_outputs`) and
-the cyclic-input rule (:func:`cyclic_inputs`, :func:`is_cyclic_state`). The
-last two are stated with 1-based mode labels in user-facing material;
-conversion happens at the function boundary.
+here once: the label rule (:func:`check_nonnegative_int`, :func:`check_state`),
+the key rule that reads every pair of labels (:func:`check_key`;
+:func:`check_pair` for a two-photon input), the rule of 1-based labels read
+from files (:func:`file_label`), the suppression law (:func:`suppressed`,
+:func:`is_suppressed`, :func:`partition_outputs`) and the cyclic-input rule
+(:func:`cyclic_inputs`, :func:`is_cyclic_state`). The last two are stated
+with 1-based mode labels in user-facing material; conversion happens at the
+function boundary.
 """
 
 from __future__ import annotations
@@ -60,17 +62,39 @@ def check_nonnegative_int(value, what: str) -> int:
     return int(value)
 
 
+def check_key(key, what: str, first: str, second: str | None = None) -> tuple[int, int]:
+    """``key``, named ``what``, as its two labels, each by :func:`check_nonnegative_int`
+    and named ``first`` and ``second`` (default ``first``): an input or output pair, a
+    singles key or a (step, mode) phase position. Any other key raises
+    :class:`DomainError` naming it as given."""
+    try:
+        a, b = key
+    except (TypeError, ValueError):
+        labels = f"a {first} and a {second}" if second else "two modes"
+        raise DomainError(f"{what} {key!r} must name {labels}") from None
+    if type(a) is int and type(b) is int and a >= 0 and b >= 0:  # most keys, without two calls
+        return a, b
+    return check_nonnegative_int(a, first), check_nonnegative_int(b, second or first)
+
+
 def check_pair(pair, m: int) -> tuple[int, int]:
-    """``pair`` as two distinct modes below ``m``, each checked by :func:`check_nonnegative_int`."""
-    labels = tuple(check_nonnegative_int(x, "input mode") for x in pair)
-    if len(labels) != 2:
-        raise DomainError(f"input pair {labels} must name two modes")
-    a, b = labels
-    if not (0 <= a < m and 0 <= b < m):
+    """``pair`` as two distinct modes below ``m``, read by :func:`check_key`."""
+    a, b = check_key(pair, "input pair", "input mode")
+    if not (a < m and b < m):
         raise DomainError(f"input pair {(a, b)} out of range for m={m}")
     if a == b:
         raise DomainError("input pair must be collision-free (two distinct modes)")
     return a, b
+
+
+def file_label(label, what: str) -> int:
+    """The 0-based index that ``label``, a 1-based label read from a file, names:
+    checked by :func:`check_nonnegative_int` and refused below 1 in the file's words."""
+    if type(label) is int and label >= 1:  # most labels, without the call
+        return label - 1
+    if check_nonnegative_int(label, what) < 1:
+        raise DomainError(f"{what} {label!r} is below 1: labels in files are 1-based")
+    return int(label) - 1
 
 
 def check_state(state) -> FockState:

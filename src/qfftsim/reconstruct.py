@@ -5,7 +5,9 @@ visibilities by chi-squared minimisation over the phase torus, multi-start
 Levenberg-Marquardt on the analytic residual Jacobian; the solver is in this
 module and needs only numpy. The fit does not read the singles, the
 single-photon transmission probabilities: they give the element moduli
-(:func:`moduli_from_singles`).
+(:func:`moduli_from_singles`). Every key of the problem, singles key, input
+or output pair and free phase, is read by :func:`qfftsim.fourier.check_key`,
+and every mode label of a problem file by :func:`qfftsim.fourier.file_label`.
 
 Identifiability caveats, both handled here:
 
@@ -37,8 +39,8 @@ from .circuit import (
     circuit_to_unitary,
     compile_circuit,
 )
-from .errors import ConvergenceError, DomainError, ValidationError
-from .fourier import check_nonnegative_int, check_pair
+from .errors import ConvergenceError, DomainError, ShapeError, ValidationError
+from .fourier import check_key, check_nonnegative_int, check_pair, file_label
 from .linalg import as_complex_matrix, assert_unitary, fidelity, matrix_to_json
 from .models import two_photon_probabilities
 
@@ -71,8 +73,8 @@ class ReconstructionProblem:
         check_positions(self.template, self.free_phases)
         m = self.template.m
         col_sums: dict[int, float] = {}
-        for (i, o), p in self.singles.items():
-            i, o = check_nonnegative_int(i, "singles mode"), check_nonnegative_int(o, "singles mode")
+        for key, p in self.singles.items():
+            i, o = check_key(key, "singles key", "singles mode")
             if not (i < m and o < m):
                 raise DomainError(f"singles entry ({i},{o}) out of range for m={m}")
             if not -1e-12 <= p <= 1.0 + 1e-9:
@@ -81,11 +83,17 @@ class ReconstructionProblem:
         for i, total in col_sums.items():
             if total > 1.0 + 1e-6:
                 raise DomainError(f"singles for input {i} sum to {total} > 1")
-        for label in {k for inp, out in self.visibilities for k in (*inp, *out)}:  # each distinct label once
-            check_nonnegative_int(label, "visibility mode")
-        for (inp, out), (value, sigma) in self.visibilities.items():
-            a, b = inp
-            i, j = out
+        pairs = {}  # each distinct input or output pair read once
+        for key, entry in self.visibilities.items():
+            try:
+                (inp, out), (value, sigma) = key, entry
+            except (TypeError, ValueError):
+                raise DomainError(f"visibility {key!r}: {entry!r} is not ((a, b), (i, j)): (value, sigma)") from None
+            if inp not in pairs:
+                pairs[inp] = check_key(inp, "visibility input", "visibility mode")
+            if out not in pairs:
+                pairs[out] = check_key(out, "visibility output", "visibility mode")
+            (a, b), (i, j) = pairs[inp], pairs[out]
             if not (a < b < m and i <= j < m):
                 raise DomainError(f"visibility key ({inp},{out}) out of range or unordered")
             if not math.isfinite(value):
@@ -321,6 +329,7 @@ def fit_phases(
     fidelity of the reconstruction against it is computed in the canonical
     gauge.
     """
+    restarts = check_nonnegative_int(restarts, "restarts")
     if not 1 <= restarts <= MAX_RESTARTS:
         raise DomainError(f"restarts must be in [1, {MAX_RESTARTS}], got {restarts}")
     k = len(problem.free_phases)
@@ -346,33 +355,25 @@ def fit_phases(
 
     rng = np.random.default_rng(seed)
     starts = rng.uniform(0.0, TWO_PI, size=(restarts, k))
-    best = None
-    records = []
-    failures = []
-    for idx in range(restarts):
-        res = minimize(objective, starts[idx])
-        records.append(RestartRecord(float(res.fun), int(res.nfev), bool(res.success)))
-        if not res.success:
-            failures.append(f"restart {idx}: {res.message}")
-        if best is None or res.fun < best[0]:
-            best = (float(res.fun), idx, np.asarray(res.x, dtype=float))
-    if len(failures) == restarts:
-        raise ConvergenceError(
-            "no restart converged: " + "; ".join(failures[:3]) + ("..." if len(failures) > 3 else "")
-        )
-    phases = np.mod(best[2], TWO_PI)
+    fits = [minimize(objective, start) for start in starts]
+    if not any(fit.success for fit in fits):
+        failures = "; ".join(f"restart {idx}: {fit.message}" for idx, fit in enumerate(fits[:3]))
+        raise ConvergenceError(f"no restart converged: {failures}" + ("..." if len(fits) > 3 else ""))
+    best = min(fits, key=lambda fit: fit.fun)  # the first of equal minima
+    records = tuple(RestartRecord(fit.fun, fit.nfev, fit.success) for fit in fits)
+    phases = np.mod(best.x, TWO_PI)
     unitary = data.circuit.unitary(phases)
     r, jac = _residuals(data, phases, jacobian=True)
     fid = gauge_fixed_fidelity(unitary, target) if target is not None else None
     fitted = dict(zip(problem.free_phases, (float(x) for x in phases)))
-    window = BASIN_RTOL * max(best[0], 1.0)
+    window = BASIN_RTOL * max(best.fun, 1.0)
     return ReconstructionResult(
         fitted,
         unitary,
         float(r @ r),
         fid,
-        restarts=tuple(records),
-        restarts_in_best_basin=sum(1 for rec in records if rec.chi2 - best[0] <= window),
+        restarts=records,
+        restarts_in_best_basin=sum(1 for rec in records if rec.chi2 - best.fun <= window),
         jacobian_condition=_singular_values(jac)[1],
     )
 
@@ -385,10 +386,7 @@ def moduli_from_singles(singles) -> np.ndarray:
     """
     if not singles:
         raise DomainError("empty singles table")
-    labels = [
-        (check_nonnegative_int(i, "singles mode"), check_nonnegative_int(o, "singles mode"))
-        for i, o in singles
-    ]
+    labels = [check_key(key, "singles key", "singles mode") for key in singles]
     m = max(max(i, o) for i, o in labels) + 1
     table = np.full((m, m), np.nan)
     for (i, o), p in zip(labels, singles.values()):
@@ -406,9 +404,11 @@ def moduli_from_singles(singles) -> np.ndarray:
 
 
 def singles_from_unitary(u) -> dict[tuple[int, int], float]:
-    """Ideal singles table P(out|in) = |U[out, in]|^2."""
+    """Ideal singles table P(out|in) = |U[out, in]|^2; a non-square ``u`` raises :class:`ShapeError`."""
     u = as_complex_matrix(u)
     m = u.shape[0]
+    if u.shape != (m, m):
+        raise ShapeError(f"singles need a square matrix, got {u.shape}")
     return {(i, o): float(abs(u[o, i]) ** 2) for i in range(m) for o in range(m)}
 
 
@@ -478,7 +478,7 @@ def phase_sensitivity(
     """
     if not free_phases or not input_pairs:
         raise DomainError("phase sensitivity needs at least one free phase and one input pair")
-    pairs = [tuple(sorted(pair)) for pair in input_pairs]
+    pairs = [tuple(sorted(check_key(pair, "input pair", "input mode"))) for pair in input_pairs]
     table = visibilities_from_unitary(circuit_to_unitary(template), pairs, 1.0)
     data = _compile(ReconstructionProblem(template, tuple(free_phases), {}, table))
     _, jac = _residuals(data, data.circuit.nominal, jacobian=True)
@@ -501,25 +501,25 @@ def problem_to_json(problem: ReconstructionProblem) -> dict:
 
 
 def problem_from_json(obj) -> ReconstructionProblem:
-    def mode(label, what):  # 1-based in files
-        return check_nonnegative_int(label, what) - 1
-
     try:
         raw_template = obj["template"]
         free = tuple(
-            (check_nonnegative_int(step, "step index"), mode(k, "mode")) for step, k in obj["free_phases"]
+            (step, file_label(mode, "mode"))
+            for step, mode in (check_key(pos, "free phase", "step index", "mode") for pos in obj["free_phases"])
         )
         singles = {
-            (mode(e["input"], "singles mode"), mode(e["output"], "singles mode")): float(e["p"])
+            (file_label(e["input"], "singles mode"), file_label(e["output"], "singles mode")): float(e["p"])
             for e in obj.get("singles", [])
         }
-        visibilities = {
-            (
-                (mode(e["input"][0], "visibility mode"), mode(e["input"][1], "visibility mode")),
-                (mode(e["output"][0], "visibility mode"), mode(e["output"][1], "visibility mode")),
-            ): (float(e["v"]), float(e["sigma"]))
-            for e in obj.get("visibilities", [])
-        }
+        visibilities = {}
+        for e in obj.get("visibilities", []):
+            a, b = check_key(e["input"], "visibility input", "visibility mode")
+            i, j = check_key(e["output"], "visibility output", "visibility mode")
+            key = (
+                (file_label(a, "visibility mode"), file_label(b, "visibility mode")),
+                (file_label(i, "visibility mode"), file_label(j, "visibility mode")),
+            )
+            visibilities[key] = float(e["v"]), float(e["sigma"])
     except (KeyError, TypeError, ValueError, IndexError, AttributeError, OverflowError) as exc:
         raise ValidationError(f"malformed reconstruction problem: {exc}") from exc
     return ReconstructionProblem(circuit_from_json(raw_template), free, singles, visibilities)

@@ -217,6 +217,23 @@ class TestViolationCurve:
         with pytest.raises(DomainError, match=re.escape("duplicate counts for delay 0.0 and output pair (0, 1)")):
             CoincidenceTable.from_cells((0, 2), [-0.0, 0.0], [(0, 1), (0, 1)], [3, 4], [(0, 1)])
 
+    @pytest.mark.parametrize(
+        "output, pairs, message",
+        [
+            ([(0, 1, 0), (1, 0, 1)], [(0, 1)], "output (0, 1, 0) must name two modes"),
+            (np.array([[0, 1, 0], [1, 0, 1]]), [(0, 1)], "output array([0, 1, 0]) must name two modes"),
+            ([0, 1, 0, 1, 2, 3], [(0, 1)], "output 0 must name two modes"),
+            ([(0, 1), (0, 1), (0, 1)], [(0, 1), (0, 1, 2)], "output pair (0, 1, 2) must name two modes"),
+            ([(0, 1), (0, 1), (0, 1)], [(0,)], "output pair (0,) must name two modes"),
+        ],
+        ids=["three-labels", "array-of-three", "flat", "pair-of-three", "pair-of-one"],
+    )
+    def test_rows_of_other_than_two_labels_named(self, output, pairs, message):
+        # the rows used to be reshaped into pairs: [(0, 1, 0), (1, 0, 1)] read as three (0, 1) cells
+        # holding 7, 8 and 9, and a pair of three labels raised a bare ValueError
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            CoincidenceTable.from_cells((0, 4), [0.0, 1.0, 2.0], output, [7, 8, 9], pairs)
+
     @pytest.mark.parametrize("counts", [10**19, 10**23, 10**400], ids=["1e19", "1e23", "1e400"])
     def test_counts_above_the_sampler_limit_rejected(self, counts):
         grid = {dx: {pair: 100 for pair in self.pairs} for dx in (-200.0, 0.0, 200.0)}

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -242,6 +243,20 @@ class TestPositions:
             with pytest.raises(DomainError, match="is not a non-negative integer$"):
                 call()
 
+    @pytest.mark.parametrize("pos", [(2, 5, 1), (2,), 5], ids=["three-labels", "one-label", "scalar"])
+    def test_positions_of_other_than_two_labels_named(self, pos):
+        # (2, 5, 1) and (2,) used to raise a bare ValueError, 5 a bare TypeError
+        template = synthesize_qfft(3)
+        message = f"^phase position {re.escape(repr(pos))} must name a step index and a mode$"
+        for call in (
+            lambda: check_positions(template, [pos]),
+            lambda: set_phases(template, {pos: 0.3}),
+            lambda: perturb_circuit(template, {pos: 0.3}),
+            lambda: compile_circuit(template, [pos]),
+        ):
+            with pytest.raises(DomainError, match=message):
+                call()
+
     def test_integral_floats_and_numpy_ints_read_as_ints(self):
         template = synthesize_qfft(3)
         assert check_positions(template, [(2.0, np.int64(5))]) == [(2, 5)]
@@ -307,6 +322,29 @@ class TestCircuitJson:
     def test_malformed_values_rejected(self, change):
         with pytest.raises(ValidationError):
             circuit_from_json({**circuit_to_json(synthesize_qfft(1)), **change})
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("layers", 0, "couplers", 0), [0, 5], "coupler mode 0 is below 1: labels in files are 1-based"),
+            (("layers", 0, "couplers", 0), [1, 5, 6], "coupler [1, 5, 6] must name two modes"),
+            (("layers", 0, "couplers", 0), 1, "coupler 1 must name two modes"),
+            (("layers", 1, "phases", "0"), 1.0, "phase mode 0 is below 1: labels in files are 1-based"),
+            (("relabeling", 0), [0, 5], "relabeling mode 0 is below 1: labels in files are 1-based"),
+            (("relabeling", 0), [2], "relabeling swap [2] must name two modes"),
+        ],
+        ids=["coupler-label-0", "coupler-of-three", "coupler-scalar", "phase-label-0", "swap-label-0", "swap-of-one"],
+    )
+    def test_malformed_labels_named_in_file_words(self, path, value, message):
+        # label 0 used to become mode -1, refused later as "coupler (-1,4) out of range", and the
+        # swap [0, 5] indexed position -1 before the permutation check caught it
+        obj = circuit_to_json(synthesize_qfft(3))
+        node = obj
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(ValidationError, match=f"{re.escape(message)}$"):
+            circuit_from_json(obj)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_phase_rejected(self, bad):

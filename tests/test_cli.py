@@ -617,6 +617,34 @@ class TestReconstructCommand:
         assert "not finite" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("visibilities", 0, "input"), [1, 2, 4], "visibility input [1, 2, 4] must name two modes"),
+            (("visibilities", 0, "output"), [0, 2], "visibility mode 0 is below 1: labels in files are 1-based"),
+            (("singles", 0, "output"), 0, "singles mode 0 is below 1: labels in files are 1-based"),
+            (("free_phases", 0), [2, 0], "mode 0 is below 1: labels in files are 1-based"),
+            (("template", "layers", 0, "couplers", 0), [0, 3], "coupler mode 0 is below 1: labels in files are 1-based"),
+            (("template", "relabeling", 0), [0, 5], "relabeling mode 0 is below 1: labels in files are 1-based"),
+        ],
+        ids=["input-of-three", "visibility-label-0", "singles-label-0", "phase-label-0", "coupler-label-0", "swap-label-0"],
+    )
+    def test_malformed_labels_exit_2(self, path, value, message, problem4, tmp_path, capsys):
+        # [1, 2, 4] used to be fitted as input (1, 2), exit 0; label 0 was refused as mode -1
+        obj = json.loads(problem4.read_text())
+        node = obj
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        problem4.write_text(json.dumps(obj))
+        out = tmp_path / "result.json"
+        code = run_cli("reconstruct", "--problem", str(problem4), "--restarts", "1", "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert err.startswith("qfft: invalid input:") and err.endswith(f"{message}\n")
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestErrorPaths:
     def test_missing_data_file(self, tmp_path, capsys):

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from qfftsim import fourier, models
 from qfftsim.errors import CapacityError, DomainError
 from qfftsim.fourier import (
+    check_key,
     check_pair,
     cyclic_inputs,
     enumerate_outputs,
+    file_label,
     is_suppressed,
     occupation_from_modes,
     occupations,
@@ -112,12 +114,41 @@ class TestModeLabels:
         "pair, message",
         [((0, 4), r"^input pair \(0, 4\) out of range for m=4$"),
          ((2, 2), r"^input pair must be collision-free \(two distinct modes\)$"),
-         ((0, 1, 2), r"^input pair \(0, 1, 2\) must name two modes$")],
+         ((0, 1, 2), r"^input pair \(0, 1, 2\) must name two modes$"),
+         (3, r"^input pair 3 must name two modes$")],
     )
     def test_pair_messages(self, pair, message):
         with pytest.raises(DomainError, match=message):
             check_pair(pair, 4)
         assert check_pair((1.0, np.int64(3)), 4) == (1, 3)
+
+    @pytest.mark.parametrize(
+        "key, message",
+        [((2, 5, 1), "phase position (2, 5, 1) must name a step index and a mode"),
+         ((2,), "phase position (2,) must name a step index and a mode"),
+         (5, "phase position 5 must name a step index and a mode"),
+         (None, "phase position None must name a step index and a mode"),
+         ((2, 5.5), "mode 5.5 is not a non-negative integer"),
+         ((-1, 5), "step index -1 is not a non-negative integer")],
+    )
+    def test_key_messages(self, key, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            check_key(key, "phase position", "step index", "mode")
+        same = check_key([2.0, np.int64(5)], "phase position", "step index", "mode")
+        assert same == (2, 5) and all(type(k) is int for k in same)
+
+    @pytest.mark.parametrize(
+        "label, message",
+        [(0, "coupler mode 0 is below 1: labels in files are 1-based"),
+         (0.0, "coupler mode 0.0 is below 1: labels in files are 1-based"),
+         (-1, "coupler mode -1 is not a non-negative integer"),
+         (1.5, "coupler mode 1.5 is not a non-negative integer"),
+         ("1", "coupler mode '1' is not a non-negative integer")],
+    )
+    def test_file_label_messages(self, label, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            file_label(label, "coupler mode")
+        assert [file_label(k, "coupler mode") for k in (1, 8.0, np.int64(3))] == [0, 7, 2]
 
 
 class TestIsSuppressed:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from qfftsim.circuit import (
     set_phases,
     synthesize_qfft,
 )
-from qfftsim.errors import ConvergenceError, DomainError, ValidationError
+from qfftsim.errors import ConvergenceError, DomainError, ShapeError, ValidationError
 from qfftsim.fourier import qft_matrix
 from qfftsim.linalg import fidelity, haar_random_unitary
 from qfftsim.models import distinguishable_distribution, fock_distribution
@@ -382,6 +383,16 @@ class TestFitPhases:
             fit_phases(problem, restarts=4, seed=0)
         assert len(fit_phases(problem, restarts=3, seed=0).restarts) == 3
 
+    @pytest.mark.parametrize("restarts", [2.5, float("nan"), "2"])
+    def test_non_integral_restarts_refused(self, restarts):
+        # 2.5 used to raise a bare TypeError from numpy
+        problem, _, _ = make_problem(2, [1.0])
+        with pytest.raises(DomainError, match=f"^restarts {re.escape(repr(restarts))} is not a non-negative integer$"):
+            fit_phases(problem, restarts=restarts, seed=0)
+        assert result_to_json(fit_phases(problem, restarts=2.0, seed=0)) == result_to_json(
+            fit_phases(problem, restarts=2, seed=0)
+        )
+
     @pytest.mark.parametrize("restarts", [0, reconstruct.MAX_RESTARTS + 1])
     def test_restarts_checked_without_free_phases(self, restarts):
         template = synthesize_qfft(2)
@@ -542,11 +553,24 @@ class TestModuliFromSingles:
         same = {(float(i), np.int64(o)): p for (i, o), p in singles.items()}
         assert np.array_equal(moduli_from_singles(same), moduli_from_singles(singles))
 
+    @pytest.mark.parametrize("key", [(0, 0, 1), (0,), 0], ids=["three-labels", "one-label", "scalar"])
+    def test_keys_of_other_than_two_labels_named(self, key):
+        # (0, 0, 1) used to raise a bare ValueError, 0 a bare TypeError
+        with pytest.raises(DomainError, match=f"^singles key {re.escape(repr(key))} must name two modes$"):
+            moduli_from_singles({(0, 0): 1.0, key: 1.0})
+
     @pytest.mark.parametrize("p", [float("nan"), float("inf"), -0.1])
     def test_non_finite_or_negative_probability_named(self, p):
         # a NaN used to be reported as a missing entry
         with pytest.raises(DomainError, match=r"^singles probability .* for \(1,0\) is not finite and non-negative$"):
             moduli_from_singles({(0, 0): 0.5, (0, 1): 0.5, (1, 0): p, (1, 1): 0.5})
+
+
+@pytest.mark.parametrize("u", [np.ones((3, 2)), np.ones((2, 3))], ids=["3x2", "2x3"])
+def test_singles_need_a_square_matrix(u):
+    # a 3 x 2 matrix used to raise a bare IndexError
+    with pytest.raises(ShapeError, match=r"^singles need a square matrix, got \(\d, \d\)$"):
+        singles_from_unitary(u)
 
 
 class TestVisibilitiesFromUnitary:
@@ -624,6 +648,13 @@ class TestPhaseSensitivity:
         with pytest.raises(DomainError, match="at least one free phase and one input pair"):
             phase_sensitivity(template, free, pairs)
 
+    @pytest.mark.parametrize("pair", [3, None])
+    def test_pair_of_no_labels_named(self, pair):
+        # each used to raise a bare TypeError from sorting
+        template = synthesize_qfft(2)
+        with pytest.raises(DomainError, match=f"^input pair {pair} must name two modes$"):
+            phase_sensitivity(template, nontrivial_phase_positions(template), [(0, 1), pair])
+
     def test_all_pairs_are_well_conditioned(self):
         template = synthesize_qfft(3)
         free = nontrivial_phase_positions(template)
@@ -676,6 +707,42 @@ class TestProblemValidation:
         problem, _, _ = make_problem(3)
         with pytest.raises(DomainError, match="is not a non-negative integer$"):
             dataclasses.replace(problem, **{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("free_phases", ((2, 5, 1),), "phase position (2, 5, 1) must name a step index and a mode"),
+            ("free_phases", (5,), "phase position 5 must name a step index and a mode"),
+            ("singles", {(0, 0, 1): 0.5}, "singles key (0, 0, 1) must name two modes"),
+            ("singles", {(0,): 0.5}, "singles key (0,) must name two modes"),
+            ("singles", {0: 0.5}, "singles key 0 must name two modes"),
+            ("visibilities", {((0, 1, 2), (2, 3)): (0.1, 0.02)}, "visibility input (0, 1, 2) must name two modes"),
+            ("visibilities", {((0, 1), (2,)): (0.1, 0.02)}, "visibility output (2,) must name two modes"),
+            ("visibilities", {((0, 1), 2): (0.1, 0.02)}, "visibility output 2 must name two modes"),
+            (
+                "visibilities",
+                {(0, 1): 0.5},
+                "visibility (0, 1): 0.5 is not ((a, b), (i, j)): (value, sigma)",
+            ),
+            (
+                "visibilities",
+                {((0, 1), (2, 3), (4, 5)): (0.1, 0.02)},
+                "visibility ((0, 1), (2, 3), (4, 5)): (0.1, 0.02) is not ((a, b), (i, j)): (value, sigma)",
+            ),
+        ],
+        ids=[
+            "phase-of-three", "phase-scalar", "singles-of-three", "singles-of-one", "singles-scalar",
+            "input-of-three", "output-of-one", "output-scalar", "key-of-labels", "key-of-three-pairs",
+        ],
+    )
+    def test_keys_of_other_than_two_labels_named(self, field, value, message):
+        # each used to raise a bare ValueError or TypeError from unpacking
+        problem, _, _ = make_problem(3)
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(problem, **{field: value})
+        if field == "free_phases":
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                phase_sensitivity(problem.template, value, [(0, 1)])
 
     def test_integral_float_labels_give_the_same_objective(self):
         problem, _, free = make_problem(3, [0.3, 1.1, 2.0, 4.0, 5.5])
@@ -732,6 +799,34 @@ class TestSerialisation:
             node = node[key]
         node[path[-1]] = value
         with pytest.raises(ValidationError):
+            problem_from_json(obj)
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("visibilities", 0, "input"), [1, 2, 4], "visibility input [1, 2, 4] must name two modes"),
+            (("visibilities", 0, "output"), 3, "visibility output 3 must name two modes"),
+            (("visibilities", 0, "output"), [0, 2], "visibility mode 0 is below 1: labels in files are 1-based"),
+            (("singles", 0, "input"), 0, "singles mode 0 is below 1: labels in files are 1-based"),
+            (("free_phases", 0), [2, 0], "mode 0 is below 1: labels in files are 1-based"),
+            (("free_phases", 0), [2, 4, 1], "free phase [2, 4, 1] must name a step index and a mode"),
+            (("template", "relabeling", 0), [0, 5], "relabeling mode 0 is below 1: labels in files are 1-based"),
+        ],
+        ids=[
+            "input-of-three", "output-scalar", "visibility-label-0", "singles-label-0",
+            "phase-label-0", "phase-of-three", "swap-label-0",
+        ],
+    )
+    def test_malformed_labels_named_in_file_words(self, path, value, message):
+        # [1, 2, 4] used to be read as input (0, 1) and fitted; label 0 became mode -1, refused
+        # later as "visibility mode -1 is not a non-negative integer"
+        problem, _, _ = make_problem(2, [1.0])
+        obj = problem_to_json(problem)
+        node = obj
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(ValidationError, match=f"{re.escape(message)}$"):
             problem_from_json(obj)
 
     def test_result_json_shape(self):
