@@ -75,26 +75,34 @@ class CoincidenceTable:
         ``counts[r]`` of pair ``output[r]`` at ``delta_x[r]``.
 
         Rows of other pairs are left out. Each output and pair is read by
-        :func:`~qfftsim.fourier.check_key`. Each cell needs exactly one row and
-        a count in [0, ``MAX_EXPECTED_COUNTS``], checked before it becomes an
-        int64; the first row at fault is named.
+        :func:`~qfftsim.fourier.check_key`, and ``pairs`` must ascend strictly.
+        Each cell needs exactly one row and a count in [0, ``MAX_EXPECTED_COUNTS``],
+        checked before it becomes an int64; the first row or pair at fault is named.
         """
         # a CSV reader's (N, 2) int64 array of non-negative labels is taken as it is
         if not (isinstance(output, np.ndarray) and output.dtype == np.int64 and output.shape[1:] == (2,)
                 and output.min(initial=0) >= 0):
             output = np.fromiter((check_key(row, "output", "output mode") for row in output), dtype=(np.int64, 2))
         pairs = np.fromiter((check_key(pair, "output pair", "output mode") for pair in pairs), dtype=(np.int64, 2))
-        # (i, j) as i * width + j keeps the order of the pairs
-        width = np.array([max(output.max(initial=0), pairs.max(initial=0)) + 1, 1])
-        keep = np.isin(output @ width, pairs @ width)
-        col = np.searchsorted(pairs @ width, output[keep] @ width)
-        delta_x = np.asarray(delta_x, dtype=float)[keep]
-        # return_index sorts stably: of equal delays (0.0 and -0.0) the first row's is kept
-        delays, _, row = np.unique(delta_x, return_index=True, return_inverse=True)
+        delta_x = np.asarray(delta_x, dtype=float)
         # an int64 column is checked as it is; anything else, such as a
         # reader's column of Python ints beyond int64, as Python objects
         if not (isinstance(counts, np.ndarray) and counts.dtype == np.int64):
             counts = np.asarray(counts, dtype=object)
+        if not len(delta_x) == len(output) == len(counts):
+            raise DomainError(f"delta_x, output and counts have {len(delta_x)}, {len(output)} and {len(counts)} rows")
+        # (i, j) as i * width + j keeps the order of the pairs
+        width = np.array([max(output.max(initial=0), pairs.max(initial=0)) + 1, 1])
+        faulty = np.flatnonzero((pairs[:, 0] > pairs[:, 1]) | np.append(False, np.diff(pairs @ width) <= 0))
+        if faulty.size:
+            (i, j), before = pairs[faulty[0]].tolist(), tuple(pairs[faulty[0] - 1].tolist())
+            order = "must have i <= j" if i > j else f"must ascend strictly from {before}"
+            raise DomainError(f"output pair {(i, j)} {order}")
+        keep = np.isin(output @ width, pairs @ width)
+        col = np.searchsorted(pairs @ width, output[keep] @ width)
+        delta_x = delta_x[keep]
+        # return_index sorts stably: of equal delays (0.0 and -0.0) the first row's is kept
+        delays, _, row = np.unique(delta_x, return_index=True, return_inverse=True)
         counts = counts[keep]
         pairs = list(map(tuple, pairs.tolist()))
         cell = row * len(pairs) + col

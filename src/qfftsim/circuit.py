@@ -16,6 +16,7 @@ phase shifters.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -108,7 +109,9 @@ def synthesize_qfft(p: int) -> QfftCircuit:
 
 
 def validate_circuit(circuit: QfftCircuit) -> None:
-    """Check structural invariants; raise ValidationError on the first failure."""
+    """Check structural invariants; raise ValidationError on the first failure, or
+    DomainError, naming the layer, for a coupler or phase mode refused by the rules of
+    :mod:`qfftsim.fourier`."""
     m = circuit.m
     if m != 1 << circuit.p:
         raise ValidationError(f"mode count {m} is not 2^p for p={circuit.p}")
@@ -119,20 +122,25 @@ def validate_circuit(circuit: QfftCircuit) -> None:
     if any(circuit.output_relabeling[v] != k for k, v in enumerate(circuit.output_relabeling)):
         raise ValidationError("output relabeling is not an involution")
     for layer in circuit.layers:
+        where = f"layer {layer.step}:"
+        coupler, label, phase = f"{where} coupler", f"{where} coupler mode", f"{where} phase mode"
         seen: set[int] = set()
-        for a, b in layer.couplers:
-            if not (0 <= a < m and 0 <= b < m):
-                raise ValidationError(f"layer {layer.step}: coupler ({a},{b}) out of range")
+        for a, b in (check_key(pair, coupler, label) for pair in layer.couplers):
+            if not (a < m and b < m):
+                raise ValidationError(f"{where} coupler ({a},{b}) out of range")
             if a in seen or b in seen or a == b:
-                raise ValidationError(f"layer {layer.step}: mode reused in coupler ({a},{b})")
+                raise ValidationError(f"{where} mode reused in coupler ({a},{b})")
             seen.update((a, b))
         if len(seen) != m:
-            raise ValidationError(f"layer {layer.step}: {m - len(seen)} modes left uncoupled")
+            raise ValidationError(f"{where} {m - len(seen)} modes left uncoupled")
         for t, angle in layer.phases.items():
-            if not 0 <= t < m:
-                raise ValidationError(f"layer {layer.step}: phase on unknown mode {t}")
+            t = check_nonnegative_int(t, phase)
+            if t >= m:
+                raise ValidationError(f"{where} phase on unknown mode {t}")
+            if not isinstance(angle, numbers.Real):
+                raise ValidationError(f"{where} phase on mode {t} is not a real number: {angle!r}")
             if not math.isfinite(angle):
-                raise ValidationError(f"layer {layer.step}: phase on mode {t} is not finite: {angle}")
+                raise ValidationError(f"{where} phase on mode {t} is not finite: {angle}")
 
 
 @dataclass(frozen=True)
@@ -144,19 +152,17 @@ class CompiledCircuit:
     With r layers holding a free phase, U = S_r D_r ... S_1 D_1 S_0, where
     ``segments`` holds S_0..S_r and D_i is the diagonal exp(i phi) of the
     i-th free layer; a circuit with no free phase is one segment.
-    ``diagonals[i]`` is D_i at the circuit's own values, ``slots[k]`` the
+    ``diagonals[i]`` is D_i at the circuit's own values and ``slots[k]`` the
     position of free phase k in ``diagonals`` flattened (free layer times m
-    plus mode), and ``nominal[k]`` its value in the circuit. Build it with
-    :func:`compile_circuit`.
+    plus mode). Build it with :func:`compile_circuit`.
     """
 
     segments: tuple[np.ndarray, ...]
     diagonals: np.ndarray
     slots: np.ndarray
-    nominal: np.ndarray
 
     def unitary(self, values=None, derivatives: bool = False):
-        """U with the free phases set to ``values`` (default: the nominal ones).
+        """U with the free phases set to ``values`` (default: the circuit's own ones).
 
         With ``derivatives`` also returns the (k, m) arrays ``left`` and
         ``right`` of the rank-one derivatives dU/d(phi_k) = i * outer(left[k],
@@ -225,15 +231,14 @@ def compile_circuit(circuit: QfftCircuit, free_phases=()) -> CompiledCircuit:
     phases = np.zeros((circuit.p, circuit.m))
     for j, layer in enumerate(circuit.layers):
         for t, angle in layer.phases.items():
-            phases[j, t] = angle
+            phases[j, int(t)] = angle
     free_layers = sorted({step - 1 for step, _ in free_phases})
     slots = np.array(
         [free_layers.index(step - 1) * circuit.m + mode for step, mode in free_phases], dtype=int
     )
-    nominal = phases[free_layers].ravel()[slots]
     segments = _fold(circuit, phases, free_layers)
     diagonals = np.exp(1j * phases[free_layers])
-    return CompiledCircuit(tuple(segments), diagonals, slots, nominal)
+    return CompiledCircuit(tuple(segments), diagonals, slots)
 
 
 def circuit_to_unitary(circuit: QfftCircuit) -> np.ndarray:
@@ -305,7 +310,7 @@ def circuit_to_json(circuit: QfftCircuit) -> dict:
             {
                 "step": layer.step,
                 "couplers": [[a + 1, b + 1] for a, b in layer.couplers],
-                "phases": {str(t + 1): angle for t, angle in sorted(layer.phases.items())},
+                "phases": {str(int(t) + 1): angle for t, angle in sorted(layer.phases.items())},
             }
             for layer in circuit.layers
         ],

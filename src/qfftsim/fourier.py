@@ -2,7 +2,8 @@
 
 Fock states are occupation tuples: ``state[k]`` photons in mode ``k``
 (0-based internally). :func:`enumerate_outputs` lists all outputs at once,
-as an array of occupied modes. Each rule about modes and photons is stated
+as an array of occupied modes, and :func:`partition_outputs` as the tuples
+that key every outcome table. Each rule about modes and photons is stated
 here once: the label rule (:func:`check_nonnegative_int`, :func:`check_state`),
 the key rule that reads every pair of labels (:func:`check_key`;
 :func:`check_pair` for a two-photon input), the rule of 1-based labels read
@@ -215,25 +216,13 @@ def _outputs(n: int, m: int) -> np.ndarray:
     return modes.reshape(count, n)
 
 
-def _output_states(n: int, m: int) -> tuple[tuple[FockState, ...], OutputPartition]:
-    """All n-photon outputs on m modes as occupation tuples, in the order of
-    :func:`enumerate_outputs`, and their partition, whose sets hold the same
-    tuple objects; both built once per (n, m) and shared.
-
-    More than :data:`MAX_OUTCOME_ENTRIES` entries, outputs x max(n, m) for
-    the rows and the occupations, are refused on every call, before either is
-    built."""
-    _check_entries(n, m, max(n, m), "occupation" if m >= n else "row")
-    return _output_set(n, m)
-
-
 @functools.lru_cache(maxsize=4)
-def _output_set(n: int, m: int) -> tuple[tuple[FockState, ...], OutputPartition]:
+def _output_set(n: int, m: int) -> OutputPartition:
     rows = _outputs(n, m)
     states = tuple(map(tuple, occupations(rows, m).tolist()))
     mask = suppressed(rows)
     allowed, forbidden = (frozenset(compress(states, keep.tolist())) for keep in (~mask, mask))
-    return states, OutputPartition(allowed, forbidden)
+    return OutputPartition(states, allowed, forbidden)
 
 
 def occupations(rows: np.ndarray, m: int) -> np.ndarray:
@@ -248,18 +237,18 @@ def output_count(n: int, m: int) -> int:
 
 @dataclass(frozen=True)
 class OutputPartition:
-    """Split of the n-photon outputs into suppressed (forbidden) and allowed sets."""
+    """The n-photon outputs as occupation tuples in :func:`enumerate_outputs`
+    order, and the same tuples split into suppressed (forbidden) and allowed sets."""
 
+    outputs: tuple[FockState, ...]
     allowed: frozenset[FockState]
     forbidden: frozenset[FockState]
 
 
 def partition_outputs(n: int, m: int) -> OutputPartition:
-    """Enumerate all n-photon, m-mode outputs and split them by the rule of
-    :func:`suppressed`, applied to all outputs at once.
-
-    :data:`MAX_OUTCOME_ENTRIES` is checked on every call, before any output
-    is built; the partition is shared between calls with the same arguments,
-    and its sets are frozen and hold the occupation tuples that key the
-    outcome tables of :mod:`qfftsim.models`."""
-    return _output_states(n, m)[1]
+    """All n-photon outputs on m modes, split by :func:`suppressed` at once; the
+    tuples that key the tables of :mod:`qfftsim.models`, built once per (n, m) and
+    shared. More than :data:`MAX_OUTCOME_ENTRIES` entries, outputs x max(n, m) for
+    the rows and the occupations, are refused on every call, before any is built."""
+    _check_entries(n, m, max(n, m), "occupation" if m >= n else "row")
+    return _output_set(n, m)

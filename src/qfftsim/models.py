@@ -11,10 +11,10 @@
   coefficients of one such product per output, taken over the input phases.
 
 Each table is a sum of squared moduli or of products of ``|U|^2`` entries,
-so it is never negative and is returned as computed, without clamping. The
-outputs, and the rules about modes (labels, input pairs, cyclic inputs),
-come from :mod:`qfftsim.fourier`; the expansion kernel, its plan and its
-work budget are here.
+so it is never negative and is returned as computed, without clamping. It
+is keyed by ``partition_outputs(n, m).outputs``, taken before any row so that
+their entry cap refuses first: the outputs and the rules about modes come from
+:mod:`qfftsim.fourier`; the expansion kernel, its plan and its budget are here.
 
 A two-photon partial-distinguishability model interpolates between the
 distinguishable and Fock limits as a function of the relative path delay.
@@ -30,13 +30,13 @@ import numpy as np
 from .errors import CapacityError, DomainError, ShapeError
 from .fourier import (
     FockState,
-    _output_states,
     check_pair,
     check_state,
     enumerate_outputs,
     is_cyclic_state,
     occupied_modes,
     output_count,
+    partition_outputs,
     photon_number,
 )
 from .linalg import DEFAULT_TOL, as_complex_matrix, assert_unitary, check_permanent_cap, permanent
@@ -139,15 +139,6 @@ def _check_work(model: str, n: int, m: int, variables: int, batch: int) -> None:
         )
 
 
-def _outcomes(n: int, m: int) -> tuple[tuple[FockState, ...], np.ndarray]:
-    """The n-photon outputs on m modes as the shared occupation tuples of
-    :mod:`qfftsim.fourier`, which also key :func:`partition_outputs`'s sets,
-    and as the (N, n) occupied-mode rows of :func:`enumerate_outputs`. The
-    tuples come first, so that their entry cap refuses before any row is built."""
-    outs, _ = _output_states(n, m)
-    return outs, enumerate_outputs(n, m)
-
-
 def _t_factorials(rows: np.ndarray) -> np.ndarray:
     """prod_k t_k! of each (N, n) occupied-mode row, exact: the integer
     product of each entry's running multiplicity within its ascending row, in
@@ -221,7 +212,7 @@ def fock_distribution(u, input_state, *, tol=DEFAULT_TOL) -> OutcomeDistribution
     """
     u, state, n = _check_input(u, input_state, tol)
     check_permanent_cap(n)
-    outs, rows = _outcomes(n, u.shape[0])
+    outs, rows = partition_outputs(n, u.shape[0]).outputs, enumerate_outputs(n, u.shape[0])
     cols = np.array(occupied_modes(state))
     perms = np.empty(len(outs), dtype=complex)
     step = max(1, BLOCK_ENTRIES // (n * n))
@@ -243,7 +234,7 @@ def distinguishable_distribution(u, input_state, *, tol=DEFAULT_TOL) -> OutcomeD
     """
     u, state, n = _check_input(u, input_state, tol)
     _check_work(DISTINGUISHABLE, n, u.shape[0], u.shape[0], 1)
-    outs, _ = _outcomes(n, u.shape[0])
+    outs = partition_outputs(n, u.shape[0]).outputs
     probs = product_expansion(np.abs(u[:, occupied_modes(state)]) ** 2, _expansion_plan(n, u.shape[0]))
     return OutcomeDistribution(DISTINGUISHABLE, state, dict(zip(outs, probs.tolist())))
 
@@ -269,7 +260,7 @@ def mean_field_distribution(u, input_state, *, tol=DEFAULT_TOL) -> OutcomeDistri
     if not is_cyclic_state(state):
         raise DomainError(f"input {state} is not a collision-free cyclic state")
     _check_work(MEAN_FIELD, n, u.shape[0], n, output_count(n, u.shape[0]))
-    outs, rows = _outcomes(n, u.shape[0])
+    outs, rows = partition_outputs(n, u.shape[0]).outputs, enumerate_outputs(n, u.shape[0])
     modes = occupied_modes(state)
     plan = tuple(_expansion_plan(n, n))
     weight = np.empty(len(rows))

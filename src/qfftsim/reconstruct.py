@@ -481,7 +481,7 @@ def phase_sensitivity(
     pairs = [tuple(sorted(check_key(pair, "input pair", "input mode"))) for pair in input_pairs]
     table = visibilities_from_unitary(circuit_to_unitary(template), pairs, 1.0)
     data = _compile(ReconstructionProblem(template, tuple(free_phases), {}, table))
-    _, jac = _residuals(data, data.circuit.nominal, jacobian=True)
+    _, jac = _residuals(data, None, jacobian=True)
     return _singular_values(jac)
 
 

@@ -162,6 +162,18 @@ class TestViolationCurve:
         with pytest.raises(DomainError, match=re.escape(f"must be positive, not for pairs {self.pairs[1:]}")):
             violation_curve(self.plateau_table(0), self.pc)
 
+    @pytest.mark.parametrize(
+        "table",
+        [
+            CoincidenceTable((0, 2), np.empty(0), (), np.empty((0, 0), dtype=np.int64)),
+            CoincidenceTable((0, 2), np.array([0.0]), ((0, 2),), np.ones((1, 1), dtype=np.int64)),
+        ],
+        ids=["no-delays", "no-forbidden-pair"],
+    )
+    def test_no_records_for_the_forbidden_pairs(self, table):
+        with pytest.raises(DomainError, match="^no records for any forbidden output pair$"):
+            violation_curve(table, self.pc)
+
     def test_missing_pairs_named_delay_by_delay(self):
         # the table holds the first forbidden pair only: the first five of 3 delays x 3 holes are named
         table = CoincidenceTable((0, 2), np.array([-200.0, 0.0, 200.0]), tuple(self.pairs[:1]),
@@ -233,6 +245,28 @@ class TestViolationCurve:
         # holding 7, 8 and 9, and a pair of three labels raised a bare ValueError
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             CoincidenceTable.from_cells((0, 4), [0.0, 1.0, 2.0], output, [7, 8, 9], pairs)
+
+    def test_rows_of_unequal_length_named(self):
+        # used to raise a bare IndexError
+        message = "delta_x, output and counts have 2, 3 and 3 rows"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            CoincidenceTable.from_cells((0, 4), [0.0, 1.0], [(0, 1)] * 3, [7, 8, 9], [(0, 1)])
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            ([(2, 3), (0, 1)], "output pair (0, 1) must ascend strictly from (2, 3)"),
+            ([(0, 1), (0, 1), (2, 3)], "output pair (0, 1) must ascend strictly from (0, 1)"),
+            ([(1, 0)], "output pair (1, 0) must have i <= j"),
+            ([(0, 1), (3, 2)], "output pair (3, 2) must have i <= j"),
+        ],
+        ids=["descending", "repeated", "i-above-j", "i-above-j-later"],
+    )
+    def test_pairs_out_of_order_named(self, pairs, message):
+        # a descending list raised a bare IndexError, a repeated pair a misleading "missing counts",
+        # and (1, 0) gave an empty table
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            CoincidenceTable.from_cells((0, 4), [0.0, 0.0], [(0, 1), (2, 3)], [7, 8], pairs)
 
     @pytest.mark.parametrize("counts", [10**19, 10**23, 10**400], ids=["1e19", "1e23", "1e400"])
     def test_counts_above_the_sampler_limit_rejected(self, counts):
@@ -593,6 +627,11 @@ class TestCsv:
     def test_first_fault_before_a_blank_line_matches_the_oracle(self):
         text = "input_i,input_j,output_i,output_j,delta_x_um,counts\n1,3,0,4,nan,-1\n\n1,x,2,4,0.0,5\n"
         TestCsv.test_matches_the_row_by_row_oracle.hypothesis.inner_test(self, text)
+
+    def test_empty_stream_named(self):
+        message = "f.csv: empty file, expected header input_i,input_j,output_i,output_j,delta_x_um,counts"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            read_coincidence_csv(io.StringIO(""), source="f.csv")
 
     def test_line_numbers_across_a_quoted_newline(self):
         # field faults count records from the header; a csv.Error names the reader's line

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -88,6 +89,13 @@ class TestSynthesis:
         assert synthesize_qfft(3.0) == synthesize_qfft(np.int64(3)) == synthesize_qfft(3)
 
 
+def with_layer(circuit, step, **changes):
+    """``circuit`` with the fields of its layer ``step`` replaced, unchecked."""
+    layers = list(circuit.layers)
+    layers[step - 1] = dataclasses.replace(layers[step - 1], **changes)
+    return dataclasses.replace(circuit, layers=tuple(layers))
+
+
 class TestComposition:
     def test_mode_reuse_rejected(self):
         bad = QfftCircuit(
@@ -136,6 +144,40 @@ class TestComposition:
             with pytest.raises(ValidationError, match="output relabeling is not an involution"):
                 refuse(cycled)
 
+    @pytest.mark.parametrize(
+        "change, error, message",
+        [
+            (lambda c: QfftCircuit(p=2, m=5, layers=c.layers, output_relabeling=c.output_relabeling),
+             ValidationError, "mode count 5 is not 2^p for p=2"),
+            (lambda c: QfftCircuit(p=2, m=4, layers=c.layers, output_relabeling=(0, 0, 1, 2)),
+             ValidationError, "output relabeling is not a permutation of the modes"),
+            (lambda c: with_layer(c, 1, couplers=((0, 4), (1, 3))),
+             ValidationError, "layer 1: coupler (0,4) out of range"),
+            (lambda c: with_layer(c, 2, phases={4: 0.5}), ValidationError, "layer 2: phase on unknown mode 4"),
+            # these three used to raise a bare ValueError, IndexError and TypeError
+            (lambda c: with_layer(c, 1, couplers=((0, 2, 1), (1, 3))),
+             DomainError, "layer 1: coupler (0, 2, 1) must name two modes"),
+            (lambda c: with_layer(c, 2, phases={2.5: 0.5}),
+             DomainError, "layer 2: phase mode 2.5 is not a non-negative integer"),
+            (lambda c: with_layer(c, 2, phases={1: "x"}),
+             ValidationError, "layer 2: phase on mode 1 is not a real number: 'x'"),
+        ],
+        ids=["m-not-2^p", "not-a-permutation", "coupler-out-of-range", "unknown-phase-mode",
+             "coupler-of-three", "phase-mode-2.5", "angle-str"],
+    )
+    def test_structural_refusals_named(self, change, error, message):
+        circuit = change(synthesize_qfft(2))
+        for refuse in (validate_circuit, compile_circuit, circuit_to_unitary):
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                refuse(circuit)
+
+    def test_integral_float_phase_mode_is_read_as_its_mode(self):
+        # the label rule admits 3.0, which used to index the phase array and raise a bare IndexError
+        c = synthesize_qfft(2)
+        floating, integral = with_layer(c, 2, phases={3.0: 0.5}), with_layer(c, 2, phases={3: 0.5})
+        assert np.array_equal(circuit_to_unitary(floating), circuit_to_unitary(integral))
+        assert circuit_to_json(floating) == circuit_to_json(integral)
+
 
 def random_positions(circuit, rng):
     """A random nonempty subset of all (step, mode) phase positions."""
@@ -181,7 +223,7 @@ class TestCompiledCircuit:
         c = synthesize_qfft(3)
         free = nontrivial_phase_positions(c)
         compiled = compile_circuit(c, free)
-        assert compiled.nominal == pytest.approx([c.layers[s - 1].phases[t] for s, t in free])
+        assert np.array_equal(compiled.unitary(), compiled.unitary([c.layers[s - 1].phases[t] for s, t in free]))
         assert np.array_equal(compiled.unitary(), circuit_to_unitary(c))
 
     def test_duplicate_positions_rejected(self):

@@ -80,6 +80,10 @@ class TestCyclicInputs:
         with pytest.raises(DomainError):
             cyclic_inputs(1, 3)
 
+    def test_rejects_exponent_zero(self):
+        with pytest.raises(DomainError, match="^exponent p must be >= 1, got 0$"):
+            cyclic_inputs(2, 0)
+
     @pytest.mark.parametrize("n,p", [(2.5, 2), (2, 1.5), (float("nan"), 2), (-1, 2), (2, "a")])
     def test_non_integral_arguments_refused(self, n, p):
         with pytest.raises(DomainError, match="is not a non-negative integer"):
@@ -206,6 +210,14 @@ class TestPartitionOutputs:
         part = partition_outputs(2, m)
         assert len(collision_free(part.forbidden | part.allowed)) == math.comb(m, 2)
         assert len(part.forbidden | part.allowed) == math.comb(m + 1, 2)
+
+    @pytest.mark.parametrize("n,m", [(2, 4), (3, 9), (3, 2), (1, 1)])
+    def test_outputs_are_the_enumeration_in_order(self, n, m):
+        part = partition_outputs(n, m)
+        assert list(part.outputs) == list(map(tuple, occupations(enumerate_outputs(n, m), m).tolist()))
+        assert all(type(occ) is int for out in part.outputs for occ in out)
+        held = {id(out) for out in part.outputs}
+        assert all(id(out) in held for out in part.allowed | part.forbidden)
 
     def test_enumeration_cap(self):
         with pytest.raises(CapacityError):

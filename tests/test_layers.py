@@ -39,9 +39,7 @@ def test_a_cached_function_is_not_plain():
 
 def test_no_module_imports_another_modules_private_names():
     # each rule is reached by its public name, so a module's private names can
-    # change without breaking another; models still takes fourier's shared
-    # output tuples through _output_states, which ROADMAP item 5 deletes
-    allowed = {("models", "fourier", "_output_states")}
+    # change without breaking another
     private = set()
     for path in sorted(pathlib.Path(qfftsim.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -52,4 +50,4 @@ def test_no_module_imports_another_modules_private_names():
                     for alias in node.names
                     if alias.name.startswith("_") and not alias.name.startswith("__")
                 }
-    assert private - allowed == set()
+    assert private == set()

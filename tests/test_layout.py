@@ -79,3 +79,26 @@ def test_overlap_rejected():
 def test_json_modes_one_based():
     obj = hypercube_layout(1).to_json()
     assert obj["steps"] == [[[1, 2]]]
+
+
+def square_with_last_vertex(corner):
+    # the p = 2 square of hypercube_layout(2), its vertex 3 moved to ``corner``: step 1
+    # pairs (0, 2) and (1, 3), so its edges are v2 - v0 and corner - v1
+    verts = hypercube_layout(2).vertices.copy()
+    verts[3] = corner(verts)
+    return HypercubeLayout(p=2, vertices=verts, steps=hypercube_layout(2).steps)
+
+
+@pytest.mark.parametrize(
+    "layout, message",
+    [
+        (HypercubeLayout(p=2, vertices=np.zeros((3, 2)), steps=()), "^expected 4 vertices, got 3$"),
+        (square_with_last_vertex(lambda v: v[1] + 2 * (v[2] - v[0])), "^step 1: edge lengths differ by "),
+        (square_with_last_vertex(lambda v: v[1] + (v[2] - v[0]) @ [[0.0, -1.0], [1.0, 0.0]]),
+         "^step 1: edges are not parallel$"),
+    ],
+    ids=["vertex-count", "edge-lengths", "not-parallel"],
+)
+def test_invariant_refusals_named(layout, message):
+    with pytest.raises(ValidationError, match=message):
+        validate_layout(layout)

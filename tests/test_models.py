@@ -245,7 +245,8 @@ class TestMeanField:
         # multiply 2 C(3, 2) = 6 terms, 66 in all, + 2 levels x 4096 steps
         monkeypatch.setattr(models, "MAX_EXPANSION_WORK", 8257)
         with monkeypatch.context() as patch:
-            patch.setattr(models, "_outcomes", None)  # refused before any output is built
+            patch.setattr(models, "partition_outputs", None)  # refused before any output is built
+            patch.setattr(models, "enumerate_outputs", None)
             with pytest.raises(CapacityError, match="needs 8258 expansion steps, above the budget 8257"):
                 mean_field_distribution(qft_matrix(4), (1, 0, 1, 0))
         monkeypatch.setattr(models, "MAX_EXPANSION_WORK", 8258)
@@ -511,7 +512,8 @@ class TestExpansionBudget:
         # three photons on two modes: the plan and the table, 3 C(4, 3) = 12 terms each, + 3 levels x 4096
         monkeypatch.setattr(models, "MAX_EXPANSION_WORK", 12311)
         with monkeypatch.context() as patch:
-            patch.setattr(models, "_outcomes", None)  # refused before any output is built
+            patch.setattr(models, "partition_outputs", None)  # refused before any output is built
+            patch.setattr(models, "enumerate_outputs", None)
             with pytest.raises(CapacityError, match="needs 12312 expansion steps, above the budget 12311"):
                 distinguishable_distribution(qft_matrix(2), (2, 1))
         monkeypatch.setattr(models, "MAX_EXPANSION_WORK", 12312)
@@ -650,6 +652,19 @@ class TestSharedTables:
             keys = {id(out): out for out in make(u, state).probabilities}
             assert all(keys.get(id(out)) is out for out in part.forbidden | part.allowed), make.__name__
 
+    @pytest.mark.parametrize(
+        "make,n,m",
+        [(make, n, m) for make in makers for n, m in [(2, 4), (3, 9)]]
+        + [(fock_distribution, 3, 2), (distinguishable_distribution, 3, 2)],
+    )
+    def test_keys_are_the_partition_outputs_in_order(self, make, n, m):
+        u = haar_random_unitary(m, np.random.default_rng(n + m))
+        state = cyclic_state(n, m) if m >= n else (n,) + (0,) * (m - 1)
+        keys = list(make(u, state).probabilities)
+        outputs = partition_outputs(n, m).outputs
+        assert len(keys) == len(outputs)
+        assert all(key is out for key, out in zip(keys, outputs))
+
 
 class TestStateEntries:
     """Occupations must be non-negative integers; none is truncated."""
@@ -674,6 +689,16 @@ class TestStateEntries:
     def test_refused(self, call):
         with pytest.raises(DomainError, match="is not a non-negative integer"):
             call()
+
+    @pytest.mark.parametrize("make", TestSharedTables.makers)
+    def test_input_of_other_length_than_the_unitary(self, make):
+        with pytest.raises(ShapeError, match=r"^input has 3 modes but the unitary is 4x4$"):
+            make(qft_matrix(4), (1, 0, 1))
+
+    @pytest.mark.parametrize("make", TestSharedTables.makers)
+    def test_input_of_no_photon(self, make):
+        with pytest.raises(DomainError, match="^input must carry at least one photon$"):
+            make(qft_matrix(4), (0, 0, 0, 0))
 
     def test_integral_floats_and_numpy_ints_give_identical_tables(self):
         u = haar_random_unitary(4, np.random.default_rng(4))

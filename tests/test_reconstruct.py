@@ -540,6 +540,15 @@ class TestModuliFromSingles:
         with pytest.raises(DomainError):
             moduli_from_singles({(0, 0): -0.1, (0, 1): 0.5, (1, 0): 0.5, (1, 1): 0.5})
 
+    def test_empty_table_rejected(self):
+        with pytest.raises(DomainError, match="^empty singles table$"):
+            moduli_from_singles({})
+
+    def test_all_zero_input_column_rejected(self):
+        singles = {(0, 0): 0.0, (0, 1): 0.0, (1, 0): 0.5, (1, 1): 0.5}
+        with pytest.raises(DomainError, match="^singles table has an all-zero input column$"):
+            moduli_from_singles(singles)
+
     def test_incomplete_table_rejected(self):
         with pytest.raises(DomainError):
             moduli_from_singles({(0, 0): 0.5, (1, 1): 0.5})
@@ -599,6 +608,10 @@ class TestGauge:
         assert np.allclose(np.imag(w[:, 0]), 0.0, atol=1e-12)
         assert np.all(np.real(w[0, :]) >= -1e-12)
         assert np.all(np.real(w[:, 0]) >= -1e-12)
+
+    def test_non_square_matrix_rejected(self):
+        with pytest.raises(ValidationError, match=r"^gauge fixing needs a square matrix, got \(2, 3\)$"):
+            canonical_gauge(np.ones((2, 3)))
 
     def test_idempotent(self):
         u = haar_random_unitary(4, np.random.default_rng(10))
@@ -668,6 +681,19 @@ class TestProblemValidation:
         template = synthesize_qfft(2)
         with pytest.raises(DomainError):
             ReconstructionProblem(template, (), {(0, 0): 1.5}, {})
+
+    def test_singles_entry_out_of_range(self):
+        with pytest.raises(DomainError, match=r"^singles entry \(0,4\) out of range for m=4$"):
+            ReconstructionProblem(synthesize_qfft(2), (), {(0, 4): 0.5}, {})
+
+    @pytest.mark.parametrize("key", [((0, 4), (0, 1)), ((0, 1), (2, 4)), ((1, 0), (2, 3)), ((0, 1), (3, 2)),
+                                     ((1, 1), (2, 3))],
+                             ids=["input-out-of-range", "output-out-of-range", "input-unordered",
+                                  "output-unordered", "input-bunched"])
+    def test_visibility_key_out_of_range_or_unordered(self, key):
+        message = f"visibility key ({key[0]},{key[1]}) out of range or unordered"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            ReconstructionProblem(synthesize_qfft(2), (), {}, {key: (0.5, 0.02)})
 
     def test_bad_sigma(self):
         template = synthesize_qfft(2)
