@@ -78,17 +78,27 @@ class CoincidenceTable:
         :func:`~qfftsim.fourier.check_key`, and ``pairs`` must ascend strictly.
         Each cell needs exactly one row and a count in [0, ``MAX_EXPECTED_COUNTS``],
         checked before it becomes an int64; the first row or pair at fault is named.
+        A column that is a scalar, or a ``delta_x`` or ``counts`` of more than one
+        axis, is refused by name before anything else.
         """
-        # a CSV reader's (N, 2) int64 array of non-negative labels is taken as it is
-        if not (isinstance(output, np.ndarray) and output.dtype == np.int64 and output.shape[1:] == (2,)
-                and output.min(initial=0) >= 0):
-            output = np.fromiter((check_key(row, "output", "output mode") for row in output), dtype=(np.int64, 2))
-        pairs = np.fromiter((check_key(pair, "output pair", "output mode") for pair in pairs), dtype=(np.int64, 2))
         delta_x = np.asarray(delta_x, dtype=float)
         # an int64 column is checked as it is; anything else, such as a
         # reader's column of Python ints beyond int64, as Python objects
         if not (isinstance(counts, np.ndarray) and counts.dtype == np.int64):
             counts = np.asarray(counts, dtype=object)
+        for name, column in (("delta_x", delta_x), ("counts", counts)):
+            if column.ndim != 1:
+                raise DomainError(f"{name} must be a column, got shape {column.shape}")
+        for name, column in (("output", output), ("pairs", pairs)):
+            try:
+                iter(column)
+            except TypeError:
+                raise DomainError(f"{name} must be a column of pairs, got {column!r}") from None
+        # a CSV reader's (N, 2) int64 array of non-negative labels is taken as it is
+        if not (isinstance(output, np.ndarray) and output.dtype == np.int64 and output.shape[1:] == (2,)
+                and output.min(initial=0) >= 0):
+            output = np.fromiter((check_key(row, "output", "output mode") for row in output), dtype=(np.int64, 2))
+        pairs = np.fromiter((check_key(pair, "output pair", "output mode") for pair in pairs), dtype=(np.int64, 2))
         if not len(delta_x) == len(output) == len(counts):
             raise DomainError(f"delta_x, output and counts have {len(delta_x)}, {len(output)} and {len(counts)} rows")
         # (i, j) as i * width + j keeps the order of the pairs

@@ -108,24 +108,33 @@ def synthesize_qfft(p: int) -> QfftCircuit:
     return QfftCircuit(p=p, m=m, layers=tuple(layers), output_relabeling=bit_reversal(p))
 
 
-def validate_circuit(circuit: QfftCircuit) -> None:
+def validate_circuit(circuit: QfftCircuit) -> QfftCircuit:
     """Check structural invariants; raise ValidationError on the first failure, or
-    DomainError, naming the layer, for a coupler or phase mode refused by the rules of
-    :mod:`qfftsim.fourier`."""
-    m = circuit.m
-    if m != 1 << circuit.p:
-        raise ValidationError(f"mode count {m} is not 2^p for p={circuit.p}")
-    if [layer.step for layer in circuit.layers] != list(range(1, circuit.p + 1)):
-        raise ValidationError(f"expected layers with steps 1..{circuit.p} in order")
-    if sorted(circuit.output_relabeling) != list(range(m)):
+    DomainError, naming the field, for a count, step, relabeling entry, coupler mode
+    or phase mode refused by the rules of :mod:`qfftsim.fourier`.
+
+    Returns the circuit with each of those as the int the rules read, so that 2.0
+    gives exactly what 2 gives; the other functions of this module read only that.
+    """
+    p = check_nonnegative_int(circuit.p, "layer count p")
+    m = check_nonnegative_int(circuit.m, "mode count")
+    if m != 1 << p:
+        raise ValidationError(f"mode count {m} is not 2^p for p={p}")
+    steps = [check_nonnegative_int(layer.step, "step index") for layer in circuit.layers]
+    if steps != list(range(1, p + 1)):
+        raise ValidationError(f"expected layers with steps 1..{p} in order")
+    relabeling = tuple(check_nonnegative_int(k, "output relabeling entry") for k in circuit.output_relabeling)
+    if sorted(relabeling) != list(range(m)):
         raise ValidationError("output relabeling is not a permutation of the modes")
-    if any(circuit.output_relabeling[v] != k for k, v in enumerate(circuit.output_relabeling)):
+    if any(relabeling[v] != k for k, v in enumerate(relabeling)):
         raise ValidationError("output relabeling is not an involution")
-    for layer in circuit.layers:
-        where = f"layer {layer.step}:"
+    layers = []
+    for step, layer in zip(steps, circuit.layers):
+        where = f"layer {step}:"
         coupler, label, phase = f"{where} coupler", f"{where} coupler mode", f"{where} phase mode"
+        couplers = tuple(check_key(pair, coupler, label) for pair in layer.couplers)
         seen: set[int] = set()
-        for a, b in (check_key(pair, coupler, label) for pair in layer.couplers):
+        for a, b in couplers:
             if not (a < m and b < m):
                 raise ValidationError(f"{where} coupler ({a},{b}) out of range")
             if a in seen or b in seen or a == b:
@@ -133,6 +142,7 @@ def validate_circuit(circuit: QfftCircuit) -> None:
             seen.update((a, b))
         if len(seen) != m:
             raise ValidationError(f"{where} {m - len(seen)} modes left uncoupled")
+        phases = {}
         for t, angle in layer.phases.items():
             t = check_nonnegative_int(t, phase)
             if t >= m:
@@ -141,6 +151,9 @@ def validate_circuit(circuit: QfftCircuit) -> None:
                 raise ValidationError(f"{where} phase on mode {t} is not a real number: {angle!r}")
             if not math.isfinite(angle):
                 raise ValidationError(f"{where} phase on mode {t} is not finite: {angle}")
+            phases[t] = angle
+        layers.append(Layer(step, couplers, phases))
+    return QfftCircuit(p, m, tuple(layers), relabeling)
 
 
 @dataclass(frozen=True)
@@ -226,12 +239,12 @@ def compile_circuit(circuit: QfftCircuit, free_phases=()) -> CompiledCircuit:
     O(p m^2) once; an evaluation then costs one diagonal scale and one m x m
     product per layer holding a free phase.
     """
-    validate_circuit(circuit)
+    circuit = validate_circuit(circuit)
     free_phases = check_positions(circuit, free_phases)
     phases = np.zeros((circuit.p, circuit.m))
     for j, layer in enumerate(circuit.layers):
         for t, angle in layer.phases.items():
-            phases[j, int(t)] = angle
+            phases[j, t] = angle
     free_layers = sorted({step - 1 for step, _ in free_phases})
     slots = np.array(
         [free_layers.index(step - 1) * circuit.m + mode for step, mode in free_phases], dtype=int
@@ -297,12 +310,13 @@ def nontrivial_phase_positions(circuit: QfftCircuit) -> list[tuple[int, int]]:
 
 def relabeling_swaps(circuit: QfftCircuit) -> list[tuple[int, int]]:
     """The relabeling as disjoint swaps in 1-based labels; the circuit is validated first."""
-    validate_circuit(circuit)
+    circuit = validate_circuit(circuit)
     return [(k + 1, v + 1) for k, v in enumerate(circuit.output_relabeling) if v > k]
 
 
 def circuit_to_json(circuit: QfftCircuit) -> dict:
-    """Serialise with 1-based mode labels and the relabeling as swap pairs."""
+    """Serialise the validated circuit with 1-based mode labels and the relabeling as swap pairs."""
+    circuit = validate_circuit(circuit)
     return {
         "p": circuit.p,
         "m": circuit.m,
@@ -310,7 +324,7 @@ def circuit_to_json(circuit: QfftCircuit) -> dict:
             {
                 "step": layer.step,
                 "couplers": [[a + 1, b + 1] for a, b in layer.couplers],
-                "phases": {str(int(t) + 1): angle for t, angle in sorted(layer.phases.items())},
+                "phases": {str(t + 1): angle for t, angle in sorted(layer.phases.items())},
             }
             for layer in circuit.layers
         ],
@@ -347,6 +361,4 @@ def circuit_from_json(obj) -> QfftCircuit:
             relabeling[a], relabeling[b] = b, a
     except (KeyError, TypeError, ValueError, IndexError, AttributeError, OverflowError) as exc:
         raise ValidationError(f"malformed circuit layers or relabeling: {exc}") from exc
-    circuit = QfftCircuit(p=p, m=m, layers=tuple(layers), output_relabeling=tuple(relabeling))
-    validate_circuit(circuit)
-    return circuit
+    return validate_circuit(QfftCircuit(p=p, m=m, layers=tuple(layers), output_relabeling=tuple(relabeling)))

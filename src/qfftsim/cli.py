@@ -20,9 +20,10 @@ derives from one master seed (``--seed``) through fixed per-subsystem
 streams (0 = experiment simulation, 2 = reconstruction restarts; 1 and 3
 are unused, so that the others keep their seeds), so identical invocations
 produce byte-identical artifacts. Only ``simulate`` and ``reconstruct`` draw
-random numbers; the other commands accept ``--seed`` and ignore it.
+random numbers; ``curve`` and ``certify`` accept ``--seed`` and ``--trials``
+and ignore both, and ``synth``, ``layout`` and ``evolve`` take no ``--seed``.
 ``certify`` reports the row of ``curve`` at the smallest |delay|, a tie
-going to the negative delay. ``--trials`` is still accepted and ignored.
+going to the negative delay.
 Input files must be UTF-8 text.
 Files are written atomically, with the permissions the umask gives a new file;
 a file already at the temporary name ``.qfft-<pid>`` is left alone (exit 4).
@@ -325,9 +326,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    ignored = "ignored: the error bar is exact"  # curve's and certify's --trials and --seed
 
-    def add_common(p, handler):
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master seed (default %(default)s)")
+    def add_common(p, handler, seed=None):
+        if seed:  # the help of --seed; a command without randomness takes none
+            p.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"{seed} (default %(default)s)")
         p.add_argument("--out", help="output path (defaults to stdout)")
         p.set_defaults(handler=handler)
 
@@ -362,29 +365,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=41, help="number of delay points")
     p.add_argument("--counts", dest="expected_counts", type=float, default=1e5,
                    help="expected counts per delay point")
-    add_common(p, _simulate)
+    add_common(p, _simulate, "master seed")
 
     p = sub.add_parser("curve", help="violation degree versus delay from a counts CSV")
     p.add_argument("--data", dest="data_path", required=True, help="coincidence CSV")
     add_unitary(p)
     p.add_argument("--input", required=True, help="two 1-based input modes m/2 apart, e.g. 1,5 on 8 modes")
-    p.add_argument("--trials", type=int, help="ignored: the error bar is exact")
-    add_common(p, _curve)
+    p.add_argument("--trials", type=int, help=ignored)
+    add_common(p, _curve, ignored)
 
     p = sub.add_parser("certify", help="hypothesis test at the smallest |delay| point")
     p.add_argument("--data", dest="data_path", required=True, help="coincidence CSV")
     add_unitary(p)
     p.add_argument("--input", required=True, help="two 1-based input modes m/2 apart, e.g. 1,5 on 8 modes")
-    p.add_argument("--trials", type=int, help="ignored: the error bar is exact")
+    p.add_argument("--trials", type=int, help=ignored)
     p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD_SIGMAS,
                    help="rejection threshold in sigmas")
-    add_common(p, _certify)
+    add_common(p, _certify, ignored)
 
     p = sub.add_parser("reconstruct", help="fit circuit phases to a measurement problem")
     p.add_argument("--problem", dest="problem_path", required=True, help="problem JSON")
     p.add_argument("--target", help="'qft' or a matrix JSON file for the fidelity report")
     p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
-    add_common(p, _reconstruct)
+    add_common(p, _reconstruct, "master seed")
 
     return parser
 
@@ -392,7 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.seed < 0:
+        if getattr(args, "seed", 0) < 0:
             raise DomainError(f"--seed must be non-negative, got {args.seed}")
         args.handler(args)
         return EXIT_OK

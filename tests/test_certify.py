@@ -253,6 +253,25 @@ class TestViolationCurve:
             CoincidenceTable.from_cells((0, 4), [0.0, 1.0], [(0, 1)] * 3, [7, 8, 9], [(0, 1)])
 
     @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            ("delta_x", 0.0, "delta_x must be a column, got shape ()"),
+            ("delta_x", [[0.0]], "delta_x must be a column, got shape (1, 1)"),
+            ("counts", 1, "counts must be a column, got shape ()"),
+            ("counts", np.int64(1), "counts must be a column, got shape ()"),
+            ("counts", np.array([[1]]), "counts must be a column, got shape (1, 1)"),
+            ("output", 5, "output must be a column of pairs, got 5"),
+            ("pairs", 5, "pairs must be a column of pairs, got 5"),
+        ],
+        ids=["delta_x-scalar", "delta_x-2d", "counts-int", "counts-int64", "counts-2d", "output-int", "pairs-int"],
+    )
+    def test_scalar_or_table_column_named(self, column, value, message):
+        # a scalar used to raise a bare TypeError, and a 2-D delta_x was read as its flattened values
+        cells = {"delta_x": [0.0], "output": [(0, 1)], "counts": [1], "pairs": [(0, 1)], column: value}
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            CoincidenceTable.from_cells((0, 4), **cells)
+
+    @pytest.mark.parametrize(
         "pairs, message",
         [
             ([(2, 3), (0, 1)], "output pair (0, 1) must ascend strictly from (2, 3)"),

@@ -89,10 +89,10 @@ class TestSynthesis:
         assert synthesize_qfft(3.0) == synthesize_qfft(np.int64(3)) == synthesize_qfft(3)
 
 
-def with_layer(circuit, step, **changes):
-    """``circuit`` with the fields of its layer ``step`` replaced, unchecked."""
+def with_layer(circuit, position, **changes):
+    """``circuit`` with the fields of its layer at 1-based ``position`` replaced, unchecked."""
     layers = list(circuit.layers)
-    layers[step - 1] = dataclasses.replace(layers[step - 1], **changes)
+    layers[position - 1] = dataclasses.replace(layers[position - 1], **changes)
     return dataclasses.replace(circuit, layers=tuple(layers))
 
 
@@ -161,13 +161,24 @@ class TestComposition:
              DomainError, "layer 2: phase mode 2.5 is not a non-negative integer"),
             (lambda c: with_layer(c, 2, phases={1: "x"}),
              ValidationError, "layer 2: phase on mode 1 is not a real number: 'x'"),
+            # p and a relabeling entry used to raise a bare TypeError; m and the step a
+            # ValidationError that did not say which rule the value broke
+            (lambda c: dataclasses.replace(c, p=2.5), DomainError, "layer count p 2.5 is not a non-negative integer"),
+            (lambda c: dataclasses.replace(c, p="x"), DomainError, "layer count p 'x' is not a non-negative integer"),
+            (lambda c: dataclasses.replace(c, m=4.5), DomainError, "mode count 4.5 is not a non-negative integer"),
+            (lambda c: with_layer(c, 2, step=1.5), DomainError, "step index 1.5 is not a non-negative integer"),
+            (lambda c: dataclasses.replace(c, output_relabeling=("x", 2, 1, 3)),
+             DomainError, "output relabeling entry 'x' is not a non-negative integer"),
+            (lambda c: dataclasses.replace(c, output_relabeling=(0, 2.5, 1, 3)),
+             DomainError, "output relabeling entry 2.5 is not a non-negative integer"),
         ],
         ids=["m-not-2^p", "not-a-permutation", "coupler-out-of-range", "unknown-phase-mode",
-             "coupler-of-three", "phase-mode-2.5", "angle-str"],
+             "coupler-of-three", "phase-mode-2.5", "angle-str", "p-2.5", "p-str", "m-4.5", "step-1.5",
+             "relabeling-str", "relabeling-2.5"],
     )
     def test_structural_refusals_named(self, change, error, message):
         circuit = change(synthesize_qfft(2))
-        for refuse in (validate_circuit, compile_circuit, circuit_to_unitary):
+        for refuse in (validate_circuit, compile_circuit, circuit_to_unitary, circuit_to_json):
             with pytest.raises(error, match=f"^{re.escape(message)}$"):
                 refuse(circuit)
 
@@ -177,6 +188,24 @@ class TestComposition:
         floating, integral = with_layer(c, 2, phases={3.0: 0.5}), with_layer(c, 2, phases={3: 0.5})
         assert np.array_equal(circuit_to_unitary(floating), circuit_to_unitary(integral))
         assert circuit_to_json(floating) == circuit_to_json(integral)
+
+    def test_integral_float_counts_and_labels_give_what_ints_give(self):
+        # p = 2.0 used to raise a bare TypeError from 1 << p, m = 4.0 from the phase array's
+        # shape and a relabeling of floats from indexing the relabeling with its own entries
+        c = synthesize_qfft(2)
+        floating = dataclasses.replace(
+            with_layer(c, 2, step=2.0, couplers=((0.0, 1.0), (2.0, 3.0)), phases={3.0: 0.5}),
+            p=2.0, m=4.0, output_relabeling=(0.0, 2.0, 1.0, 3.0),
+        )
+        integral = with_layer(c, 2, phases={3: 0.5})
+        free = [(1, 2), (2, 3)]
+        assert np.array_equal(circuit_to_unitary(floating), circuit_to_unitary(integral))
+        assert np.array_equal(compile_circuit(floating, free).unitary([0.1, 0.2]),
+                              compile_circuit(integral, free).unitary([0.1, 0.2]))
+        # the JSON holds the ints: "p": 2, not "p": 2.0
+        assert json.dumps(circuit_to_json(floating)) == json.dumps(circuit_to_json(integral))
+        assert relabeling_swaps(floating) == relabeling_swaps(integral) == [(2, 3)]
+        assert validate_circuit(floating) == validate_circuit(integral) == integral
 
 
 def random_positions(circuit, rng):
