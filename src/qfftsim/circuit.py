@@ -309,9 +309,9 @@ def nontrivial_phase_positions(circuit: QfftCircuit) -> list[tuple[int, int]]:
 
 
 def relabeling_swaps(circuit: QfftCircuit) -> list[tuple[int, int]]:
-    """The relabeling as disjoint swaps in 1-based labels; the circuit is validated first."""
-    circuit = validate_circuit(circuit)
-    return [(k + 1, v + 1) for k, v in enumerate(circuit.output_relabeling) if v > k]
+    """The relabeling as disjoint swaps in 1-based labels, as :func:`circuit_to_json`
+    writes them; the circuit is validated first."""
+    return [tuple(pair) for pair in circuit_to_json(circuit)["relabeling"]]
 
 
 def circuit_to_json(circuit: QfftCircuit) -> dict:
@@ -328,7 +328,7 @@ def circuit_to_json(circuit: QfftCircuit) -> dict:
             }
             for layer in circuit.layers
         ],
-        "relabeling": [list(pair) for pair in relabeling_swaps(circuit)],
+        "relabeling": [[k + 1, v + 1] for k, v in enumerate(circuit.output_relabeling) if v > k],
     }
 
 

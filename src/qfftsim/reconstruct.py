@@ -5,8 +5,9 @@ visibilities by chi-squared minimisation over the phase torus, multi-start
 Levenberg-Marquardt on the analytic residual Jacobian; the solver is in this
 module and needs only numpy. The fit does not read the singles, the
 single-photon transmission probabilities: they give the element moduli
-(:func:`moduli_from_singles`). Every key of the problem, singles key, input
-or output pair and free phase, is read by :func:`qfftsim.fourier.check_key`,
+(:func:`moduli_from_singles`). A :class:`ReconstructionProblem` is checked
+and compiled once, when it is built; every key of it, singles key, input or
+output pair and free phase, is read by :func:`qfftsim.fourier.check_key`,
 and every mode label of a problem file by :func:`qfftsim.fourier.file_label`.
 
 Identifiability caveats, both handled here:
@@ -26,18 +27,21 @@ Identifiability caveats, both handled here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from itertools import chain
+from types import MappingProxyType
 
 import numpy as np
 
 from .circuit import (
-    CompiledCircuit,
     QfftCircuit,
     check_positions,
     circuit_from_json,
     circuit_to_json,
     circuit_to_unitary,
     compile_circuit,
+    validate_circuit,
 )
 from .errors import ConvergenceError, DomainError, ShapeError, ValidationError
 from .fourier import check_key, check_nonnegative_int, check_pair, file_label
@@ -61,29 +65,38 @@ class ReconstructionProblem:
 
     ``singles`` maps (input mode, output mode) to a transmission probability;
     ``visibilities`` maps (input pair, output pair) to a (value, sigma) pair.
-    Mode indices are 0-based; pairs are ascending.
+    Mode indices are 0-based; pairs are ascending. The problem is checked
+    and compiled once, when it is built, and keeps what it read: the template
+    :func:`~qfftsim.circuit.validate_circuit` returns, int positions, and
+    read-only tables with int keys, in key order, and float values.
     """
 
     template: QfftCircuit
     free_phases: tuple[tuple[int, int], ...]
-    singles: dict[tuple[int, int], float]
-    visibilities: dict[tuple[tuple[int, int], tuple[int, int]], tuple[float, float]]
+    singles: Mapping[tuple[int, int], float]
+    visibilities: Mapping[tuple[tuple[int, int], tuple[int, int]], tuple[float, float]]
+    #: (compiled template, flat, v_meas, sigmas): column n of ``flat`` holds the row-major
+    #: positions of U_ia, U_jb, U_ib and U_ja for visibility n, ((a, b), (i, j)) in key order.
+    _compiled: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        check_positions(self.template, self.free_phases)
-        m = self.template.m
-        col_sums: dict[int, float] = {}
+        template = validate_circuit(self.template)
+        free_phases = tuple(check_positions(template, self.free_phases))
+        m = template.m
+        singles, col_sums = {}, {}
         for key, p in self.singles.items():
             i, o = check_key(key, "singles key", "singles mode")
             if not (i < m and o < m):
                 raise DomainError(f"singles entry ({i},{o}) out of range for m={m}")
             if not -1e-12 <= p <= 1.0 + 1e-9:
                 raise DomainError(f"singles probability {p} for ({i},{o}) outside [0, 1]")
+            singles[i, o] = float(p)
             col_sums[i] = col_sums.get(i, 0.0) + p
         for i, total in col_sums.items():
             if total > 1.0 + 1e-6:
                 raise DomainError(f"singles for input {i} sum to {total} > 1")
         pairs = {}  # each distinct input or output pair read once
+        visibilities = {}
         for key, entry in self.visibilities.items():
             try:
                 (inp, out), (value, sigma) = key, entry
@@ -100,6 +113,16 @@ class ReconstructionProblem:
                 raise DomainError(f"visibility for ({inp},{out}) is not finite: {value}")
             if not 0 < sigma < math.inf:
                 raise DomainError(f"visibility for ({inp},{out}) needs finite sigma > 0, got {sigma}")
+            visibilities[(a, b), (i, j)] = float(value), float(sigma)
+        visibilities = dict(sorted(visibilities.items()))
+        a, b, i, j = np.fromiter(chain.from_iterable(inp + out for inp, out in visibilities), int).reshape(-1, 4).T
+        flat = np.stack([i * m + a, j * m + b, i * m + b, j * m + a])
+        values = np.fromiter(chain.from_iterable(visibilities.values()), float).reshape(-1, 2)
+        object.__setattr__(self, "template", template)
+        object.__setattr__(self, "free_phases", free_phases)
+        object.__setattr__(self, "singles", MappingProxyType(dict(sorted(singles.items()))))
+        object.__setattr__(self, "visibilities", MappingProxyType(visibilities))
+        object.__setattr__(self, "_compiled", (compile_circuit(template, free_phases), flat, *values.T))
 
 
 @dataclass(frozen=True)
@@ -140,33 +163,7 @@ BASIN_RTOL = 1e-6
 GAUGE_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class _Visibilities:
-    """The template compiled once, and the measured visibilities as gather arrays.
-
-    Row n of ``modes`` is visibility n's (a, b, i, j); column n of ``flat``
-    holds the row-major positions of U_ia, U_jb, U_ib and U_ja in that order.
-    """
-
-    circuit: CompiledCircuit
-    modes: np.ndarray
-    flat: np.ndarray
-    v_meas: np.ndarray
-    sigmas: np.ndarray
-
-
-def _compile(problem: ReconstructionProblem) -> _Visibilities:
-    entries = sorted(problem.visibilities.items())
-    modes = np.array([(a, b, i, j) for ((a, b), (i, j)), _ in entries], dtype=int).reshape(-1, 4)
-    values = np.array([vs for _, vs in entries], dtype=float).reshape(-1, 2)
-    a, b, i, j = modes.T
-    m = problem.template.m
-    flat = np.stack([i * m + a, j * m + b, i * m + b, j * m + a])
-    circuit = compile_circuit(problem.template, problem.free_phases)
-    return _Visibilities(circuit, modes, flat, *values.T)
-
-
-def _residuals(data: _Visibilities, phases, jacobian: bool = False):
+def _residuals(problem: ReconstructionProblem, phases, jacobian: bool = False):
     """Residuals (v_model - v_meas)/sigma at the given phases and, on request, their Jacobian (N, k).
 
     With the pair products T_1 = U_ia U_jb and T_2 = U_ib U_ja, the
@@ -180,11 +177,12 @@ def _residuals(data: _Visibilities, phases, jacobian: bool = False):
     pair factor conj(...). With dU_k = i outer(left_k, right_k) gathered at
     each amplitude's position, dr/dphi_k = (2/sigma) Re sum_X dU_k[X] coeff_X.
     """
+    circuit, flat, v_meas, sigmas = problem._compiled
     if jacobian:
-        u, left, right = data.circuit.unitary(phases, derivatives=True)
+        u, left, right = circuit.unitary(phases, derivatives=True)
     else:
-        u = data.circuit.unitary(phases)
-    pairs = u.ravel()[data.flat].reshape(2, 2, -1)  # (U_ia, U_jb) and (U_ib, U_ja)
+        u = circuit.unitary(phases)
+    pairs = u.ravel()[flat].reshape(2, 2, -1)  # (U_ia, U_jb) and (U_ib, U_ja)
     products = pairs[:, 0] * pairs[:, 1]
     amp = products[0] + products[1]
     pq = amp.real**2 + amp.imag**2
@@ -192,18 +190,18 @@ def _residuals(data: _Visibilities, phases, jacobian: bool = False):
     pc = rates[0] + rates[1]
     undefined = pc <= 0.0
     if undefined.any():
-        a, b, i, j = data.modes[int(np.argmax(undefined))]
+        (a, b), (i, j) = list(problem.visibilities)[int(np.argmax(undefined))]
         raise DomainError(
             f"model visibility undefined: zero classical rate for input ({a},{b}) output ({i},{j})"
         )
-    r = (1.0 - pq / pc - data.v_meas) / data.sigmas
+    r = (1.0 - pq / pc - v_meas) / sigmas
     if not jacobian:
         return r
-    scale = 2.0 / (data.sigmas * pc)
+    scale = 2.0 / (sigmas * pc)
     factor = np.conj((scale * pq / pc) * products - scale * amp)
     coeff = (pairs[:, ::-1] * factor[:, None]).reshape(4, -1)  # each pair reversed holds the partners
     outer = (left[:, :, None] * right[:, None, :]).reshape(len(left), u.size)
-    d_r = np.take(outer, data.flat, axis=1)  # (k, 4, N)
+    d_r = np.take(outer, flat, axis=1)  # (k, 4, N)
     d_r *= coeff
     return r, -np.imag(d_r.sum(axis=1)).T
 
@@ -231,7 +229,7 @@ def chi2_objective(problem: ReconstructionProblem, phases) -> float:
         )
     if not np.all(np.isfinite(phases)):
         raise DomainError(f"phase parameters must be finite, got {phases.tolist()}")
-    r = _residuals(_compile(problem), phases)
+    r = _residuals(problem, phases)
     return float(r @ r)
 
 
@@ -333,7 +331,7 @@ def fit_phases(
     if not 1 <= restarts <= MAX_RESTARTS:
         raise DomainError(f"restarts must be in [1, {MAX_RESTARTS}], got {restarts}")
     k = len(problem.free_phases)
-    data = _compile(problem)
+    circuit = problem._compiled[0]
     if target is not None:
         target = assert_unitary(target, what="target matrix")
         m = problem.template.m
@@ -345,13 +343,13 @@ def fit_phases(
         )
 
     if k == 0:
-        unitary = data.circuit.unitary()
-        r = _residuals(data, ())
+        unitary = circuit.unitary()
+        r = _residuals(problem, ())
         fid = gauge_fixed_fidelity(unitary, target) if target is not None else None
         return ReconstructionResult({}, unitary, float(r @ r), fid)
 
     def objective(x):
-        return _residuals(data, x, jacobian=True)
+        return _residuals(problem, x, jacobian=True)
 
     rng = np.random.default_rng(seed)
     starts = rng.uniform(0.0, TWO_PI, size=(restarts, k))
@@ -362,8 +360,8 @@ def fit_phases(
     best = min(fits, key=lambda fit: fit.fun)  # the first of equal minima
     records = tuple(RestartRecord(fit.fun, fit.nfev, fit.success) for fit in fits)
     phases = np.mod(best.x, TWO_PI)
-    unitary = data.circuit.unitary(phases)
-    r, jac = _residuals(data, phases, jacobian=True)
+    unitary = circuit.unitary(phases)
+    r, jac = _residuals(problem, phases, jacobian=True)
     fid = gauge_fixed_fidelity(unitary, target) if target is not None else None
     fitted = dict(zip(problem.free_phases, (float(x) for x in phases)))
     window = BASIN_RTOL * max(best.fun, 1.0)
@@ -480,8 +478,7 @@ def phase_sensitivity(
         raise DomainError("phase sensitivity needs at least one free phase and one input pair")
     pairs = [tuple(sorted(check_key(pair, "input pair", "input mode"))) for pair in input_pairs]
     table = visibilities_from_unitary(circuit_to_unitary(template), pairs, 1.0)
-    data = _compile(ReconstructionProblem(template, tuple(free_phases), {}, table))
-    _, jac = _residuals(data, None, jacobian=True)
+    _, jac = _residuals(ReconstructionProblem(template, free_phases, {}, table), None, jacobian=True)
     return _singular_values(jac)
 
 
@@ -491,11 +488,11 @@ def problem_to_json(problem: ReconstructionProblem) -> dict:
         "free_phases": [[step, mode + 1] for step, mode in problem.free_phases],
         "singles": [
             {"input": i + 1, "output": o + 1, "p": p}
-            for (i, o), p in sorted(problem.singles.items())
+            for (i, o), p in problem.singles.items()
         ],
         "visibilities": [
             {"input": [a + 1, b + 1], "output": [i + 1, j + 1], "v": v, "sigma": s}
-            for ((a, b), (i, j)), (v, s) in sorted(problem.visibilities.items())
+            for ((a, b), (i, j)), (v, s) in problem.visibilities.items()
         ],
     }
 

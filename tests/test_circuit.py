@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import layer_product_unitary
+from qfftsim import circuit as circuit_module
 from qfftsim.circuit import (
     Layer,
     QfftCircuit,
@@ -361,6 +362,20 @@ class TestCircuitJson:
     def test_relabeling_serialised_as_swaps(self):
         obj = circuit_to_json(synthesize_qfft(3))
         assert obj["relabeling"] == [[2, 5], [4, 7]]
+
+    def test_validated_once(self, monkeypatch):
+        # relabeling_swaps, called by circuit_to_json, used to validate a second time
+        calls = []
+
+        def counting(circuit):
+            calls.append(circuit)
+            return validate_circuit(circuit)
+
+        monkeypatch.setattr(circuit_module, "validate_circuit", counting)
+        assert circuit_to_json(synthesize_qfft(3))["relabeling"] == [[2, 5], [4, 7]]
+        assert len(calls) == 1
+        assert relabeling_swaps(synthesize_qfft(3)) == [(2, 5), (4, 7)]
+        assert len(calls) == 2
 
     def test_modes_are_one_based(self):
         obj = circuit_to_json(synthesize_qfft(2))

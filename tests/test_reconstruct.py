@@ -125,6 +125,21 @@ class TestChi2Objective:
             total += ((1 - pq / pc - v_meas) / sigma) ** 2
         assert chi2_objective(problem, probe) == pytest.approx(total, rel=1e-10, abs=1e-10)
 
+    def test_problem_is_compiled_once(self, monkeypatch):
+        # chi2_objective and fit_phases used to compile the template on every call
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return compile_circuit(*args)
+
+        monkeypatch.setattr(reconstruct, "compile_circuit", counting)
+        problem, _, _ = make_problem(2, [1.0])
+        for x in (0.0, 1.0, 2.0):
+            chi2_objective(problem, [x])
+        fit_phases(problem, restarts=2, seed=0)
+        assert len(calls) == 1
+
     def test_wrong_parameter_count(self):
         problem, _, _ = make_problem(3)
         with pytest.raises(DomainError):
@@ -167,7 +182,7 @@ class TestResidualJacobian:
     def test_matches_central_differences_of_oracle(self, p, seed):
         problem, probe = random_problem(p, seed)
         free = problem.free_phases
-        r, jac = reconstruct._residuals(reconstruct._compile(problem), probe, jacobian=True)
+        r, jac = reconstruct._residuals(problem, probe, jacobian=True)
         assert r == pytest.approx(oracle_residuals(problem, probe), rel=1e-9, abs=1e-9)
         h = 1e-6
         fd = np.column_stack([
@@ -178,7 +193,7 @@ class TestResidualJacobian:
         # is then zero, and differences are compared at the scale of one
         assert np.max(np.abs(jac - fd)) <= 1e-6 * max(np.max(np.abs(jac)), 1.0)
 
-    def test_zero_classical_rate_is_refused_on_the_jacobian_path(self, monkeypatch):
+    def test_zero_classical_rate_is_refused_on_the_jacobian_path(self):
         # no butterfly template has a zero entry, so U is replaced by the identity,
         # for which every visibility with i, j not in {a, b} has C = 0
         class Identity:
@@ -188,10 +203,9 @@ class TestResidualJacobian:
                 return (u, flat, flat) if derivatives else u
 
         problem, _, _ = make_problem(2, [1.0])
-        data = dataclasses.replace(reconstruct._compile(problem), circuit=Identity())
+        object.__setattr__(problem, "_compiled", (Identity(), *problem._compiled[1:]))  # the problem is frozen
         with pytest.raises(DomainError, match="zero classical rate for input"):
-            reconstruct._residuals(data, [1.0], jacobian=True)
-        monkeypatch.setattr(reconstruct, "_compile", lambda _: data)
+            reconstruct._residuals(problem, [1.0], jacobian=True)
         with pytest.raises(DomainError, match="zero classical rate for input"):
             fit_phases(problem, restarts=1, seed=0)
 
@@ -250,7 +264,7 @@ class TestFoldedTemplate:
             for key, (v, s) in visibilities_from_unitary(dense(values), pairs, 0.02).items()
         }
         problem = ReconstructionProblem(template, free, {}, vis)
-        r, jac = reconstruct._residuals(reconstruct._compile(problem), values, jacobian=True)
+        r, jac = reconstruct._residuals(problem, values, jacobian=True)
         chi2, grad = float(r @ r), 2.0 * (jac.T @ r)
         r = oracle_residuals(problem, values)
         jac = np.zeros((len(r), len(free)))
@@ -413,11 +427,11 @@ def rosenbrock(x):
     return np.concatenate([10.0 * (x[1:] - x[:-1] ** 2), 1.0 - x[:-1]]), jac
 
 
-def chi2_and_gradient(data):
+def chi2_and_gradient(problem):
     """r.r and its gradient 2 J^T r, from the fit's residuals and Jacobian."""
 
     def fun(x):
-        r, jac = reconstruct._residuals(data, x, jacobian=True)
+        r, jac = reconstruct._residuals(problem, x, jacobian=True)
         return r @ r, 2.0 * (jac.T @ r)
 
     return fun
@@ -487,9 +501,8 @@ class TestMinimize:
         k = len(nontrivial_phase_positions(synthesize_qfft(p)))
         problem, _, _ = make_problem(p, rng.uniform(0, TWO_PI, k), noise_rng=rng if noisy else None)
         result = fit_phases(problem, restarts=4, seed=seed)
-        data = reconstruct._compile(problem)
         starts = np.random.default_rng(seed).uniform(0.0, TWO_PI, size=(4, k))
-        oracle = lbfgsb_minimum(chi2_and_gradient(data), starts)
+        oracle = lbfgsb_minimum(chi2_and_gradient(problem), starts)
         assert result.chi2 <= oracle * (1 + 1e-9) + 1e-12
 
 
@@ -710,6 +723,43 @@ class TestProblemValidation:
     def test_ideal_table_needs_finite_positive_sigma(self, sigma):
         with pytest.raises(DomainError, match="sigma"):
             visibilities_from_unitary(qft_matrix(4), [(0, 1)], sigma)
+
+    def test_template_is_kept_as_validated(self):
+        # m=4.0 used to be kept, and fit_phases ended in a bare IndexError from a float gather index
+        problem, _, _ = make_problem(2, [1.0])
+        floating = dataclasses.replace(problem, template=dataclasses.replace(problem.template, m=4.0))
+        assert repr(floating.template) == repr(synthesize_qfft(2))
+        results = [result_to_json(fit_phases(case, restarts=2, seed=1)) for case in (floating, problem)]
+        assert json.dumps(results[0]) == json.dumps(results[1])
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda t: dataclasses.replace(t, m=5), "mode count 5 is not 2^p for p=2"),
+            (lambda t: dataclasses.replace(t, layers=t.layers[::-1]), "expected layers with steps 1..2 in order"),
+        ],
+        ids=["m-5", "steps-out-of-order"],
+    )
+    def test_malformed_template_refused_when_built(self, change, message):
+        # each used to be built, and refused only when the problem was first evaluated
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            ReconstructionProblem(change(synthesize_qfft(2)), (), {}, {})
+
+    def test_tables_are_kept_int_keyed_and_read_only(self):
+        # numpy-integer labels used to make problem_to_json raise TypeError, and float labels be written as 2.0
+        problem, _, free = make_problem(2, [1.0])
+        same = ReconstructionProblem(
+            problem.template,
+            tuple((np.int64(s), float(k)) for s, k in free),
+            {(np.int64(i), float(o)): p for (i, o), p in problem.singles.items()},
+            {((np.int64(a), b), (float(i), np.uint8(j))): vs for ((a, b), (i, j)), vs in problem.visibilities.items()},
+        )
+        assert json.dumps(problem_to_json(same)) == json.dumps(problem_to_json(problem))
+        assert same == problem
+        with pytest.raises(TypeError):
+            same.singles[0, 0] = 0.0
+        with pytest.raises(TypeError):
+            same.visibilities[(0, 1), (0, 1)] = (0.0, 1.0)
 
     def test_duplicate_free_phases_rejected(self):
         template = synthesize_qfft(3)
