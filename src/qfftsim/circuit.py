@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .fourier import check_key, check_nonnegative_int, file_label
+from .fourier import check_key, check_nonnegative_int, file_label, file_pair
 
 #: Largest supported layer count for synthesis (m = 2^cap modes).
 SYNTH_CAP = 10
@@ -66,17 +66,8 @@ class QfftCircuit:
 
 
 def bit_reversal(p: int) -> tuple[int, ...]:
-    """Bit-reversal permutation of 0..2^p-1."""
-    m = 1 << p
-    out = []
-    for k in range(m):
-        r = 0
-        x = k
-        for _ in range(p):
-            r = (r << 1) | (x & 1)
-            x >>= 1
-        out.append(r)
-    return tuple(out)
+    """Bit-reversal permutation of 0..2^p-1: k's p binary digits read backwards."""
+    return tuple(int(f"{k:0{p}b}"[::-1], 2) for k in range(1 << p))
 
 
 def synthesize_qfft(p: int) -> QfftCircuit:
@@ -167,12 +158,15 @@ class CompiledCircuit:
     i-th free layer; a circuit with no free phase is one segment.
     ``diagonals[i]`` is D_i at the circuit's own values and ``slots[k]`` the
     position of free phase k in ``diagonals`` flattened (free layer times m
-    plus mode). Build it with :func:`compile_circuit`.
+    plus mode). Build it with :func:`compile_circuit`, which keeps the
+    ``circuit`` and free phase ``positions`` it checked.
     """
 
     segments: tuple[np.ndarray, ...]
     diagonals: np.ndarray
     slots: np.ndarray
+    circuit: QfftCircuit
+    positions: tuple[tuple[int, int], ...]
 
     def unitary(self, values=None, derivatives: bool = False):
         """U with the free phases set to ``values`` (default: the circuit's own ones).
@@ -225,9 +219,7 @@ def _fold(circuit: QfftCircuit, phases: np.ndarray, cuts) -> list[np.ndarray]:
         else:
             u = np.exp(1j * phases[j])[:, None] * u
         u = _couple_rows(u, layer.couplers)
-    inverse = np.empty(m, dtype=int)
-    inverse[list(circuit.output_relabeling)] = np.arange(m)
-    segments.append(u[inverse])
+    segments.append(u[list(circuit.output_relabeling)])  # an involution, so its own inverse
     return segments
 
 
@@ -240,7 +232,7 @@ def compile_circuit(circuit: QfftCircuit, free_phases=()) -> CompiledCircuit:
     product per layer holding a free phase.
     """
     circuit = validate_circuit(circuit)
-    free_phases = check_positions(circuit, free_phases)
+    free_phases = tuple(check_positions(circuit, free_phases))
     phases = np.zeros((circuit.p, circuit.m))
     for j, layer in enumerate(circuit.layers):
         for t, angle in layer.phases.items():
@@ -251,7 +243,7 @@ def compile_circuit(circuit: QfftCircuit, free_phases=()) -> CompiledCircuit:
     )
     segments = _fold(circuit, phases, free_layers)
     diagonals = np.exp(1j * phases[free_layers])
-    return CompiledCircuit(tuple(segments), diagonals, slots)
+    return CompiledCircuit(tuple(segments), diagonals, slots, circuit, free_phases)
 
 
 def circuit_to_unitary(circuit: QfftCircuit) -> np.ndarray:
@@ -346,10 +338,7 @@ def circuit_from_json(obj) -> QfftCircuit:
         layers = [
             Layer(
                 step=check_nonnegative_int(raw["step"], "step index"),
-                couplers=tuple(
-                    tuple(file_label(k, "coupler mode") for k in check_key(pair, "coupler", "coupler mode"))
-                    for pair in raw["couplers"]
-                ),
+                couplers=tuple(file_pair(pair, "coupler", "coupler mode") for pair in raw["couplers"]),
                 phases={file_label(int(t), "phase mode"): float(v) for t, v in raw.get("phases", {}).items()},
             )
             for raw in raw_layers
@@ -357,7 +346,7 @@ def circuit_from_json(obj) -> QfftCircuit:
         # sized by p, not by the unchecked m, which validate_circuit compares with 2^p
         relabeling = list(range(1 << p))
         for swap in raw_swaps:
-            a, b = (file_label(k, "relabeling mode") for k in check_key(swap, "relabeling swap", "relabeling mode"))
+            a, b = file_pair(swap, "relabeling swap", "relabeling mode")
             relabeling[a], relabeling[b] = b, a
     except (KeyError, TypeError, ValueError, IndexError, AttributeError, OverflowError) as exc:
         raise ValidationError(f"malformed circuit layers or relabeling: {exc}") from exc

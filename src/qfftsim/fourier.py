@@ -7,11 +7,11 @@ that key every outcome table. Each rule about modes and photons is stated
 here once: the label rule (:func:`check_nonnegative_int`, :func:`check_state`),
 the key rule that reads every pair of labels (:func:`check_key`;
 :func:`check_pair` for a two-photon input), the rule of 1-based labels read
-from files (:func:`file_label`), the suppression law (:func:`suppressed`,
-:func:`is_suppressed`, :func:`partition_outputs`) and the cyclic-input rule
-(:func:`cyclic_inputs`, :func:`is_cyclic_state`). The last two are stated
-with 1-based mode labels in user-facing material; conversion happens at the
-function boundary.
+from files (:func:`file_label`, :func:`file_pair`), the suppression law
+(:func:`suppressed`, :func:`is_suppressed`, :func:`partition_outputs`) and the
+cyclic-input rule (:func:`cyclic_inputs`, :func:`is_cyclic_state`). The last
+two are stated with 1-based mode labels in user-facing material; conversion
+happens at the function boundary.
 """
 
 from __future__ import annotations
@@ -96,6 +96,13 @@ def file_label(label, what: str) -> int:
     if check_nonnegative_int(label, what) < 1:
         raise DomainError(f"{what} {label!r} is below 1: labels in files are 1-based")
     return int(label) - 1
+
+
+def file_pair(pair, what: str, label: str) -> tuple[int, int]:
+    """The 0-based modes that ``pair``, a pair of 1-based labels read from a file, names:
+    read by :func:`check_key`, then each label by :func:`file_label`."""
+    a, b = check_key(pair, what, label)
+    return file_label(a, label), file_label(b, label)
 
 
 def check_state(state) -> FockState:

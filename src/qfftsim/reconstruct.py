@@ -5,10 +5,11 @@ visibilities by chi-squared minimisation over the phase torus, multi-start
 Levenberg-Marquardt on the analytic residual Jacobian; the solver is in this
 module and needs only numpy. The fit does not read the singles, the
 single-photon transmission probabilities: they give the element moduli
-(:func:`moduli_from_singles`). A :class:`ReconstructionProblem` is checked
-and compiled once, when it is built; every key of it, singles key, input or
-output pair and free phase, is read by :func:`qfftsim.fourier.check_key`,
-and every mode label of a problem file by :func:`qfftsim.fourier.file_label`.
+(:func:`moduli_from_singles`). A template is checked and compiled once, by a
+:class:`ReconstructionProblem` when it is built or by :func:`phase_sensitivity`;
+each key of a problem is read by :func:`qfftsim.fourier.check_key`, and each
+mode pair of a problem file by :func:`qfftsim.fourier.file_pair`, each other
+mode label by :func:`qfftsim.fourier.file_label`.
 
 Identifiability caveats, both handled here:
 
@@ -27,6 +28,7 @@ Identifiability caveats, both handled here:
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import chain
@@ -34,17 +36,9 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .circuit import (
-    QfftCircuit,
-    check_positions,
-    circuit_from_json,
-    circuit_to_json,
-    circuit_to_unitary,
-    compile_circuit,
-    validate_circuit,
-)
+from .circuit import QfftCircuit, circuit_from_json, circuit_to_json, compile_circuit
 from .errors import ConvergenceError, DomainError, ShapeError, ValidationError
-from .fourier import check_key, check_nonnegative_int, check_pair, file_label
+from .fourier import check_key, check_nonnegative_int, check_pair, file_label, file_pair
 from .linalg import as_complex_matrix, assert_unitary, fidelity, matrix_to_json
 from .models import two_photon_probabilities
 
@@ -65,31 +59,29 @@ class ReconstructionProblem:
 
     ``singles`` maps (input mode, output mode) to a transmission probability;
     ``visibilities`` maps (input pair, output pair) to a (value, sigma) pair.
-    Mode indices are 0-based; pairs are ascending. The problem is checked
-    and compiled once, when it is built, and keeps what it read: the template
-    :func:`~qfftsim.circuit.validate_circuit` returns, int positions, and
-    read-only tables with int keys, in key order, and float values.
+    Mode indices are 0-based; pairs are ascending. The problem is checked and
+    compiled once, when it is built, and keeps the template and int positions
+    its :func:`~qfftsim.circuit.compile_circuit` checked, and read-only tables
+    with int keys, in key order, and float values.
     """
 
     template: QfftCircuit
     free_phases: tuple[tuple[int, int], ...]
     singles: Mapping[tuple[int, int], float]
     visibilities: Mapping[tuple[tuple[int, int], tuple[int, int]], tuple[float, float]]
-    #: (compiled template, flat, v_meas, sigmas): column n of ``flat`` holds the row-major
-    #: positions of U_ia, U_jb, U_ib and U_ja for visibility n, ((a, b), (i, j)) in key order.
+    #: The compiled visibility set, see :func:`_visibility_set`.
     _compiled: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        template = validate_circuit(self.template)
-        free_phases = tuple(check_positions(template, self.free_phases))
-        m = template.m
+        compiled = compile_circuit(self.template, self.free_phases)
+        m = compiled.circuit.m
         singles, col_sums = {}, {}
         for key, p in self.singles.items():
             i, o = check_key(key, "singles key", "singles mode")
             if not (i < m and o < m):
                 raise DomainError(f"singles entry ({i},{o}) out of range for m={m}")
-            if not -1e-12 <= p <= 1.0 + 1e-9:
-                raise DomainError(f"singles probability {p} for ({i},{o}) outside [0, 1]")
+            if not (isinstance(p, numbers.Real) and -1e-12 <= p <= 1.0 + 1e-9):
+                raise DomainError(f"singles probability {p!r} for ({i},{o}) is not a real number in [0, 1]")
             singles[i, o] = float(p)
             col_sums[i] = col_sums.get(i, 0.0) + p
         for i, total in col_sums.items():
@@ -109,20 +101,17 @@ class ReconstructionProblem:
             (a, b), (i, j) = pairs[inp], pairs[out]
             if not (a < b < m and i <= j < m):
                 raise DomainError(f"visibility key ({inp},{out}) out of range or unordered")
-            if not math.isfinite(value):
-                raise DomainError(f"visibility for ({inp},{out}) is not finite: {value}")
-            if not 0 < sigma < math.inf:
-                raise DomainError(f"visibility for ({inp},{out}) needs finite sigma > 0, got {sigma}")
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise DomainError(f"visibility for ({inp},{out}) is not a finite real number: {value!r}")
+            if not (isinstance(sigma, numbers.Real) and 0 < sigma < math.inf):
+                raise DomainError(f"visibility for ({inp},{out}) needs a real, finite sigma > 0, got {sigma!r}")
             visibilities[(a, b), (i, j)] = float(value), float(sigma)
         visibilities = dict(sorted(visibilities.items()))
-        a, b, i, j = np.fromiter(chain.from_iterable(inp + out for inp, out in visibilities), int).reshape(-1, 4).T
-        flat = np.stack([i * m + a, j * m + b, i * m + b, j * m + a])
-        values = np.fromiter(chain.from_iterable(visibilities.values()), float).reshape(-1, 2)
-        object.__setattr__(self, "template", template)
-        object.__setattr__(self, "free_phases", free_phases)
+        object.__setattr__(self, "template", compiled.circuit)
+        object.__setattr__(self, "free_phases", compiled.positions)
         object.__setattr__(self, "singles", MappingProxyType(dict(sorted(singles.items()))))
         object.__setattr__(self, "visibilities", MappingProxyType(visibilities))
-        object.__setattr__(self, "_compiled", (compile_circuit(template, free_phases), flat, *values.T))
+        object.__setattr__(self, "_compiled", _visibility_set(compiled, visibilities))
 
 
 @dataclass(frozen=True)
@@ -163,8 +152,19 @@ BASIN_RTOL = 1e-6
 GAUGE_TOL = 1e-8
 
 
-def _residuals(problem: ReconstructionProblem, phases, jacobian: bool = False):
-    """Residuals (v_model - v_meas)/sigma at the given phases and, on request, their Jacobian (N, k).
+def _visibility_set(compiled, visibilities) -> tuple:
+    """(compiled template, flat, v_meas, sigmas) of int-keyed ``visibilities``: column n of
+    ``flat`` holds the row-major positions of U_ia, U_jb, U_ib and U_ja for entry n."""
+    m = compiled.circuit.m
+    a, b, i, j = np.fromiter(chain.from_iterable(inp + out for inp, out in visibilities), int).reshape(-1, 4).T
+    flat = np.stack([i * m + a, j * m + b, i * m + b, j * m + a])
+    values = np.fromiter(chain.from_iterable(visibilities.values()), float).reshape(-1, 2)
+    return (compiled, flat, *values.T)
+
+
+def _residuals(vis_set: tuple, phases, jacobian: bool = False):
+    """Residuals (v_model - v_meas)/sigma of a :func:`_visibility_set` at the given phases
+    and, on request, their Jacobian (N, k).
 
     With the pair products T_1 = U_ia U_jb and T_2 = U_ib U_ja, the
     amplitude is A = T_1 + T_2, the classical rate C = |T_1|^2 + |T_2|^2 and
@@ -177,7 +177,7 @@ def _residuals(problem: ReconstructionProblem, phases, jacobian: bool = False):
     pair factor conj(...). With dU_k = i outer(left_k, right_k) gathered at
     each amplitude's position, dr/dphi_k = (2/sigma) Re sum_X dU_k[X] coeff_X.
     """
-    circuit, flat, v_meas, sigmas = problem._compiled
+    circuit, flat, v_meas, sigmas = vis_set
     if jacobian:
         u, left, right = circuit.unitary(phases, derivatives=True)
     else:
@@ -190,7 +190,7 @@ def _residuals(problem: ReconstructionProblem, phases, jacobian: bool = False):
     pc = rates[0] + rates[1]
     undefined = pc <= 0.0
     if undefined.any():
-        (a, b), (i, j) = list(problem.visibilities)[int(np.argmax(undefined))]
+        (i, a), (j, b) = (divmod(int(k), len(u)) for k in flat[:2, np.argmax(undefined)])
         raise DomainError(
             f"model visibility undefined: zero classical rate for input ({a},{b}) output ({i},{j})"
         )
@@ -229,7 +229,7 @@ def chi2_objective(problem: ReconstructionProblem, phases) -> float:
         )
     if not np.all(np.isfinite(phases)):
         raise DomainError(f"phase parameters must be finite, got {phases.tolist()}")
-    r = _residuals(problem, phases)
+    r = _residuals(problem._compiled, phases)
     return float(r @ r)
 
 
@@ -344,12 +344,12 @@ def fit_phases(
 
     if k == 0:
         unitary = circuit.unitary()
-        r = _residuals(problem, ())
+        r = _residuals(problem._compiled, ())
         fid = gauge_fixed_fidelity(unitary, target) if target is not None else None
         return ReconstructionResult({}, unitary, float(r @ r), fid)
 
     def objective(x):
-        return _residuals(problem, x, jacobian=True)
+        return _residuals(problem._compiled, x, jacobian=True)
 
     rng = np.random.default_rng(seed)
     starts = rng.uniform(0.0, TWO_PI, size=(restarts, k))
@@ -361,7 +361,7 @@ def fit_phases(
     records = tuple(RestartRecord(fit.fun, fit.nfev, fit.success) for fit in fits)
     phases = np.mod(best.x, TWO_PI)
     unitary = circuit.unitary(phases)
-    r, jac = _residuals(problem, phases, jacobian=True)
+    r, jac = _residuals(problem._compiled, phases, jacobian=True)
     fid = gauge_fixed_fidelity(unitary, target) if target is not None else None
     fitted = dict(zip(problem.free_phases, (float(x) for x in phases)))
     window = BASIN_RTOL * max(best.fun, 1.0)
@@ -415,15 +415,15 @@ def visibilities_from_unitary(u, input_pairs, sigma: float) -> dict:
     if not 0 < sigma < math.inf:
         raise DomainError(f"sigma must be positive and finite, got {sigma}")
     u = as_complex_matrix(u)
-    m = u.shape[0]
+    upper = np.triu_indices(u.shape[0], 1)
     table = {}
     for inp in input_pairs:
         a, b = check_pair(inp, u.shape[0])
-        pq, pc = two_photon_probabilities(u, (a, b))
-        for i in range(m):
-            for j in range(i + 1, m):
-                if pc[i, j] > 0:
-                    table[((a, b), (i, j))] = (float(1.0 - pq[i, j] / pc[i, j]), sigma)
+        pq, pc = (grid[upper] for grid in two_photon_probabilities(u, (a, b)))
+        keep = pc > 0  # the defined outputs, in the row-major order of the upper triangle
+        outputs = zip(upper[0][keep].tolist(), upper[1][keep].tolist())
+        values = (1.0 - pq[keep] / pc[keep]).tolist()
+        table.update((((a, b), out), (v, sigma)) for out, v in zip(outputs, values))
     return table
 
 
@@ -476,9 +476,10 @@ def phase_sensitivity(
     """
     if not free_phases or not input_pairs:
         raise DomainError("phase sensitivity needs at least one free phase and one input pair")
-    pairs = [tuple(sorted(check_key(pair, "input pair", "input mode"))) for pair in input_pairs]
-    table = visibilities_from_unitary(circuit_to_unitary(template), pairs, 1.0)
-    _, jac = _residuals(ReconstructionProblem(template, free_phases, {}, table), None, jacobian=True)
+    pairs = sorted({tuple(sorted(check_key(pair, "input pair", "input mode"))) for pair in input_pairs})
+    compiled = compile_circuit(template, free_phases)
+    table = visibilities_from_unitary(compiled.unitary(), pairs, 1.0)
+    _, jac = _residuals(_visibility_set(compiled, table), None, jacobian=True)
     return _singular_values(jac)
 
 
@@ -508,15 +509,13 @@ def problem_from_json(obj) -> ReconstructionProblem:
             (file_label(e["input"], "singles mode"), file_label(e["output"], "singles mode")): float(e["p"])
             for e in obj.get("singles", [])
         }
-        visibilities = {}
-        for e in obj.get("visibilities", []):
-            a, b = check_key(e["input"], "visibility input", "visibility mode")
-            i, j = check_key(e["output"], "visibility output", "visibility mode")
-            key = (
-                (file_label(a, "visibility mode"), file_label(b, "visibility mode")),
-                (file_label(i, "visibility mode"), file_label(j, "visibility mode")),
-            )
-            visibilities[key] = float(e["v"]), float(e["sigma"])
+        visibilities = {
+            (
+                file_pair(e["input"], "visibility input", "visibility mode"),
+                file_pair(e["output"], "visibility output", "visibility mode"),
+            ): (float(e["v"]), float(e["sigma"]))
+            for e in obj.get("visibilities", [])
+        }
     except (KeyError, TypeError, ValueError, IndexError, AttributeError, OverflowError) as exc:
         raise ValidationError(f"malformed reconstruction problem: {exc}") from exc
     return ReconstructionProblem(circuit_from_json(raw_template), free, singles, visibilities)

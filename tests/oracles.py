@@ -11,9 +11,9 @@ or only the reference counts with each row's conditional mean and variance
 summed term by term), the exact error bar is summed term by term, the
 inverse moments of a zero-truncated Poisson count come from closed forms and
 quadrature in 50-digit ``mpmath``, the reference counts of a violation curve
-come from a scan over the table's cells for each pair, a coincidence CSV
-is parsed one record at a time and formatted as one string, and local fits
-are scipy's L-BFGS-B.
+come from a scan over the table's cells for each pair, a visibility table
+is filled one output pair at a time, a coincidence CSV is parsed one record
+at a time and formatted as one string, and local fits are scipy's L-BFGS-B.
 """
 
 import csv
@@ -95,6 +95,19 @@ def mean_field_pair_grid(u, modes, output_pair, grid: int = 256) -> float:
 
 def _modes(occupation) -> list[int]:
     return [k for k, t in enumerate(occupation) for _ in range(t)]
+
+
+def visibility_table_loop(grids, sigma: float) -> dict:
+    """Visibility table from each input pair's symmetric (pq, pc) grids, one output
+    pair i < j at a time in row-major order, leaving out those with pc = 0."""
+    table = {}
+    for (a, b), (pq, pc) in grids.items():
+        m = len(pc)
+        for i in range(m):
+            for j in range(i + 1, m):
+                if pc[i, j] > 0:
+                    table[((a, b), (i, j))] = (float(1.0 - pq[i, j] / pc[i, j]), sigma)
+    return table
 
 
 def fock_probability(u, input_state, output_state) -> float:

@@ -15,6 +15,7 @@ from qfftsim.fourier import (
     cyclic_inputs,
     enumerate_outputs,
     file_label,
+    file_pair,
     is_suppressed,
     occupation_from_modes,
     occupations,
@@ -153,6 +154,20 @@ class TestModeLabels:
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             file_label(label, "coupler mode")
         assert [file_label(k, "coupler mode") for k in (1, 8.0, np.int64(3))] == [0, 7, 2]
+
+    @pytest.mark.parametrize(
+        "pair, message",
+        [([1, 2, 4], "visibility input [1, 2, 4] must name two modes"),
+         (3, "visibility input 3 must name two modes"),
+         ([0, 2], "visibility mode 0 is below 1: labels in files are 1-based"),
+         ([2, 1.5], "visibility mode 1.5 is not a non-negative integer")],
+    )
+    def test_file_pair_messages(self, pair, message):
+        # check_key on the pair, then file_label on each label, in those words
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            file_pair(pair, "visibility input", "visibility mode")
+        same = file_pair([1.0, np.int64(8)], "visibility input", "visibility mode")
+        assert same == (0, 7) and all(type(k) is int for k in same)
 
 
 class TestIsSuppressed:

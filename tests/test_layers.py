@@ -51,3 +51,29 @@ def test_no_module_imports_another_modules_private_names():
                     if alias.name.startswith("_") and not alias.name.startswith("__")
                 }
     assert private == set()
+
+
+def unused_package_imports(source: str) -> set[str]:
+    """Names a module imports from the package and never reads."""
+    tree = ast.parse(source)
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("qfftsim"))
+        for alias in node.names
+    }
+    return imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_no_layer_module_keeps_an_unused_import_from_another(layer):
+    # an unread binding of another module's function would still be wrapped, and
+    # counted, by tools that trace the calls between modules
+    path = pathlib.Path(qfftsim.__file__).with_name(f"{layer}.py")
+    assert unused_package_imports(path.read_text(encoding="utf-8")) == set()
+
+
+def test_an_unused_import_is_found():
+    # the check above would catch one
+    source = "from .circuit import compile_circuit, validate_circuit\nfrom numpy import pi\ncompile_circuit(pi)\n"
+    assert unused_package_imports(source) == {"validate_circuit"}

@@ -1,5 +1,9 @@
+import collections
 import dataclasses
+import importlib
 import json
+import pathlib
+import pkgutil
 import re
 
 import numpy as np
@@ -12,7 +16,10 @@ from oracles import (
     fock_pair_probability,
     layer_product_unitary,
     lbfgsb_minimum,
+    visibility_table_loop,
 )
+import qfftsim
+from qfftsim import circuit as circuit_module
 from qfftsim import reconstruct
 from qfftsim.circuit import (
     circuit_to_unitary,
@@ -24,7 +31,7 @@ from qfftsim.circuit import (
 from qfftsim.errors import ConvergenceError, DomainError, ShapeError, ValidationError
 from qfftsim.fourier import qft_matrix
 from qfftsim.linalg import fidelity, haar_random_unitary
-from qfftsim.models import distinguishable_distribution, fock_distribution
+from qfftsim.models import distinguishable_distribution, fock_distribution, two_photon_probabilities
 from qfftsim.reconstruct import (
     ReconstructionProblem,
     canonical_gauge,
@@ -45,6 +52,7 @@ TWO_PI = 2 * np.pi
 ALL_PAIRS_8 = [(a, b) for a in range(8) for b in range(a + 1, 8)]
 ALL_PAIRS_4 = [(a, b) for a in range(4) for b in range(a + 1, 4)]
 CYCLIC_8 = [(0, 4), (1, 5), (2, 6), (3, 7)]
+GOLDEN_PROBLEM = pathlib.Path(__file__).parent / "golden" / "tolerant" / "problem_m8.json"
 
 
 def make_problem(p, true_phases=None, input_pairs=None, sigma=0.02, noise_rng=None):
@@ -182,7 +190,7 @@ class TestResidualJacobian:
     def test_matches_central_differences_of_oracle(self, p, seed):
         problem, probe = random_problem(p, seed)
         free = problem.free_phases
-        r, jac = reconstruct._residuals(problem, probe, jacobian=True)
+        r, jac = reconstruct._residuals(problem._compiled, probe, jacobian=True)
         assert r == pytest.approx(oracle_residuals(problem, probe), rel=1e-9, abs=1e-9)
         h = 1e-6
         fd = np.column_stack([
@@ -205,7 +213,7 @@ class TestResidualJacobian:
         problem, _, _ = make_problem(2, [1.0])
         object.__setattr__(problem, "_compiled", (Identity(), *problem._compiled[1:]))  # the problem is frozen
         with pytest.raises(DomainError, match="zero classical rate for input"):
-            reconstruct._residuals(problem, [1.0], jacobian=True)
+            reconstruct._residuals(problem._compiled, [1.0], jacobian=True)
         with pytest.raises(DomainError, match="zero classical rate for input"):
             fit_phases(problem, restarts=1, seed=0)
 
@@ -264,7 +272,7 @@ class TestFoldedTemplate:
             for key, (v, s) in visibilities_from_unitary(dense(values), pairs, 0.02).items()
         }
         problem = ReconstructionProblem(template, free, {}, vis)
-        r, jac = reconstruct._residuals(problem, values, jacobian=True)
+        r, jac = reconstruct._residuals(problem._compiled, values, jacobian=True)
         chi2, grad = float(r @ r), 2.0 * (jac.T @ r)
         r = oracle_residuals(problem, values)
         jac = np.zeros((len(r), len(free)))
@@ -431,7 +439,7 @@ def chi2_and_gradient(problem):
     """r.r and its gradient 2 J^T r, from the fit's residuals and Jacobian."""
 
     def fun(x):
-        r, jac = reconstruct._residuals(problem, x, jacobian=True)
+        r, jac = reconstruct._residuals(problem._compiled, x, jacobian=True)
         return r @ r, 2.0 * (jac.T @ r)
 
     return fun
@@ -612,6 +620,27 @@ class TestVisibilitiesFromUnitary:
         with pytest.raises(DomainError, match=r"^input pair \(0,.*\) must name two modes$"):
             visibilities_from_unitary(qft_matrix(4), [pair], 0.02)
 
+    @pytest.mark.parametrize("m", [8, 16])
+    @pytest.mark.parametrize("block", [False, True], ids=["haar", "block-diagonal"])
+    def test_matches_the_loop_oracle(self, m, block):
+        # keys, their order and every float as the one-output-pair-at-a-time loop gives them;
+        # a block-diagonal unitary has zero classical rates, which both leave out
+        rng = np.random.default_rng(m + block)
+        if block:
+            h = m // 2
+            u = np.zeros((m, m), dtype=complex)
+            u[:h, :h], u[h:, h:] = haar_random_unitary(h, rng), haar_random_unitary(h, rng)
+        else:
+            u = haar_random_unitary(m, rng)
+        pairs = [(3, 1), (0, m - 1), (2, 5), (0, 1)]
+        table = visibilities_from_unitary(u, pairs, 0.02)
+        oracle = visibility_table_loop({p: two_photon_probabilities(u, p) for p in pairs}, 0.02)
+        assert list(table.items()) == list(oracle.items())
+        assert all(type(k) is int for key in table for pair in key for k in pair)
+        assert all(type(v) is float for v, _ in table.values())
+        every = len(pairs) * m * (m - 1) // 2
+        assert (len(table) < every) if block else (len(table) == every)
+
 
 class TestGauge:
     def test_canonical_first_row_and_column_real(self):
@@ -689,6 +718,49 @@ class TestPhaseSensitivity:
         assert svals[-1] > 1e-3
 
 
+@pytest.fixture
+def circuit_calls(monkeypatch):
+    """Calls of ``validate_circuit`` and ``circuit._fold``, counted in every qfftsim
+    namespace that binds them, so the calls another module makes count too."""
+    calls = collections.Counter()
+    names = [info.name for info in pkgutil.iter_modules(qfftsim.__path__)]
+    modules = [qfftsim, *(importlib.import_module(f"qfftsim.{name}") for name in names)]
+    for name in ("validate_circuit", "_fold"):
+        original = getattr(circuit_module, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+class TestCompiledOnce:
+    @pytest.mark.parametrize(
+        "case, expected",
+        [("problem-in-code", (1, 1)), ("problem-file", (2, 1)), ("phase-sensitivity", (1, 1))],
+        ids=["problem-in-code", "problem-file", "phase-sensitivity"],
+    )
+    def test_template_is_validated_and_folded_once(self, case, expected, circuit_calls):
+        # a problem used to validate its template twice, a problem file three times, and
+        # phase_sensitivity to validate three times and fold twice
+        template = synthesize_qfft(3)
+        free = nontrivial_phase_positions(template)
+        problem, _, _ = make_problem(3)
+        file_obj = json.loads(GOLDEN_PROBLEM.read_text())
+        run = {
+            "problem-in-code": lambda: ReconstructionProblem(template, free, problem.singles, problem.visibilities),
+            "problem-file": lambda: problem_from_json(file_obj),
+            "phase-sensitivity": lambda: phase_sensitivity(template, free, ALL_PAIRS_8),
+        }[case]
+        circuit_calls.clear()
+        run()
+        assert (circuit_calls["validate_circuit"], circuit_calls["_fold"]) == expected
+
+
 class TestProblemValidation:
     def test_bad_singles_probability(self):
         template = synthesize_qfft(2)
@@ -718,6 +790,20 @@ class TestProblemValidation:
         template = synthesize_qfft(2)
         with pytest.raises(DomainError):
             ReconstructionProblem(template, (), {}, {((0, 1), (0, 1)): entry})
+
+    @pytest.mark.parametrize(
+        "singles, entry, message",
+        [
+            ({(0, 0): "0.5"}, (0.5, 0.02), "singles probability '0.5' for (0,0) is not a real number in [0, 1]"),
+            ({}, ("0.5", 0.02), "visibility for ((0, 1),(0, 1)) is not a finite real number: '0.5'"),
+            ({}, (0.5, None), "visibility for ((0, 1),(0, 1)) needs a real, finite sigma > 0, got None"),
+        ],
+        ids=["singles-string", "value-string", "sigma-none"],
+    )
+    def test_non_number_values_named(self, singles, entry, message):
+        # each used to end in a bare TypeError from a comparison
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            ReconstructionProblem(synthesize_qfft(2), (), singles, {((0, 1), (0, 1)): entry})
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), float("inf")])
     def test_ideal_table_needs_finite_positive_sigma(self, sigma):
