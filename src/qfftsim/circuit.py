@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .fourier import check_key, check_nonnegative_int, file_label, file_pair
+from .fourier import check_key, check_nonnegative_int, file_label, file_number, file_pair
 
 #: Largest supported layer count for synthesis (m = 2^cap modes).
 SYNTH_CAP = 10
@@ -339,7 +339,10 @@ def circuit_from_json(obj) -> QfftCircuit:
             Layer(
                 step=check_nonnegative_int(raw["step"], "step index"),
                 couplers=tuple(file_pair(pair, "coupler", "coupler mode") for pair in raw["couplers"]),
-                phases={file_label(int(t), "phase mode"): float(v) for t, v in raw.get("phases", {}).items()},
+                phases={
+                    file_label(int(t), "phase mode"): file_number(v, f"phase on mode {t}")
+                    for t, v in raw.get("phases", {}).items()
+                },
             )
             for raw in raw_layers
         ]

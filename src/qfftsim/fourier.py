@@ -6,8 +6,9 @@ as an array of occupied modes, and :func:`partition_outputs` as the tuples
 that key every outcome table. Each rule about modes and photons is stated
 here once: the label rule (:func:`check_nonnegative_int`, :func:`check_state`),
 the key rule that reads every pair of labels (:func:`check_key`;
-:func:`check_pair` for a two-photon input), the rule of 1-based labels read
-from files (:func:`file_label`, :func:`file_pair`), the suppression law
+:func:`check_pair` for a two-photon input), the rules of 1-based labels and
+of number values read from files (:func:`file_label`, :func:`file_pair`,
+:func:`file_number`), the suppression law
 (:func:`suppressed`, :func:`is_suppressed`, :func:`partition_outputs`) and the
 cyclic-input rule (:func:`cyclic_inputs`, :func:`is_cyclic_state`). The last
 two are stated with 1-based mode labels in user-facing material; conversion
@@ -24,7 +25,7 @@ from itertools import chain, combinations_with_replacement, compress
 
 import numpy as np
 
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, ValidationError
 
 #: Most entries one enumeration builds, refused before any is built: outputs
 #: x photons for the rows of :func:`enumerate_outputs`, outputs x max(photons,
@@ -103,6 +104,16 @@ def file_pair(pair, what: str, label: str) -> tuple[int, int]:
     read by :func:`check_key`, then each label by :func:`file_label`."""
     a, b = check_key(pair, what, label)
     return file_label(a, label), file_label(b, label)
+
+
+def file_number(value, what: str) -> float:
+    """``value``, a number read from a file and named ``what`` in the file's words, as a
+    float: a string, a boolean or any other non-number is refused, not converted."""
+    if type(value) is float:  # most values, without the general test
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{what} is not a number: {value!r}")
+    return float(value)
 
 
 def check_state(state) -> FockState:

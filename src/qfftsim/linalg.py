@@ -62,13 +62,15 @@ def permanent(a) -> complex:
     """Permanent of a square complex matrix via Glynn's formula.
 
     perm(A) = 2^(1-n) * sum_d (prod_i d_i) * prod_j (sum_i d_i a_ij) over the
-    sign vectors d in {+1, -1}^n with d_0 = +1. One matrix product with the
-    sign table of :func:`_glynn_signs`, which holds d_0 and whose weights hold
-    the 2^(1-n) scale, gives the column sums for every sign pattern of rows
-    0..k, k = min(n - 1, GLYNN_BLOCK), as an (n, 2^k) array; one reduction
-    across its rows and one dot finish the sum. A Python loop runs only over
-    the 2^(n-1-k) patterns of the rows above them, so not at all when
-    n <= GLYNN_BLOCK + 1. The work is O(2^n * n). Matrices larger than
+    sign vectors d in {+1, -1}^n with d_0 = +1. The sign table of
+    :func:`_glynn_signs` holds d_0, and its weights hold the 2^(1-n) scale.
+    Up to n = GLYNN_BLOCK + 1 the whole sum is one product, one reduction and
+    one dot: ``a.T.dot(table)`` gives the (n, 2^(n-1)) column sums of every
+    sign pattern, their product down the rows each pattern's term, and the
+    weights' dot the sum. Above that, one product covers the patterns of rows
+    0..k, k = GLYNN_BLOCK, and a Python loop runs over the 2^(n-1-k) patterns
+    of the rows above them, adding each pattern's row sums to those column
+    sums. The work is O(2^n * n). Matrices larger than
     :data:`PERMANENT_CAP` are refused rather than silently taking hours.
     """
     a = as_complex_matrix(a)
@@ -78,12 +80,13 @@ def permanent(a) -> complex:
     check_permanent_cap(n)
     if n == 0:
         return complex(1.0)
+    if n <= GLYNN_BLOCK + 1:
+        table, weights = _glynn_signs(n - 1)
+        return complex(weights.dot(np.multiply.reduce(a.T.dot(table), axis=0)))
 
-    k = min(n - 1, GLYNN_BLOCK)
+    k = GLYNN_BLOCK
     table, weights = _glynn_signs(k)
     low_sums = np.dot(a[: k + 1].T, table)
-    if k == n - 1:
-        return complex(np.dot(weights, np.multiply.reduce(low_sums, axis=0)))
     high_table, high_weights = _glynn_signs(n - 1 - k)
     total = 0.0 + 0.0j
     for offset, weight in zip(np.dot(high_table[1:].T, a[k + 1 :]), high_weights):

@@ -53,7 +53,10 @@ MEAN_FIELD = "mean_field"
 #: on 1 mode, where the levels are all the work) and 4.7-8.2 s at 62 MB (8
 #: mean-field photons on 8 modes). On 2 or more modes the entry cap of
 #: :mod:`qfftsim.fourier` refuses a distinguishable table first: 2047 photons
-#: on 2 modes took 0.27-0.31 s at 95 MB.
+#: on 2 modes took 0.27-0.31 s at 95 MB. The same budget bounds the Fock
+#: table's Glynn terms, outputs x n 2^(n - 1), checked after the entry cap and
+#: before any permanent: at 5-8 ns a term, 9 photons on 12 modes, the slowest
+#: admitted, took 2.7-3.1 s, and 10 on 10 took 2.5 s.
 MAX_EXPANSION_WORK = 1 << 29
 
 #: Steps charged for each level of an expansion, the fixed cost of its numpy
@@ -129,12 +132,16 @@ def _check_input(u, input_state, tol: float) -> tuple[np.ndarray, FockState, int
     return u, state, n
 
 
-def _check_work(model: str, n: int, m: int, variables: int, batch: int) -> None:
-    """Refuse ``batch`` expansions over ``variables`` and their plan above :data:`MAX_EXPANSION_WORK`."""
-    work = (batch + 1) * n * output_count(n, variables) + n * LEVEL_STEPS
+def _expansion_work(n: int, variables: int, batch: int) -> int:
+    """Steps of ``batch`` expansions of n factors over ``variables`` and of their plan."""
+    return (batch + 1) * n * output_count(n, variables) + n * LEVEL_STEPS
+
+
+def _check_work(model: str, n: int, m: int, work: int, unit: str = "expansion steps") -> None:
+    """Refuse a table of n photons on m modes that needs ``work`` ``unit`` above :data:`MAX_EXPANSION_WORK`."""
     if work > MAX_EXPANSION_WORK:
         raise CapacityError(
-            f"the {model} table of {n} photons on {m} modes needs {work} expansion steps, "
+            f"the {model} table of {n} photons on {m} modes needs {work} {unit}, "
             f"above the budget {MAX_EXPANSION_WORK}"
         )
 
@@ -208,11 +215,15 @@ def fock_distribution(u, input_state, *, tol=DEFAULT_TOL) -> OutcomeDistribution
 
     P(T | S) = |perm(U[T, S])|^2 / (prod_k s_k! * prod_k t_k!) where the
     submatrix repeats rows (columns) according to the output (input)
-    occupations; one :func:`permanent` call per output T.
+    occupations; one :func:`permanent` call per output T. A table of more
+    than :data:`MAX_EXPANSION_WORK` Glynn terms, outputs x n 2^(n - 1), is
+    refused after the entry cap and before any permanent.
     """
     u, state, n = _check_input(u, input_state, tol)
     check_permanent_cap(n)
-    outs, rows = partition_outputs(n, u.shape[0]).outputs, enumerate_outputs(n, u.shape[0])
+    outs = partition_outputs(n, u.shape[0]).outputs
+    _check_work(FOCK, n, u.shape[0], len(outs) * n << (n - 1), "Glynn terms")
+    rows = enumerate_outputs(n, u.shape[0])
     cols = np.array(occupied_modes(state))
     perms = np.empty(len(outs), dtype=complex)
     step = max(1, BLOCK_ENTRIES // (n * n))
@@ -233,7 +244,7 @@ def distinguishable_distribution(u, input_state, *, tol=DEFAULT_TOL) -> OutcomeD
     :data:`MAX_EXPANSION_WORK` before any output is built. No interference.
     """
     u, state, n = _check_input(u, input_state, tol)
-    _check_work(DISTINGUISHABLE, n, u.shape[0], u.shape[0], 1)
+    _check_work(DISTINGUISHABLE, n, u.shape[0], _expansion_work(n, u.shape[0], 1))
     outs = partition_outputs(n, u.shape[0]).outputs
     probs = product_expansion(np.abs(u[:, occupied_modes(state)]) ** 2, _expansion_plan(n, u.shape[0]))
     return OutcomeDistribution(DISTINGUISHABLE, state, dict(zip(outs, probs.tolist())))
@@ -259,7 +270,7 @@ def mean_field_distribution(u, input_state, *, tol=DEFAULT_TOL) -> OutcomeDistri
     u, state, n = _check_input(u, input_state, tol)
     if not is_cyclic_state(state):
         raise DomainError(f"input {state} is not a collision-free cyclic state")
-    _check_work(MEAN_FIELD, n, u.shape[0], n, output_count(n, u.shape[0]))
+    _check_work(MEAN_FIELD, n, u.shape[0], _expansion_work(n, n, output_count(n, u.shape[0])))
     outs, rows = partition_outputs(n, u.shape[0]).outputs, enumerate_outputs(n, u.shape[0])
     modes = occupied_modes(state)
     plan = tuple(_expansion_plan(n, n))

@@ -38,7 +38,7 @@ import numpy as np
 
 from .circuit import QfftCircuit, circuit_from_json, circuit_to_json, compile_circuit
 from .errors import ConvergenceError, DomainError, ShapeError, ValidationError
-from .fourier import check_key, check_nonnegative_int, check_pair, file_label, file_pair
+from .fourier import check_key, check_nonnegative_int, check_pair, file_label, file_number, file_pair
 from .linalg import as_complex_matrix, assert_unitary, fidelity, matrix_to_json
 from .models import two_photon_probabilities
 
@@ -506,14 +506,15 @@ def problem_from_json(obj) -> ReconstructionProblem:
             for step, mode in (check_key(pos, "free phase", "step index", "mode") for pos in obj["free_phases"])
         )
         singles = {
-            (file_label(e["input"], "singles mode"), file_label(e["output"], "singles mode")): float(e["p"])
+            (file_label(e["input"], "singles mode"), file_label(e["output"], "singles mode")):
+                file_number(e["p"], "singles p")
             for e in obj.get("singles", [])
         }
         visibilities = {
             (
                 file_pair(e["input"], "visibility input", "visibility mode"),
                 file_pair(e["output"], "visibility output", "visibility mode"),
-            ): (float(e["v"]), float(e["sigma"]))
+            ): (file_number(e["v"], "visibility v"), file_number(e["sigma"], "visibility sigma"))
             for e in obj.get("visibilities", [])
         }
     except (KeyError, TypeError, ValueError, IndexError, AttributeError, OverflowError) as exc:

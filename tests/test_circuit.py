@@ -432,6 +432,14 @@ class TestCircuitJson:
         with pytest.raises(ValidationError, match=f"{re.escape(message)}$"):
             circuit_from_json(obj)
 
+    @pytest.mark.parametrize("value", ["0.7", True, None, [0.7]])
+    def test_non_number_phase_named_in_file_words(self, value):
+        # the string "0.7" used to be read by float() and composed
+        obj = circuit_to_json(synthesize_qfft(2))
+        obj["layers"][1]["phases"]["4"] = value
+        with pytest.raises(ValidationError, match=f"phase on mode 4 is not a number: {re.escape(repr(value))}$"):
+            circuit_from_json(obj)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_phase_rejected(self, bad):
         obj = circuit_to_json(synthesize_qfft(2))

@@ -560,6 +560,31 @@ class TestReconstructCommand:
         assert len(obj["restarts"]) == 4
         assert obj["restarts_in_best_basin"] >= 1
 
+    @pytest.mark.parametrize(
+        "path, message",
+        [
+            (("singles", 0, "p"), "singles p is not a number: '0.5'"),
+            (("visibilities", 0, "v"), "visibility v is not a number: '0.5'"),
+            (("visibilities", 0, "sigma"), "visibility sigma is not a number: '0.5'"),
+            (("template", "layers", 1, "phases", "4"), "phase on mode 4 is not a number: '0.5'"),
+        ],
+        ids=["singles-p", "visibility-v", "visibility-sigma", "template-phase"],
+    )
+    def test_string_value_exits_2_naming_its_field(self, path, message, problem4, tmp_path, capsys):
+        obj = json.loads(problem4.read_text())
+        node = obj
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = "0.5"
+        problem4.write_text(json.dumps(obj))
+        out = tmp_path / "result.json"
+        code = run_cli("reconstruct", "--problem", str(problem4), "--restarts", "2", "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert len(err.splitlines()) == 1 and err.startswith("qfft: invalid input:")
+        assert err.rstrip().endswith(message)
+        assert not out.exists()
+
     def test_duplicate_free_phases_rejected(self, tmp_path, capsys):
         from qfftsim.circuit import circuit_to_json, synthesize_qfft
 
@@ -927,6 +952,20 @@ class TestSizeCaps:
         assert f"needs {(1 + 92378) * 10 * 92378 + 10 * 4096} expansion steps, above the budget {models.MAX_EXPANSION_WORK}" in err
         assert "Traceback" not in err
         assert not (tmp_path / "mf.json").exists()
+
+    def test_sixteen_fock_photons_on_eight_modes_exit_2_at_once(self, monkeypatch, tmp_path, capsys):
+        # C(23, 16) = 245,157 outputs pass the entry cap, but their 16 x 2^15 Glynn terms each
+        # would take ~9 minutes; refused before any permanent
+        monkeypatch.setattr(models, "permanent", None)
+        out = tmp_path / "fock.json"
+        code = run_cli("evolve", "--modes", "8", "--model", "fock", "--input", "1,1,1,1,2,2,2,2,3,3,3,3,4,4,4,4",
+                       "--out", str(out))
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"qfft: invalid input: the fock table of 16 photons on 8 modes needs {245157 * 16 << 15} "
+            f"Glynn terms, above the budget {models.MAX_EXPANSION_WORK}\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("restarts", [reconstruct.MAX_RESTARTS + 1, 10**12])
     def test_restarts_above_the_cap_exit_2(self, restarts, problem4, tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qfftsim import linalg
 from qfftsim.errors import CapacityError, DomainError, ShapeError, ValidationError
 from qfftsim.fourier import qft_matrix
 from qfftsim.linalg import (
@@ -78,6 +79,30 @@ class TestPermanent:
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         expansion = sum(a[0, j] * permanent(np.delete(a[1:], j, axis=1)) for j in range(n))
         assert abs(permanent(a) - expansion) <= 1e-12 * abs(expansion)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_every_block_split_matches_the_definition(self, n, monkeypatch):
+        # a block of k + 1 < n rows runs the row loop over the 2^(n-1-k) sign patterns above it,
+        # which the default block reaches only from n = 14
+        rng = np.random.default_rng(100 + n)
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        ref = permanent_definition(a)
+        for k in range(n - 1):
+            monkeypatch.setattr(linalg, "GLYNN_BLOCK", k)
+            assert abs(permanent(a) - ref) <= 1e-12 * abs(ref), k
+
+    @pytest.mark.parametrize("n", [1, 4, 8, GLYNN_BLOCK + 1, GLYNN_BLOCK + 2])
+    def test_layouts_give_the_same_bits(self, n):
+        # the Fock table passes views into its gathered (N, n, n) stack; the sums must not
+        # depend on the memory layout a caller hands over
+        rng = np.random.default_rng(n)
+        u = haar_random_unitary(16, rng)
+        rows = np.sort(rng.integers(0, 16, (3, n)), axis=1)
+        stack = u[rows[:, :, None], np.sort(rng.integers(0, 16, n))]
+        for block in stack:
+            ref = permanent(block.copy())
+            for layout in (block, np.ascontiguousarray(block.T).T, np.asfortranarray(block)):
+                assert permanent(layout) == ref
 
     def test_repeated_row(self):
         u = haar_random_unitary(4, np.random.default_rng(3))

@@ -454,6 +454,32 @@ class TestPermanentCap:
         assert (fourier._outputs.cache_info(), fourier._output_set.cache_info()) == before
 
 
+class TestFockWork:
+    """The Fock table is bounded by its Glynn terms, outputs x n 2^(n - 1), under the expansion budget."""
+
+    def test_one_over_the_budget_is_refused_before_any_permanent(self, monkeypatch):
+        # two photons on four modes: 10 outputs x 2 x 2^1 = 40 Glynn terms
+        monkeypatch.setattr(models, "MAX_EXPANSION_WORK", 39)
+        with monkeypatch.context() as patch:
+            patch.setattr(models, "permanent", None)  # refused before any permanent
+            patch.setattr(models, "enumerate_outputs", None)
+            with pytest.raises(CapacityError, match=(
+                "^the fock table of 2 photons on 4 modes needs 40 Glynn terms, above the budget 39$"
+            )):
+                fock_distribution(qft_matrix(4), (1, 0, 1, 0))
+        monkeypatch.setattr(models, "MAX_EXPANSION_WORK", 40)
+        assert fock_distribution(qft_matrix(4), (1, 0, 1, 0)).total() == pytest.approx(1.0, abs=1e-12)
+
+    def test_budget_admits_every_table_in_use(self):
+        def terms(n, m):
+            return math.comb(m + n - 1, n) * n << (n - 1)
+
+        budget = models.MAX_EXPANSION_WORK
+        # the README's tables, (10, 10) at ~2.5 s and 9 photons on 12 modes, the slowest admitted at ~3 s
+        assert max(terms(4, 16), terms(3, 9), terms(4, 8), terms(10, 10), terms(9, 12), terms(20, 2)) <= budget
+        assert min(terms(16, 8), terms(9, 13), terms(10, 11), terms(20, 3)) > budget
+
+
 class TestExpansionBudget:
     """The distinguishable table is bounded by its expansion work, not by a permanent size."""
 

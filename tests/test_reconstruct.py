@@ -991,6 +991,37 @@ class TestSerialisation:
         with pytest.raises(ValidationError, match=f"{re.escape(message)}$"):
             problem_from_json(obj)
 
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("singles", 0, "p"), "0.5", "singles p is not a number: '0.5'"),
+            (("visibilities", 0, "v"), "0.3", "visibility v is not a number: '0.3'"),
+            (("visibilities", 0, "sigma"), "0.02", "visibility sigma is not a number: '0.02'"),
+            (("template", "layers", 1, "phases", "4"), "0.7", "phase on mode 4 is not a number: '0.7'"),
+            (("visibilities", 0, "v"), True, "visibility v is not a number: True"),
+            (("visibilities", 0, "sigma"), None, "visibility sigma is not a number: None"),
+        ],
+        ids=["singles-p", "visibility-v", "visibility-sigma", "template-phase", "v-true", "sigma-null"],
+    )
+    def test_non_number_values_named_in_file_words(self, path, value, message):
+        # each string used to be read by float() and fitted
+        problem, _, _ = make_problem(2, [1.0])
+        obj = problem_to_json(problem)
+        node = obj
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(ValidationError, match=f"{re.escape(message)}$"):
+            problem_from_json(obj)
+
+    def test_integer_values_read_as_floats(self):
+        problem, _, _ = make_problem(2, [1.0])
+        obj = problem_to_json(problem)
+        obj["singles"][0]["p"], obj["visibilities"][0]["sigma"] = 0, 1
+        read = problem_from_json(obj)  # both tables keep the file's sorted key order
+        p, (_, sigma) = next(iter(read.singles.values())), next(iter(read.visibilities.values()))
+        assert (type(p), p, type(sigma), sigma) == (float, 0.0, float, 1.0)
+
     def test_result_json_shape(self):
         problem, u_true, _ = make_problem(2, [1.0])
         result = fit_phases(problem, restarts=4, seed=0, target=u_true)
