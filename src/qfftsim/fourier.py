@@ -50,13 +50,15 @@ def qft_matrix(m: int) -> np.ndarray:
 
 def check_nonnegative_int(value, what: str) -> int:
     """``value`` as an int if it is a non-negative integer: 2.0 and numpy
-    integers pass; 2.5, -1, NaN and non-numbers raise :class:`DomainError`
-    rather than being truncated. The rule of every count, size, occupation
-    and mode label that comes from a caller."""
+    integers pass; 2.5, -1, NaN, booleans and non-numbers raise
+    :class:`DomainError` rather than being truncated or read as 0 and 1. The
+    rule of every count, size, occupation and mode label that comes from a caller."""
     if type(value) is int and value >= 0:  # most labels, without the slower general test
         return value
     try:
-        integral = value >= 0 and (isinstance(value, numbers.Integral) or float(value).is_integer())
+        integral = not isinstance(value, (bool, np.bool_)) and value >= 0 and (
+            isinstance(value, numbers.Integral) or float(value).is_integer()
+        )
     except (TypeError, ValueError):  # not a number, or not one number
         integral = False
     if not integral:

@@ -15,6 +15,8 @@ so it is never negative and is returned as computed, without clamping. It
 is keyed by ``partition_outputs(n, m).outputs``, taken before any row so that
 their entry cap refuses first: the outputs and the rules about modes come from
 :mod:`qfftsim.fourier`; the expansion kernel, its plan and its budget are here.
+Every table refuses in one order, from counts alone: the input, the model's
+own rule, the work budget, the entry cap, and only then builds anything.
 
 A two-photon partial-distinguishability model interpolates between the
 distinguishable and Fock limits as a function of the relative path delay.
@@ -54,9 +56,9 @@ MEAN_FIELD = "mean_field"
 #: mean-field photons on 8 modes). On 2 or more modes the entry cap of
 #: :mod:`qfftsim.fourier` refuses a distinguishable table first: 2047 photons
 #: on 2 modes took 0.27-0.31 s at 95 MB. The same budget bounds the Fock
-#: table's Glynn terms, outputs x n 2^(n - 1), checked after the entry cap and
-#: before any permanent: at 5-8 ns a term, 9 photons on 12 modes, the slowest
-#: admitted, took 2.7-3.1 s, and 10 on 10 took 2.5 s.
+#: table's Glynn terms, outputs x n 2^(n - 1), also checked before any output
+#: is built: at 5-8 ns a term, 9 photons on 12 modes, the slowest admitted,
+#: took 2.7-3.1 s, and 10 on 10 took 2.5 s.
 MAX_EXPANSION_WORK = 1 << 29
 
 #: Steps charged for each level of an expansion, the fixed cost of its numpy
@@ -217,13 +219,13 @@ def fock_distribution(u, input_state, *, tol=DEFAULT_TOL) -> OutcomeDistribution
     submatrix repeats rows (columns) according to the output (input)
     occupations; one :func:`permanent` call per output T. A table of more
     than :data:`MAX_EXPANSION_WORK` Glynn terms, outputs x n 2^(n - 1), is
-    refused after the entry cap and before any permanent.
+    refused after the permanent cap and before the entry cap, so before any
+    output is built.
     """
     u, state, n = _check_input(u, input_state, tol)
     check_permanent_cap(n)
-    outs = partition_outputs(n, u.shape[0]).outputs
-    _check_work(FOCK, n, u.shape[0], len(outs) * n << (n - 1), "Glynn terms")
-    rows = enumerate_outputs(n, u.shape[0])
+    _check_work(FOCK, n, u.shape[0], output_count(n, u.shape[0]) * n << (n - 1), "Glynn terms")
+    outs, rows = partition_outputs(n, u.shape[0]).outputs, enumerate_outputs(n, u.shape[0])
     cols = np.array(occupied_modes(state))
     perms = np.empty(len(outs), dtype=complex)
     step = max(1, BLOCK_ENTRIES // (n * n))

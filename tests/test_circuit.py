@@ -83,7 +83,7 @@ class TestSynthesis:
         with pytest.raises(DomainError):
             synthesize_qfft(11)
 
-    @pytest.mark.parametrize("p", [2.5, float("nan"), -1, "a"])
+    @pytest.mark.parametrize("p", [2.5, float("nan"), -1, "a", True])
     def test_non_integral_layer_count_refused(self, p):
         with pytest.raises(DomainError, match="^layer count p .* is not a non-negative integer$"):
             synthesize_qfft(p)
@@ -418,8 +418,11 @@ class TestCircuitJson:
             (("layers", 1, "phases", "0"), 1.0, "phase mode 0 is below 1: labels in files are 1-based"),
             (("relabeling", 0), [0, 5], "relabeling mode 0 is below 1: labels in files are 1-based"),
             (("relabeling", 0), [2], "relabeling swap [2] must name two modes"),
+            (("layers", 0, "couplers", 0), [True, 5], "coupler mode True is not a non-negative integer"),
+            (("relabeling", 0), [2, True], "relabeling mode True is not a non-negative integer"),
         ],
-        ids=["coupler-label-0", "coupler-of-three", "coupler-scalar", "phase-label-0", "swap-label-0", "swap-of-one"],
+        ids=["coupler-label-0", "coupler-of-three", "coupler-scalar", "phase-label-0", "swap-label-0", "swap-of-one",
+             "coupler-label-true", "swap-label-true"],
     )
     def test_malformed_labels_named_in_file_words(self, path, value, message):
         # label 0 used to become mode -1, refused later as "coupler (-1,4) out of range", and the

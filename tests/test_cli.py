@@ -646,8 +646,12 @@ class TestReconstructCommand:
             (("free_phases", 0), [2, 0], "mode 0 is below 1: labels in files are 1-based"),
             (("template", "layers", 0, "couplers", 0), [0, 3], "coupler mode 0 is below 1: labels in files are 1-based"),
             (("template", "relabeling", 0), [0, 5], "relabeling mode 0 is below 1: labels in files are 1-based"),
+            (("singles", 0, "input"), True, "singles mode True is not a non-negative integer"),
+            (("template", "layers", 0, "couplers", 0), [True, 3], "coupler mode True is not a non-negative integer"),
+            (("template", "relabeling", 0), [True, 5], "relabeling mode True is not a non-negative integer"),
         ],
-        ids=["input-of-three", "visibility-label-0", "singles-label-0", "phase-label-0", "coupler-label-0", "swap-label-0"],
+        ids=["input-of-three", "visibility-label-0", "singles-label-0", "phase-label-0", "coupler-label-0", "swap-label-0",
+             "singles-label-true", "coupler-label-true", "swap-label-true"],
     )
     def test_malformed_labels_exit_2(self, path, value, message, problem4, tmp_path, capsys):
         # [1, 2, 4] used to be fitted as input (1, 2), exit 0; label 0 was refused as mode -1
@@ -661,7 +665,7 @@ class TestReconstructCommand:
         code = run_cli("reconstruct", "--problem", str(problem4), "--restarts", "1", "--out", str(out))
         err = capsys.readouterr().err
         assert code == EXIT_VALIDATION
-        assert err.startswith("qfft: invalid input:") and err.endswith(f"{message}\n")
+        assert err.startswith("qfft: invalid input:") and err.endswith(f"{message}\n") and err.count("\n") == 1
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -768,7 +772,8 @@ class TestErrorPaths:
     @pytest.mark.parametrize(
         "model, message",
         [
-            ("fock", f"make {183181376 * 256} occupation entries, above the cap {MAX_OUTCOME_ENTRIES}"),
+            # the budget is checked first: 4 x 2^3 Glynn terms per output
+            ("fock", f"needs {183181376 * 4 << 3} Glynn terms, above the budget {models.MAX_EXPANSION_WORK}"),
             # the expansion budget is checked first: the plan over the 256 modes and the
             # table, 4 terms per output each, + 4 levels x 4096 steps
             ("dist", f"needs {2 * 4 * 183181376 + 4 * 4096} expansion steps, "
@@ -888,17 +893,24 @@ class TestSizeCaps:
              ["_outputs", "_output_set"], "40 occupation entries"),
             (lambda out: mean_field_distribution(qft_matrix(4), (1, 0, 1, 0)), fourier, 40,
              ["_outputs", "_output_set"], "40 occupation entries"),
+            # the work budget, checked before the entry cap: the plan and the table, 2 C(5, 2) = 20 terms
+            # each, + 2 levels x 4096 steps; the plan and 10 outputs, 2 C(3, 2) = 6 terms each, + 8192
+            (lambda out: distinguishable_distribution(qft_matrix(4), (1, 0, 1, 0)), models, 8232,
+             ["partition_outputs", "_expansion_plan"], "8232 expansion steps"),
+            (lambda out: mean_field_distribution(qft_matrix(4), (1, 0, 1, 0)), models, 8258,
+             ["partition_outputs", "enumerate_outputs", "_expansion_plan"], "8258 expansion steps"),
             (lambda out: cyclic_inputs(2, 2), fourier, 8, ["occupation_from_modes"], "2\\^3 occupation entries"),
             # 3 points x 10 output pairs
             (lambda out: cli._simulate(cli._build_parser().parse_args(
                 ["simulate", "--modes", "4", "--input", "1,3", "--points", "3", "--out", out])),
              cli, 30, ["_delay_grid"], "30 records"),
         ],
-        ids=["enumerate_outputs", "partition_outputs", "fock", "dist", "mf", "cyclic_inputs", "simulate"],
+        ids=["enumerate_outputs", "partition_outputs", "fock", "dist", "mf", "dist_work", "mf_work", "cyclic_inputs",
+             "simulate"],
     )
     def test_one_over_the_budget_is_refused_before_building(self, call, module, budget, builders, built,
                                                             monkeypatch, tmp_path):
-        cap = "MAX_RECORDS" if module is cli else "MAX_OUTCOME_ENTRIES"
+        cap = {cli: "MAX_RECORDS", models: "MAX_EXPANSION_WORK"}.get(module, "MAX_OUTCOME_ENTRIES")
         out = str(tmp_path / "out")
 
         def unbuildable(*args, **kwargs):
@@ -908,7 +920,7 @@ class TestSizeCaps:
             patch.setattr(module, cap, budget - 1)
             for name in builders:
                 patch.setattr(module, name, unbuildable)
-            with pytest.raises(QfftError, match=f"make {built}, "):
+            with pytest.raises(QfftError, match=f"(make|needs) {built}, "):
                 call(out)
         monkeypatch.setattr(module, cap, budget)
         call(out)
@@ -955,8 +967,9 @@ class TestSizeCaps:
 
     def test_sixteen_fock_photons_on_eight_modes_exit_2_at_once(self, monkeypatch, tmp_path, capsys):
         # C(23, 16) = 245,157 outputs pass the entry cap, but their 16 x 2^15 Glynn terms each
-        # would take ~9 minutes; refused before any permanent
-        monkeypatch.setattr(models, "permanent", None)
+        # would take ~9 minutes; refused before any output is built or any permanent taken
+        for module, name in [(models, "permanent"), (fourier, "_outputs"), (fourier, "_output_set")]:
+            monkeypatch.setattr(module, name, None)
         out = tmp_path / "fock.json"
         code = run_cli("evolve", "--modes", "8", "--model", "fock", "--input", "1,1,1,1,2,2,2,2,3,3,3,3,4,4,4,4",
                        "--out", str(out))

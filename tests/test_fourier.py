@@ -47,7 +47,7 @@ class TestQftMatrix:
         with pytest.raises(DomainError):
             qft_matrix(0)
 
-    @pytest.mark.parametrize("m", [2.5, float("nan"), -1, "a"])
+    @pytest.mark.parametrize("m", [2.5, float("nan"), -1, "a", True, np.True_])
     def test_non_integral_size_refused(self, m):
         with pytest.raises(DomainError, match=f"^mode count {re.escape(repr(m))} is not a non-negative integer$"):
             qft_matrix(m)
@@ -148,7 +148,10 @@ class TestModeLabels:
          (0.0, "coupler mode 0.0 is below 1: labels in files are 1-based"),
          (-1, "coupler mode -1 is not a non-negative integer"),
          (1.5, "coupler mode 1.5 is not a non-negative integer"),
-         ("1", "coupler mode '1' is not a non-negative integer")],
+         ("1", "coupler mode '1' is not a non-negative integer"),
+         # a truth value used to be read as label 1
+         (True, "coupler mode True is not a non-negative integer"),
+         (np.True_, f"coupler mode {np.True_!r} is not a non-negative integer")],
     )
     def test_file_label_messages(self, label, message):
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):

@@ -461,8 +461,10 @@ class TestFockWork:
         # two photons on four modes: 10 outputs x 2 x 2^1 = 40 Glynn terms
         monkeypatch.setattr(models, "MAX_EXPANSION_WORK", 39)
         with monkeypatch.context() as patch:
-            patch.setattr(models, "permanent", None)  # refused before any permanent
-            patch.setattr(models, "enumerate_outputs", None)
+            # refused before any output is built or any permanent taken
+            for module, name in [(models, "permanent"), (models, "enumerate_outputs"), (fourier, "_outputs"),
+                                 (fourier, "_output_set")]:
+                patch.setattr(module, name, None)
             with pytest.raises(CapacityError, match=(
                 "^the fock table of 2 photons on 4 modes needs 40 Glynn terms, above the budget 39$"
             )):
@@ -708,9 +710,10 @@ class TestStateEntries:
             lambda: is_cyclic_state((float("nan"), 0)),
             lambda: photon_number((2.7, 0)),
             lambda: fourier.check_state(("a", 1)),
+            lambda: fourier.check_state((True, False, True)),
         ],
         ids=["fock-2.7", "dist-0.5", "fock-nan", "suppressed-1.5", "suppressed-negative", "suppressed-nan",
-             "cyclic-1.5", "cyclic-nan", "photons-2.7", "state-str"],
+             "cyclic-1.5", "cyclic-nan", "photons-2.7", "state-str", "state-bool"],
     )
     def test_refused(self, call):
         with pytest.raises(DomainError, match="is not a non-negative integer"):

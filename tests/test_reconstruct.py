@@ -973,10 +973,13 @@ class TestSerialisation:
             (("free_phases", 0), [2, 0], "mode 0 is below 1: labels in files are 1-based"),
             (("free_phases", 0), [2, 4, 1], "free phase [2, 4, 1] must name a step index and a mode"),
             (("template", "relabeling", 0), [0, 5], "relabeling mode 0 is below 1: labels in files are 1-based"),
+            # a truth value used to be read as label 1
+            (("singles", 0, "input"), True, "singles mode True is not a non-negative integer"),
+            (("template", "relabeling", 0), [True, 5], "relabeling mode True is not a non-negative integer"),
         ],
         ids=[
             "input-of-three", "output-scalar", "visibility-label-0", "singles-label-0",
-            "phase-label-0", "phase-of-three", "swap-label-0",
+            "phase-label-0", "phase-of-three", "swap-label-0", "singles-label-true", "swap-label-true",
         ],
     )
     def test_malformed_labels_named_in_file_words(self, path, value, message):
