@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -38,12 +40,13 @@ class Layer:
 
     ``step`` is the 1-based step index j; every coupler pair differs in bit j
     of the mode label (most significant bit = bit 1). ``phases`` maps mode
-    index to a phase in [0, 2*pi) applied before the couplers of this layer.
+    index to a phase in [0, 2*pi) applied before the couplers of this layer;
+    a :class:`QfftCircuit` holds it read-only.
     """
 
     step: int
     couplers: tuple[tuple[int, int], ...]
-    phases: dict[int, float] = field(default_factory=dict)
+    phases: Mapping[int, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -53,12 +56,62 @@ class QfftCircuit:
     ``output_relabeling[k]`` is the logical output index assigned to physical
     port k after the last layer: an involution, as the JSON format stores it
     as swaps. For the nominal circuit it is the bit-reversal permutation.
+
+    A circuit is checked once, when it is built, so every circuit is valid:
+    :exc:`ValidationError` for the first broken structural rule, or
+    :exc:`DomainError`, naming the field, for a count, step, relabeling entry,
+    coupler mode or phase mode refused by the rules of :mod:`qfftsim.fourier`.
+    It keeps each of those as the int the rules read, so that 2.0 gives
+    exactly what 2 gives, and each layer's phases as a read-only map.
     """
 
     p: int
     m: int
     layers: tuple[Layer, ...]
     output_relabeling: tuple[int, ...]
+
+    def __post_init__(self):
+        p = check_nonnegative_int(self.p, "layer count p")
+        m = check_nonnegative_int(self.m, "mode count")
+        if m != 1 << p:
+            raise ValidationError(f"mode count {m} is not 2^p for p={p}")
+        steps = [check_nonnegative_int(layer.step, "step index") for layer in self.layers]
+        if steps != list(range(1, p + 1)):
+            raise ValidationError(f"expected layers with steps 1..{p} in order")
+        relabeling = tuple(check_nonnegative_int(k, "output relabeling entry") for k in self.output_relabeling)
+        if sorted(relabeling) != list(range(m)):
+            raise ValidationError("output relabeling is not a permutation of the modes")
+        if any(relabeling[v] != k for k, v in enumerate(relabeling)):
+            raise ValidationError("output relabeling is not an involution")
+        layers = []
+        for step, layer in zip(steps, self.layers):
+            where = f"layer {step}:"
+            coupler, label, phase = f"{where} coupler", f"{where} coupler mode", f"{where} phase mode"
+            couplers = tuple(check_key(pair, coupler, label) for pair in layer.couplers)
+            seen: set[int] = set()
+            for a, b in couplers:
+                if not (a < m and b < m):
+                    raise ValidationError(f"{where} coupler ({a},{b}) out of range")
+                if a in seen or b in seen or a == b:
+                    raise ValidationError(f"{where} mode reused in coupler ({a},{b})")
+                seen.update((a, b))
+            if len(seen) != m:
+                raise ValidationError(f"{where} {m - len(seen)} modes left uncoupled")
+            phases = {}
+            for t, angle in layer.phases.items():
+                t = check_nonnegative_int(t, phase)
+                if t >= m:
+                    raise ValidationError(f"{where} phase on unknown mode {t}")
+                if not isinstance(angle, numbers.Real):
+                    raise ValidationError(f"{where} phase on mode {t} is not a real number: {angle!r}")
+                if not math.isfinite(angle):
+                    raise ValidationError(f"{where} phase on mode {t} is not finite: {angle}")
+                phases[t] = angle
+            layers.append(Layer(step, couplers, MappingProxyType(phases)))
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "layers", tuple(layers))
+        object.__setattr__(self, "output_relabeling", relabeling)
 
     @property
     def coupler_count(self) -> int:
@@ -99,57 +152,9 @@ def synthesize_qfft(p: int) -> QfftCircuit:
     return QfftCircuit(p=p, m=m, layers=tuple(layers), output_relabeling=bit_reversal(p))
 
 
-def validate_circuit(circuit: QfftCircuit) -> QfftCircuit:
-    """Check structural invariants; raise ValidationError on the first failure, or
-    DomainError, naming the field, for a count, step, relabeling entry, coupler mode
-    or phase mode refused by the rules of :mod:`qfftsim.fourier`.
-
-    Returns the circuit with each of those as the int the rules read, so that 2.0
-    gives exactly what 2 gives; the other functions of this module read only that.
-    """
-    p = check_nonnegative_int(circuit.p, "layer count p")
-    m = check_nonnegative_int(circuit.m, "mode count")
-    if m != 1 << p:
-        raise ValidationError(f"mode count {m} is not 2^p for p={p}")
-    steps = [check_nonnegative_int(layer.step, "step index") for layer in circuit.layers]
-    if steps != list(range(1, p + 1)):
-        raise ValidationError(f"expected layers with steps 1..{p} in order")
-    relabeling = tuple(check_nonnegative_int(k, "output relabeling entry") for k in circuit.output_relabeling)
-    if sorted(relabeling) != list(range(m)):
-        raise ValidationError("output relabeling is not a permutation of the modes")
-    if any(relabeling[v] != k for k, v in enumerate(relabeling)):
-        raise ValidationError("output relabeling is not an involution")
-    layers = []
-    for step, layer in zip(steps, circuit.layers):
-        where = f"layer {step}:"
-        coupler, label, phase = f"{where} coupler", f"{where} coupler mode", f"{where} phase mode"
-        couplers = tuple(check_key(pair, coupler, label) for pair in layer.couplers)
-        seen: set[int] = set()
-        for a, b in couplers:
-            if not (a < m and b < m):
-                raise ValidationError(f"{where} coupler ({a},{b}) out of range")
-            if a in seen or b in seen or a == b:
-                raise ValidationError(f"{where} mode reused in coupler ({a},{b})")
-            seen.update((a, b))
-        if len(seen) != m:
-            raise ValidationError(f"{where} {m - len(seen)} modes left uncoupled")
-        phases = {}
-        for t, angle in layer.phases.items():
-            t = check_nonnegative_int(t, phase)
-            if t >= m:
-                raise ValidationError(f"{where} phase on unknown mode {t}")
-            if not isinstance(angle, numbers.Real):
-                raise ValidationError(f"{where} phase on mode {t} is not a real number: {angle!r}")
-            if not math.isfinite(angle):
-                raise ValidationError(f"{where} phase on mode {t} is not finite: {angle}")
-            phases[t] = angle
-        layers.append(Layer(step, couplers, phases))
-    return QfftCircuit(p, m, tuple(layers), relabeling)
-
-
 @dataclass(frozen=True)
 class CompiledCircuit:
-    """A validated circuit folded into fixed segments, for repeated evaluation.
+    """A circuit folded into fixed segments, for repeated evaluation.
 
     Each run of layers that holds no free phase, and the output relabeling
     after the last layer, is folded once into a fixed complex m x m segment.
@@ -158,14 +163,13 @@ class CompiledCircuit:
     i-th free layer; a circuit with no free phase is one segment.
     ``diagonals[i]`` is D_i at the circuit's own values and ``slots[k]`` the
     position of free phase k in ``diagonals`` flattened (free layer times m
-    plus mode). Build it with :func:`compile_circuit`, which keeps the
-    ``circuit`` and free phase ``positions`` it checked.
+    plus mode). Build it with :func:`compile_circuit`, which keeps the free
+    phase ``positions`` it checked.
     """
 
     segments: tuple[np.ndarray, ...]
     diagonals: np.ndarray
     slots: np.ndarray
-    circuit: QfftCircuit
     positions: tuple[tuple[int, int], ...]
 
     def unitary(self, values=None, derivatives: bool = False):
@@ -224,14 +228,13 @@ def _fold(circuit: QfftCircuit, phases: np.ndarray, cuts) -> list[np.ndarray]:
 
 
 def compile_circuit(circuit: QfftCircuit, free_phases=()) -> CompiledCircuit:
-    """Validate ``circuit`` once and fold it into segments; see :class:`CompiledCircuit`.
+    """Fold ``circuit`` into segments once; see :class:`CompiledCircuit`.
 
     ``free_phases`` lists the (step, mode) positions whose values are passed
     to :meth:`CompiledCircuit.unitary`, in that order. The segments cost
     O(p m^2) once; an evaluation then costs one diagonal scale and one m x m
     product per layer holding a free phase.
     """
-    circuit = validate_circuit(circuit)
     free_phases = tuple(check_positions(circuit, free_phases))
     phases = np.zeros((circuit.p, circuit.m))
     for j, layer in enumerate(circuit.layers):
@@ -243,7 +246,7 @@ def compile_circuit(circuit: QfftCircuit, free_phases=()) -> CompiledCircuit:
     )
     segments = _fold(circuit, phases, free_layers)
     diagonals = np.exp(1j * phases[free_layers])
-    return CompiledCircuit(tuple(segments), diagonals, slots, circuit, free_phases)
+    return CompiledCircuit(tuple(segments), diagonals, slots, free_phases)
 
 
 def circuit_to_unitary(circuit: QfftCircuit) -> np.ndarray:
@@ -257,9 +260,8 @@ def check_positions(circuit: QfftCircuit, positions) -> list[tuple[int, int]]:
     positions = [check_key(pos, "phase position", "step index", "mode") for pos in positions]
     if len(set(positions)) != len(positions):
         raise DomainError(f"duplicate phase positions in {positions}")
-    steps = {layer.step for layer in circuit.layers}
     for step, mode in positions:
-        if step not in steps:
+        if not 1 <= step <= circuit.p:  # a circuit's steps are 1..p
             raise DomainError(f"no layer with step index {step}")
         if mode >= circuit.m:
             raise DomainError(f"mode {mode} out of range for m={circuit.m}")
@@ -275,15 +277,10 @@ def perturb_circuit(circuit: QfftCircuit, phase_errors: dict[tuple[int, int], fl
 
 def set_phases(circuit: QfftCircuit, assignments: dict[tuple[int, int], float]) -> QfftCircuit:
     """Replace the phases at ``(step, mode)`` positions with absolute values, taken mod 2*pi."""
-    positions = check_positions(circuit, assignments)
-    layers = []
-    for layer in circuit.layers:
-        phases = dict(layer.phases)
-        for (step, mode), value in zip(positions, assignments.values()):
-            if step == layer.step:
-                phases[mode] = value % TWO_PI
-        layers.append(replace(layer, phases=phases))
-    return replace(circuit, layers=tuple(layers))
+    phases = [dict(layer.phases) for layer in circuit.layers]
+    for (step, mode), value in zip(check_positions(circuit, assignments), assignments.values()):
+        phases[step - 1][mode] = value % TWO_PI  # a circuit's steps are 1..p, in order
+    return replace(circuit, layers=tuple(replace(layer, phases=ph) for layer, ph in zip(circuit.layers, phases)))
 
 
 def nontrivial_phase_positions(circuit: QfftCircuit) -> list[tuple[int, int]]:
@@ -302,13 +299,12 @@ def nontrivial_phase_positions(circuit: QfftCircuit) -> list[tuple[int, int]]:
 
 def relabeling_swaps(circuit: QfftCircuit) -> list[tuple[int, int]]:
     """The relabeling as disjoint swaps in 1-based labels, as :func:`circuit_to_json`
-    writes them; the circuit is validated first."""
+    writes them."""
     return [tuple(pair) for pair in circuit_to_json(circuit)["relabeling"]]
 
 
 def circuit_to_json(circuit: QfftCircuit) -> dict:
-    """Serialise the validated circuit with 1-based mode labels and the relabeling as swap pairs."""
-    circuit = validate_circuit(circuit)
+    """Serialise the circuit with 1-based mode labels and the relabeling as swap pairs."""
     return {
         "p": circuit.p,
         "m": circuit.m,
@@ -346,11 +342,11 @@ def circuit_from_json(obj) -> QfftCircuit:
             )
             for raw in raw_layers
         ]
-        # sized by p, not by the unchecked m, which validate_circuit compares with 2^p
+        # sized by p, not by the unchecked m, which the circuit compares with 2^p
         relabeling = list(range(1 << p))
         for swap in raw_swaps:
             a, b = file_pair(swap, "relabeling swap", "relabeling mode")
             relabeling[a], relabeling[b] = b, a
     except (KeyError, TypeError, ValueError, IndexError, AttributeError, OverflowError) as exc:
         raise ValidationError(f"malformed circuit layers or relabeling: {exc}") from exc
-    return validate_circuit(QfftCircuit(p=p, m=m, layers=tuple(layers), output_relabeling=tuple(relabeling)))
+    return QfftCircuit(p=p, m=m, layers=tuple(layers), output_relabeling=tuple(relabeling))

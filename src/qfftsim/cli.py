@@ -159,6 +159,8 @@ def _load_json(path: str):
         return json.loads(_read_utf8(path).decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+    except RecursionError:
+        raise ParseError(f"{path}: invalid JSON: nested too deeply") from None
 
 
 def _parse_input(text: str) -> tuple[int, ...]:

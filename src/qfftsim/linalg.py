@@ -13,7 +13,7 @@ import functools
 import numpy as np
 
 from .errors import CapacityError, ShapeError, ValidationError
-from .fourier import check_nonnegative_int
+from .fourier import check_nonnegative_int, file_number
 
 #: Absolute tolerance used by default for unitarity and matrix equality checks.
 DEFAULT_TOL = 1e-10
@@ -160,7 +160,7 @@ def matrix_from_json(obj) -> np.ndarray:
     if len(entries) != rows * cols:
         raise ValidationError(f"expected {rows * cols} entries, got {len(entries)}")
     try:
-        flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
-    except (TypeError, ValueError) as exc:
+        flat = np.array([complex(file_number(re, "re"), file_number(im, "im")) for re, im in entries], complex)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"matrix entries must be [re, im] number pairs: {exc}") from exc
     return flat.reshape(rows, cols)

@@ -5,7 +5,7 @@ visibilities by chi-squared minimisation over the phase torus, multi-start
 Levenberg-Marquardt on the analytic residual Jacobian; the solver is in this
 module and needs only numpy. The fit does not read the singles, the
 single-photon transmission probabilities: they give the element moduli
-(:func:`moduli_from_singles`). A template is checked and compiled once, by a
+(:func:`moduli_from_singles`). A template is compiled once, by a
 :class:`ReconstructionProblem` when it is built or by :func:`phase_sensitivity`;
 each key of a problem is read by :func:`qfftsim.fourier.check_key`, and each
 mode pair of a problem file by :func:`qfftsim.fourier.file_pair`, each other
@@ -60,8 +60,8 @@ class ReconstructionProblem:
     ``singles`` maps (input mode, output mode) to a transmission probability;
     ``visibilities`` maps (input pair, output pair) to a (value, sigma) pair.
     Mode indices are 0-based; pairs are ascending. The problem is checked and
-    compiled once, when it is built, and keeps the template and int positions
-    its :func:`~qfftsim.circuit.compile_circuit` checked, and read-only tables
+    compiled once, when it is built, and keeps the int positions its
+    :func:`~qfftsim.circuit.compile_circuit` checked, and read-only tables
     with int keys, in key order, and float values.
     """
 
@@ -74,7 +74,7 @@ class ReconstructionProblem:
 
     def __post_init__(self):
         compiled = compile_circuit(self.template, self.free_phases)
-        m = compiled.circuit.m
+        m = self.template.m
         singles, col_sums = {}, {}
         for key, p in self.singles.items():
             i, o = check_key(key, "singles key", "singles mode")
@@ -107,7 +107,6 @@ class ReconstructionProblem:
                 raise DomainError(f"visibility for ({inp},{out}) needs a real, finite sigma > 0, got {sigma!r}")
             visibilities[(a, b), (i, j)] = float(value), float(sigma)
         visibilities = dict(sorted(visibilities.items()))
-        object.__setattr__(self, "template", compiled.circuit)
         object.__setattr__(self, "free_phases", compiled.positions)
         object.__setattr__(self, "singles", MappingProxyType(dict(sorted(singles.items()))))
         object.__setattr__(self, "visibilities", MappingProxyType(visibilities))
@@ -155,7 +154,7 @@ GAUGE_TOL = 1e-8
 def _visibility_set(compiled, visibilities) -> tuple:
     """(compiled template, flat, v_meas, sigmas) of int-keyed ``visibilities``: column n of
     ``flat`` holds the row-major positions of U_ia, U_jb, U_ib and U_ja for entry n."""
-    m = compiled.circuit.m
+    m = len(compiled.segments[0])
     a, b, i, j = np.fromiter(chain.from_iterable(inp + out for inp, out in visibilities), int).reshape(-1, 4).T
     flat = np.stack([i * m + a, j * m + b, i * m + b, j * m + a])
     values = np.fromiter(chain.from_iterable(visibilities.values()), float).reshape(-1, 2)

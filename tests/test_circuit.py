@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import layer_product_unitary
-from qfftsim import circuit as circuit_module
 from qfftsim.circuit import (
     Layer,
     QfftCircuit,
@@ -23,7 +22,6 @@ from qfftsim.circuit import (
     relabeling_swaps,
     set_phases,
     synthesize_qfft,
-    validate_circuit,
 )
 from qfftsim.errors import DomainError, ValidationError
 from qfftsim.fourier import qft_matrix
@@ -91,7 +89,8 @@ class TestSynthesis:
 
 
 def with_layer(circuit, position, **changes):
-    """``circuit`` with the fields of its layer at 1-based ``position`` replaced, unchecked."""
+    """``circuit`` with the fields of its layer at 1-based ``position`` replaced, built anew
+    and so checked."""
     layers = list(circuit.layers)
     layers[position - 1] = dataclasses.replace(layers[position - 1], **changes)
     return dataclasses.replace(circuit, layers=tuple(layers))
@@ -99,27 +98,25 @@ def with_layer(circuit, position, **changes):
 
 class TestComposition:
     def test_mode_reuse_rejected(self):
-        bad = QfftCircuit(
-            p=1,
-            m=2,
-            layers=(Layer(step=1, couplers=((0, 1), (0, 1))),),
-            output_relabeling=(0, 1),
-        )
         with pytest.raises(ValidationError):
-            circuit_to_unitary(bad)
+            QfftCircuit(
+                p=1,
+                m=2,
+                layers=(Layer(step=1, couplers=((0, 1), (0, 1))),),
+                output_relabeling=(0, 1),
+            )
 
     def test_uncoupled_mode_rejected(self):
-        bad = QfftCircuit(
-            p=2,
-            m=4,
-            layers=(
-                Layer(step=1, couplers=((0, 2),)),
-                Layer(step=2, couplers=((0, 1), (2, 3))),
-            ),
-            output_relabeling=(0, 1, 2, 3),
-        )
         with pytest.raises(ValidationError):
-            circuit_to_unitary(bad)
+            QfftCircuit(
+                p=2,
+                m=4,
+                layers=(
+                    Layer(step=1, couplers=((0, 2),)),
+                    Layer(step=2, couplers=((0, 1), (2, 3))),
+                ),
+                output_relabeling=(0, 1, 2, 3),
+            )
 
     def test_result_is_unitary(self):
         from qfftsim.linalg import DEFAULT_TOL, unitarity_defect
@@ -133,17 +130,14 @@ class TestComposition:
 
     def test_layer_steps_must_run_in_order(self):
         c = synthesize_qfft(2)
-        swapped = QfftCircuit(p=2, m=4, layers=c.layers[::-1], output_relabeling=c.output_relabeling)
         with pytest.raises(ValidationError):
-            circuit_to_unitary(swapped)
+            QfftCircuit(p=2, m=4, layers=c.layers[::-1], output_relabeling=c.output_relabeling)
 
     def test_relabeling_must_be_an_involution(self):
         # a 3-cycle is a permutation, but the JSON format cannot store it as swaps
         c = synthesize_qfft(2)
-        cycled = QfftCircuit(p=2, m=4, layers=c.layers, output_relabeling=(1, 2, 0, 3))
-        for refuse in (validate_circuit, compile_circuit, circuit_to_json):
-            with pytest.raises(ValidationError, match="output relabeling is not an involution"):
-                refuse(cycled)
+        with pytest.raises(ValidationError, match="output relabeling is not an involution"):
+            QfftCircuit(p=2, m=4, layers=c.layers, output_relabeling=(1, 2, 0, 3))
 
     @pytest.mark.parametrize(
         "change, error, message",
@@ -178,10 +172,18 @@ class TestComposition:
              "relabeling-str", "relabeling-2.5"],
     )
     def test_structural_refusals_named(self, change, error, message):
-        circuit = change(synthesize_qfft(2))
-        for refuse in (validate_circuit, compile_circuit, circuit_to_unitary, circuit_to_json):
-            with pytest.raises(error, match=f"^{re.escape(message)}$"):
-                refuse(circuit)
+        # each change builds a circuit, which is checked then, not by each consumer
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            change(synthesize_qfft(2))
+
+    def test_a_built_circuit_cannot_be_made_invalid(self):
+        # the phase map used to be the caller's dict: a NaN written into it after the check was composed
+        phases = {3: 0.5}
+        c = with_layer(synthesize_qfft(2), 2, phases=phases)
+        phases[3] = float("nan")
+        assert c.layers[1].phases == {3: 0.5}
+        with pytest.raises(TypeError):
+            c.layers[1].phases[3] = float("nan")
 
     def test_integral_float_phase_mode_is_read_as_its_mode(self):
         # the label rule admits 3.0, which used to index the phase array and raise a bare IndexError
@@ -206,7 +208,8 @@ class TestComposition:
         # the JSON holds the ints: "p": 2, not "p": 2.0
         assert json.dumps(circuit_to_json(floating)) == json.dumps(circuit_to_json(integral))
         assert relabeling_swaps(floating) == relabeling_swaps(integral) == [(2, 3)]
-        assert validate_circuit(floating) == validate_circuit(integral) == integral
+        # the built circuit holds the ints
+        assert repr(floating) == repr(integral)
 
 
 def random_positions(circuit, rng):
@@ -364,18 +367,20 @@ class TestCircuitJson:
         assert obj["relabeling"] == [[2, 5], [4, 7]]
 
     def test_validated_once(self, monkeypatch):
-        # relabeling_swaps, called by circuit_to_json, used to validate a second time
+        # circuit_to_json, and relabeling_swaps through it, used to validate the circuit again;
+        # it is checked once, when it is built
+        circuit = synthesize_qfft(3)
         calls = []
+        check = QfftCircuit.__post_init__
 
-        def counting(circuit):
-            calls.append(circuit)
-            return validate_circuit(circuit)
+        def counting(built):
+            calls.append(built)
+            check(built)
 
-        monkeypatch.setattr(circuit_module, "validate_circuit", counting)
-        assert circuit_to_json(synthesize_qfft(3))["relabeling"] == [[2, 5], [4, 7]]
-        assert len(calls) == 1
-        assert relabeling_swaps(synthesize_qfft(3)) == [(2, 5), (4, 7)]
-        assert len(calls) == 2
+        monkeypatch.setattr(QfftCircuit, "__post_init__", counting)
+        assert circuit_to_json(circuit)["relabeling"] == [[2, 5], [4, 7]]
+        assert relabeling_swaps(circuit) == [(2, 5), (4, 7)]
+        assert calls == []
 
     def test_modes_are_one_based(self):
         obj = circuit_to_json(synthesize_qfft(2))
@@ -449,8 +454,5 @@ class TestCircuitJson:
         obj["layers"][1]["phases"]["4"] = bad
         with pytest.raises(ValidationError, match="not finite"):
             circuit_from_json(obj)
-        circuit = perturb_circuit(synthesize_qfft(2), {(2, 3): bad})
         with pytest.raises(ValidationError, match="not finite"):
-            validate_circuit(circuit)
-        with pytest.raises(ValidationError, match="not finite"):
-            compile_circuit(circuit)
+            perturb_circuit(synthesize_qfft(2), {(2, 3): bad})

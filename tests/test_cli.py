@@ -171,6 +171,28 @@ class TestEvolveCommand:
         assert err.count("\n") == 1 and "is not unitary" in err
         assert not (tmp_path / "d.json").exists()
 
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ([[True, False], [False, False], [False, False], [True, False]], "re is not a number: True"),
+            ([[10**400, 0]] + [[0, 0]] * 3, "int too large to convert to float"),
+        ],
+        ids=["booleans", "401-digit-integer"],
+    )
+    @pytest.mark.parametrize("argv", [("evolve", "--input", "1", "--unitary"),
+                                      ("reconstruct", "--problem", "problem.json", "--target")],
+                             ids=["unitary", "target"])
+    def test_non_number_entry_exits_2_with_one_line(self, argv, entries, message, problem4, tmp_path, capsys):
+        # the booleans used to be read as the identity, and the integer to end in an OverflowError traceback
+        path = tmp_path / "u.json"
+        path.write_text(json.dumps({"rows": 2, "cols": 2, "entries": entries}))
+        argv = [str(problem4) if a == "problem.json" else a for a in argv]
+        code = run_cli(*argv, str(path), "--out", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert err == f"qfft: invalid input: matrix entries must be [re, im] number pairs: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_mean_field_model(self, tmp_path):
         out = tmp_path / "mf.json"
         assert (
@@ -722,6 +744,18 @@ class TestErrorPaths:
         assert err.startswith(f"qfft: error: {binary}: not UTF-8 text: byte 0xff at offset 16")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv, flag", [(("evolve", "--input", "1,2"), "--unitary"), (("reconstruct",), "--problem"),
+                                            (("reconstruct", "--problem", "problem.json"), "--target")])
+    def test_deeply_nested_json_exits_4(self, argv, flag, problem4, tmp_path, capsys):
+        # used to end in a RecursionError traceback
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        argv = [str(problem4) if a == "problem.json" else a for a in argv]
+        code = run_cli(*argv, flag, str(deep), "--out", str(tmp_path / "out"))
+        assert code == EXIT_IO
+        assert capsys.readouterr().err == f"qfft: error: {deep}: invalid JSON: nested too deeply\n"
+        assert not (tmp_path / "out").exists()
+
     def test_bad_input_flag(self, capsys):
         assert run_cli("evolve", "--modes", "4", "--input", "1;3") == EXIT_VALIDATION
 
@@ -1122,7 +1156,7 @@ def non_utf8(draw, text):
 
 
 _JSON_LEAF = st.one_of(
-    st.none(), st.booleans(), st.integers(-3, 20), _ANY_FLOAT, st.text(max_size=3)
+    st.none(), st.booleans(), st.integers(-3, 20), _ANY_FLOAT, st.text(max_size=3), st.just(10**400)
 )
 _JSON = st.recursive(
     _JSON_LEAF,

@@ -208,6 +208,9 @@ class TestMatrixJson:
             {"rows": 2.5, "cols": 2, "entries": [[1, 0]] * 4},  # used to read as 2 rows
             {"rows": 2, "cols": 2.9, "entries": [[1, 0]] * 4},
             {"rows": "2", "cols": 2, "entries": [[1, 0]] * 4},
+            # used to be read as the identity
+            {"rows": 2, "cols": 2, "entries": [[True, False], [False, False], [False, False], [True, False]]},
+            {"rows": 1, "cols": 1, "entries": [[10**400, 0]]},  # used to raise a bare OverflowError
         ],
     )
     def test_malformed_values_rejected(self, obj):

@@ -22,6 +22,7 @@ import qfftsim
 from qfftsim import circuit as circuit_module
 from qfftsim import reconstruct
 from qfftsim.circuit import (
+    QfftCircuit,
     circuit_to_unitary,
     compile_circuit,
     nontrivial_phase_positions,
@@ -720,33 +721,35 @@ class TestPhaseSensitivity:
 
 @pytest.fixture
 def circuit_calls(monkeypatch):
-    """Calls of ``validate_circuit`` and ``circuit._fold``, counted in every qfftsim
-    namespace that binds them, so the calls another module makes count too."""
+    """Checks of a circuit, runs of ``QfftCircuit.__post_init__`` when one is built, and
+    calls of ``circuit._fold``, counted in every qfftsim namespace that binds it, so the
+    calls another module makes count too."""
     calls = collections.Counter()
     names = [info.name for info in pkgutil.iter_modules(qfftsim.__path__)]
     modules = [qfftsim, *(importlib.import_module(f"qfftsim.{name}") for name in names)]
-    for name in ("validate_circuit", "_fold"):
-        original = getattr(circuit_module, name)
+    targets = [(QfftCircuit, "__post_init__")]
+    targets += [(module, "_fold") for module in modules if getattr(module, "_fold", None) is circuit_module._fold]
+    for owner, name in targets:
+        original = getattr(owner, name)
 
         def counting(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        for module in modules:
-            if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counting)
+        monkeypatch.setattr(owner, name, counting)
     return calls
 
 
 class TestCompiledOnce:
     @pytest.mark.parametrize(
         "case, expected",
-        [("problem-in-code", (1, 1)), ("problem-file", (2, 1)), ("phase-sensitivity", (1, 1))],
-        ids=["problem-in-code", "problem-file", "phase-sensitivity"],
+        [("problem-in-code", (0, 1)), ("problem-file", (1, 1)), ("phase-sensitivity", (0, 1)),
+         ("problem-to-json", (0, 0))],
+        ids=["problem-in-code", "problem-file", "phase-sensitivity", "problem-to-json"],
     )
     def test_template_is_validated_and_folded_once(self, case, expected, circuit_calls):
-        # a problem used to validate its template twice, a problem file three times, and
-        # phase_sensitivity to validate three times and fold twice
+        # a template is checked when it is built: a problem, phase_sensitivity and
+        # problem_to_json used to validate it again, and a problem file twice
         template = synthesize_qfft(3)
         free = nontrivial_phase_positions(template)
         problem, _, _ = make_problem(3)
@@ -755,10 +758,11 @@ class TestCompiledOnce:
             "problem-in-code": lambda: ReconstructionProblem(template, free, problem.singles, problem.visibilities),
             "problem-file": lambda: problem_from_json(file_obj),
             "phase-sensitivity": lambda: phase_sensitivity(template, free, ALL_PAIRS_8),
+            "problem-to-json": lambda: problem_to_json(problem),
         }[case]
         circuit_calls.clear()
         run()
-        assert (circuit_calls["validate_circuit"], circuit_calls["_fold"]) == expected
+        assert (circuit_calls["__post_init__"], circuit_calls["_fold"]) == expected
 
 
 class TestProblemValidation:
